@@ -8,8 +8,8 @@ dichotomy, and an event-driven finite-N simulator as independent oracle.
 
 from .models import (CouplingSpec, Curvature, ModelError, Monotonicity,
                      OscillatorModel, classify_monotonicity, homoclinic_model,
-                     homoclinic_prc, lif_model, natural_frequency, phase_of_state,
-                     prc_eval, state_of_phase, tabulated_model)
+                     lif_model, natural_frequency, phase_of_state, prc_eval,
+                     state_of_phase, tabulated_model)
 from .stationary import (CouplingBounds, ExistenceResult, NoStationaryStateError,
                          StationaryState, coupling_bounds, existence_condition,
                          normalization_functional, solve_stationary_flux)

@@ -86,7 +86,9 @@ class CertificationReport:
         return float(vals.min()) if vals.size else math.nan
 
     def verdict(self, min_fraction: float = 0.99) -> bool:
-        return self.hypothesis_met and self.lemma_ok and self.fraction_ok >= min_fraction
+        """Pass only if some interval was checked: checking nothing proves nothing."""
+        return (self.hypothesis_met and self.lemma_ok and self.n_checked > 0
+                and self.fraction_ok >= min_fraction)
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success, 2 blow-up when the config did not expect one,
 3 certification violation, 4 configuration error.  Sweeps run rows in a
-thread pool capped by the PULSEFIELD_THREADS environment variable.
+thread pool capped by the PULSEFIELD_THREADS environment variable and by the
+number of rows.
 """
 
 from __future__ import annotations
@@ -217,12 +218,14 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None) -> int:
 
 def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
     run = finite_simulate(model, K, N, n_firings=n_firings, seed=seed)
-    _write_csv(out / "firings.csv", ["t", "id", "absorbed"],
-               ([_fmt(ev.t), i, ev.absorbed] for ev in run.events for i in ev.fired))
+    # rows joined by hand: the bytes csv.writer with _fmt gives, about twice as fast
+    with open(out / "firings.csv", "w", newline="") as fh:
+        fh.write("t,id,absorbed\r\n")
+        fh.writelines(f"{float(ev.t)!r},{i},{ev.absorbed}\r\n"
+                      for ev in run.events for i in ev.fired)
     with open(out / "snapshots.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        for ts, snap in zip(run.snapshot_times, run.snapshots):
-            w.writerow([_fmt(ts)] + [_fmt(v) for v in snap])
+        fh.writelines(",".join(map(repr, [float(ts)] + snap.tolist())) + "\r\n"
+                      for ts, snap in zip(run.snapshot_times, run.snapshots))
     info: dict = {"N": N, "seed": seed, "n_events": run.n_events,
                   "full_sync_event": run.full_sync_event()}
     try:
@@ -330,7 +333,7 @@ def _sweep_row(cfg: ExperimentConfig, param, value, out_root: Path) -> dict:
         row_cfg.values["initial"]["epsilon"] = float(value)
     else:
         raise ConfigError(f"sweep.{param}", "sweepable parameters: K, n_theta, epsilon")
-    row_dir = out_root / f"{param}={value:g}"
+    row_dir = out_root / f"{param}={value!r}"
     row: dict = {"param": param, "value": value, "status": "ok", "exists": None,
                  "J_star": None, "J0_final": None, "decay_rate": None, "t_fin": None}
     try:
@@ -354,12 +357,29 @@ def _sweep_row(cfg: ExperimentConfig, param, value, out_root: Path) -> dict:
     return row
 
 
+def _sweep_workers(n_rows: int) -> int:
+    """Pool size: PULSEFIELD_THREADS (0 or unset means up to 4), at most one per row."""
+    raw = os.environ.get("PULSEFIELD_THREADS", "0")
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = -1
+    if requested < 0:
+        raise ConfigError("PULSEFIELD_THREADS", f"{raw!r} is not a non-negative integer")
+    return max(1, min(requested or 4, n_rows))
+
+
 def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig.parse(_resolve_config_path(args.config))
-    values = [float(v) for v in args.values.split(",")] if args.values else []
+    try:
+        values = [float(v) for v in args.values.split(",")] if args.values else []
+    except ValueError as exc:
+        raise ConfigError("sweep.values", str(exc))
+    if len({repr(v) for v in values}) != len(values):
+        raise ConfigError("sweep.values", "a repeated value would share a row directory")
+    workers = _sweep_workers(len(values))
     out_root = Path(args.out or (Path(cfg["output"]["dir"]) / "sweep"))
     out_root.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("PULSEFIELD_THREADS", "0")) or min(4, max(1, len(values)))
     rows: list = [None] * len(values)
     if values:
         with ThreadPoolExecutor(max_workers=workers) as pool:

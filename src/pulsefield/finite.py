@@ -8,6 +8,13 @@ the cascade iterates to a fixed point.  Between events identical dynamics
 preserve the state ordering, so the next firer is always the current
 maximum.
 
+The drift is exact and the same for every model with a phase map: in phase
+coordinates each oscillator moves at omega, so a drift over time tau is the
+shift theta -> theta + omega*tau, and the leader at phase theta_max fires
+after (2*pi - theta_max)/omega (Mirollo & Strogatz, SIAM J. Appl. Math. 50
+(1990) 1645-1662).  States are stored in x; the drift maps them to phase
+and back.
+
 At every firing the sorted phase vector (firing oscillators recorded at
 2*pi) is snapshotted; that sequence is the finite counterpart of the
 continuum trajectory and is compared against the splay configuration -- the
@@ -28,7 +35,6 @@ from .stationary import solve_stationary_flux
 
 TWO_PI = 2.0 * math.pi
 TIE_TOL = 1e-12          # states this close to threshold fire together
-EVENT_TIME_TOL = 1e-12
 
 
 class AvalancheError(RuntimeError):
@@ -102,51 +108,22 @@ class FiniteRun:
         return fired / span / self.N
 
 
-def _lif_params(model: OscillatorModel):
-    p = model.params
-    return p["S"], p["gamma"]
-
-
 def _flow(model: OscillatorModel, x: np.ndarray, tau: float) -> np.ndarray:
-    """Exact time-tau flow of dx/dt = F(x) (closed form for LIF, RK4 otherwise)."""
+    """Exact time-tau flow of dx/dt = F(x), stopped at x_hi.
+
+    The phase of every state advances by omega*tau.  States an inhibitory
+    kick pushed below x_lo have a negative phase on the field's
+    continuation and drift through the reset like any other.
+    """
     if tau <= 0.0:
         return x.copy()
-    if model.kind == "lif":
-        S, gam = _lif_params(model)
-        xf = S / gam
-        return xf - (xf - x) * np.exp(-gam * tau)
-    n_sub = max(4, int(math.ceil(tau / (TWO_PI / model.omega / 512.0))))
-    h = tau / n_sub
-    y = x.astype(float).copy()
-    for _ in range(n_sub):
-        k1 = model.F(y)
-        k2 = model.F(y + 0.5 * h * k1)
-        k3 = model.F(y + 0.5 * h * k2)
-        k4 = model.F(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    theta = model._phase_fn(x) + model.omega * tau
+    return model._state_inverse(np.minimum(theta, TWO_PI))
 
 
 def _time_to_threshold(model: OscillatorModel, x_max: float) -> float:
     """Time for the leading oscillator to reach x_hi."""
-    if model.kind == "lif":
-        S, gam = _lif_params(model)
-        return (1.0 / gam) * math.log((S - gam * x_max) / (S - gam * model.x_hi))
-    # generic field: bisection on the RK4 flow, bracketed by the phase estimate
-    tau_hat = (TWO_PI - float(model.phase_of_state(x_max))) / model.omega
-    lo, hi = 0.0, tau_hat * (1.0 + 1e-6) + 1e-9
-    arr = np.asarray([x_max])
-    while float(_flow(model, arr, hi)[0]) < model.x_hi:
-        hi *= 1.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(_flow(model, arr, mid)[0]) < model.x_hi:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < EVENT_TIME_TOL:
-            break
-    return 0.5 * (lo + hi)
+    return (TWO_PI - float(model._phase_fn(x_max))) / model.omega
 
 
 def advance_to_next_firing(state: PopulationState, model: OscillatorModel) -> PopulationState:

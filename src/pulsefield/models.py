@@ -108,6 +108,11 @@ class OscillatorModel:
     Not constructed directly; use ``lif_model``, ``tabulated_model`` or
     ``homoclinic_model``.  All evaluation methods accept scalars or arrays
     and are pure, so instances can be shared freely across threads.
+
+    ``_phase_fn`` and ``_state_inverse`` are the unchecked phase map and its
+    inverse.  They continue the field past the thresholds (theta < 0 below
+    x_lo), which the finite-N drift needs for states an inhibitory kick
+    pushed under the reset; the public methods check and clip the domain.
     """
 
     def __init__(self, kind, x_lo, x_hi, omega, F, phase_fn, state_inverse,
@@ -137,26 +142,19 @@ class OscillatorModel:
         if np.any(xa < self.x_lo - 1e-12) or np.any(xa > self.x_hi + 1e-12):
             raise ModelError("state outside [x_lo, x_hi]")
         xa = np.clip(xa, self.x_lo, self.x_hi)
-        out = self._phase_fn(xa)
+        out = np.clip(self._phase_fn(xa), 0.0, TWO_PI)
         return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
     def state_of_phase(self, theta):
-        """Inverse of the phase map by bisection on the monotone theta(x)."""
+        """Inverse of the phase map: closed form for LIF, for tabulated
+        fields the PCHIP inverse table refined by Newton steps on theta(x)."""
         if self.F is None:
             raise ModelError(f"{self.kind} model has no vector field")
         ta = np.asarray(theta, dtype=float)
         if np.any(ta < -1e-12) or np.any(ta > TWO_PI + 1e-12):
             raise ModelError("phase outside [0, 2*pi]")
         ta = np.clip(ta, 0.0, TWO_PI)
-        lo = np.full_like(ta, self.x_lo)
-        hi = np.full_like(ta, self.x_hi)
-        # vectorized bisection: theta(x) is strictly increasing
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            too_low = self._phase_fn(mid) < ta
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        out = 0.5 * (lo + hi)
+        out = np.clip(self._state_inverse(ta), self.x_lo, self.x_hi)
         out = np.where(ta <= 0.0, self.x_lo, out)
         out = np.where(ta >= TWO_PI, self.x_hi, out)
         return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
@@ -210,6 +208,7 @@ def lif_model(S: float, gamma: float, x_lo: float = 0.0, x_hi: float = 1.0) -> O
 
         omega       = 2*pi*gamma / log((S - gamma*x_lo)/(S - gamma*x_hi))
         theta(x)    = (omega/gamma) * log((S - gamma*x_lo)/(S - gamma*x))
+        x(theta)    = (S - (S - gamma*x_lo) * exp(-gamma*theta/omega)) / gamma
         Z(theta)    = (omega/(S - gamma*x_lo)) * exp(gamma*theta/omega)
     """
     if gamma == 0.0:
@@ -228,13 +227,16 @@ def lif_model(S: float, gamma: float, x_lo: float = 0.0, x_hi: float = 1.0) -> O
     def phase_fn(x):
         return (omega / gamma) * np.log(F_lo / (S - gamma * x))
 
+    def state_inverse(theta):
+        return (S - F_lo * np.exp(-gamma * theta / omega)) / gamma
+
     def prc_fn(theta):
         return (omega / F_lo) * np.exp(gamma * theta / omega)
 
     def prc_deriv_fn(theta):
         return (gamma / omega) * prc_fn(theta)
 
-    return OscillatorModel("lif", x_lo, x_hi, omega, F, phase_fn, None,
+    return OscillatorModel("lif", x_lo, x_hi, omega, F, phase_fn, state_inverse,
                            prc_fn, prc_deriv_fn,
                            {"S": S, "gamma": gamma, "x_lo": x_lo, "x_hi": x_hi})
 
@@ -283,12 +285,32 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
     theta_table[-1] = TWO_PI
     phase_interp = PchipInterpolator(xg, theta_table)
     state_interp = PchipInterpolator(theta_table, xg)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
 
     def F(x):
         return F_interp(np.asarray(x, dtype=float))
 
     def phase_fn(x):
-        return np.clip(phase_interp(x), 0.0, TWO_PI)
+        # below x_lo the table's cubic extrapolation errs like (x_lo - x)**3;
+        # there theta is -omega * (drift time to x_lo), by Gauss-Legendre
+        x = np.asarray(x, dtype=float)
+        theta = phase_interp(x)
+        below = x < x_lo
+        if below.any():
+            xb = x[below]
+            half = 0.5 * (x_lo - xb)
+            nodes = (x_lo - half)[:, None] + half[:, None] * gl_nodes
+            theta[below] = -omega * half * (gl_weights / F_interp(nodes)).sum(axis=1)
+        return theta
+
+    def state_inverse(theta):
+        # the PCHIP table of x(theta) is not the exact inverse of phase_fn
+        # (round trip ~1e-8); two Newton steps with dtheta/dx = omega/F
+        # bring it to rounding
+        x = state_interp(theta)
+        for _ in range(2):
+            x = x - (phase_fn(x) - theta) * F_interp(x) / omega
+        return x
 
     def prc_fn(theta):
         x = state_interp(np.clip(theta, 0.0, TWO_PI))
@@ -298,7 +320,7 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
         x = state_interp(np.clip(theta, 0.0, TWO_PI))
         return -dF(x) / F_interp(x)
 
-    return OscillatorModel("tabulated", x_lo, x_hi, omega, F, phase_fn, state_interp,
+    return OscillatorModel("tabulated", x_lo, x_hi, omega, F, phase_fn, state_inverse,
                            prc_fn, prc_deriv_fn,
                            {"x_lo": x_lo, "x_hi": x_hi, "n_samples": xs.size})
 
@@ -323,11 +345,6 @@ def homoclinic_model(C: float, lambda_u: float, omega: float) -> OscillatorModel
     return OscillatorModel("homoclinic", 0.0, 1.0, omega, None, None, None,
                            prc_fn, prc_deriv_fn,
                            {"C": C, "lambda_u": lambda_u})
-
-
-def homoclinic_prc(C: float, lambda_u: float, omega: float) -> OscillatorModel:
-    """Alias for ``homoclinic_model``."""
-    return homoclinic_model(C, lambda_u, omega)
 
 
 def load_field_table(path) -> tuple[np.ndarray, np.ndarray]:

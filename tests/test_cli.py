@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from pulsefield import lif_model, simulate
 from pulsefield.cli import main
 from pulsefield.config import ConfigError, ExperimentConfig
 
@@ -376,3 +379,101 @@ expect_blowup = true
     lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     flags = [ln.split(",")[3] for ln in lines[1:]]
     assert flags == ["True", "True", "False", "False"]
+
+
+def test_finite_csv_artifacts_exact(tmp_path, capsys):
+    # every value parses back to the run's float; the bytes are those of
+    # csv.writer with repr-formatted floats
+    out = tmp_path / "fin"
+    assert main(["finite", "--N", "16", "--model", "lif", "--S", "2.1",
+                 "--gamma", "2.0", "--K", "-0.1", "--seed", "5",
+                 "--nfirings", "40", "--out", str(out)]) == 0
+    capsys.readouterr()
+    run = simulate(lif_model(2.1, 2.0), -0.1, 16, n_firings=40, seed=5)
+    rows = (out / "snapshots.csv").read_text().splitlines()
+    assert len(rows) == len(run.snapshots)
+    for line, ts, snap in zip(rows, run.snapshot_times, run.snapshots):
+        vals = [float(v) for v in line.split(",")]
+        assert vals[0] == ts
+        assert vals[1:] == snap.tolist()
+
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    for ts, snap in zip(run.snapshot_times, run.snapshots):
+        w.writerow([repr(float(ts))] + [repr(float(v)) for v in snap])
+    assert (out / "snapshots.csv").read_bytes() == ref.getvalue().encode()
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(["t", "id", "absorbed"])
+    for ev in run.events:
+        for i in ev.fired:
+            w.writerow([repr(float(ev.t)), i, ev.absorbed])
+    assert (out / "firings.csv").read_bytes() == ref.getvalue().encode()
+
+
+def test_certify_nothing_checked_fails(tmp_path, capsys):
+    # a trajectory without a reference has V all NaN: no interval is checked
+    p = tmp_path / "trajectory.csv"
+    rows = ["t,J0,mass,rho_min,rho_max,V,q_min,event"]
+    for i in range(12):
+        rows.append(f"{0.5 * i},0.5,1.0,0.2,0.4,nan,{2 * math.pi},")
+    p.write_text("\n".join(rows) + "\n")
+    code = main(["certify", "--trajectory", str(p), "--model", "lif",
+                 "--S", "2.1", "--gamma", "2.0", "--K", "-0.1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["intervals_checked"] == 0
+    assert code == 3
+
+
+TINY_CFG = """
+[model]
+model = lif
+S = 2.1
+gamma = 2.0
+
+[coupling]
+K = -0.1
+
+[solver]
+n_theta = 64
+t_max = 0.1
+
+[initial]
+kind = vonmises
+kappa = 1.0
+
+[output]
+dir = {out}
+dump_density = false
+
+[run]
+certify = false
+"""
+
+
+def test_sweep_close_values_get_own_dirs(tmp_path, capsys):
+    # K values equal under %g must not share a row directory
+    p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K",
+                 "--values=-0.1000001,-0.1000002",
+                 "--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+    summaries = sorted((tmp_path / "sw").glob("*/summary.json"))
+    ks = sorted(json.loads(s.read_text())["K"] for s in summaries)
+    assert ks == [-0.1000002, -0.1000001]
+
+
+@pytest.mark.parametrize("values", ["-0.1,-0.1", "-0.1,fast"])
+def test_sweep_bad_values_config_error(tmp_path, values):
+    p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K",
+                 f"--values={values}", "--out", str(tmp_path / "sw")]) == 4
+
+
+@pytest.mark.parametrize("threads", ["abc", "-1"])
+def test_sweep_threads_env_validated(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("PULSEFIELD_THREADS", threads)
+    p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K",
+                 "--values=-0.1", "--out", str(tmp_path / "sw")]) == 4
+    assert "PULSEFIELD_THREADS" in capsys.readouterr().err

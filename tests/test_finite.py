@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulsefield import (AvalancheError, PopulationState, advance_to_next_firing,
                         apply_firing, discrete_lyapunov, simulate,
                         splay_reference, tabulated_model)
-from pulsefield.finite import _flow
+from pulsefield.finite import _flow, _time_to_threshold
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
@@ -37,6 +38,36 @@ def test_lif_flow_matches_rk4_oracle(lif):
         exact = _flow(lif, x0, tau)
         rk4 = _flow(tab, x0, tau)
         assert np.max(np.abs(exact - rk4)) < 1e-9
+
+
+def test_lif_flow_matches_closed_form(lif):
+    # x(t) = S/gamma - (S/gamma - x) e^{-gamma t}, also for a state an
+    # inhibitory kick left below the reset
+    x0 = np.array([-0.01, 0.0, 0.05, 0.3, 0.72])
+    xf = S / GAMMA
+    for tau in (1e-6, 0.01, 0.2, 0.9):
+        exact = xf - (xf - x0) * np.exp(-GAMMA * tau)
+        assert np.max(np.abs(_flow(lif, x0, tau) - exact)) < 1e-14
+
+
+def test_tabulated_flow_continues_below_reset(lif, lif_tab):
+    # the sampled field's continuation below x_lo is the same line
+    x0 = np.array([-0.02, -1e-3, 0.4])
+    for tau in (1e-3, 0.05, 0.5):
+        assert np.max(np.abs(_flow(lif_tab, x0, tau) - _flow(lif, x0, tau))) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+       fa=st.floats(0.0, 0.5), fb=st.floats(0.0, 0.5), tab=st.booleans())
+def test_flow_semigroup_and_order(lif, lif_tab, xs, fa, fb, tab):
+    m = lif_tab if tab else lif
+    x = np.sort(np.asarray(xs))
+    horizon = _time_to_threshold(m, float(x[-1]))
+    a, b = fa * horizon, fb * horizon
+    once = _flow(m, x, a + b)
+    assert np.max(np.abs(_flow(m, _flow(m, x, a), b) - once)) < 1e-12
+    assert np.all(np.diff(once) >= 0.0)
 
 
 def test_event_times_match_between_kinds(lif):

@@ -86,6 +86,25 @@ def test_phase_state_round_trip(model_name, request):
     assert np.max(np.abs(back - theta)) < 1e-9
 
 
+def _bisect_state(m, theta):
+    # reference inverse: 64-step bisection on the monotone phase map
+    lo = np.full_like(theta, m.x_lo)
+    hi = np.full_like(theta, m.x_hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        too_low = m.phase_of_state(mid) < theta
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_tabulated_state_of_phase_matches_bisection(lif_tab):
+    rising = tabulated_model(lambda x: 1.0 + x, x_lo=0.0, x_hi=1.0)
+    theta = np.linspace(0.0, TWO_PI, 777)[1:-1]
+    for m in (lif_tab, rising):
+        assert np.max(np.abs(m.state_of_phase(theta) - _bisect_state(m, theta))) < 1e-12
+
+
 def test_prc_constant_field_is_two_pi():
     m = tabulated_model(lambda x: 1.7, x_lo=0.0, x_hi=1.0)
     theta = np.linspace(0.0, TWO_PI, 101)
