@@ -9,9 +9,8 @@ Subcommands
     sweep       repeat a scenario over one scalar parameter
 
 Exit codes: 0 success, 2 blow-up when the config did not expect one,
-3 certification violation, 4 configuration error.  Sweeps run rows in a
-thread pool capped by the PULSEFIELD_THREADS environment variable and by the
-number of rows.
+3 certification violation, 4 configuration error.  Sweeps run their rows
+one after another.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +165,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None) -> int:
     dt = None
     if sol["align_dt"]:
         dt = initial.dtheta / model.omega
-    traj = integrate(model, K, initial, t_max=sol["t_max"], cfl=sol["cfl"],
-                     scheme=sol["scheme"], dt=dt,
+    traj = integrate(model, K, initial, t_max=sol["t_max"], cfl=sol["cfl"], dt=dt,
                      log_stride=cfg["output"]["log_stride"], reference=reference,
                      snapshot_times=cfg["output"]["snapshot_times"])
     traj.to_csv(out / "trajectory.csv")
@@ -357,18 +353,6 @@ def _sweep_row(cfg: ExperimentConfig, param, value, out_root: Path) -> dict:
     return row
 
 
-def _sweep_workers(n_rows: int) -> int:
-    """Pool size: PULSEFIELD_THREADS (0 or unset means up to 4), at most one per row."""
-    raw = os.environ.get("PULSEFIELD_THREADS", "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = -1
-    if requested < 0:
-        raise ConfigError("PULSEFIELD_THREADS", f"{raw!r} is not a non-negative integer")
-    return max(1, min(requested or 4, n_rows))
-
-
 def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig.parse(_resolve_config_path(args.config))
     try:
@@ -377,16 +361,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep.values", str(exc))
     if len({repr(v) for v in values}) != len(values):
         raise ConfigError("sweep.values", "a repeated value would share a row directory")
-    workers = _sweep_workers(len(values))
     out_root = Path(args.out or (Path(cfg["output"]["dir"]) / "sweep"))
     out_root.mkdir(parents=True, exist_ok=True)
-    rows: list = [None] * len(values)
-    if values:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_row, cfg, args.param, v, out_root): i
-                       for i, v in enumerate(values)}
-            for fut, i in futures.items():
-                rows[i] = fut.result()
+    rows = [_sweep_row(cfg, args.param, v, out_root) for v in values]
     header = ["param", "value", "status", "exists", "J_star", "J0_final",
               "decay_rate", "t_fin"]
     _write_csv(out_root / "sweep.csv", header,
@@ -417,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--ntheta", type=int, default=2048)
     p.add_argument("--cfl", type=float, default=0.5)
-    p.add_argument("--scheme", choices=("upwind", "semilagrangian"), default="upwind")
+    p.add_argument("--scheme", default="upwind", help="upwind (the only scheme)")
     p.add_argument("--ic", choices=("uniform", "vonmises", "perturbed"),
                    default="perturbed")
     p.add_argument("--kappa", type=float, default=2.0)
@@ -465,8 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--values" in argv[:-1]:
+        # argparse reads a spaced list that starts with '-' ("-0.1,-0.2") as
+        # an option; the joined form is unambiguous
+        i = argv.index("--values")
+        argv[i:i + 2] = [f"--values={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

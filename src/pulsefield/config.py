@@ -95,7 +95,6 @@ SCHEMA = {
 }
 
 MODEL_KINDS = ("lif", "tabulated", "homoclinic")
-SCHEMES = ("upwind", "semilagrangian")
 IC_KINDS = ("uniform", "vonmises", "perturbed")
 
 
@@ -153,8 +152,10 @@ class ExperimentConfig:
             raise ConfigError("model.model", f"must be one of {MODEL_KINDS}")
         if v["model"]["model"] == "tabulated" and not v["model"]["table"]:
             raise ConfigError("model.table", "tabulated model needs a CSV path")
-        if v["solver"]["scheme"] not in SCHEMES:
-            raise ConfigError("solver.scheme", f"must be one of {SCHEMES}")
+        if v["solver"]["scheme"] != "upwind":
+            raise ConfigError("solver.scheme", f"{v['solver']['scheme']!r} is not a scheme; "
+                              "use upwind (with align_dt = true for the aligned K = 0 "
+                              "rotation the removed semilagrangian scheme gave)")
         if v["initial"]["kind"] not in IC_KINDS:
             raise ConfigError("initial.kind", f"must be one of {IC_KINDS}")
         if v["solver"]["n_theta"] < 8:

@@ -14,13 +14,12 @@ rho(2*pi) are distinct unknowns tied by
 
     rho(0)/(1 - K*Z(0)*rho(0)) = rho(2*pi)/(1 - K*Z(2*pi)*rho(2*pi)) = J0/omega.
 
-The default scheme is conservative first-order upwind in flux form: node
-fluxes F_i = v_i * rho_i, inflow at theta=0 set to the outflow at 2*pi, so
-the discrete mass (right-endpoint Riemann sum over nodes 1..N) telescopes to
-machine precision every step.  A semi-Lagrangian scheme (RK2 back-trace plus
-monotone cubic interpolation) is available for low-diffusion experiments;
-with K = 0 and omega*dt aligned to the grid it reduces to an exact sample
-rotation.
+The one stepping kernel is conservative first-order upwind in flux form:
+node fluxes F_i = v_i * rho_i, inflow at theta=0 set to the outflow at
+2*pi, so the discrete mass (right-endpoint Riemann sum over nodes 1..N)
+telescopes to machine precision every step.  With K = 0 and the aligned
+step dt = dtheta/omega (Courant number 1) the update is a sample rotation
+to rounding.
 
 Synchronization shows up as a finite-time singularity and is detected by
 thresholds: the boundary relation's denominator falling under ``eps_sing``
@@ -37,7 +36,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .quantile import quantile_transform, lyapunov_tv_with_qmin, _as_profile
 
@@ -180,75 +178,40 @@ def _advance_boundary(rho_new, t_new, omega, K, z0, z_end, eps_sing, flux_cap):
     return J0
 
 
-def _upwind_step(rho, J0, t, dt, dtheta, omega, K, z, eps_sing, flux_cap):
+def _upwind_step(rho, J0, t, dt, dtheta, omega, K, z, eps_sing, flux_cap, cfl=None):
+    """One upwind step; returns (rho_new, J0_new, dt).
+
+    The velocity omega + K*Z*J0 is formed once.  With ``cfl`` given, the step
+    is cfl*dtheta/max(v), capped at ``dt``; otherwise ``dt`` is used as is.
+    """
     v = omega + K * z * J0
     vmin = float(v.min())
     if vmin <= eps_sing * omega:
         kind = "density" if K * z[0] < 0.0 or K * z[-1] < 0.0 else "flux"
         raise BlowupError(BlowupEvent(t, kind, {
             "min_velocity": vmin, "stall_threshold": eps_sing * omega, "flux": J0}))
-    if dt * float(v.max()) > dtheta * (1.0 + 1e-12):
-        raise CFLError(f"dt={dt:.3e} exceeds dtheta/max(v)={dtheta / float(v.max()):.3e}")
+    vmax = float(v.max())
+    if cfl is not None:
+        dt = min(cfl * dtheta / vmax, dt)
+    if dt * vmax > dtheta * (1.0 + 1e-12):
+        raise CFLError(f"dt={dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
     flux = v * rho
     flux[0] = J0    # inflow equals outflow: both ends carry the boundary flux
     flux[-1] = J0
     rho_new = rho.copy()
     rho_new[1:] -= (dt / dtheta) * (flux[1:] - flux[:-1])
     J0_new = _advance_boundary(rho_new, t + dt, omega, K, z[0], z[-1], eps_sing, flux_cap)
-    return rho_new, J0_new
+    return rho_new, J0_new, dt
 
 
-def _semilagrangian_step(rho, J0, t, dt, theta, omega, K, model, z,
-                         eps_sing, flux_cap):
-    v = omega + K * z * J0
-    vmin = float(v.min())
-    if vmin <= eps_sing * omega:
-        kind = "density" if K * z[0] < 0.0 or K * z[-1] < 0.0 else "flux"
-        raise BlowupError(BlowupEvent(t, kind, {
-            "min_velocity": vmin, "stall_threshold": eps_sing * omega, "flux": J0}))
-    dtheta = theta[1] - theta[0]
-    shift = omega * dt / dtheta
-    if K == 0.0 and abs(shift - round(shift)) < 1e-12:
-        # exact grid rotation: nodes 1..N form the periodic cycle
-        m = int(round(shift)) % (theta.size - 1)
-        core = np.roll(rho[1:], m)
-        rho_new = np.concatenate([[core[-1]], core])
-        J0_new = _advance_boundary(rho_new, t + dt, omega, K, z[0], z[-1],
-                                   eps_sing, flux_cap)
-        return rho_new, J0_new
-    # RK2 back-trace with the coupling frozen over the step
-    mid = theta - 0.5 * dt * v
-    v_mid = omega + K * model.prc(np.mod(mid, TWO_PI)) * J0
-    feet = theta - dt * v_mid
-    amp = np.exp(-dt * J0 * K * model.prc_deriv(np.mod(mid, TWO_PI)))
-    crossed = feet < 0.0
-    feet_w = np.where(crossed, feet + TWO_PI, feet)
-    vals = PchipInterpolator(theta, rho)(np.clip(feet_w, 0.0, TWO_PI))
-    # parcels that passed the reset keep their flux: rho jumps by v(2pi)/v(0)
-    jump = (omega + K * z[-1] * J0) / (omega + K * z[0] * J0)
-    rho_new = amp * vals * np.where(crossed, jump, 1.0)
-    rho_new = np.maximum(rho_new, 0.0)
-    J0_new = _advance_boundary(rho_new, t + dt, omega, K, z[0], z[-1],
-                               eps_sing, flux_cap)
-    return rho_new, J0_new
-
-
-def step(state: DensityField, model, K: float, dt: float, *, scheme: str = "upwind",
+def step(state: DensityField, model, K: float, dt: float, *,
          eps_sing: float = EPS_SING, flux_cap: float | None = None) -> DensityField:
-    """One explicit step of the transport equation; returns a new field."""
+    """One explicit upwind step of the transport equation; returns a new field."""
     if flux_cap is None:
         flux_cap = default_flux_cap(model.omega)
-    z = model.prc(state.theta)
-    if scheme == "upwind":
-        rho_new, J0_new = _upwind_step(state.rho, state.J0, state.t, dt,
-                                       state.dtheta, model.omega, K, z,
+    rho_new, J0_new, dt = _upwind_step(state.rho, state.J0, state.t, dt, state.dtheta,
+                                       model.omega, K, model.prc(state.theta),
                                        eps_sing, flux_cap)
-    elif scheme == "semilagrangian":
-        rho_new, J0_new = _semilagrangian_step(state.rho, state.J0, state.t, dt,
-                                               state.theta, model.omega, K, model,
-                                               z, eps_sing, flux_cap)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     return DensityField(state.theta, rho_new, J0_new, state.t + dt)
 
 
@@ -296,7 +259,9 @@ class TrajectoryLog:
     Columns mirror ``trajectory.csv``: t, J0, mass, rho_min, rho_max, V,
     q_min, event.  V and q_min are NaN when no stationary reference exists.
     The dense (per-step) flux history supports characteristic tracing and
-    the first-crossing flux window.
+    the first-crossing flux window.  ``stop_reason`` ('t_max', 'blowup' or
+    'max_steps'), ``n_steps`` and ``v_eval_failures`` (log rows whose V
+    raised) are known for integrated runs and None for one read from CSV.
     """
 
     t: np.ndarray
@@ -316,7 +281,9 @@ class TrajectoryLog:
     final: DensityField | None
     snapshots: list = dc_field(default_factory=list)
     reference: object | None = None
-    scheme: str = "upwind"
+    stop_reason: str | None = None
+    n_steps: int | None = None
+    v_eval_failures: int | None = None
 
     COLUMNS = ("t", "J0", "mass", "rho_min", "rho_max", "V", "q_min", "event")
 
@@ -364,25 +331,30 @@ class TrajectoryLog:
             "blowup": self.blowup.to_json() if self.blowup else None,
             "first_crossing_time": self.first_crossing_time,
             "J_window": list(self.J_window) if self.J_window else None,
-            "scheme": self.scheme,
+            "stop_reason": self.stop_reason,
+            "n_steps": self.n_steps,
+            "v_eval_failures": self.v_eval_failures,
         }
         return out
 
 
 def integrate(model, K: float, initial: DensityField, *, t_max: float,
-              cfl: float = 0.5, scheme: str = "upwind", dt: float | None = None,
+              cfl: float = 0.5, dt: float | None = None,
               log_stride: int = 20, reference=None, snapshot_times=(),
               snapshot_stride: int | None = None, eps_sing: float = EPS_SING,
               flux_cap: float | None = None, max_steps: int = 20_000_000) -> TrajectoryLog:
-    """March the density to ``t_max`` or a blow-up, logging every ``log_stride`` steps.
+    """March the density to ``t_max``, a blow-up or ``max_steps`` steps,
+    logging every ``log_stride`` steps.
 
     The step size follows the CFL condition dt = cfl * dtheta / max(v)
     (recomputed every step since the velocity depends on the flux), unless a
-    fixed ``dt`` is given -- the aligned semi-Lagrangian runs use
-    dt = dtheta/omega to make transport an exact rotation.  When a stationary
-    reference is supplied, the quantile Lyapunov distance V and the minimum
-    quantile density are logged alongside the flux.
+    fixed ``dt`` is given -- the aligned runs use dt = dtheta/omega to make
+    transport at K = 0 a rotation.  When a stationary reference is supplied,
+    the quantile Lyapunov distance V and the minimum quantile density are
+    logged alongside the flux.
     """
+    if dt is not None and not dt > 0.0:
+        raise ValueError(f"fixed dt must be positive, got {dt!r}")
     omega = model.omega
     if flux_cap is None:
         flux_cap = default_flux_cap(omega)
@@ -406,8 +378,10 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     # the first-crossing window that bounds the flux from then on
     lam = 0.0
     t_cross = None
+    v_failures = 0
 
     def log_row(ev=""):
+        nonlocal v_failures
         rows_t.append(t)
         rows_j.append(J0)
         rows_m.append(float(np.sum(rho[1:]) * dtheta))
@@ -417,6 +391,7 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
             try:
                 v_val, q_val = lyapunov_tv_with_qmin(quantile_transform(theta, rho), ref_profile)
             except Exception:
+                v_failures += 1
                 v_val, q_val = math.nan, math.nan
         else:
             v_val, q_val = math.nan, math.nan
@@ -427,30 +402,21 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     blow = None
     nstep = 0
     log_row()
-    while nstep < max_steps:
-        if dt is not None:
-            # fixed stepping (aligned runs): stop at the nearest multiple
-            if t_max - t < 0.5 * dt:
-                break
-            step_dt = dt
-        else:
-            if t >= t_max:
-                break
-            v = omega + K * z * J0
-            step_dt = min(cfl * dtheta / float(v.max()), t_max - t)
-        if step_dt <= 0.0:
+    while True:
+        # fixed stepping (aligned runs) stops at the nearest multiple of dt
+        if (t >= t_max) if dt is None else (t_max - t < 0.5 * dt):
+            stop_reason = "t_max"
+            break
+        if nstep >= max_steps:
+            stop_reason = "max_steps"
             break
         try:
-            if scheme == "upwind":
-                rho, J0_new = _upwind_step(rho, J0, t, step_dt, dtheta, omega, K, z,
-                                           eps_sing, flux_cap)
-            elif scheme == "semilagrangian":
-                rho, J0_new = _semilagrangian_step(rho, J0, t, step_dt, theta, omega,
-                                                   K, model, z, eps_sing, flux_cap)
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
+            rho, J0_new, step_dt = _upwind_step(
+                rho, J0, t, t_max - t if dt is None else dt, dtheta, omega, K, z,
+                eps_sing, flux_cap, cfl=cfl if dt is None else None)
         except BlowupError as exc:
             blow = exc.event
+            stop_reason = "blowup"
             log_row(ev=f"{blow.kind}_blowup")
             break
         # first-crossing characteristic, RK2 with the same step
@@ -491,7 +457,7 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                          np.asarray(rows_lo), np.asarray(rows_hi), np.asarray(rows_v),
                          np.asarray(rows_q), events, blow, dense_t, dense_j,
                          t_cross, j_window, initial.copy(), final, snaps,
-                         reference, scheme)
+                         reference, stop_reason, nstep, v_failures)
 
 
 # -- characteristics -------------------------------------------------------------

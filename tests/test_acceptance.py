@@ -149,7 +149,7 @@ def test_criterion_07_neutral_rotation(model):
     ic = initial_density("vonmises", 1024, model, 0.0, kappa=2.0)
     period = TWO_PI / model.omega
     traj = integrate(model, 0.0, ic, t_max=period, dt=ic.dtheta / model.omega,
-                     scheme="semilagrangian", log_stride=16, reference=stat0)
+                     log_stride=16, reference=stat0)
     v_drift = float(np.max(np.abs(traj.V - traj.V[0])))
     j_err = abs(traj.J0[-1] - traj.J0[0]) / traj.J0[0]
     assert v_drift < 1e-6

@@ -32,7 +32,7 @@ def test_bounds_no_coupling_v_constant(lif, stat_inhib):
     stat0 = solve_stationary_flux(lif, 0.0, n_theta=512)
     ic = initial_density("vonmises", 512, lif, 0.0, kappa=1.0)
     traj = integrate(lif, 0.0, ic, t_max=3.0, reference=stat0,
-                     dt=ic.dtheta / lif.omega, scheme="semilagrangian")
+                     dt=ic.dtheta / lif.omega)
     rep = certify_theorem_bounds(traj, lif, 0.0)
     assert rep.kz_prime_range == (0.0, 0.0)
     assert rep.fraction_ok == 1.0
@@ -76,7 +76,7 @@ def test_decay_rate_neutral(lif):
     stat0 = solve_stationary_flux(lif, 0.0, n_theta=512)
     ic = initial_density("vonmises", 512, lif, 0.0, kappa=1.0)
     traj = integrate(lif, 0.0, ic, t_max=3.0, reference=stat0,
-                     dt=ic.dtheta / lif.omega, scheme="semilagrangian")
+                     dt=ic.dtheta / lif.omega)
     fit = fit_decay_rate(traj, lif, 0.0)
     assert abs(fit.rate) < 1e-3
     assert fit.in_bracket

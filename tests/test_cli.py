@@ -20,7 +20,7 @@ gamma = 2.0
 K = 0.0
 
 [solver]
-scheme = semilagrangian
+scheme = upwind
 n_theta = 256
 cfl = 1.0
 t_max = 1.5222612188617115
@@ -126,6 +126,18 @@ def test_run_neutral_scenario(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["blowup"] is None
     assert summary["exit_code"] == 0
+    assert summary["stop_reason"] == "t_max"
+    assert summary["n_steps"] == 256
+    assert summary["v_eval_failures"] == 0
+
+
+def test_semilagrangian_scheme_is_config_error(tmp_path, capsys):
+    cfg = NEUTRAL_CFG.replace("scheme = upwind", "scheme = semilagrangian")
+    p = write_cfg(tmp_path, cfg, out=tmp_path / "out")
+    assert main(["run", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert "solver.scheme" in err
+    assert "upwind" in err and "align_dt = true" in err
 
 
 def test_run_determinism_byte_identical(tmp_path):
@@ -463,17 +475,19 @@ def test_sweep_close_values_get_own_dirs(tmp_path, capsys):
     assert ks == [-0.1000002, -0.1000001]
 
 
+@pytest.mark.parametrize("flag", [["--values", "-0.1,-0.2"], ["--values=-0.1,-0.2"]])
+def test_sweep_negative_values(tmp_path, capsys, flag):
+    # a spaced list starting with '-' is a value, not an option
+    p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K", *flag,
+                 "--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:3] for r in rows] == [["K", "-0.1", "ok"], ["K", "-0.2", "ok"]]
+
+
 @pytest.mark.parametrize("values", ["-0.1,-0.1", "-0.1,fast"])
 def test_sweep_bad_values_config_error(tmp_path, values):
     p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
     assert main(["sweep", "--config", str(p), "--param", "K",
                  f"--values={values}", "--out", str(tmp_path / "sw")]) == 4
-
-
-@pytest.mark.parametrize("threads", ["abc", "-1"])
-def test_sweep_threads_env_validated(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("PULSEFIELD_THREADS", threads)
-    p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
-    assert main(["sweep", "--config", str(p), "--param", "K",
-                 "--values=-0.1", "--out", str(tmp_path / "sw")]) == 4
-    assert "PULSEFIELD_THREADS" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityField,
                         boundary_flux, characteristic_trace, check_admissibility,
@@ -10,6 +12,15 @@ from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityFiel
 from pulsefield.continuum import TrajectoryLog
 
 TWO_PI = 2.0 * math.pi
+
+# raw von Mises profile of initial_density("vonmises", 512, ..., kappa=2.0)
+VONMISES_512 = np.exp(2.0 * (np.cos(np.linspace(0.0, TWO_PI, 513) - math.pi) - 1.0))
+
+
+def positive_profiles():
+    """Random positive node profiles on a few grid sizes."""
+    return st.sampled_from([16, 64, 256]).flatmap(
+        lambda n: arrays(float, n + 1, elements=st.floats(0.05, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -122,12 +133,28 @@ def test_mass_telescopes_over_many_steps(lif):
     assert abs(masses[1] - masses[0]) < 1e-6  # observed: ~1e-15
 
 
-def test_semilagrangian_aligned_rotation(lif):
-    field = initial_density("vonmises", 512, lif, 0.0, kappa=2.0)
+@settings(max_examples=25, deadline=None)
+@given(prof=positive_profiles())
+@example(prof=VONMISES_512)
+def test_aligned_rotation(lif, prof):
+    # K = 0 at Courant number 1: one upwind step rotates nodes 1..N
+    field = DensityField.from_profile(lif, 0.0, prof)
     dt = field.dtheta / lif.omega
     before = field.rho.copy()
-    out = step(field, lif, 0.0, dt, scheme="semilagrangian")
+    out = step(field, lif, 0.0, dt)
     assert np.max(np.abs(out.rho[1:] - np.roll(before[1:], 1))) < 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(prof=positive_profiles(), K=st.floats(-0.4, 0.0), cfl=st.floats(0.05, 1.0))
+def test_kernel_mass_and_positivity(lif, prof, K, cfl):
+    # K <= 0 contracts for an increasing response curve; log every step so
+    # rho_min and mass are seen after each of the 2000 CFL-chosen steps
+    field = DensityField.from_profile(lif, K, prof)
+    traj = integrate(lif, K, field, t_max=1e6, cfl=cfl, log_stride=1, max_steps=2000)
+    assert traj.stop_reason == "max_steps"
+    assert traj.rho_min.min() >= 0.0
+    assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-12
 
 
 def test_integrate_converges_to_stationary_flux(lif):
@@ -137,6 +164,8 @@ def test_integrate_converges_to_stationary_flux(lif):
     traj = integrate(lif, -0.1, ic, t_max=10.0, reference=stat)
     assert abs(traj.J0[-1] - stat.J_star) < 0.02
     assert traj.blowup is None
+    assert traj.stop_reason == "t_max"
+    assert traj.v_eval_failures == 0
     assert np.abs(traj.mass - 1.0).max() < 1e-9
     # flux stays inside the first-crossing window
     jmin, jmax = traj.J_window
@@ -151,6 +180,31 @@ def test_integrate_excitatory_blowup(lif):
     assert traj.blowup.kind == "flux"
     assert traj.blowup.t_fin < 100.0
     assert traj.event[-1] == "flux_blowup"
+    assert traj.stop_reason == "blowup"
+
+
+def test_integrate_max_steps_reported(lif, stat_inhib):
+    # the fig1 run cut after 100 steps stops far short of t_max and says so
+    ic = initial_density("perturbed", 2048, lif, -0.1, epsilon=0.2,
+                         reference=stat_inhib)
+    traj = integrate(lif, -0.1, ic, t_max=12.0, max_steps=100)
+    assert traj.t[-1] < 1.0
+    summary = traj.summary()
+    assert summary["stop_reason"] == "max_steps"
+    assert summary["n_steps"] == 100
+    assert summary["blowup"] is None
+
+
+def test_v_eval_failures_counted(lif, stat_inhib, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("degenerate quantile profile")
+
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin", broken)
+    ic = initial_density("perturbed", 256, lif, -0.1, epsilon=0.1,
+                         reference=stat_inhib)
+    traj = integrate(lif, -0.1, ic, t_max=0.5, reference=stat_inhib)
+    assert np.isnan(traj.V).all()
+    assert traj.summary()["v_eval_failures"] == traj.t.size > 1
 
 
 def test_integrate_density_blowup_inhibitory_expanding():
@@ -168,7 +222,7 @@ def test_neutral_run_periodic(lif):
     ic = initial_density("vonmises", 512, lif, 0.0, kappa=2.0)
     period = TWO_PI / lif.omega
     traj = integrate(lif, 0.0, ic, t_max=period, dt=ic.dtheta / lif.omega,
-                     scheme="semilagrangian", log_stride=8)
+                     log_stride=8)
     assert abs(traj.J0[-1] - traj.J0[0]) < 1e-12 * max(1.0, traj.J0[0])
     assert abs(traj.t[-1] - period) < 1e-9
 
