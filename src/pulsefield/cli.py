@@ -8,7 +8,8 @@ Subcommands
     run         full scenario from a config file
     sweep       repeat a scenario over one scalar parameter
 
-Exit codes: 0 success, 2 blow-up when the config did not expect one,
+Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
+the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error.  Sweeps run their rows
 one after another.
 """
@@ -35,7 +36,7 @@ from .stationary import (NoStationaryStateError, coupling_bounds,
                          existence_condition, solve_stationary_flux)
 
 EXIT_OK = 0
-EXIT_UNEXPECTED_BLOWUP = 2
+EXIT_BLOWUP_EXPECTATION = 2
 EXIT_CERTIFICATION = 3
 EXIT_CONFIG = 4
 
@@ -158,7 +159,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None) -> int:
     except BlowupError as exc:
         summary["blowup"] = exc.event.to_json()
         summary["exit_code"] = (EXIT_OK if cfg["run"]["expect_blowup"]
-                                else EXIT_UNEXPECTED_BLOWUP)
+                                else EXIT_BLOWUP_EXPECTATION)
         _write_json(out / "summary.json", summary)
         return summary["exit_code"]
 
@@ -182,8 +183,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None) -> int:
     summary.update(traj.summary())
 
     exit_code = EXIT_OK
-    if traj.blowup is not None and not cfg["run"]["expect_blowup"]:
-        exit_code = EXIT_UNEXPECTED_BLOWUP
+    if (traj.blowup is not None) != cfg["run"]["expect_blowup"]:
+        exit_code = EXIT_BLOWUP_EXPECTATION
     if traj.blowup is None and cfg["run"]["expect_blowup"]:
         summary["expected_blowup_missing"] = True
 

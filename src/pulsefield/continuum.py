@@ -159,49 +159,58 @@ def velocity_field(model, K: float, J0: float, theta=None) -> np.ndarray:
 # -- stepping kernels ----------------------------------------------------------
 
 
-def _advance_boundary(rho_new, t_new, omega, K, z0, z_end, eps_sing, flux_cap):
+def _advance_boundary(rho_new, t_new, omega, kz0, kz_end, eps_sing, flux_cap):
     """Outflow flux from rho(2*pi), then rho(0) from the flux relation."""
-    den = 1.0 - K * z_end * rho_new[-1]
+    den = 1.0 - kz_end * rho_new[-1]
     if den <= eps_sing:
         raise BlowupError(BlowupEvent(t_new, "flux", {
-            "rho_end": rho_new[-1], "rho_critical": 1.0 / (K * z_end),
+            "rho_end": rho_new[-1], "rho_critical": 1.0 / kz_end,
             "denominator": den, "eps_sing": eps_sing}))
     J0 = omega * rho_new[-1] / den
     if J0 > flux_cap:
         raise BlowupError(BlowupEvent(t_new, "flux", {"flux": J0, "flux_cap": flux_cap}))
-    v0 = omega + K * z0 * J0
+    v0 = omega + kz0 * J0
     if v0 <= eps_sing * omega:
         raise BlowupError(BlowupEvent(t_new, "density", {
             "velocity_at_zero": v0, "flux": J0,
-            "flux_critical": omega / abs(K * z0) if K * z0 < 0 else math.inf}))
+            "flux_critical": omega / abs(kz0) if kz0 < 0 else math.inf}))
     rho_new[0] = J0 / v0
     return J0
 
 
-def _upwind_step(rho, J0, t, dt, dtheta, omega, K, z, eps_sing, flux_cap, cfl=None):
-    """One upwind step; returns (rho_new, J0_new, dt).
+def _upwind_step(rho, out, flux, J0, t, dt, dtheta, omega, kz, kz_lo, kz_hi,
+                 eps_sing, flux_cap, cfl=None):
+    """One upwind step from ``rho`` into ``out``; returns (out, J0_new, dt).
 
-    The velocity omega + K*Z*J0 is formed once.  With ``cfl`` given, the step
-    is cfl*dtheta/max(v), capped at ``dt``; otherwise ``dt`` is used as is.
+    ``kz`` is K*Z on the grid and ``kz_lo``/``kz_hi`` its extremes, so the
+    extremes of the velocity omega + kz*J0 are two scalars (exact: rounding
+    is monotone).  ``flux`` is scratch space of the grid's size; ``rho`` is
+    left untouched.  With ``cfl`` given, the step is cfl*dtheta/max(v),
+    capped at ``dt``; otherwise ``dt`` is used as is.
     """
-    v = omega + K * z * J0
-    vmin = float(v.min())
+    vmin = omega + kz_lo * J0
+    vmax = omega + kz_hi * J0
+    if J0 < 0.0:
+        vmin, vmax = vmax, vmin
     if vmin <= eps_sing * omega:
-        kind = "density" if K * z[0] < 0.0 or K * z[-1] < 0.0 else "flux"
+        kind = "density" if kz[0] < 0.0 or kz[-1] < 0.0 else "flux"
         raise BlowupError(BlowupEvent(t, kind, {
             "min_velocity": vmin, "stall_threshold": eps_sing * omega, "flux": J0}))
-    vmax = float(v.max())
     if cfl is not None:
         dt = min(cfl * dtheta / vmax, dt)
     if dt * vmax > dtheta * (1.0 + 1e-12):
         raise CFLError(f"dt={dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
-    flux = v * rho
+    np.multiply(kz, J0, out=flux)
+    flux += omega
+    flux *= rho
     flux[0] = J0    # inflow equals outflow: both ends carry the boundary flux
     flux[-1] = J0
-    rho_new = rho.copy()
-    rho_new[1:] -= (dt / dtheta) * (flux[1:] - flux[:-1])
-    J0_new = _advance_boundary(rho_new, t + dt, omega, K, z[0], z[-1], eps_sing, flux_cap)
-    return rho_new, J0_new, dt
+    update = out[1:]
+    np.subtract(flux[1:], flux[:-1], out=update)
+    update *= dt / dtheta
+    np.subtract(rho[1:], update, out=update)
+    J0_new = _advance_boundary(out, t + dt, omega, kz[0], kz[-1], eps_sing, flux_cap)
+    return out, J0_new, dt
 
 
 def step(state: DensityField, model, K: float, dt: float, *,
@@ -209,9 +218,11 @@ def step(state: DensityField, model, K: float, dt: float, *,
     """One explicit upwind step of the transport equation; returns a new field."""
     if flux_cap is None:
         flux_cap = default_flux_cap(model.omega)
-    rho_new, J0_new, dt = _upwind_step(state.rho, state.J0, state.t, dt, state.dtheta,
-                                       model.omega, K, model.prc(state.theta),
-                                       eps_sing, flux_cap)
+    kz = K * model.prc(state.theta)
+    rho_new, J0_new, dt = _upwind_step(state.rho, np.empty_like(state.rho),
+                                       np.empty_like(state.rho), state.J0, state.t, dt,
+                                       state.dtheta, model.omega, kz, float(kz.min()),
+                                       float(kz.max()), eps_sing, flux_cap)
     return DensityField(state.theta, rho_new, J0_new, state.t + dt)
 
 
@@ -360,11 +371,15 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
         flux_cap = default_flux_cap(omega)
     theta = initial.theta
     dtheta = initial.dtheta
-    z = model.prc(theta)
+    kz = K * model.prc(theta)
+    kz_lo, kz_hi = float(kz.min()), float(kz.max())
 
     ref_profile = _as_profile(reference) if reference is not None else None
 
+    # the step writes into `spare` and the two buffers swap roles
     rho = initial.rho.copy()
+    spare = np.empty_like(rho)
+    flux = np.empty_like(rho)
     J0 = initial.J0
     t = initial.t
 
@@ -384,10 +399,11 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
         nonlocal v_failures
         rows_t.append(t)
         rows_j.append(J0)
+        rho_min = float(rho.min())
         rows_m.append(float(np.sum(rho[1:]) * dtheta))
-        rows_lo.append(float(rho.min()))
+        rows_lo.append(rho_min)
         rows_hi.append(float(rho.max()))
-        if ref_profile is not None and float(rho.min()) >= 0.0:
+        if ref_profile is not None and rho_min >= 0.0:
             try:
                 v_val, q_val = lyapunov_tv_with_qmin(quantile_transform(theta, rho), ref_profile)
             except Exception:
@@ -411,9 +427,9 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
             stop_reason = "max_steps"
             break
         try:
-            rho, J0_new, step_dt = _upwind_step(
-                rho, J0, t, t_max - t if dt is None else dt, dtheta, omega, K, z,
-                eps_sing, flux_cap, cfl=cfl if dt is None else None)
+            rho_new, J0_new, step_dt = _upwind_step(
+                rho, spare, flux, J0, t, t_max - t if dt is None else dt, dtheta, omega,
+                kz, kz_lo, kz_hi, eps_sing, flux_cap, cfl=cfl if dt is None else None)
         except BlowupError as exc:
             blow = exc.event
             stop_reason = "blowup"
@@ -429,6 +445,7 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                 frac = (TWO_PI - lam) / (lam_new - lam)
                 t_cross = t + frac * step_dt
             lam = lam_new
+        rho, spare = rho_new, rho
         J0 = J0_new
         t += step_dt
         nstep += 1

@@ -41,15 +41,13 @@ class QuantileProfile:
     """Sampled quantile description of one density.
 
     ``phi`` are the knots P(theta_i) (increasing, phi[0]=0, phi[-1]=1),
-    ``Q`` the phases at the knots, ``q_seg`` the piecewise-constant quantile
-    density on each knot interval and ``q_node`` the pointwise reciprocal
-    1/rho at the knots (used for the q * rho(Q) = 1 identity).
+    ``Q`` the phases at the knots and ``q_seg`` the piecewise-constant
+    quantile density on each knot interval.
     """
 
     phi: np.ndarray
     Q: np.ndarray
     q_seg: np.ndarray
-    q_node: np.ndarray
     degenerate: bool = False
 
     @property
@@ -86,19 +84,20 @@ def quantile_transform(field, rho=None) -> QuantileProfile:
     if np.any(rho < 0.0):
         raise ValueError("density must be nonnegative")
 
-    dP = 0.5 * (rho[1:] + rho[:-1]) * np.diff(theta)
+    dtheta = np.diff(theta)
+    dP = 0.5 * (rho[1:] + rho[:-1]) * dtheta
     total = float(dP.sum())
     if total <= 0.0:
         raise QuantileDegenerateError("density has zero mass")
-    phi = np.concatenate([[0.0], np.cumsum(dP)]) / total
+    phi = np.zeros(theta.size)
+    np.cumsum(dP, out=phi[1:])
+    phi /= total
     phi[-1] = 1.0
 
     dphi = np.diff(phi)
-    degenerate = bool(np.any(dphi <= 0.0))
-    with np.errstate(divide="ignore"):
-        q_seg = np.where(dphi > 0.0, np.diff(theta) / np.where(dphi > 0.0, dphi, 1.0), np.inf)
-        q_node = np.where(rho > 0.0, total / np.where(rho > 0.0, rho, 1.0), np.inf)
-    return QuantileProfile(phi, theta.copy(), q_seg, q_node, degenerate)
+    q_seg = np.full(dphi.size, np.inf)
+    np.divide(dtheta, dphi, out=q_seg, where=dphi > 0.0)
+    return QuantileProfile(phi, theta.copy(), q_seg, bool(np.any(dphi <= 0.0)))
 
 
 def _as_profile(obj) -> QuantileProfile:
@@ -125,12 +124,34 @@ def lyapunov_tv(state, reference) -> float:
     return v
 
 
+def _merged_segments(a: QuantileProfile, b: QuantileProfile):
+    """Both quantile densities on the union of the two knot vectors.
+
+    Returns (q_a, q_b, width) per union segment; each union segment takes
+    the segment values of ``a`` and ``b`` at its midpoint.  One stable sort
+    merges the two sorted knot vectors; running counts give, at each union
+    knot, how many knots of ``a`` (and of ``b``) lie at or below it.  A
+    midpoint 0.5*(u_j + u_{j+1}) lies in [u_j, u_{j+1}]; when it rounds onto
+    u_{j+1} the count at u_{j+1} is the one that applies.
+    """
+    merged = np.concatenate((a.phi, b.phi))
+    order = np.argsort(merged, kind="stable")
+    ordered = merged[order]
+    last = np.empty(ordered.size, dtype=bool)  # last copy of each distinct knot
+    np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
+    last[-1] = True
+    knots = ordered[last]
+    na = np.cumsum(order < a.phi.size)[last]
+    nb = np.flatnonzero(last) + 1 - na
+    onto = 0.5 * (knots[1:] + knots[:-1]) == knots[1:]
+    ia = np.clip(np.where(onto, na[1:], na[:-1]) - 1, 0, a.q_seg.size - 1)
+    ib = np.clip(np.where(onto, nb[1:], nb[:-1]) - 1, 0, b.q_seg.size - 1)
+    return a.q_seg[ia], b.q_seg[ib], np.diff(knots)
+
+
 def _tv_and_qmin(a: QuantileProfile, b: QuantileProfile) -> tuple[float, float]:
-    knots = np.union1d(a.phi, b.phi)
-    mid = 0.5 * (knots[1:] + knots[:-1])
-    ia = np.clip(np.searchsorted(a.phi, mid, side="right") - 1, 0, a.q_seg.size - 1)
-    ib = np.clip(np.searchsorted(b.phi, mid, side="right") - 1, 0, b.q_seg.size - 1)
-    v = float(np.sum(np.abs(a.q_seg[ia] - b.q_seg[ib]) * np.diff(knots)))
+    qa, qb, width = _merged_segments(a, b)
+    v = float(np.sum(np.abs(qa - qb) * width))
     return v, min(a.q_min, b.q_min)
 
 
@@ -147,11 +168,8 @@ def quantile_l2(state, reference) -> float:
     """L2 distance between quantile densities (the rejected candidate norm)."""
     a = _as_profile(state)
     b = _as_profile(reference)
-    knots = np.union1d(a.phi, b.phi)
-    mid = 0.5 * (knots[1:] + knots[:-1])
-    ia = np.clip(np.searchsorted(a.phi, mid, side="right") - 1, 0, a.q_seg.size - 1)
-    ib = np.clip(np.searchsorted(b.phi, mid, side="right") - 1, 0, b.q_seg.size - 1)
-    return float(np.sqrt(np.sum((a.q_seg[ia] - b.q_seg[ib]) ** 2 * np.diff(knots))))
+    qa, qb, width = _merged_segments(a, b)
+    return float(np.sqrt(np.sum((qa - qb) ** 2 * width)))
 
 
 def density_l1(theta, rho, rho_ref) -> float:

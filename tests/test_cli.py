@@ -162,6 +162,22 @@ def test_expected_blowup_exit_zero(tmp_path):
     assert main(["run", str(p)]) == 0
 
 
+def test_missing_expected_blowup_exit_code(tmp_path):
+    # inhibitory coupling settles instead of blowing up: the expectation fails
+    cfg = BLOWUP_CFG.replace("K = 0.1", "K = -0.1").replace("t_max = 50.0", "t_max = 2.0")
+    p = write_cfg(tmp_path, cfg, out=tmp_path / "out", expect="true")
+    assert main(["run", str(p)]) == 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["blowup"] is None
+    assert summary["expected_blowup_missing"] is True
+    assert summary["exit_code"] == 2
+    # the bundled excitatory run does blow up, as its config expects
+    assert main(["run", "fig2.cfg", "--out", str(tmp_path / "fig2")]) == 0
+    summary = json.loads((tmp_path / "fig2" / "summary.json").read_text())
+    assert summary["blowup"] is not None
+    assert "expected_blowup_missing" not in summary
+
+
 def test_bundled_configs_resolve_by_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_path = Path(__file__).resolve().parents[1]
@@ -491,3 +507,38 @@ def test_sweep_bad_values_config_error(tmp_path, values):
     p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
     assert main(["sweep", "--config", str(p), "--param", "K",
                  f"--values={values}", "--out", str(tmp_path / "sw")]) == 4
+
+
+GOLDEN_FIG1 = Path(__file__).parent / "data" / "fig1_n256_t2.csv"
+
+
+def _fig1_small_cfg(tmp_path):
+    # bundled fig1 at n_theta 256 and t_max 2; the golden file is this run's
+    # trajectory.csv: `pulsefield run <this cfg>` reproduces it
+    from pulsefield.cli import _resolve_config_path
+    text = _resolve_config_path("fig1.cfg").read_text()
+    for old, new in (("n_theta = 2048", "n_theta = 256"), ("t_max = 12.0", "t_max = 2.0"),
+                     ("dir = out/fig1", f"dir = {tmp_path / 'out'}")):
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / "fig1_small.cfg"
+    p.write_text(text)
+    return p
+
+
+def test_fig1_trajectory_matches_golden(tmp_path):
+    # pins the stepping kernel and V to the committed trajectory; a relative
+    # tolerance rather than bytes, since SIMD exp/log may differ by an ulp
+    # between CPUs
+    assert main(["run", str(_fig1_small_cfg(tmp_path))]) == 0
+    with open(GOLDEN_FIG1, newline="") as fh:
+        want = list(csv.reader(fh))
+    with open(tmp_path / "out" / "trajectory.csv", newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == want[0] and got[0][-1] == "event"
+    assert len(got) == len(want) > 30
+    for g, w in zip(got[1:], want[1:]):
+        assert g[-1] == w[-1]
+        for gv, wv in zip(g[:-1], w[:-1]):
+            gv, wv = float(gv), float(wv)
+            assert gv == wv or abs(gv - wv) <= 1e-12 * abs(wv), (g, w)

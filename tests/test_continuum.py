@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityField,
                         boundary_flux, characteristic_trace, check_admissibility,
-                        homoclinic_model, initial_density, integrate, step,
+                        homoclinic_model, initial_density, integrate, lif_model, step,
                         tabulated_model, velocity_field)
-from pulsefield.continuum import TrajectoryLog
+from pulsefield.continuum import (EPS_SING, BlowupEvent, TrajectoryLog, _upwind_step,
+                                  default_flux_cap)
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,6 +156,85 @@ def test_kernel_mass_and_positivity(lif, prof, K, cfl):
     assert traj.stop_reason == "max_steps"
     assert traj.rho_min.min() >= 0.0
     assert np.abs(traj.mass - traj.mass[0]).max() <= 1e-12
+
+
+STEP_MODELS = {"lif": lif_model(2.1, 2.0), "homoclinic": homoclinic_model(1.0, 1.0, TWO_PI)}
+
+
+def reference_step(rho, J0, t, dt, dtheta, omega, K, z, eps_sing, flux_cap, cfl):
+    """The upwind step written out plainly: full velocity array, its min and
+    max by scan, a copied density, then the boundary relation."""
+    v = omega + K * z * J0
+    vmin = float(v.min())
+    if vmin <= eps_sing * omega:
+        kind = "density" if K * z[0] < 0.0 or K * z[-1] < 0.0 else "flux"
+        raise BlowupError(BlowupEvent(t, kind, {
+            "min_velocity": vmin, "stall_threshold": eps_sing * omega, "flux": J0}))
+    vmax = float(v.max())
+    if cfl is not None:
+        dt = min(cfl * dtheta / vmax, dt)
+    if dt * vmax > dtheta * (1.0 + 1e-12):
+        raise CFLError(f"dt={dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
+    flux = v * rho
+    flux[0] = J0
+    flux[-1] = J0
+    rho_new = rho.copy()
+    rho_new[1:] -= (dt / dtheta) * (flux[1:] - flux[:-1])
+    t_new, z0, z_end = t + dt, z[0], z[-1]
+    den = 1.0 - K * z_end * rho_new[-1]
+    if den <= eps_sing:
+        raise BlowupError(BlowupEvent(t_new, "flux", {
+            "rho_end": rho_new[-1], "rho_critical": 1.0 / (K * z_end),
+            "denominator": den, "eps_sing": eps_sing}))
+    J0_new = omega * rho_new[-1] / den
+    if J0_new > flux_cap:
+        raise BlowupError(BlowupEvent(t_new, "flux", {"flux": J0_new, "flux_cap": flux_cap}))
+    v0 = omega + K * z0 * J0_new
+    if v0 <= eps_sing * omega:
+        raise BlowupError(BlowupEvent(t_new, "density", {
+            "velocity_at_zero": v0, "flux": J0_new,
+            "flux_critical": omega / abs(K * z0) if K * z0 < 0 else math.inf}))
+    rho_new[0] = J0_new / v0
+    return rho_new, J0_new, dt
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (BlowupError, CFLError) as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(STEP_MODELS)), prof=positive_profiles(),
+       K=st.floats(-0.4, 0.4), J0=st.floats(-20.0, 60.0), dt_frac=st.floats(0.01, 1.5),
+       cfl=st.none() | st.floats(0.05, 1.0))
+@example(name="lif", prof=VONMISES_512, K=-0.4, J0=60.0, dt_frac=0.5, cfl=None)
+def test_upwind_step_matches_reference(name, prof, K, J0, dt_frac, cfl):
+    # same rho, J0 and dt bits as the plain formula, or the same exception
+    model = STEP_MODELS[name]
+    theta = np.linspace(0.0, TWO_PI, prof.size)
+    dtheta = float(theta[1] - theta[0])
+    z = model.prc(theta)
+    kz = K * z
+    dt = dt_frac * dtheta / model.omega
+    cap = default_flux_cap(model.omega)
+    rho = prof.copy()
+    got = _outcome(lambda: _upwind_step(
+        rho, np.empty_like(rho), np.empty_like(rho), J0, 0.5, dt, dtheta, model.omega,
+        kz, float(kz.min()), float(kz.max()), EPS_SING, cap, cfl=cfl))
+    want = _outcome(lambda: reference_step(prof.copy(), J0, 0.5, dt, dtheta, model.omega,
+                                           K, z, EPS_SING, cap, cfl))
+    event(want.event.kind if isinstance(want, BlowupError) else type(want).__name__)
+    assert rho.tobytes() == prof.tobytes()
+    assert type(got) is type(want)
+    if isinstance(want, BlowupError):
+        assert got.event == want.event
+    elif isinstance(want, CFLError):
+        assert str(got) == str(want)
+    else:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1] and got[2] == want[2]
 
 
 def test_integrate_converges_to_stationary_flux(lif):

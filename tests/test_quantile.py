@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pulsefield import (QuantileDegenerateError, discrete_lyapunov, lyapunov_tv,
-                        quantile_transform)
-from pulsefield.quantile import lyapunov_tv_with_qmin
+                        quantile_l2, quantile_transform)
+from pulsefield.quantile import QuantileProfile, lyapunov_tv_with_qmin
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,3 +177,58 @@ def test_discrete_lyapunov_converges_to_continuum(stat_inhib):
     phis = np.arange(1, n + 1) / n
     v_n = discrete_lyapunov(prof.Q_at(phis), ref.Q_at(phis))
     assert abs(v_n - v_cont) < 0.01 * v_cont
+
+
+def union_reference(a, b):
+    """(V, L2) by the union1d + searchsorted-on-midpoints formula."""
+    knots = np.union1d(a.phi, b.phi)
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    ia = np.clip(np.searchsorted(a.phi, mid, side="right") - 1, 0, a.q_seg.size - 1)
+    ib = np.clip(np.searchsorted(b.phi, mid, side="right") - 1, 0, b.q_seg.size - 1)
+    d = a.q_seg[ia] - b.q_seg[ib]
+    w = np.diff(knots)
+    return float(np.sum(np.abs(d) * w)), float(np.sqrt(np.sum(d ** 2 * w)))
+
+
+def profile_from_knots(phi):
+    # the piecewise-linear cumulative through (phi_i, theta_i): q integrates to 2*pi
+    Q = np.linspace(0.0, TWO_PI, phi.size)
+    return QuantileProfile(phi, Q, np.diff(Q) / np.diff(phi))
+
+
+@st.composite
+def profile_pairs(draw):
+    """A positive profile and a partner: the same density, an independent
+    one, or knots that share some of its knots and sit one ulp above others."""
+    n = draw(st.integers(8, 512))
+    rho = draw(arrays(float, n + 1, elements=st.floats(0.01, 10.0)))
+    a = quantile_transform(np.linspace(0.0, TWO_PI, n + 1), rho)
+    kind = draw(st.sampled_from(["identical", "independent", "shared"]))
+    if kind == "identical":
+        return a, quantile_transform(np.linspace(0.0, TWO_PI, n + 1), rho.copy()), kind
+    if kind == "independent":
+        m = draw(st.integers(8, 512))
+        rho_b = draw(arrays(float, m + 1, elements=st.floats(0.01, 10.0)))
+        return a, quantile_transform(np.linspace(0.0, TWO_PI, m + 1), rho_b), kind
+    interior = a.phi[1:-1]
+    keep = draw(arrays(bool, interior.size))
+    nudge = draw(arrays(bool, interior.size))
+    fresh = draw(arrays(float, draw(st.integers(0, 64)),
+                        elements=st.floats(1e-6, 1.0 - 1e-6)))
+    phi = np.unique(np.concatenate(([0.0, 1.0], interior[keep],
+                                    np.nextafter(interior[nudge], 2.0), fresh)))
+    return a, profile_from_knots(phi), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=profile_pairs())
+def test_merge_matches_union_formula(pair):
+    a, b, kind = pair
+    v_ref, l2_ref = union_reference(a, b)
+    v, q_min = lyapunov_tv_with_qmin(a, b)
+    assert v == v_ref
+    assert quantile_l2(a, b) == l2_ref
+    assert q_min == min(a.q_seg.min(), b.q_seg.min())
+    if kind == "identical":
+        assert v == 0.0
+    assert 0.0 <= v <= 4.0 * math.pi - 2.0 * q_min + 1e-12
