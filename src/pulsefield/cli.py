@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
-3 certification violation, 4 configuration error.  Sweeps run their rows
+3 certification violation, 4 configuration error (a bad config, flag,
+model parameter or field table).  Sweeps run their rows
 one after another.
 """
 
@@ -25,12 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, MODEL_KINDS
+from .config import ConfigError, ExperimentConfig, MODEL_KINDS, check_finite_size
 from .continuum import (BlowupError, DensityField, TrajectoryLog, initial_density,
                         integrate)
 from .certify import certify_theorem_bounds, fit_decay_rate
 from .finite import simulate as finite_simulate, splay_reference
-from .models import homoclinic_model, lif_model, load_field_table, tabulated_model
+from .models import (ModelError, homoclinic_model, lif_model, load_field_table,
+                     tabulated_model)
 from .quantile import discrete_lyapunov
 from .stationary import (NoStationaryStateError, coupling_bounds,
                          existence_condition, solve_stationary_flux)
@@ -306,6 +308,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_finite(args) -> int:
+    check_finite_size(args.N, args.nfirings)
     model = _build_model(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -454,6 +457,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ModelError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -40,6 +40,15 @@ def _parse_float_list(s):
     return [] if not s else [float(p) for p in s.split(",")]
 
 
+def check_finite_size(N: int, n_firings: int) -> None:
+    """A finite run needs two oscillators (V_N compares phase pairs) and
+    one firing (V_N starts from the first snapshot)."""
+    if N < 2:
+        raise ConfigError("finite.N", f"need N >= 2, got {N}")
+    if n_firings < 1:
+        raise ConfigError("finite.n_firings", f"need n_firings >= 1, got {n_firings}")
+
+
 # schema: section -> key -> (parser, default); required keys use REQUIRED
 REQUIRED = object()
 
@@ -166,6 +175,7 @@ class ExperimentConfig:
             raise ConfigError("solver.t_max", "need t_max > 0")
         if not math.isfinite(v["coupling"]["K"]):
             raise ConfigError("coupling.K", "must be finite")
+        check_finite_size(v["finite"]["N"], v["finite"]["n_firings"])
 
     def __getitem__(self, section):
         return self.values[section]

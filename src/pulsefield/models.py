@@ -19,7 +19,10 @@ derivative sign.  Three constructors are provided:
 * ``lif_model``        -- leaky integrate-and-fire, F(x) = S - gamma*x, with
                           closed-form phase map and Z(theta) = Z(0)*exp(gamma*theta/omega);
 * ``tabulated_model``  -- any positive field given as (x, F) samples, handled
-                          through monotone piecewise-cubic interpolation;
+                          through monotone piecewise-cubic interpolation, with
+                          theta(x), x(theta) and Z(theta) tabulated once as
+                          cubic Hermite splines whose node slopes come from
+                          the field (omega/F, F/omega, -F'/F);
 * ``homoclinic_model`` -- the near-homoclinic limit-cycle response curve
                           Z(theta) = C*omega*exp(2*pi*lam_u/omega)*exp(-lam_u*theta/omega),
                           which has no underlying scalar field.
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .numerics import adaptive_simpson
 
@@ -147,7 +150,7 @@ class OscillatorModel:
 
     def state_of_phase(self, theta):
         """Inverse of the phase map: closed form for LIF, for tabulated
-        fields the PCHIP inverse table refined by Newton steps on theta(x)."""
+        fields the Hermite inverse table refined by Newton steps on theta(x)."""
         if self.F is None:
             raise ModelError(f"{self.kind} model has no vector field")
         ta = np.asarray(theta, dtype=float)
@@ -249,7 +252,15 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
     callable as the first argument samples it on ``n_samples`` points over
     [x_lo, x_hi].  Interpolation is monotone piecewise cubic (PCHIP), which
     keeps the sign of dF/dx and hence the monotonicity class of Z intact.
-    The phase map is precomputed on a dense cumulative-quadrature table.
+
+    The phase table sits on the sample knots plus enough evenly spaced
+    points in each sample interval that no piece is wider than the spacing
+    of a DENSE_GRID_SIZE grid.  Each piece lies inside one PCHIP cubic, so
+    one 8-point Gauss-Legendre sum of 1/F per piece, cumulated, gives
+    theta at every node to rounding.  theta(x), its inverse x(theta) and
+    Z(theta) = omega/F are then cubic Hermite splines on those nodes, with
+    the exact slopes omega/F, F/omega and -F'/F; Z' is the derivative of
+    the Z spline, and Z past [0, 2*pi] continues its end cubics.
     """
     if callable(x_samples):
         if x_lo is None or x_hi is None:
@@ -270,22 +281,31 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
 
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     F_interp = PchipInterpolator(xs, Fs, extrapolate=True)
-    dF = F_interp.derivative()
 
-    # cumulative table of integral dx/F on a dense grid; per-cell adaptive
-    # Simpson keeps the absolute error of the total below QUAD_TOL
-    xg = np.linspace(x_lo, x_hi, DENSE_GRID_SIZE)
-    inv = lambda x: 1.0 / float(F_interp(x))
-    cell_tol = QUAD_TOL / (DENSE_GRID_SIZE - 1)
-    cells = [adaptive_simpson(inv, xg[i], xg[i + 1], tol=cell_tol, max_depth=30)
-             for i in range(DENSE_GRID_SIZE - 1)]
-    cum = np.concatenate([[0.0], np.cumsum(cells)])
-    omega = TWO_PI / cum[-1]
-    theta_table = omega * cum
-    theta_table[-1] = TWO_PI
-    phase_interp = PchipInterpolator(xg, theta_table)
-    state_interp = PchipInterpolator(theta_table, xg)
+    # table nodes: every sample interval split evenly into pieces no wider
+    # than a DENSE_GRID_SIZE grid's spacing, so each piece lies inside one
+    # PCHIP cubic and 1/F on it is the reciprocal of one positive cubic
+    dx = np.diff(xs)
+    m = np.ceil(dx * ((DENSE_GRID_SIZE - 1) / (x_hi - x_lo))).astype(int)
+    cell = np.repeat(np.arange(dx.size), m)
+    frac = (np.arange(cell.size) - np.repeat(np.cumsum(m) - m, m)) / m[cell]
+    xn = np.append(xs[cell] + frac * dx[cell], x_hi)
+
+    # integral dx/F by one 8-point Gauss-Legendre sum per piece
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.diff(xn)
+    nodes = (xn[:-1] + half)[:, None] + half[:, None] * gl_nodes
+    cum = np.concatenate([[0.0], np.cumsum(half * (gl_weights / F_interp(nodes)).sum(axis=1))])
+    omega = TWO_PI / cum[-1]
+    theta_n = omega * cum
+    theta_n[-1] = TWO_PI
+
+    # cubic Hermite maps with the exact node slopes dtheta/dx = omega/F,
+    # dx/dtheta = F/omega and dZ/dtheta = -F'/F
+    Fn = F_interp(xn)
+    phase_interp = CubicHermiteSpline(xn, theta_n, omega / Fn)
+    state_interp = CubicHermiteSpline(theta_n, xn, Fn / omega)
+    prc_fn = CubicHermiteSpline(theta_n, omega / Fn, -F_interp(xn, 1) / Fn)
 
     def F(x):
         return F_interp(np.asarray(x, dtype=float))
@@ -304,24 +324,16 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
         return theta
 
     def state_inverse(theta):
-        # the PCHIP table of x(theta) is not the exact inverse of phase_fn
-        # (round trip ~1e-8); two Newton steps with dtheta/dx = omega/F
-        # bring it to rounding
+        # x(theta) and theta(x) are separate Hermite tables, inverse to each
+        # other only up to the interpolation error; two Newton steps with
+        # dtheta/dx = omega/F make x the root of phase_fn(x) = theta
         x = state_interp(theta)
         for _ in range(2):
             x = x - (phase_fn(x) - theta) * F_interp(x) / omega
         return x
 
-    def prc_fn(theta):
-        x = state_interp(np.clip(theta, 0.0, TWO_PI))
-        return omega / F_interp(x)
-
-    def prc_deriv_fn(theta):
-        x = state_interp(np.clip(theta, 0.0, TWO_PI))
-        return -dF(x) / F_interp(x)
-
     return OscillatorModel("tabulated", x_lo, x_hi, omega, F, phase_fn, state_inverse,
-                           prc_fn, prc_deriv_fn,
+                           prc_fn, prc_fn.derivative(),
                            {"x_lo": x_lo, "x_hi": x_hi, "n_samples": xs.size})
 
 
@@ -349,11 +361,17 @@ def homoclinic_model(C: float, lambda_u: float, omega: float) -> OscillatorModel
 
 def load_field_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a CSV of (x, F(x)) pairs with header ``x,F``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ModelError(f"{path}: cannot read field table: {exc.strerror or exc}")
     if not rows or [c.strip() for c in rows[0][:2]] != ["x", "F"]:
         raise ModelError(f"{path}: expected CSV header 'x,F'")
-    data = np.asarray([[float(r[0]), float(r[1])] for r in rows[1:] if r], dtype=float)
+    try:
+        data = np.asarray([[float(r[0]), float(r[1])] for r in rows[1:] if r], dtype=float)
+    except (ValueError, IndexError) as exc:
+        raise ModelError(f"{path}: bad sample row: {exc}")
     if data.shape[0] < 2:
         raise ModelError(f"{path}: need at least two samples")
     return data[:, 0], data[:, 1]

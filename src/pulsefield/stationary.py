@@ -40,6 +40,7 @@ TWO_PI = 2.0 * math.pi
 LIMIT_KS = range(1, 13)
 LIMIT_MARGIN = 1e-6
 DIVERGENCE_CAP = 1e6
+W_TOL = 1e-12
 
 
 class NoStationaryStateError(RuntimeError):
@@ -121,13 +122,18 @@ def j_interval(model: OscillatorModel, K: float) -> tuple:
 
 
 def normalization_functional(model: OscillatorModel, K: float, J: float,
-                             tol: float = 1e-12) -> float:
+                             tol: float = W_TOL) -> float:
     """W(J) = integral J/(omega + K*Z*J) dtheta; strictly increasing in J."""
     lo, hi = j_interval(model, K)
     if not (lo < J < hi):
         raise ValueError(f"J={J} outside the admissible interval (0, {hi:.6g})")
-    omega = model.omega
     pts = [_kz_argmin(model, K)] if K != 0.0 else None
+    return _w_integral(model, K, J, pts, tol)
+
+
+def _w_integral(model: OscillatorModel, K: float, J: float, pts, tol: float) -> float:
+    """W(J) for an admissible J, with the quadrature breakpoints given."""
+    omega = model.omega
     return _quad(lambda th: J / (omega + K * model.prc(th) * J),
                  0.0, TWO_PI, tol=tol, points=pts)
 
@@ -224,7 +230,10 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
 
     r = result.r
     hi_edge = math.inf if r == 0.0 else omega / r
-    w = lambda J: normalization_functional(model, K, J) - 1.0
+    # J stays inside (0, hi_edge) below, so W skips the interval check and
+    # the breakpoint scan that normalization_functional repeats per call
+    pts = [_kz_argmin(model, K)]
+    w = lambda J: _w_integral(model, K, J, pts, W_TOL) - 1.0
 
     lo = min(1e-12 * omega, (hi_edge if math.isfinite(hi_edge) else 1.0) * 1e-12)
     hi = None

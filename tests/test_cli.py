@@ -542,3 +542,32 @@ def test_fig1_trajectory_matches_golden(tmp_path):
         for gv, wv in zip(g[:-1], w[:-1]):
             gv, wv = float(gv), float(wv)
             assert gv == wv or abs(gv - wv) <= 1e-12 * abs(wv), (g, w)
+
+
+@pytest.mark.parametrize("case", ["table_nonpositive", "table_missing", "lif_field_nonpositive",
+                                  "N=1", "N=0", "nfirings=0"])
+def test_finite_bad_input_exits_config(tmp_path, capsys, case):
+    table = tmp_path / "field.csv"
+    table.write_text("x,F\n0.0,1.0\n0.5,-0.1\n1.0,1.0\n")
+    extra = {
+        "table_nonpositive": ["--model", "tabulated", "--table", str(table)],
+        "table_missing": ["--model", "tabulated", "--table", str(tmp_path / "nope.csv")],
+        "lif_field_nonpositive": ["--model", "lif", "--S", "1.0"],
+        "N=1": ["--N", "1"],
+        "N=0": ["--N", "0"],
+        "nfirings=0": ["--nfirings", "0"],
+    }[case]
+    # later flags override the defaults given first
+    assert main(["finite", "--N", "20", "--K", "-0.1", "--nfirings", "10",
+                 "--out", str(tmp_path / "fin"), *extra]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("N", "1"), ("n_firings", "0")])
+def test_config_finite_size_validated(tmp_path, key, value):
+    p = write_cfg(tmp_path, f"[coupling]\nK = -0.1\n[finite]\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.parse(p)
+    assert f"finite.{key}" in str(err.value)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pulsefield import (AvalancheError, PopulationState, advance_to_next_firing,
                         apply_firing, discrete_lyapunov, simulate,
                         splay_reference, tabulated_model)
+from pulsefield.cli import _run_finite
 from pulsefield.finite import _flow, _time_to_threshold
 
 TWO_PI = 2.0 * math.pi
@@ -168,3 +169,21 @@ def test_population_histogram_matches_stationary_density(lif, stat_inhib):
     rho_ref = stat_inhib.density_at(centers)
     l1 = np.sum(np.abs(hist - rho_ref)) * (bins[1] - bins[0])
     assert l1 < 0.05
+
+
+def test_tabulated_run_matches_lif(lif, tmp_path):
+    # LIF samples at jittered knots, as in the benchmark's field table; the
+    # whole event sequence stays on the closed-form run
+    rng = np.random.default_rng(7)
+    h = 1.0 / 1200
+    xs = np.arange(1201) * h
+    xs[1:-1] += rng.uniform(-0.25, 0.25, 1199) * h
+    tab = tabulated_model(xs, S - GAMMA * xs)
+    a = simulate(lif, -0.1, 100, n_firings=200, seed=11)
+    b = simulate(tab, -0.1, 100, n_firings=200, seed=11)
+    assert len(a.snapshots) == len(b.snapshots) == 200
+    assert max(np.max(np.abs(p - q)) for p, q in zip(a.snapshots, b.snapshots)) < 1e-9
+    for name, m in (("lif", lif), ("tab", tab)):
+        (tmp_path / name).mkdir()
+        info = _run_finite(m, -0.1, 100, 11, 200, tmp_path / name)
+        assert info["V_N_nonincreasing_fraction"] == 1.0

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pulsefield import (CouplingSpec, Curvature, ModelError, Monotonicity,
                         classify_monotonicity, homoclinic_model, lif_model,
                         natural_frequency, tabulated_model)
-from pulsefield.models import load_field_table
+from pulsefield.models import QUAD_TOL, load_field_table
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
@@ -230,3 +231,51 @@ def test_field_table_loader(tmp_path):
     bad.write_text("a,b\n0,1\n1,2\n")
     with pytest.raises(ModelError):
         load_field_table(bad)
+    bad.write_text("x,F\n0,1\n1,fast\n")
+    with pytest.raises(ModelError):
+        load_field_table(bad)
+    with pytest.raises(ModelError):
+        load_field_table(tmp_path / "missing.csv")
+
+
+def _jittered_lif_table(n, jitter, seed):
+    # LIF samples at seed-jittered interior knots, as in the benchmark's field table
+    rng = np.random.default_rng(seed)
+    h = 1.0 / (n - 1)
+    xs = np.arange(n) * h
+    xs[1:-1] += rng.uniform(-jitter, jitter, n - 2) * h
+    return tabulated_model(xs, S - GAMMA * xs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(50, 2000), jitter=st.floats(0.0, 0.25),
+       seed=st.integers(0, 2**32 - 1))
+def test_jittered_lif_table_matches_closed_form(lif, n, jitter, seed):
+    m = _jittered_lif_table(n, jitter, seed)
+    assert abs(m.omega / lif.omega - 1.0) < 1e-13
+    x = np.linspace(0.0, 1.0, 2001)
+    assert np.max(np.abs(m._phase_fn(x) - lif._phase_fn(x))) < 1e-10
+    theta = np.linspace(0.0, TWO_PI, 2001)
+    assert np.max(np.abs(m.prc(theta) / lif.prc(theta) - 1.0)) < 1e-10
+    assert np.max(np.abs(m.prc_deriv(theta) / lif.prc_deriv(theta) - 1.0)) < 1e-8
+
+
+def test_nonlinear_phase_table_matches_quadrature():
+    # wavy field of test_certify from 50 samples: the table at its sample
+    # knots and halfway between them against QUADPACK on the interpolant
+    xs = np.linspace(0.0, 1.0, 50)
+    m = tabulated_model(xs, 1.0 + 0.3 * np.sin(6.0 * xs))
+    inv = lambda s: 1.0 / float(m.F(s))
+
+    def integral(b):
+        inner = xs[(xs > 0.0) & (xs < b)]
+        # full_output mutes QUADPACK's warning that rounding stops it short
+        # of 1e-14; the result is still far inside the 1e-12 bound
+        return quad(inv, 0.0, b, epsabs=1e-14, epsrel=0.0, limit=500,
+                    points=inner if inner.size else None, full_output=1)[0]
+
+    period = integral(1.0)
+    assert abs(m.omega - TWO_PI / period) < QUAD_TOL * m.omega
+    probe = np.sort(np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1])]))
+    ref = np.array([TWO_PI * integral(b) / period if b > 0.0 else 0.0 for b in probe])
+    assert np.max(np.abs(m.phase_of_state(probe) - ref)) < QUAD_TOL * m.omega

@@ -175,3 +175,12 @@ def test_homoclinic_stationary_state():
     m = homoclinic_model(1.0, 1.0, TWO_PI)
     stat = solve_stationary_flux(m, 0.05)
     assert abs(W_quad(m, 0.05, stat.J_star) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("K,J_star", [(-0.1, 0.5299567271144521),
+                                      (0.1, 0.8022543020971771),
+                                      (-0.3, 0.32035017792107384)])
+def test_lif_flux_bits_pinned(lif, K, J_star):
+    # the bisection's arithmetic is fixed: the same W integrand, breakpoint
+    # and quadrature give J* to the last bit
+    assert solve_stationary_flux(lif, K).J_star == J_star
