@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
 model parameter or field table).  Sweeps run their rows
-one after another.
+one after another; a sweep whose model cannot be built exits 4 before its
+first row.
 """
 
 from __future__ import annotations
@@ -118,9 +119,12 @@ def _resolve_config_path(name) -> Path:
 # -- scenario orchestration -------------------------------------------------------
 
 
-def run_scenario(cfg: ExperimentConfig, out_dir=None) -> int:
+def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
     """Stationary solve, continuum integration, certification, optional
-    finite-N run; writes all artifacts under the output directory."""
+    finite-N run; writes all artifacts under the output directory.
+
+    ``bounds`` is the model's ``coupling_bounds`` when the caller has them
+    already (a sweep computes them once for all its rows)."""
     out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved_config.json", cfg.resolved())
@@ -147,7 +151,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None) -> int:
         stat_info = {"exists": False, "r": exc.result.r,
                      "limit_value": exc.result.to_json()["limit_value"]}
     if model.F is not None:
-        stat_info["coupling_bounds"] = coupling_bounds(model).to_json()
+        if bounds is None:
+            bounds = coupling_bounds(model)
+        stat_info["coupling_bounds"] = bounds.to_json()
     _write_json(out / "stationary.json", stat_info)
     summary["stationary"] = stat_info
 
@@ -322,7 +328,7 @@ def _cmd_run(args) -> int:
     return run_scenario(cfg, out_dir=args.out)
 
 
-def _sweep_row(cfg: ExperimentConfig, param, value, out_root: Path) -> dict:
+def _sweep_row(cfg: ExperimentConfig, param, value, out_root: Path, bounds) -> dict:
     import copy
     row_cfg = ExperimentConfig(copy.deepcopy(cfg.values), cfg.source)
     if param == "K":
@@ -337,7 +343,7 @@ def _sweep_row(cfg: ExperimentConfig, param, value, out_root: Path) -> dict:
     row: dict = {"param": param, "value": value, "status": "ok", "exists": None,
                  "J_star": None, "J0_final": None, "decay_rate": None, "t_fin": None}
     try:
-        code = run_scenario(row_cfg, out_dir=row_dir)
+        code = run_scenario(row_cfg, out_dir=row_dir, bounds=bounds)
         summary = json.loads((row_dir / "summary.json").read_text())
         row["exists"] = summary.get("stationary", {}).get("exists")
         row["J_star"] = summary.get("stationary", {}).get("J_star")
@@ -365,9 +371,13 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep.values", str(exc))
     if len({repr(v) for v in values}) != len(values):
         raise ConfigError("sweep.values", "a repeated value would share a row directory")
+    # no sweepable parameter changes the model: build it (a bad model or
+    # table exits 4 here) and take its coupling window once for every row
+    model = cfg.build_model()
+    bounds = coupling_bounds(model) if model.F is not None else None
     out_root = Path(args.out or (Path(cfg["output"]["dir"]) / "sweep"))
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = [_sweep_row(cfg, args.param, v, out_root) for v in values]
+    rows = [_sweep_row(cfg, args.param, v, out_root, bounds) for v in values]
     header = ["param", "value", "status", "exists", "J_star", "J0_final",
               "decay_rate", "t_fin"]
     _write_csv(out_root / "sweep.csv", header,

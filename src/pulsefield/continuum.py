@@ -390,7 +390,9 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     snap_queue = sorted(float(s) for s in snapshot_times)
 
     # characteristic launched from theta=0 at t=0: its arrival at 2*pi closes
-    # the first-crossing window that bounds the flux from then on
+    # the first-crossing window that bounds the flux from then on; Z on one
+    # float goes straight to the model's function, past the array wrapper
+    prc = model._prc_fn
     lam = 0.0
     t_cross = None
     v_failures = 0
@@ -400,13 +402,13 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
         rows_t.append(t)
         rows_j.append(J0)
         rho_min = float(rho.min())
-        rows_m.append(float(np.sum(rho[1:]) * dtheta))
+        rows_m.append(float(rho[1:].sum() * dtheta))
         rows_lo.append(rho_min)
         rows_hi.append(float(rho.max()))
         if ref_profile is not None and rho_min >= 0.0:
             try:
                 v_val, q_val = lyapunov_tv_with_qmin(quantile_transform(theta, rho), ref_profile)
-            except Exception:
+            except ValueError:   # QuantileDegenerateError: V undefined on this row
                 v_failures += 1
                 v_val, q_val = math.nan, math.nan
         else:
@@ -437,9 +439,9 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
             break
         # first-crossing characteristic, RK2 with the same step
         if t_cross is None:
-            v1 = omega + K * float(model.prc(min(lam, TWO_PI))) * J0
+            v1 = omega + K * float(prc(min(lam, TWO_PI))) * J0
             lam_mid = lam + 0.5 * step_dt * v1
-            v2 = omega + K * float(model.prc(min(lam_mid, TWO_PI))) * (0.5 * (J0 + J0_new))
+            v2 = omega + K * float(prc(min(lam_mid, TWO_PI))) * (0.5 * (J0 + J0_new))
             lam_new = lam + step_dt * v2
             if lam_new >= TWO_PI:
                 frac = (TWO_PI - lam) / (lam_new - lam)

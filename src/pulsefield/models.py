@@ -116,6 +116,9 @@ class OscillatorModel:
     inverse.  They continue the field past the thresholds (theta < 0 below
     x_lo), which the finite-N drift needs for states an inhibitory kick
     pushed under the reset; the public methods check and clip the domain.
+    ``_prc_fn`` is Z without the array wrapper of ``prc``: on one float it
+    gives the same bits, so scalar hot loops (QUADPACK callbacks, the
+    first-crossing characteristic) call it directly.
     """
 
     def __init__(self, kind, x_lo, x_hi, omega, F, phase_fn, state_inverse,

@@ -69,9 +69,9 @@ def quantile_transform(field, rho=None) -> QuantileProfile:
     """Quantile profile of a density given as a field object or (theta, rho).
 
     P is the normalized cumulative trapezoid of rho, Q its piecewise-linear
-    inverse on the grid knots.  Densities with zero plateaus produce a
-    profile flagged degenerate (Q still follows the infimum convention
-    through ``Q_at``, but q is unusable there).
+    inverse on the grid knots.  Densities with zero plateaus (or non-finite
+    values) produce a profile flagged degenerate (Q still follows the
+    infimum convention through ``Q_at``, but q is unusable there).
     """
     if rho is None:
         theta = np.asarray(field.theta, dtype=float)
@@ -81,23 +81,31 @@ def quantile_transform(field, rho=None) -> QuantileProfile:
         rho = np.asarray(rho, dtype=float)
     if theta.ndim != 1 or theta.shape != rho.shape or theta.size < 2:
         raise ValueError("need matching 1-D theta and rho arrays")
-    if np.any(rho < 0.0):
+    if (rho < 0.0).any():
         raise ValueError("density must be nonnegative")
 
-    dtheta = np.diff(theta)
-    dP = 0.5 * (rho[1:] + rho[:-1]) * dtheta
+    # dP = 0.5*(rho[1:] + rho[:-1])*dtheta, formed in place
+    dtheta = theta[1:] - theta[:-1]
+    dP = rho[1:] + rho[:-1]
+    dP *= 0.5
+    dP *= dtheta
     total = float(dP.sum())
     if total <= 0.0:
         raise QuantileDegenerateError("density has zero mass")
-    phi = np.zeros(theta.size)
-    np.cumsum(dP, out=phi[1:])
+    phi = np.empty(theta.size)
+    phi[0] = 0.0
+    dP.cumsum(out=phi[1:])
     phi /= total
     phi[-1] = 1.0
 
-    dphi = np.diff(phi)
+    dphi = phi[1:] - phi[:-1]
+    if dphi.min() > 0.0:
+        return QuantileProfile(phi, theta.copy(), np.divide(dtheta, dphi, out=dtheta))
+    # a zero plateau (or a non-finite density) leaves some dphi not positive:
+    # q = inf there, and the profile is flagged
     q_seg = np.full(dphi.size, np.inf)
     np.divide(dtheta, dphi, out=q_seg, where=dphi > 0.0)
-    return QuantileProfile(phi, theta.copy(), q_seg, bool(np.any(dphi <= 0.0)))
+    return QuantileProfile(phi, theta.copy(), q_seg, True)
 
 
 def _as_profile(obj) -> QuantileProfile:
@@ -129,30 +137,47 @@ def _merged_segments(a: QuantileProfile, b: QuantileProfile):
 
     Returns (q_a, q_b, width) per union segment; each union segment takes
     the segment values of ``a`` and ``b`` at its midpoint.  One stable sort
-    merges the two sorted knot vectors; running counts give, at each union
-    knot, how many knots of ``a`` (and of ``b``) lie at or below it.  A
-    midpoint 0.5*(u_j + u_{j+1}) lies in [u_j, u_{j+1}]; when it rounds onto
-    u_{j+1} the count at u_{j+1} is the one that applies.
+    merges the two sorted knot vectors.  At the last copy of each distinct
+    knot (merged position ``pos``, source index ``src``) the number of knots
+    of ``a`` at or below it is src + 1 for a knot of ``a`` and
+    pos - src + n_a for a knot of ``b`` (stability puts equal knots of ``a``
+    first); the segment index is one less.  A midpoint 0.5*(u_j + u_{j+1})
+    lies in [u_j, u_{j+1}]; when it rounds onto u_{j+1} the count at u_{j+1}
+    is the one that applies.
     """
+    n_a = a.phi.size
     merged = np.concatenate((a.phi, b.phi))
-    order = np.argsort(merged, kind="stable")
+    order = merged.argsort(kind="stable")
     ordered = merged[order]
     last = np.empty(ordered.size, dtype=bool)  # last copy of each distinct knot
     np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
     last[-1] = True
-    knots = ordered[last]
-    na = np.cumsum(order < a.phi.size)[last]
-    nb = np.flatnonzero(last) + 1 - na
-    onto = 0.5 * (knots[1:] + knots[:-1]) == knots[1:]
-    ia = np.clip(np.where(onto, na[1:], na[:-1]) - 1, 0, a.q_seg.size - 1)
-    ib = np.clip(np.where(onto, nb[1:], nb[:-1]) - 1, 0, b.q_seg.size - 1)
-    return a.q_seg[ia], b.q_seg[ib], np.diff(knots)
+    pos = last.nonzero()[0]
+    knots = ordered[pos]
+    src = order[pos]
+    ia = np.where(src < n_a, src, pos - src + (n_a - 1))
+    ib = pos - ia
+    ib -= 1
+    mid = knots[1:] + knots[:-1]
+    mid *= 0.5
+    onto = mid == knots[1:]
+    if onto.any() or a.phi[0] != b.phi[0] or a.phi[-1] != b.phi[-1]:
+        ia = np.clip(np.where(onto, ia[1:], ia[:-1]), 0, a.q_seg.size - 1)
+        ib = np.clip(np.where(onto, ib[1:], ib[:-1]), 0, b.q_seg.size - 1)
+    else:
+        # with shared end knots, a non-final union knot has at least one and
+        # at most n - 1 knots of each profile at or below it: no clip needed
+        ia = ia[:-1]
+        ib = ib[:-1]
+    return a.q_seg[ia], b.q_seg[ib], knots[1:] - knots[:-1]
 
 
 def _tv_and_qmin(a: QuantileProfile, b: QuantileProfile) -> tuple[float, float]:
     qa, qb, width = _merged_segments(a, b)
-    v = float(np.sum(np.abs(qa - qb) * width))
-    return v, min(a.q_min, b.q_min)
+    qa -= qb          # |q_a - q_b| * width, in q_a's fresh buffer
+    np.abs(qa, out=qa)
+    qa *= width
+    return float(qa.sum()), min(a.q_min, b.q_min)
 
 
 def lyapunov_tv_with_qmin(state, reference) -> tuple[float, float]:

@@ -134,7 +134,8 @@ def normalization_functional(model: OscillatorModel, K: float, J: float,
 def _w_integral(model: OscillatorModel, K: float, J: float, pts, tol: float) -> float:
     """W(J) for an admissible J, with the quadrature breakpoints given."""
     omega = model.omega
-    return _quad(lambda th: J / (omega + K * model.prc(th) * J),
+    prc = model._prc_fn   # QUADPACK passes one float: no array wrapper
+    return _quad(lambda th: J / (omega + K * float(prc(th)) * J),
                  0.0, TWO_PI, tol=tol, points=pts)
 
 
@@ -149,13 +150,14 @@ def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
     """
     r = _r_value(model, K)
     pts = [_kz_argmin(model, K)] if K != 0.0 else None
+    prc = model._prc_fn   # QUADPACK passes one float: no array wrapper
     s_vals, ints = [], []
     consecutive = 0
     exists = None
     limit = None
     for k in LIMIT_KS:
         s = r + 10.0 ** (-k)
-        val = _quad(lambda th: 1.0 / (K * model.prc(th) + s),
+        val = _quad(lambda th: 1.0 / (K * float(prc(th)) + s),
                     0.0, TWO_PI, tol=1e-9, points=pts)
         s_vals.append(s)
         ints.append(val)

@@ -509,6 +509,42 @@ def test_sweep_bad_values_config_error(tmp_path, values):
                  f"--values={values}", "--out", str(tmp_path / "sw")]) == 4
 
 
+@pytest.mark.parametrize("case", ["lif_field_nonpositive", "table_missing"])
+def test_sweep_bad_model_exits_config(tmp_path, capsys, case):
+    # the model is built once, before any row: a bad one is a config error,
+    # not a sweep of failed rows
+    text = {"lif_field_nonpositive": TINY_CFG.replace("S = 2.1", "S = 1.5"),
+            "table_missing": TINY_CFG.replace(
+                "model = lif", f"model = tabulated\ntable = {tmp_path / 'nope.csv'}"),
+            }[case]
+    p = write_cfg(tmp_path, text, out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K", "--values=-0.1,-0.2",
+                 "--out", str(tmp_path / "sw")]) == 4
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_takes_coupling_bounds_once(tmp_path, capsys, monkeypatch):
+    # K, n_theta and epsilon leave the model alone, so its coupling window
+    # is computed once per sweep and recorded in every row
+    import pulsefield.cli as cli
+    real = cli.coupling_bounds
+    calls = []
+    monkeypatch.setattr(cli, "coupling_bounds", lambda m: calls.append(m) or real(m))
+    p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K",
+                 "--values=-0.05,-0.1,-0.2", "--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    want = real(lif_model(2.1, 2.0)).to_json()
+    rows = sorted((tmp_path / "sw").glob("K=*/stationary.json"))
+    assert len(rows) == 3
+    for r in rows:
+        assert json.loads(r.read_text())["coupling_bounds"] == want
+
+
 GOLDEN_FIG1 = Path(__file__).parent / "data" / "fig1_n256_t2.csv"
 
 

@@ -287,6 +287,19 @@ def test_v_eval_failures_counted(lif, stat_inhib, monkeypatch):
     assert traj.summary()["v_eval_failures"] == traj.t.size > 1
 
 
+def test_v_bug_propagates(lif, stat_inhib, monkeypatch):
+    # only an undefined V (a ValueError) is a counted failure; any other
+    # exception from V is a bug and must not turn into NaN rows
+    def broken(*args, **kwargs):
+        raise TypeError("V called with the wrong object")
+
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin", broken)
+    ic = initial_density("perturbed", 256, lif, -0.1, epsilon=0.1,
+                         reference=stat_inhib)
+    with pytest.raises(TypeError):
+        integrate(lif, -0.1, ic, t_max=0.5, reference=stat_inhib)
+
+
 def test_integrate_density_blowup_inhibitory_expanding():
     # decreasing response curve with K < 0: K*Z' > 0 and K*Z(0) < 0, so the
     # velocity stalls at the firing phase and the density piles up there

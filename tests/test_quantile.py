@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pulsefield import (QuantileDegenerateError, discrete_lyapunov, lyapunov_tv,
@@ -150,6 +150,20 @@ def test_degenerate_density_flagged():
         lyapunov_tv(prof, quantile_transform(th, np.full(257, 1.0 / TWO_PI)))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_density_flagged(bad):
+    # a non-finite node makes P undefined past it: no usable q, so V raises
+    # (and a run counts the row as a V failure) instead of logging inf/NaN
+    th = np.linspace(0.0, TWO_PI, 65)
+    rho = np.full(65, 1.0 / TWO_PI)
+    rho[0] = bad
+    with np.errstate(invalid="ignore"):
+        prof = quantile_transform(th, rho)
+    assert prof.degenerate
+    with pytest.raises(QuantileDegenerateError):
+        lyapunov_tv(prof, quantile_transform(th, np.full(65, 1.0 / TWO_PI)))
+
+
 def test_discrete_lyapunov_trivials():
     th = np.sort(np.random.default_rng(0).uniform(0, TWO_PI, 9))
     th[-1] = TWO_PI
@@ -220,8 +234,34 @@ def profile_pairs(draw):
     return a, profile_from_knots(phi), kind
 
 
+def _onto_count(a, b):
+    """Union segments whose midpoint rounds onto their upper knot."""
+    knots = np.union1d(a.phi, b.phi)
+    return int(np.sum(0.5 * (knots[1:] + knots[:-1]) == knots[1:]))
+
+
+def _example_pairs():
+    # two independent densities (no onto midpoint), and a partner whose
+    # knots sit one ulp above the density's own (midpoints round onto them)
+    th = np.linspace(0.0, TWO_PI, 33)
+    a = quantile_transform(th, 1.0 + 0.5 * np.sin(th))
+    b = quantile_transform(th, 1.0 + 0.3 * np.cos(2.0 * th))
+    nudged = np.concatenate(([0.0], np.nextafter(a.phi[1:-1], 2.0), [1.0]))
+    return (a, b, "independent"), (a, profile_from_knots(nudged), "shared")
+
+
+NO_ONTO_PAIR, ONTO_PAIR = _example_pairs()
+
+
+def test_merge_examples_cover_both_branches():
+    assert _onto_count(*NO_ONTO_PAIR[:2]) == 0
+    assert _onto_count(*ONTO_PAIR[:2]) > 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair=profile_pairs())
+@example(pair=NO_ONTO_PAIR)
+@example(pair=ONTO_PAIR)
 def test_merge_matches_union_formula(pair):
     a, b, kind = pair
     v_ref, l2_ref = union_reference(a, b)
@@ -232,3 +272,57 @@ def test_merge_matches_union_formula(pair):
     if kind == "identical":
         assert v == 0.0
     assert 0.0 <= v <= 4.0 * math.pi - 2.0 * q_min + 1e-12
+
+
+def transform_reference(theta, rho):
+    """(phi, Q, q_seg, degenerate) by the out-of-place trapezoid and the
+    masked divide, the transform's first formulation."""
+    dtheta = np.diff(theta)
+    dP = 0.5 * (rho[1:] + rho[:-1]) * dtheta
+    total = float(dP.sum())
+    if total <= 0.0:
+        raise QuantileDegenerateError("density has zero mass")
+    phi = np.zeros(theta.size)
+    np.cumsum(dP, out=phi[1:])
+    phi /= total
+    phi[-1] = 1.0
+    dphi = np.diff(phi)
+    q_seg = np.full(dphi.size, np.inf)
+    np.divide(dtheta, dphi, out=q_seg, where=dphi > 0.0)
+    return phi, theta.copy(), q_seg, bool(np.any(dphi <= 0.0))
+
+
+@st.composite
+def densities(draw):
+    """Nonnegative node values, often with zero plateaus, on a uniform or a
+    jittered grid."""
+    n = draw(st.integers(1, 300))
+    values = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    rho = draw(arrays(float, n + 1, elements=values))
+    theta = np.linspace(0.0, TWO_PI, n + 1)
+    if draw(st.booleans()):
+        steps = draw(arrays(float, n, elements=st.floats(0.1, 1.0)))
+        theta = np.concatenate(([0.0], np.cumsum(steps)))
+    return theta, rho
+
+
+@settings(max_examples=300, deadline=None)
+@given(dens=densities())
+@example(dens=(np.linspace(0.0, TWO_PI, 9), np.zeros(9)))
+@example(dens=(np.linspace(0.0, TWO_PI, 9), np.array([1.0, 2, 0, 0, 0, 3, 1, 1, 2])))
+@example(dens=(np.linspace(0.0, TWO_PI, 9), np.full(9, 0.5)))
+def test_transform_matches_reference_bits(dens):
+    theta, rho = dens
+    with np.errstate(over="ignore"):   # q = dtheta/dphi past DBL_MAX is inf
+        try:
+            want = transform_reference(theta, rho)
+        except QuantileDegenerateError:
+            with pytest.raises(QuantileDegenerateError):
+                quantile_transform(theta, rho)
+            return
+        prof = quantile_transform(theta, rho)
+    for got, ref in zip((prof.phi, prof.Q, prof.q_seg), want[:3]):
+        assert got.tobytes() == ref.tobytes()
+    assert prof.degenerate == want[3]
+    if want[3]:
+        assert np.isinf(prof.q_seg).any()

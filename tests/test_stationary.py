@@ -177,10 +177,37 @@ def test_homoclinic_stationary_state():
     assert abs(W_quad(m, 0.05, stat.J_star) - 1.0) < 1e-8
 
 
-@pytest.mark.parametrize("K,J_star", [(-0.1, 0.5299567271144521),
-                                      (0.1, 0.8022543020971771),
-                                      (-0.3, 0.32035017792107384)])
-def test_lif_flux_bits_pinned(lif, K, J_star):
+def _wavy_table():
+    # the 1 + 0.3 sin 6x field of test_models, from 50 samples
+    xs = np.linspace(0.0, 1.0, 50)
+    return tabulated_model(xs, 1.0 + 0.3 * np.sin(6.0 * xs))
+
+
+PINNED_MODELS = {"lif": lambda: lif_model(S, GAMMA),
+                 "homoclinic": lambda: homoclinic_model(1.0, 1.0, TWO_PI),
+                 "wavy_table": _wavy_table}
+
+
+@pytest.mark.parametrize("model,K,quantity,pinned", [
+    # the LIF J* cases keep their original "K-J*" ids
+    pytest.param("lif", -0.1, "J_star", 0.5299567271144521, id="-0.1-0.5299567271144521"),
+    pytest.param("lif", 0.1, "J_star", 0.8022543020971771, id="0.1-0.8022543020971771"),
+    pytest.param("lif", -0.3, "J_star", 0.32035017792107384, id="-0.3-0.32035017792107384"),
+    pytest.param("homoclinic", 0.05, "J_star", 1.093271529302454, id="homoclinic-J_star"),
+    pytest.param("wavy_table", -0.1, "J_star", 0.8627127857641228, id="wavy_table-J_star"),
+    pytest.param("lif", -0.1, "integrals",
+                 (3.2908304210896584, 4.499660087635089, 5.65933993234709),
+                 id="lif-existence_integrals"),
+    pytest.param("wavy_table", -0.1, "integrals",
+                 (28.77858528204103, 105.35489090571579, 405.0480540344032),
+                 id="wavy_table-existence_integrals"),
+])
+def test_lif_flux_bits_pinned(model, K, quantity, pinned):
     # the bisection's arithmetic is fixed: the same W integrand, breakpoint
-    # and quadrature give J* to the last bit
-    assert solve_stationary_flux(lif, K).J_star == J_star
+    # and quadrature give J* to the last bit, and the existence integrand
+    # gives its limit sequence to the last bit
+    m = PINNED_MODELS[model]()
+    if quantity == "J_star":
+        assert solve_stationary_flux(m, K).J_star == pinned
+    else:
+        assert existence_condition(m, K).integrals == pinned
