@@ -4,28 +4,35 @@ N identical integrate-and-fire oscillators drift under dx/dt = F(x) between
 events; when one reaches the upper threshold it fires, resets to the lower
 threshold and kicks every other state up by K/N.  A kick that pushes
 someone past threshold makes them fire in the same event (absorption), and
-the cascade iterates to a fixed point.  Between events identical dynamics
-preserve the state ordering, so the next firer is always the current
-maximum.
+the cascade iterates to a fixed point.
 
-The drift is exact and the same for every model with a phase map: in phase
-coordinates each oscillator moves at omega, so a drift over time tau is the
-shift theta -> theta + omega*tau, and the leader at phase theta_max fires
-after (2*pi - theta_max)/omega (Mirollo & Strogatz, SIAM J. Appl. Math. 50
-(1990) 1645-1662).  States are stored in x; the drift maps them to phase
-and back.
+The population is held in phase coordinates, where every oscillator moves
+at omega (Mirollo & Strogatz, SIAM J. Appl. Math. 50 (1990) 1645-1662):
+a sorted phase vector, the oscillator id at each position, and the time.
+Identical dynamics preserve the order, so the leader is the last entry, a
+drift to the next firing is one shift theta -> theta + (2*pi - theta_max),
+and the firing block is a suffix.  Only the kick is taken in state space:
+the other phases are mapped to x, kicked by K/N per firing oscillator
+(the cascade runs on sorted slices), and mapped back; the fired block is
+put in front of them (behind the states an inhibitory kick pushed below the
+reset, which carry negative phases on the field's continuation), so the
+vector stays sorted without a sort.
 
-At every firing the sorted phase vector (firing oscillators recorded at
-2*pi) is snapshotted; that sequence is the finite counterpart of the
-continuum trajectory and is compared against the splay configuration -- the
-N-quantiles of the stationary density -- through the discrete Lyapunov
-distance.
+At every firing the phase vector (firing oscillators recorded at 2*pi,
+states below the reset at 0) is snapshotted; that sequence is the finite
+counterpart of the continuum trajectory and is compared against the splay
+configuration -- the N-quantiles of the stationary density -- through the
+discrete Lyapunov distance.  The tests keep a loop over states x, which
+maps every state to phase and back at each drift, as the reference: the
+phase loop fires the same oscillators in the same order, and its event
+times and snapshots (hence firings.csv and snapshots.csv) differ from it
+only at rounding level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +52,27 @@ class AvalancheError(RuntimeError):
 
 @dataclass
 class PopulationState:
-    """States of the N oscillators at time t (thresholds enforced between events)."""
+    """The N oscillators at time t between events: their phases ``theta``
+    in ascending order (negative for a state kicked below the reset) and
+    the id of the oscillator at each position."""
 
-    x: np.ndarray
+    theta: np.ndarray
+    ids: np.ndarray
     t: float = 0.0
+
+    @classmethod
+    def from_states(cls, model: OscillatorModel, x, t: float = 0.0) -> "PopulationState":
+        """Population at states ``x``; oscillator i starts at x[i]."""
+        x = np.asarray(x, dtype=float)
+        ids = np.argsort(x, kind="stable")
+        return cls(model._phase_fn(x[ids]), ids, t)
 
     @property
     def n(self) -> int:
-        return self.x.size
+        return self.theta.size
 
     def copy(self) -> "PopulationState":
-        return PopulationState(self.x.copy(), self.t)
+        return PopulationState(self.theta.copy(), self.ids.copy(), self.t)
 
 
 @dataclass(frozen=True)
@@ -108,34 +125,77 @@ class FiniteRun:
         return fired / span / self.N
 
 
-def _flow(model: OscillatorModel, x: np.ndarray, tau: float) -> np.ndarray:
-    """Exact time-tau flow of dx/dt = F(x), stopped at x_hi.
+def _firing_phase(model: OscillatorModel) -> float:
+    """Phase of x_hi - TIE_TOL: states at or past it fire together."""
+    return float(model._phase_fn(np.array([model.x_hi - TIE_TOL]))[0])
 
-    The phase of every state advances by omega*tau.  States an inhibitory
-    kick pushed below x_lo have a negative phase on the field's
-    continuation and drift through the reset like any other.
+
+def _drift(theta: np.ndarray) -> tuple:
+    """Shift every phase until the leader reaches 2*pi.
+
+    Returns the phase advance and the new vector, its last entry pinned to
+    2*pi exactly.
     """
-    if tau <= 0.0:
-        return x.copy()
-    theta = model._phase_fn(x) + model.omega * tau
-    return model._state_inverse(np.minimum(theta, TWO_PI))
+    shift = TWO_PI - float(theta[-1])
+    theta = theta + shift
+    theta[-1] = TWO_PI
+    return shift, theta
 
 
-def _time_to_threshold(model: OscillatorModel, x_max: float) -> float:
-    """Time for the leading oscillator to reach x_hi."""
-    return (TWO_PI - float(model._phase_fn(x_max))) / model.omega
+def _fire(theta: np.ndarray, ids: np.ndarray, k: int, model: OscillatorModel,
+          K: float, t: float) -> tuple:
+    """Fire the suffix theta[k:], kick the rest and run the cascade.
+
+    Returns the sorted phases and ids after the event, and the FiringEvent.
+    Within one cascade round the ids are listed in ascending order.
+    """
+    n = theta.size
+    rounds = [np.sort(ids[k:])]
+    m = n - k
+    if K == 0.0:
+        # nobody else moves: the fired block goes to the reset at phase 0
+        p = int(np.searchsorted(theta[:k], 0.0))
+        return (np.concatenate([theta[:p], np.zeros(m), theta[p:k]]),
+                np.concatenate([ids[:p], rounds[0], ids[p:k]]),
+                FiringEvent(t, tuple(rounds[0].tolist()), m))
+    thr = model.x_hi - TIE_TOL
+    x = model._state_inverse(theta[:k])
+    # state of each round's fired block: reset to x_lo, then kicked by
+    # every later round
+    block_x = [model.x_lo]
+    hi = k
+    while True:
+        kick = m * K / n
+        x[:hi] += kick
+        for r in range(len(block_x) - 1):
+            block_x[r] += kick
+            if block_x[r] >= thr:
+                raise AvalancheError(
+                    f"oscillator re-fired within one event at t={t:.6g}; "
+                    f"coupling K={K} >= threshold gap ignites a chain reaction")
+        j = int(np.searchsorted(x[:hi], thr))
+        if j == hi:
+            break
+        rounds.append(np.sort(ids[j:hi]))
+        block_x.append(model.x_lo)
+        m = hi - j
+        hi = j
+    # the blocks, last round lowest, go in front of the kicked states, but
+    # behind those an inhibitory kick pushed below the reset
+    p = int(np.searchsorted(x[:hi], block_x[0]))
+    fired_x = [np.full(blk.size, v) for blk, v in zip(rounds[::-1], block_x[::-1])]
+    x_new = np.concatenate([x[:p], *fired_x, x[p:hi]])
+    ids_new = np.concatenate([ids[:p], *rounds[::-1], ids[p:hi]])
+    event = FiringEvent(t, tuple(np.concatenate(rounds).tolist()), n - k)
+    return model._phase_fn(x_new), ids_new, event
 
 
 def advance_to_next_firing(state: PopulationState, model: OscillatorModel) -> PopulationState:
-    """Evolve all states by the exact flow until the leader reaches threshold."""
+    """Drift all oscillators until the leader reaches threshold."""
     if model.F is None:
         raise ModelError(f"{model.kind} model has no vector field")
-    lead = int(np.argmax(state.x))
-    tau = _time_to_threshold(model, float(state.x[lead]))
-    x = _flow(model, state.x, tau)
-    x[lead] = model.x_hi            # pin the event oscillator exactly at threshold
-    x = np.minimum(x, model.x_hi)
-    return PopulationState(x, state.t + tau)
+    shift, theta = _drift(state.theta)
+    return PopulationState(theta, state.ids, state.t + shift / model.omega)
 
 
 def apply_firing(state: PopulationState, model: OscillatorModel, K: float) -> tuple:
@@ -145,37 +205,11 @@ def apply_firing(state: PopulationState, model: OscillatorModel, K: float) -> tu
     can never absorb anyone; a previously reset oscillator reaching the
     threshold again within this event raises AvalancheError.
     """
-    x = state.x.copy()
-    n = x.size
-    at_threshold = x >= model.x_hi - TIE_TOL
-    if not at_threshold.any():
+    k = int(np.searchsorted(state.theta, _firing_phase(model)))
+    if k == state.n:
         raise ValueError("no oscillator at threshold; advance first")
-    fired_order: list = []
-    fired = np.zeros(n, dtype=bool)
-    current = at_threshold
-    n_initial = int(current.sum())
-    while current.any():
-        m = int(current.sum())
-        fired_order.extend(int(i) for i in np.flatnonzero(current))
-        fired |= current
-        x[current] = model.x_lo
-        others = ~current
-        x[others] += m * K / n
-        refire = fired & others & (x >= model.x_hi - TIE_TOL)
-        if refire.any():
-            raise AvalancheError(
-                f"oscillator re-fired within one event at t={state.t:.6g}; "
-                f"coupling K={K} >= threshold gap ignites a chain reaction")
-        current = (~fired) & (x >= model.x_hi - TIE_TOL)
-    event = FiringEvent(state.t, tuple(fired_order), n_initial)
-    return PopulationState(x, state.t), event
-
-
-def _snapshot(state: PopulationState, model: OscillatorModel) -> np.ndarray:
-    """Sorted phases at a firing instant, firing oscillators recorded at 2*pi."""
-    th = np.asarray(model.phase_of_state(np.clip(state.x, model.x_lo, model.x_hi)))
-    th[state.x >= model.x_hi - TIE_TOL] = TWO_PI
-    return np.sort(th)
+    theta, ids, event = _fire(state.theta, state.ids, k, model, K, state.t)
+    return PopulationState(theta, ids, state.t), event
 
 
 def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
@@ -187,8 +221,10 @@ def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
     of ``ic_density`` mapped back to state space, or an explicit ``x0``.
     Snapshots are taken at each event before the pulse is applied.
     """
+    if model.F is None:
+        raise ModelError(f"{model.kind} model has no vector field")
     if x0 is not None:
-        x = np.asarray(x0, dtype=float).copy()
+        x = np.asarray(x0, dtype=float)
         if x.size != N:
             raise ValueError("x0 length must equal N")
     elif ic_density is not None:
@@ -202,19 +238,33 @@ def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
     if np.any(x < model.x_lo) or np.any(x > model.x_hi):
         raise ValueError("initial states outside thresholds")
 
-    state = PopulationState(np.sort(x), 0.0)
+    # oscillator ids number the initial states in ascending order
+    state = PopulationState.from_states(model, np.sort(x))
+    theta, ids, t = state.theta, state.ids, 0.0
+    fire_at = _firing_phase(model)
     events: list = []
     snaps: list = []
     snap_times: list = []
     for _ in range(n_firings):
-        state = advance_to_next_firing(state, model)
-        if t_max is not None and state.t > t_max:
+        shift, drifted = _drift(theta)
+        t_fire = t + shift / model.omega
+        if t_max is not None and t_fire > t_max:
             break
-        snaps.append(_snapshot(state, model))
-        snap_times.append(state.t)
-        state, ev = apply_firing(state, model, K)
+        theta, t = drifted, t_fire
+        k = int(np.searchsorted(theta, fire_at))
+        theta[k:] = TWO_PI
+        below = int(np.searchsorted(theta, 0.0))
+        if below:
+            snap = theta.copy()
+            snap[:below] = 0.0
+        else:
+            snap = theta
+        snaps.append(snap)
+        snap_times.append(t)
+        theta, ids, ev = _fire(theta, ids, k, model, K, t)
         events.append(ev)
-    return FiniteRun(model, K, N, seed, events, snap_times, snaps, state)
+    return FiniteRun(model, K, N, seed, events, snap_times, snaps,
+                     PopulationState(theta, ids, t))
 
 
 def splay_reference(N: int, model: OscillatorModel, K: float,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,9 @@ class OscillatorModel:
     pushed under the reset; the public methods check and clip the domain.
     ``_prc_fn`` is Z without the array wrapper of ``prc``: on one float it
     gives the same bits, so scalar hot loops (QUADPACK callbacks, the
-    first-crossing characteristic) call it directly.
+    first-crossing characteristic) call it directly.  ``_prc_fn`` and ``F``
+    take a float path on one Python float: plain float arithmetic for the
+    closed forms, ``_float_path`` for the tabulated splines.
     """
 
     def __init__(self, kind, x_lo, x_hi, omega, F, phase_fn, state_inverse,
@@ -228,6 +231,8 @@ def lif_model(S: float, gamma: float, x_lo: float = 0.0, x_hi: float = 1.0) -> O
     omega = TWO_PI * gamma / math.log(F_lo / F_hi)
 
     def F(x):
+        if type(x) is float:
+            return S - gamma * x
         return S - gamma * np.asarray(x, dtype=float)
 
     def phase_fn(x):
@@ -245,6 +250,36 @@ def lif_model(S: float, gamma: float, x_lo: float = 0.0, x_hi: float = 1.0) -> O
     return OscillatorModel("lif", x_lo, x_hi, omega, F, phase_fn, state_inverse,
                            prc_fn, prc_deriv_fn,
                            {"S": S, "gamma": gamma, "x_lo": x_lo, "x_hi": x_hi})
+
+
+def _float_path(pp):
+    """``pp(v)`` for a piecewise polynomial, with a fast path on one float.
+
+    On a Python float it repeats the sum ``PPoly.__call__`` forms -- the
+    piece by ``bisect_right`` on the breakpoints, the end pieces continued
+    outside them, then ``res = 0.0 + c3; z = s; res += c2*z; z *= s; ...``
+    from the constant term up -- in Python floats, so it returns the same
+    bits at about a seventh of the cost of the array call.  Anything else
+    goes to ``pp``.
+    """
+    knots = pp.x.tolist()
+    pieces = list(map(tuple, pp.c.T.tolist()))
+    last = len(knots) - 2
+
+    def at(v):
+        if type(v) is not float:
+            return pp(v)
+        i = min(max(bisect_right(knots, v) - 1, 0), last)
+        c0, c1, c2, c3 = pieces[i]
+        s = v - knots[i]
+        res = 0.0 + c3
+        res += c2 * s
+        z = s * s
+        res += c1 * z
+        z *= s
+        return res + c0 * z
+
+    return at
 
 
 def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
@@ -308,10 +343,9 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
     Fn = F_interp(xn)
     phase_interp = CubicHermiteSpline(xn, theta_n, omega / Fn)
     state_interp = CubicHermiteSpline(theta_n, xn, Fn / omega)
-    prc_fn = CubicHermiteSpline(theta_n, omega / Fn, -F_interp(xn, 1) / Fn)
-
-    def F(x):
-        return F_interp(np.asarray(x, dtype=float))
+    z_interp = CubicHermiteSpline(theta_n, omega / Fn, -F_interp(xn, 1) / Fn)
+    prc_fn = _float_path(z_interp)
+    F = _float_path(F_interp)
 
     def phase_fn(x):
         # below x_lo the table's cubic extrapolation errs like (x_lo - x)**3;
@@ -336,7 +370,7 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
         return x
 
     return OscillatorModel("tabulated", x_lo, x_hi, omega, F, phase_fn, state_inverse,
-                           prc_fn, prc_fn.derivative(),
+                           prc_fn, z_interp.derivative(),
                            {"x_lo": x_lo, "x_hi": x_hi, "n_samples": xs.size})
 
 

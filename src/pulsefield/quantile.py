@@ -212,10 +212,11 @@ def discrete_lyapunov(phases, phases_ref) -> float:
     s = np.asarray(phases_ref, dtype=float)
     if t.shape != s.shape or t.ndim != 1 or t.size < 2:
         raise ValueError("need two equal-length 1-D phase vectors of size >= 2")
-    for name, v in (("phases", t), ("phases_ref", s)):
-        if np.any(np.diff(v) < -1e-12):
+    dt, ds = np.diff(t), np.diff(s)
+    for name, v, d in (("phases", t, dt), ("phases_ref", s, ds)):
+        if np.any(d < -1e-12):
             raise ValueError(f"{name} must be sorted ascending")
         if abs(v[-1] - TWO_PI) > 1e-9:
             raise ValueError(f"{name} must end at 2*pi")
-    gaps = np.diff(t)[:-1] - np.diff(s)[:-1]
+    gaps = dt[:-1] - ds[:-1]
     return float(abs(t[0] - s[0]) + np.abs(gaps).sum() + abs(t[-2] - s[-2]))

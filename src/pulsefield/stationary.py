@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from .continuum import DensityField
 from .numerics import bisect_root
@@ -180,23 +181,37 @@ def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
 
     Upper edge is exactly the threshold gap x_hi - x_lo.  The lower edge is
     probed along s_k = F_min*(1 - 10^-k); a sequence that keeps drifting (or
-    passes the divergence cap) is reported unbounded below.
+    passes the divergence cap, or meets the pole s = F(x)) is reported
+    unbounded below.  F_min is the grid minimum, or the minimum refined
+    inside the grid cells beside it when that is smaller: a minimum inside
+    a cell lies below the grid value, and s_k would otherwise cross it.
     """
     if model.F is None:
         raise ModelError(f"{model.kind} model has no vector field; coupling bounds undefined")
     upper = model.x_hi - model.x_lo
     xs = np.linspace(model.x_lo, model.x_hi, 4097)
     fx = np.asarray(model.F(xs), dtype=float)
-    f_min = float(fx.min())
+    i = int(np.argmin(fx))
+    f_min = float(fx[i])
     span = model.x_hi - model.x_lo
-    x_min = float(np.clip(xs[int(np.argmin(fx))],
-                          model.x_lo + 1e-9 * span, model.x_hi - 1e-9 * span))
+    x_min = float(xs[i])
+    cell = (float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)]))
+    refined = minimize_scalar(model.F, bounds=cell, method="bounded",
+                              options={"xatol": 1e-12 * span})
+    if refined.fun < f_min:
+        f_min, x_min = float(refined.fun), float(refined.x)
+    x_min = float(np.clip(x_min, model.x_lo + 1e-9 * span, model.x_hi - 1e-9 * span))
+    F = model.F   # QUADPACK passes one float: F's float path
     vals = []
     unbounded = False
     for k in LIMIT_KS:
         s = f_min * (1.0 - 10.0 ** (-k))
-        val = _quad(lambda x: s / (s - float(model.F(x))),
-                    model.x_lo, model.x_hi, tol=1e-9, points=[x_min])
+        try:
+            val = _quad(lambda x: s / (s - F(x)),
+                        model.x_lo, model.x_hi, tol=1e-9, points=[x_min])
+        except ZeroDivisionError:   # s met the field: the integral diverged
+            unbounded = True
+            break
         vals.append(val)
         if val < -DIVERGENCE_CAP:
             unbounded = True

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pulsefield import lif_model, simulate
@@ -197,6 +198,18 @@ def test_stationary_subcommand_json(capsys):
     assert payload["K_upper"] == 1.0
     assert payload["K_lower"] is None
     assert payload["r"] > 0.0
+
+
+def test_stationary_interior_minimum_table(tmp_path, capsys):
+    # a field whose minimum lies between the grid points of coupling_bounds
+    xs = np.linspace(0.0, 1.0, 50)
+    table = tmp_path / "field.csv"
+    table.write_text("x,F\n" + "".join(f"{x!r},{1.0 + 0.3 * math.sin(6.0 * x)!r}\n"
+                                        for x in xs.tolist()))
+    assert main(["stationary", "--model", "tabulated", "--table", str(table),
+                 "--K", "-0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["K_lower"] is None and payload["K_upper"] == 1.0
 
 
 def test_stationary_density_csv(tmp_path, capsys):

@@ -2,16 +2,122 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pulsefield import (AvalancheError, PopulationState, advance_to_next_firing,
                         apply_firing, discrete_lyapunov, simulate,
                         splay_reference, tabulated_model)
 from pulsefield.cli import _run_finite
-from pulsefield.finite import _flow, _time_to_threshold
+from pulsefield.finite import TIE_TOL
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
+
+
+# -- reference: the event loop in state coordinates ---------------------------
+# States x, indexed by oscillator id, mapped to phase and back at every
+# drift; the phase loop must reproduce its events exactly and its times and
+# snapshots to rounding.
+
+def _flow(model, x, tau):
+    """Exact time-tau flow of dx/dt = F(x), stopped at x_hi."""
+    if tau <= 0.0:
+        return x.copy()
+    theta = model._phase_fn(x) + model.omega * tau
+    return model._state_inverse(np.minimum(theta, TWO_PI))
+
+
+def _time_to_threshold(model, x_max):
+    """Time for the leading oscillator to reach x_hi."""
+    return (TWO_PI - float(model._phase_fn(x_max))) / model.omega
+
+
+def _reference_firing(model, K, x, t):
+    """One drift and firing from states x at time t: ((fired, n_initial),
+    event time, snapshot)."""
+    n = x.size
+    lead = int(np.argmax(x))
+    tau = _time_to_threshold(model, float(x[lead]))
+    x = _flow(model, x, tau)
+    x[lead] = model.x_hi
+    x = np.minimum(x, model.x_hi)
+    th = np.asarray(model.phase_of_state(np.clip(x, model.x_lo, model.x_hi)))
+    th[x >= model.x_hi - TIE_TOL] = TWO_PI
+    fired_order = []
+    fired = np.zeros(n, dtype=bool)
+    current = x >= model.x_hi - TIE_TOL
+    n_initial = int(current.sum())
+    while current.any():
+        m = int(current.sum())
+        fired_order.extend(int(i) for i in np.flatnonzero(current))
+        fired |= current
+        x[current] = model.x_lo
+        others = ~current
+        x[others] += m * K / n
+        if (fired & others & (x >= model.x_hi - TIE_TOL)).any():
+            raise AvalancheError("re-fired")
+        current = (~fired) & (x >= model.x_hi - TIE_TOL)
+    return (tuple(fired_order), n_initial), t + tau, np.sort(th)
+
+
+@pytest.fixture(scope="module")
+def oracle_models(lif):
+    rng = np.random.default_rng(7)
+    h = 1.0 / 1200
+    xs = np.arange(1201) * h
+    xs[1:-1] += rng.uniform(-0.25, 0.25, 1199) * h
+    lin = np.linspace(0.0, 1.0, 201)
+    return {"lif": lif, "jittered": tabulated_model(xs, S - GAMMA * xs),
+            "one_plus_x": tabulated_model(lin, 1.0 + lin)}
+
+
+def _seeded_states(n, seed):
+    return list(np.random.default_rng(seed).uniform(0.001, 0.999, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["lif", "jittered", "one_plus_x"]),
+       K=st.one_of(st.just(0.0), st.floats(-0.3, -0.01), st.floats(0.01, 0.5)),
+       x0=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40))
+@example(name="one_plus_x", K=-0.1, x0=_seeded_states(20, 34))   # kicks below the reset
+@example(name="lif", K=0.3, x0=_seeded_states(12, 1))           # absorption cascades
+@example(name="jittered", K=3.0, x0=[0.8, 0.9, 1.0])           # avalanche
+def test_phase_loop_matches_state_loop(oracle_models, name, K, x0):
+    # the state loop takes each firing from the phase loop's state, so a
+    # rounding difference cannot grow where the dynamics expand (K*Z' > 0)
+    model = oracle_models[name]
+    x0 = np.sort(x0)
+    n, n_firings = x0.size, 60
+    state = PopulationState.from_states(model, x0)
+    want = []
+    for _ in range(n_firings):
+        x = np.empty(n)
+        x[state.ids] = model._state_inverse(state.theta)
+        try:
+            want.append(_reference_firing(model, K, x, state.t))
+        except AvalancheError:
+            with pytest.raises(AvalancheError):
+                apply_firing(advance_to_next_firing(state, model), model, K)
+            with pytest.raises(AvalancheError):
+                simulate(model, K, n, n_firings=n_firings, x0=x0)
+            return
+        state, _ = apply_firing(advance_to_next_firing(state, model), model, K)
+    run = simulate(model, K, n, n_firings=n_firings, x0=x0)
+    assert [(ev.fired, ev.n_initial) for ev in run.events] == [w[0] for w in want]
+    assert [ev.t for ev in run.events] == run.snapshot_times
+    for got, t_got, (_, t_want, snap) in zip(run.snapshots, run.snapshot_times, want):
+        assert abs(t_got - t_want) < 1e-12
+        assert np.max(np.abs(got - snap)) < 1e-12
+        assert np.all(np.diff(got) >= 0.0)
+        assert got[0] >= 0.0 and got[-1] == TWO_PI
+
+
+def test_below_reset_example_reaches_the_clip(oracle_models):
+    # the explicit F = 1 + x example above has snapshots taken while states
+    # an inhibitory kick pushed under the reset are still there
+    model = oracle_models["one_plus_x"]
+    run = simulate(model, -0.1, 20, n_firings=60, x0=np.array(_seeded_states(20, 34)))
+    assert any(s[0] == 0.0 for s in run.snapshots[1:])
 
 
 def test_single_oscillator_period(lif):
@@ -23,7 +129,7 @@ def test_single_oscillator_period(lif):
 
 
 def test_identical_states_fire_together(lif):
-    state = PopulationState(np.array([0.3, 0.3]), 0.0)
+    state = PopulationState.from_states(lif, [0.3, 0.3])
     state = advance_to_next_firing(state, lif)
     state, ev = apply_firing(state, lif, 0.0)
     assert ev.n_fired == 2
@@ -31,8 +137,8 @@ def test_identical_states_fire_together(lif):
     assert ev.absorbed == 0
 
 
-def test_lif_flow_matches_rk4_oracle(lif):
-    # generic integrator on the same field, against the logarithm formula
+def test_lif_flow_matches_tabulated_flow(lif):
+    # the sampled field's maps against the logarithm formula
     tab = tabulated_model(lambda x: S - GAMMA * x, x_lo=0.0, x_hi=1.0)
     x0 = np.array([0.05, 0.3, 0.72])
     for tau in (0.01, 0.2, 0.9):
@@ -74,29 +180,31 @@ def test_flow_semigroup_and_order(lif, lif_tab, xs, fa, fb, tab):
 def test_event_times_match_between_kinds(lif):
     tab = tabulated_model(lambda x: S - GAMMA * x, x_lo=0.0, x_hi=1.0)
     x0 = np.array([0.1, 0.5, 0.8])
-    a = advance_to_next_firing(PopulationState(x0.copy(), 0.0), lif)
-    b = advance_to_next_firing(PopulationState(x0.copy(), 0.0), tab)
+    a = advance_to_next_firing(PopulationState.from_states(lif, x0), lif)
+    b = advance_to_next_firing(PopulationState.from_states(tab, x0), tab)
     assert abs(a.t - b.t) < 1e-9
 
 
 def test_no_coupling_only_firer_resets(lif):
-    state = PopulationState(np.array([0.2, 0.6, 0.9]), 0.0)
+    state = PopulationState.from_states(lif, [0.2, 0.6, 0.9])
     state = advance_to_next_firing(state, lif)
-    others_before = state.x[:2].copy()
+    others_before = state.theta[:2].copy()
     state, ev = apply_firing(state, lif, 0.0)
     assert ev.n_fired == 1
-    assert np.array_equal(state.x[:2], others_before)
-    assert state.x[2] == lif.x_lo
+    # the firer moves to the front at the reset; the others keep their phases
+    assert np.array_equal(state.theta[1:], others_before)
+    assert state.ids.tolist() == [2, 0, 1]
+    assert lif._state_inverse(state.theta[0]) == lif.x_lo
 
 
 def test_absorption_cascade_arithmetic(lif):
     # second oscillator within K/N of threshold gets dragged through
     K, N = 0.2, 2
     x = np.array([lif.x_hi - K / (2 * N), lif.x_hi])
-    state, ev = apply_firing(PopulationState(x, 0.0), lif, K)
+    state, ev = apply_firing(PopulationState.from_states(lif, x), lif, K)
     assert ev.n_fired == 2
     assert ev.absorbed == 1
-    assert np.all(state.x <= lif.x_lo + K)
+    assert np.all(state.theta <= lif._phase_fn(lif.x_lo + K))
 
 
 def test_inhibitory_never_absorbs(lif):
@@ -108,7 +216,7 @@ def test_avalanche_detected(lif):
     # coupling above the threshold gap re-fires freshly reset oscillators
     x = np.array([0.8, 0.9, 1.0])
     with pytest.raises(AvalancheError):
-        apply_firing(PopulationState(x, 0.0), lif, 3.0)
+        apply_firing(PopulationState.from_states(lif, x), lif, 3.0)
 
 
 def test_snapshots_sorted_with_firer_at_two_pi(lif):

@@ -238,12 +238,17 @@ def test_field_table_loader(tmp_path):
         load_field_table(tmp_path / "missing.csv")
 
 
-def _jittered_lif_table(n, jitter, seed):
-    # LIF samples at seed-jittered interior knots, as in the benchmark's field table
+def _jittered_knots(n, jitter, seed):
+    # seed-jittered interior knots, as in the benchmark's field table
     rng = np.random.default_rng(seed)
     h = 1.0 / (n - 1)
     xs = np.arange(n) * h
     xs[1:-1] += rng.uniform(-jitter, jitter, n - 2) * h
+    return xs
+
+
+def _jittered_lif_table(n, jitter, seed):
+    xs = _jittered_knots(n, jitter, seed)
     return tabulated_model(xs, S - GAMMA * xs)
 
 
@@ -279,3 +284,37 @@ def test_nonlinear_phase_table_matches_quadrature():
     probe = np.sort(np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1])]))
     ref = np.array([TWO_PI * integral(b) / period if b > 0.0 else 0.0 for b in probe])
     assert np.max(np.abs(m.phase_of_state(probe) - ref)) < QUAD_TOL * m.omega
+
+
+def _float_path_probes(knots, lo, hi, seed):
+    # random points, every knot and its neighbours one ulp away, and points
+    # past both ends, where the end pieces are continued
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([rng.uniform(lo, hi, 20000), knots,
+                          np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                          [lo - 1.0, lo - 1e-9, hi + 1e-9, hi + 1.0]])
+    return [float(v) for v in pts]
+
+
+@pytest.mark.parametrize("table", ["jittered", "sine"])
+def test_tabulated_float_paths_bit_identical(table):
+    # one Python float through the float path gives the spline's bits
+    if table == "jittered":
+        xs = _jittered_knots(1201, 0.25, 7)
+        m = tabulated_model(xs, S - GAMMA * xs)
+    else:
+        xs = np.linspace(0.0, 1.0, 50)
+        m = tabulated_model(xs, 1.0 + 0.3 * np.sin(6.0 * xs))
+    z_knots = m._prc_deriv_fn.x    # Z' is the Z spline's derivative, same breakpoints
+    for fn, knots, lo, hi in ((m._prc_fn, z_knots, 0.0, TWO_PI), (m.F, xs, 0.0, 1.0)):
+        pts = _float_path_probes(knots, lo, hi, 3)
+        scalar = [fn(v) for v in pts]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(np.array(scalar), np.asarray(fn(np.array(pts))))
+
+
+def test_lif_field_float_path_bit_identical(lif):
+    pts = _float_path_probes(np.array([0.0, 1.0]), 0.0, 1.0, 4)
+    scalar = [lif.F(v) for v in pts]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(np.array(scalar), lif.F(np.array(pts)))

@@ -93,6 +93,14 @@ def test_coupling_bounds_constant_field_unbounded():
     assert b.lower_unbounded and b.lower == -math.inf
 
 
+def test_coupling_bounds_interior_minimum_unbounded():
+    # the wavy table's minimum lies inside a grid cell, 3.8e-9 (relative)
+    # below the 4097-point grid value: the limit sequence must stay under it
+    xs = np.linspace(0.0, 1.0, 50)
+    b = coupling_bounds(tabulated_model(xs, 1.0 + 0.3 * np.sin(6.0 * xs)))
+    assert b.lower_unbounded and b.lower == -math.inf
+
+
 def test_coupling_bounds_lif_unbounded_consistent(lif):
     # limit-sequence quadrature drifts without converging (log divergence),
     # so the bound is reported unbounded; the direct condition must agree
