@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
 model parameter or field table).  Sweeps run their rows
-one after another; a sweep whose model cannot be built exits 4 before its
-first row.
+one after another; a sweep whose model cannot be built, or whose values the
+config rejects, exits 4 before its first row.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, MODEL_KINDS, check_finite_size
+from .config import (ConfigError, ExperimentConfig, MODEL_KINDS, check_coupling,
+                     check_finite_size, check_n_theta)
 from .continuum import (BlowupError, DensityField, TrajectoryLog, initial_density,
                         integrate)
 from .certify import certify_theorem_bounds, fit_decay_rate
@@ -251,6 +252,8 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
 
 
 def _cmd_stationary(args) -> int:
+    check_coupling(args.K)
+    check_n_theta(args.ntheta)
     model = _build_model(args)
     res = existence_condition(model, args.K)
     payload = {"exists": res.exists, "r": res.r, "J_star": None,
@@ -299,8 +302,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    check_coupling(args.K)
     model = _build_model(args)
-    traj = TrajectoryLog.from_csv(args.trajectory)
+    try:
+        traj = TrajectoryLog.from_csv(args.trajectory)
+    except (OSError, ValueError) as exc:   # unreadable, bad header or row
+        raise ConfigError("--trajectory", str(exc))
     report = certify_theorem_bounds(traj, model, args.K,
                                     tol_abs=args.tol_abs, tol_rel=args.tol_rel)
     fit = fit_decay_rate(traj, model, args.K)
@@ -314,6 +321,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_finite(args) -> int:
+    check_coupling(args.K)
     check_finite_size(args.N, args.nfirings)
     model = _build_model(args)
     out = Path(args.out)
@@ -328,17 +336,25 @@ def _cmd_run(args) -> int:
     return run_scenario(cfg, out_dir=args.out)
 
 
-def _sweep_row(cfg: ExperimentConfig, param, value, out_root: Path, bounds) -> dict:
+def _row_config(cfg: ExperimentConfig, param, value) -> ExperimentConfig:
+    """The sweep's config with ``param`` set to ``value``, validated."""
     import copy
     row_cfg = ExperimentConfig(copy.deepcopy(cfg.values), cfg.source)
     if param == "K":
         row_cfg.values["coupling"]["K"] = float(value)
     elif param in ("n_theta", "ntheta"):
+        if not float(value).is_integer():
+            raise ConfigError("solver.n_theta", f"not an integer: {value!r}")
         row_cfg.values["solver"]["n_theta"] = int(value)
     elif param == "epsilon":
         row_cfg.values["initial"]["epsilon"] = float(value)
     else:
         raise ConfigError(f"sweep.{param}", "sweepable parameters: K, n_theta, epsilon")
+    row_cfg._validate()
+    return row_cfg
+
+
+def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) -> dict:
     row_dir = out_root / f"{param}={value!r}"
     row: dict = {"param": param, "value": value, "status": "ok", "exists": None,
                  "J_star": None, "J0_final": None, "decay_rate": None, "t_fin": None}
@@ -371,13 +387,15 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep.values", str(exc))
     if len({repr(v) for v in values}) != len(values):
         raise ConfigError("sweep.values", "a repeated value would share a row directory")
+    # every row's config is checked before the first row runs
+    row_cfgs = [_row_config(cfg, args.param, v) for v in values]
     # no sweepable parameter changes the model: build it (a bad model or
     # table exits 4 here) and take its coupling window once for every row
     model = cfg.build_model()
     bounds = coupling_bounds(model) if model.F is not None else None
     out_root = Path(args.out or (Path(cfg["output"]["dir"]) / "sweep"))
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = [_sweep_row(cfg, args.param, v, out_root, bounds) for v in values]
+    rows = [_sweep_row(c, args.param, v, out_root, bounds) for c, v in zip(row_cfgs, values)]
     header = ["param", "value", "status", "exists", "J_star", "J0_final",
               "decay_rate", "t_fin"]
     _write_csv(out_root / "sweep.csv", header,

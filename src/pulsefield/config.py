@@ -49,6 +49,16 @@ def check_finite_size(N: int, n_firings: int) -> None:
         raise ConfigError("finite.n_firings", f"need n_firings >= 1, got {n_firings}")
 
 
+def check_n_theta(n_theta: int) -> None:
+    if n_theta < 8:
+        raise ConfigError("solver.n_theta", f"grid too small: need >= 8, got {n_theta}")
+
+
+def check_coupling(K: float) -> None:
+    if not math.isfinite(K):
+        raise ConfigError("coupling.K", f"must be finite, got {K!r}")
+
+
 # schema: section -> key -> (parser, default); required keys use REQUIRED
 REQUIRED = object()
 
@@ -167,14 +177,12 @@ class ExperimentConfig:
                               "rotation the removed semilagrangian scheme gave)")
         if v["initial"]["kind"] not in IC_KINDS:
             raise ConfigError("initial.kind", f"must be one of {IC_KINDS}")
-        if v["solver"]["n_theta"] < 8:
-            raise ConfigError("solver.n_theta", "grid too small")
+        check_n_theta(v["solver"]["n_theta"])
         if not 0.0 < v["solver"]["cfl"] <= 1.0:
             raise ConfigError("solver.cfl", "need 0 < cfl <= 1")
         if v["solver"]["t_max"] <= 0.0:
             raise ConfigError("solver.t_max", "need t_max > 0")
-        if not math.isfinite(v["coupling"]["K"]):
-            raise ConfigError("coupling.K", "must be finite")
+        check_coupling(v["coupling"]["K"])
         check_finite_size(v["finite"]["N"], v["finite"]["n_firings"])
 
     def __getitem__(self, section):

@@ -88,10 +88,6 @@ class DensityField:
     t: float = 0.0
 
     @property
-    def n_cells(self) -> int:
-        return self.theta.size - 1
-
-    @property
     def dtheta(self) -> float:
         return float(self.theta[1] - self.theta[0])
 
@@ -104,56 +100,28 @@ class DensityField:
 
     @classmethod
     def from_profile(cls, model, K, rho_values, t: float = 0.0, *,
-                     normalize: bool = True, eps_sing: float = EPS_SING) -> "DensityField":
-        """Build a consistent field from a raw positive profile.
+                     eps_sing: float = EPS_SING) -> "DensityField":
+        """Build a consistent field from a raw nonnegative profile.
 
         The profile is normalized to unit discrete mass, then the boundary
         flux is computed from rho(2*pi) and rho(0) is overwritten with the
         value the flux relation dictates (an arbitrary profile will not
         satisfy it).  A profile already past the critical boundary density
-        raises ``BlowupError`` at construction.
+        raises ``BlowupError`` at construction; one without positive finite
+        mass raises ``ValueError``.
         """
         rho = np.asarray(rho_values, dtype=float).copy()
         n = rho.size - 1
         theta = np.linspace(0.0, TWO_PI, n + 1)
         if np.any(rho < 0.0) or not np.all(np.isfinite(rho)):
             raise ValueError("initial density must be nonnegative and finite")
-        if normalize:
-            rho /= np.sum(rho[1:]) * (theta[1] - theta[0])
-        omega = model.omega
-        z_end = float(model.prc(TWO_PI))
-        z0 = float(model.prc(0.0))
-        den = 1.0 - K * z_end * rho[-1]
-        if den <= eps_sing:
-            raise BlowupError(BlowupEvent(t, "flux", {
-                "rho_end": rho[-1], "rho_critical": 1.0 / (K * z_end),
-                "denominator": den, "eps_sing": eps_sing}))
-        J0 = omega * rho[-1] / den
-        v0 = omega + K * z0 * J0
-        if v0 <= eps_sing * omega:
-            raise BlowupError(BlowupEvent(t, "density", {
-                "velocity_at_zero": v0, "flux": J0,
-                "flux_critical": omega / abs(K * z0) if K * z0 < 0 else math.inf}))
-        rho[0] = J0 / v0
+        mass = np.sum(rho[1:]) * (theta[1] - theta[0])
+        if not (0.0 < mass < math.inf):
+            raise ValueError(f"initial density needs positive finite mass, got {mass!r}")
+        rho /= mass
+        J0 = _advance_boundary(rho, t, model.omega, K * float(model.prc(0.0)),
+                               K * float(model.prc(TWO_PI)), eps_sing, math.inf)
         return cls(theta, rho, J0, t)
-
-
-def boundary_flux(rho0: float, model, K: float, *, eps_sing: float = EPS_SING) -> float:
-    """J0 = omega*rho(0) / (1 - K*Z(0)*rho(0)); singular denominator blows up."""
-    z0 = float(model.prc(0.0))
-    den = 1.0 - K * z0 * rho0
-    if den <= eps_sing:
-        raise BlowupError(BlowupEvent(0.0, "flux", {
-            "rho0": rho0, "rho_critical": 1.0 / (K * z0) if K * z0 > 0 else math.inf,
-            "denominator": den, "eps_sing": eps_sing}))
-    return model.omega * rho0 / den
-
-
-def velocity_field(model, K: float, J0: float, theta=None) -> np.ndarray:
-    """v(theta) = omega + K*Z(theta)*J0 on the given grid (dense default)."""
-    if theta is None:
-        theta = np.linspace(0.0, TWO_PI, 2049)
-    return model.omega + K * model.prc(np.asarray(theta, dtype=float)) * J0
 
 
 # -- stepping kernels ----------------------------------------------------------
@@ -313,14 +281,19 @@ class TrajectoryLog:
         rows = []
         with open(path, newline="") as fh:
             r = csv.reader(fh)
-            header = next(r)
+            header = next(r, [])
             if tuple(header) != cls.COLUMNS:
                 raise ValueError(f"{path}: unexpected trajectory columns {header}")
             for row in r:
+                if len(row) != len(cls.COLUMNS):
+                    raise ValueError(f"{path}: line {r.line_num} has {len(row)} fields, "
+                                     f"expected {len(cls.COLUMNS)}")
                 rows.append(row)
-        cols = list(zip(*rows)) if rows else [[] for _ in cls.COLUMNS]
+        if not rows:
+            raise ValueError(f"{path}: no trajectory rows")
+        cols = list(zip(*rows))
         num = [np.asarray([float(v) for v in c]) for c in cols[:7]]
-        events = list(cols[7]) if rows else []
+        events = list(cols[7])
         blow = None
         for i, ev in enumerate(events):
             if ev:

@@ -39,13 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from .numerics import adaptive_simpson
-
 TWO_PI = 2.0 * math.pi
 
 # Sampling used for classification, extrema scans and tabulated phase maps.
 DENSE_GRID_SIZE = 4097
-QUAD_TOL = 1e-12
 SIGN_DEAD_BAND = 1e-9
 
 
@@ -67,17 +64,6 @@ class Curvature(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CouplingSpec:
-    """Impulsive coupling strength; K > 0 excitatory, K < 0 inhibitory."""
-
-    K: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.K):
-            raise ModelError("coupling strength must be finite")
-
-
-@dataclass(frozen=True)
 class SignClassification:
     """Sign classes of Z' and Z'' from dense finite differences.
 
@@ -90,20 +76,6 @@ class SignClassification:
     curvature: Curvature
     curvature_nonneg: bool
     curvature_nonpos: bool
-
-
-def natural_frequency(F, x_lo: float, x_hi: float, tol: float = QUAD_TOL) -> float:
-    """omega = 2*pi / integral_{x_lo}^{x_hi} dx/F(x), by adaptive Simpson."""
-    if not x_hi > x_lo:
-        raise ModelError("need x_hi > x_lo")
-    probe = np.linspace(x_lo, x_hi, 257)
-    vals = np.asarray([F(float(x)) for x in probe], dtype=float)
-    if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-        raise ModelError("vector field must be positive and finite on [x_lo, x_hi]")
-    period = adaptive_simpson(lambda x: 1.0 / F(x), x_lo, x_hi, tol=tol)
-    if not (math.isfinite(period) and period > 0.0):
-        raise ModelError("non-integrable vector field")
-    return TWO_PI / period
 
 
 class OscillatorModel:
@@ -191,19 +163,6 @@ class OscillatorModel:
     def __repr__(self):
         ps = ", ".join(f"{k}={v:.6g}" for k, v in self.params.items())
         return f"OscillatorModel({self.kind}, omega={self.omega:.6g}, {ps})"
-
-
-def prc_eval(model: OscillatorModel, theta):
-    """Evaluate the phase response curve Z at the given phase(s)."""
-    return model.prc(theta)
-
-
-def phase_of_state(model: OscillatorModel, x):
-    return model.phase_of_state(x)
-
-
-def state_of_phase(model: OscillatorModel, theta):
-    return model.state_of_phase(theta)
 
 
 # -- constructors -------------------------------------------------------------

@@ -124,12 +124,7 @@ def lyapunov_tv(state, reference) -> float:
     exactly; the result is symmetric to machine precision and lies in
     [0, 4*pi].
     """
-    a = _as_profile(state)
-    b = _as_profile(reference)
-    if a.degenerate or b.degenerate:
-        raise QuantileDegenerateError("quantile density undefined on a zero plateau")
-    v, _ = _tv_and_qmin(a, b)
-    return v
+    return lyapunov_tv_with_qmin(state, reference)[0]
 
 
 def _merged_segments(a: QuantileProfile, b: QuantileProfile):

@@ -32,7 +32,6 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from .continuum import DensityField
-from .numerics import bisect_root
 from .models import OscillatorModel, ModelError
 
 TWO_PI = 2.0 * math.pi
@@ -89,8 +88,7 @@ class StationaryState:
     model: OscillatorModel
 
     def density_at(self, theta):
-        z = self.model.prc(theta)
-        return self.J_star / (self.model.omega + self.K * z * self.J_star)
+        return J_density(self.model, self.K, self.J_star, theta)
 
 
 def _quad(f, a: float, b: float, *, tol: float = 1e-11, points=None) -> float:
@@ -103,33 +101,26 @@ def _quad(f, a: float, b: float, *, tol: float = 1e-11, points=None) -> float:
     return out[0]
 
 
-def _r_value(model: OscillatorModel, K: float, n: int = 4097) -> float:
+def _kz_scan(model: OscillatorModel, K: float, n: int = 4097) -> tuple:
+    """(r, breakpoint) from one scan of K*Z on an n-point grid: r = |min K*Z|
+    (0 when K*Z >= 0), and the grid argmin of K*Z kept inside (0, 2*pi) as
+    the quadrature breakpoint near the singular phase."""
     grid = np.linspace(0.0, TWO_PI, n)
     kz = K * model.prc(grid)
-    m = float(kz.min())
-    return 0.0 if m >= 0.0 else abs(m)
-
-
-def _kz_argmin(model: OscillatorModel, K: float, n: int = 4097) -> float:
-    grid = np.linspace(0.0, TWO_PI, n)
-    kz = K * model.prc(grid)
-    # interior breakpoint for the quadrature near the singular phase
-    return float(np.clip(grid[int(np.argmin(kz))], 1e-6, TWO_PI - 1e-6))
-
-
-def j_interval(model: OscillatorModel, K: float) -> tuple:
-    r = _r_value(model, K)
-    return (0.0, math.inf if r == 0.0 else model.omega / r)
+    i = int(np.argmin(kz))
+    m = float(kz[i])
+    r = 0.0 if m >= 0.0 else abs(m)
+    return r, float(np.clip(grid[i], 1e-6, TWO_PI - 1e-6))
 
 
 def normalization_functional(model: OscillatorModel, K: float, J: float,
                              tol: float = W_TOL) -> float:
     """W(J) = integral J/(omega + K*Z*J) dtheta; strictly increasing in J."""
-    lo, hi = j_interval(model, K)
-    if not (lo < J < hi):
+    r, pt = _kz_scan(model, K)
+    hi = math.inf if r == 0.0 else model.omega / r
+    if not (0.0 < J < hi):
         raise ValueError(f"J={J} outside the admissible interval (0, {hi:.6g})")
-    pts = [_kz_argmin(model, K)] if K != 0.0 else None
-    return _w_integral(model, K, J, pts, tol)
+    return _w_integral(model, K, J, [pt] if K != 0.0 else None, tol)
 
 
 def _w_integral(model: OscillatorModel, K: float, J: float, pts, tol: float) -> float:
@@ -149,8 +140,8 @@ def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
     divergence cap, reported as an infinite limit); otherwise the final
     value decides.
     """
-    r = _r_value(model, K)
-    pts = [_kz_argmin(model, K)] if K != 0.0 else None
+    r, pt = _kz_scan(model, K)
+    pts = [pt] if K != 0.0 else None
     prc = model._prc_fn   # QUADPACK passes one float: no array wrapper
     s_vals, ints = [], []
     consecutive = 0
@@ -223,6 +214,35 @@ def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
     return CouplingBounds(lower, upper, unbounded)
 
 
+def bisect_root(f, a: float, b: float, *, xtol: float = 1e-13, ftol: float = 0.0,
+                max_iter: int = 200) -> float:
+    """Bracketed bisection for a continuous f with f(a), f(b) of opposite sign.
+
+    Stops when the bracket is narrower than ``xtol`` (absolute) or, if
+    ``ftol`` > 0, as soon as |f(mid)| < ftol.  Unconditionally convergent on
+    monotone functions, which is why it is preferred over Newton here.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0.0:
+        raise ValueError(f"root not bracketed: f({a})={fa}, f({b})={fb}")
+    for _ in range(max_iter):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0.0 or (ftol > 0.0 and abs(fm) < ftol):
+            return m
+        if fa * fm < 0.0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+        if b - a < xtol:
+            return 0.5 * (a + b)
+    return 0.5 * (a + b)
+
+
 def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
                           n_theta: int = 2048) -> StationaryState:
     """Unique root of W(J) = 1 by bracketed bisection on the admissible interval.
@@ -247,9 +267,9 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
 
     r = result.r
     hi_edge = math.inf if r == 0.0 else omega / r
-    # J stays inside (0, hi_edge) below, so W skips the interval check and
-    # the breakpoint scan that normalization_functional repeats per call
-    pts = [_kz_argmin(model, K)]
+    # J stays inside (0, hi_edge) below, so W skips normalization_functional's
+    # interval check and its K*Z scan: the breakpoint is taken once per solve
+    pts = [_kz_scan(model, K)[1]]
     w = lambda J: _w_integral(model, K, J, pts, W_TOL) - 1.0
 
     lo = min(1e-12 * omega, (hi_edge if math.isfinite(hi_edge) else 1.0) * 1e-12)

@@ -515,11 +515,18 @@ def test_sweep_negative_values(tmp_path, capsys, flag):
     assert [r.split(",")[:3] for r in rows] == [["K", "-0.1", "ok"], ["K", "-0.2", "ok"]]
 
 
-@pytest.mark.parametrize("values", ["-0.1,-0.1", "-0.1,fast"])
-def test_sweep_bad_values_config_error(tmp_path, values):
+@pytest.mark.parametrize("param,values", [
+    ("K", "-0.1,-0.1"), ("K", "-0.1,fast"),
+    # every row is applied and validated before the first one runs: a grid
+    # the solver rejects, or a non-integer one, is a config error
+    ("n_theta", "4,64"), ("n_theta", "64,64.7"), ("n_theta", "64,nan")],
+    ids=["-0.1,-0.1", "-0.1,fast", "n_theta=4,64", "n_theta=64,64.7", "n_theta=64,nan"])
+def test_sweep_bad_values_config_error(tmp_path, capsys, param, values):
     p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
-    assert main(["sweep", "--config", str(p), "--param", "K",
+    assert main(["sweep", "--config", str(p), "--param", param,
                  f"--values={values}", "--out", str(tmp_path / "sw")]) == 4
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("case", ["lif_field_nonpositive", "table_missing"])
@@ -594,7 +601,7 @@ def test_fig1_trajectory_matches_golden(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["table_nonpositive", "table_missing", "lif_field_nonpositive",
-                                  "N=1", "N=0", "nfirings=0"])
+                                  "N=1", "N=0", "nfirings=0", "K=nan"])
 def test_finite_bad_input_exits_config(tmp_path, capsys, case):
     table = tmp_path / "field.csv"
     table.write_text("x,F\n0.0,1.0\n0.5,-0.1\n1.0,1.0\n")
@@ -605,6 +612,7 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
         "N=1": ["--N", "1"],
         "N=0": ["--N", "0"],
         "nfirings=0": ["--nfirings", "0"],
+        "K=nan": ["--K", "nan"],
     }[case]
     # later flags override the defaults given first
     assert main(["finite", "--N", "20", "--K", "-0.1", "--nfirings", "10",
@@ -620,3 +628,27 @@ def test_config_finite_size_validated(tmp_path, key, value):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.parse(p)
     assert f"finite.{key}" in str(err.value)
+
+
+@pytest.mark.parametrize("case", ["stationary_ntheta=-5", "stationary_ntheta=0",
+                                  "stationary_K=nan",
+                                  "certify_missing", "certify_columns",
+                                  "certify_short_row", "certify_no_rows"])
+def test_stationary_certify_bad_input_exits_config(tmp_path, capsys, case):
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text({"certify_columns": "t,J0,V\n0.0,0.5,1.0\n",
+                     "certify_short_row": "t,J0,mass,rho_min,rho_max,V,q_min,event\n0.0,0.5\n",
+                     "certify_no_rows": "t,J0,mass,rho_min,rho_max,V,q_min,event\n",
+                     }.get(case, ""))
+    argv = {
+        "stationary_ntheta=-5": ["stationary", "--K", "-0.1", "--ntheta", "-5"],
+        "stationary_ntheta=0": ["stationary", "--K", "-0.1", "--ntheta", "0"],
+        "stationary_K=nan": ["stationary", "--K", "nan"],
+        "certify_missing": ["certify", "--K", "-0.1",
+                            "--trajectory", str(tmp_path / "nope.csv")],
+    }.get(case, ["certify", "--K", "-0.1", "--trajectory", str(traj)])
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -6,11 +6,10 @@ from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityField,
-                        boundary_flux, characteristic_trace, check_admissibility,
-                        homoclinic_model, initial_density, integrate, lif_model, step,
-                        tabulated_model, velocity_field)
-from pulsefield.continuum import (EPS_SING, BlowupEvent, TrajectoryLog, _upwind_step,
-                                  default_flux_cap)
+                        characteristic_trace, check_admissibility, homoclinic_model,
+                        initial_density, integrate, lif_model, step, tabulated_model)
+from pulsefield.continuum import (EPS_SING, BlowupEvent, TrajectoryLog, _advance_boundary,
+                                  _upwind_step, default_flux_cap)
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,34 +29,34 @@ def unit_speed():
     return tabulated_model(lambda x: 1.0, x_lo=0.0, x_hi=1.0)
 
 
+def _outflow_flux(model, K, rho_end):
+    """J0 from rho(2*pi) by the kernel's boundary relation, and rho(0)."""
+    rho = np.array([0.0, rho_end])
+    j0 = _advance_boundary(rho, 0.0, model.omega, K * model.prc(0.0),
+                           K * model.prc(TWO_PI), EPS_SING, math.inf)
+    return j0, rho[0]
+
+
 def test_boundary_flux_no_coupling(lif, unit_speed):
-    assert abs(boundary_flux(0.2, lif, 0.0) - lif.omega * 0.2) < 1e-12
-    # omega = 2*pi and rho0 = 1/(2*pi) give unit flux
-    assert abs(boundary_flux(1.0 / TWO_PI, unit_speed, 0.0) - 1.0) < 1e-9
+    j0, rho0 = _outflow_flux(lif, 0.0, 0.2)
+    assert abs(j0 - lif.omega * 0.2) < 1e-12
+    assert rho0 == 0.2
+    # omega = 2*pi and rho(2*pi) = 1/(2*pi) give unit flux
+    assert abs(_outflow_flux(unit_speed, 0.0, 1.0 / TWO_PI)[0] - 1.0) < 1e-9
 
 
 def test_boundary_flux_stationary_consistency(lif, stat_inhib):
-    j0 = boundary_flux(float(stat_inhib.rho_star.rho[0]), lif, -0.1)
+    j0, rho0 = _outflow_flux(lif, -0.1, float(stat_inhib.rho_star.rho[-1]))
     assert abs(j0 - stat_inhib.J_star) < 1e-8
+    assert abs(rho0 - stat_inhib.rho_star.rho[0]) < 1e-8
 
 
 def test_boundary_flux_singularity(lif):
-    # rho0 at the critical value 1/(K Z(0)) triggers the flux event
-    rho_c = 1.0 / (0.5 * lif.prc(0.0))
+    # rho(2*pi) at the critical value 1/(K Z(2*pi)) triggers the flux event
+    rho_c = 1.0 / (0.5 * lif.prc(TWO_PI))
     with pytest.raises(BlowupError) as err:
-        boundary_flux(rho_c, lif, 0.5)
+        _outflow_flux(lif, 0.5, rho_c)
     assert err.value.event.kind == "flux"
-
-
-def test_velocity_field_forms(lif, unit_speed, stat_inhib):
-    th = np.linspace(0.0, TWO_PI, 65)
-    assert np.max(np.abs(velocity_field(lif, 0.0, 0.7, th) - lif.omega)) < 1e-12
-    # constant response curve: uniform shift by K*Z*J0
-    v = velocity_field(unit_speed, 0.3, 0.5, th)
-    assert np.max(np.abs(v - (unit_speed.omega + 0.3 * TWO_PI * 0.5))) < 1e-9
-    # contracting regime at the stationary flux keeps v positive
-    v = velocity_field(lif, -0.1, stat_inhib.J_star, th)
-    assert v.min() > 0.0
 
 
 def test_from_profile_boundary_relation(lif):
@@ -88,7 +87,7 @@ def test_step_positivity_under_cfl(lif):
     th = np.linspace(0.0, TWO_PI, 257)
     prof = 0.01 + np.exp(40.0 * (np.cos(th - 2.0) - 1.0))
     field = DensityField.from_profile(lif, -0.1, prof)
-    dt = 0.9 * field.dtheta / float(velocity_field(lif, -0.1, field.J0, th).max())
+    dt = 0.9 * field.dtheta / float((lif.omega - 0.1 * lif.prc(th) * field.J0).max())
     for _ in range(400):
         field = step(field, lif, -0.1, dt)
         assert field.rho.min() >= 0.0
@@ -102,8 +101,8 @@ def test_step_stationary_is_discrete_fixed_point(lif):
     stat = solve_stationary_flux(lif, -0.1, n_theta=1024)
     field = DensityField(stat.rho_star.theta, stat.rho_star.rho.copy(),
                          stat.J_star, 0.0)
-    dt = 0.5 * field.dtheta / float(velocity_field(lif, -0.1, field.J0,
-                                                   field.theta).max())
+    dt = 0.5 * field.dtheta / float((lif.omega - 0.1 * lif.prc(field.theta)
+                                     * field.J0).max())
     for _ in range(10_000):
         field = step(field, lif, -0.1, dt)
     assert np.abs(field.rho - stat.rho_star.rho).max() < 1e-13
@@ -127,8 +126,8 @@ def test_mass_telescopes_over_many_steps(lif):
     dtheta = field.dtheta
     masses = [field.mass]
     for _ in range(100_000):
-        dt = 0.5 * dtheta / float(velocity_field(lif, -0.1, field.J0,
-                                                 field.theta).max())
+        dt = 0.5 * dtheta / float((lif.omega - 0.1 * lif.prc(field.theta)
+                                   * field.J0).max())
         field = step(field, lif, -0.1, dt)
     masses.append(field.mass)
     assert abs(masses[1] - masses[0]) < 1e-6  # observed: ~1e-15
@@ -383,6 +382,17 @@ def test_admissibility_numerical_ok(lif):
     th = np.linspace(0.0, TWO_PI, 257)
     rep = check_admissibility(np.full(257, 1.0 / TWO_PI), lif, 0.1)
     assert rep.verdict is AdmissibilityVerdict.NUMERICAL_OK
+
+
+@pytest.mark.parametrize("prof", [np.zeros(9), np.eye(1, 9).ravel()],
+                         ids=["zeros", "mass_only_at_node_0"])
+def test_zero_mass_profile_rejected(lif, prof):
+    # no positive mass to normalize: an error, not an all-NaN field that
+    # integrate would march to max_steps
+    with pytest.raises(ValueError, match="mass"):
+        DensityField.from_profile(lif, 0.1, prof)
+    with pytest.raises(ValueError, match="mass"):
+        check_admissibility(prof, lif, 0.1)
 
 
 def test_trajectory_csv_round_trip(tmp_path, lif, stat_inhib):

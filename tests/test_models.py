@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from pulsefield import (CouplingSpec, Curvature, ModelError, Monotonicity,
-                        classify_monotonicity, homoclinic_model, lif_model,
-                        natural_frequency, tabulated_model)
-from pulsefield.models import QUAD_TOL, load_field_table
+from pulsefield import (Curvature, ModelError, Monotonicity, classify_monotonicity,
+                        homoclinic_model, lif_model, tabulated_model)
+from pulsefield.models import load_field_table
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
+QUAD_TOL = 1e-12
 
 # closed form for the standard LIF regime: omega = 2*pi*gamma/log(S/(S-gamma))
 OMEGA_LIF = 4.127534242695819
@@ -20,27 +20,28 @@ OMEGA_LIF = 4.127534242695819
 def test_natural_frequency_constant_field():
     # constant integrand: omega = 2*pi*c exactly
     for c in (0.5, 1.0, 3.7):
-        om = natural_frequency(lambda x, c=c: c, 0.0, 1.0)
+        om = tabulated_model(lambda x, c=c: c, x_lo=0.0, x_hi=1.0).omega
         assert abs(om - TWO_PI * c) < 1e-10
 
 
 def test_natural_frequency_lif_closed_form(lif):
     assert abs(lif.omega - OMEGA_LIF) < 1e-12
     # quadrature route must agree with the logarithm formula
-    om_quad = natural_frequency(lambda x: S - GAMMA * x, 0.0, 1.0)
+    om_quad = tabulated_model(lambda x: S - GAMMA * x, x_lo=0.0, x_hi=1.0).omega
     assert abs(om_quad - OMEGA_LIF) < 1e-10
 
 
 def test_natural_frequency_general_affine_vs_quadrature():
     for s, g, lo, hi in ((3.0, 1.0, 0.0, 2.0), (1.2, -0.5, 0.0, 1.0)):
-        closed = TWO_PI * g / math.log((s - g * lo) / (s - g * hi)) if g else None
-        om = natural_frequency(lambda x: s - g * x, lo, hi)
+        closed = TWO_PI * g / math.log((s - g * lo) / (s - g * hi))
+        assert abs(lif_model(s, g, lo, hi).omega - closed) < 1e-10
+        om = tabulated_model(lambda x: s - g * x, x_lo=lo, x_hi=hi).omega
         assert abs(om - closed) < 1e-10
 
 
 def test_nonpositive_field_rejected():
     with pytest.raises(ModelError):
-        natural_frequency(lambda x: 1.0 - x, 0.0, 1.0)   # hits zero at x=1
+        tabulated_model(lambda x: 1.0 - x, x_lo=0.0, x_hi=1.0)   # hits zero at x=1
     with pytest.raises(ModelError):
         lif_model(2.0, 2.0)                              # S - gamma*x_hi = 0
     with pytest.raises(ModelError):
@@ -204,20 +205,6 @@ def test_kz_prime_extrema(lif):
     assert abs(lo - (-0.1) * z1) < 1e-10
     assert abs(hi - (-0.1) * z0) < 1e-10
     assert lif.kz_prime_extrema(0.0) == (0.0, 0.0)
-
-
-def test_module_level_op_functions(lif):
-    from pulsefield import phase_of_state, prc_eval, state_of_phase
-    assert phase_of_state(lif, 0.5) == lif.phase_of_state(0.5)
-    assert prc_eval(lif, 1.0) == lif.prc(1.0)
-    assert state_of_phase(lif, 2.0) == lif.state_of_phase(2.0)
-
-
-def test_coupling_spec_validation():
-    assert CouplingSpec(0.0).K == 0.0
-    assert CouplingSpec(-0.1).K == -0.1
-    with pytest.raises(ModelError):
-        CouplingSpec(math.inf)
 
 
 def test_field_table_loader(tmp_path):

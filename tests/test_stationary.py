@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pulsefield import (NoStationaryStateError, boundary_flux, coupling_bounds,
-                        existence_condition, homoclinic_model, lif_model,
-                        normalization_functional, solve_stationary_flux,
-                        tabulated_model)
-from pulsefield.numerics import secant_root
+from pulsefield import (NoStationaryStateError, coupling_bounds, existence_condition,
+                        homoclinic_model, lif_model, normalization_functional,
+                        solve_stationary_flux, tabulated_model)
+from pulsefield.continuum import EPS_SING, _advance_boundary
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
@@ -16,6 +15,26 @@ S, GAMMA = 2.1, 2.0
 # root of (J/gamma)*log((S+K*J)/(S-gamma+K*J)) = 1 at K=-0.1, frozen from
 # an independent x-space bracketing solve (scipy.optimize.brentq)
 J_STAR_INHIB = 0.5299567271521374
+
+
+def secant_root(f, x0: float, x1: float, *, ftol: float = 1e-12, max_iter: int = 100,
+                lo: float = -math.inf, hi: float = math.inf) -> float:
+    """Safeguarded secant iteration clamped to (lo, hi), an oracle independent
+    of the solver's bisection; a step leaving the clamp interval falls back
+    to the midpoint of the current pair."""
+    f0, f1 = f(x0), f(x1)
+    for _ in range(max_iter):
+        if abs(f1) < ftol:
+            return x1
+        denom = f1 - f0
+        if denom == 0.0:
+            break
+        x2 = x1 - f1 * (x1 - x0) / denom
+        if not (lo < x2 < hi):
+            x2 = 0.5 * (max(lo, min(x0, x1)) + min(hi, max(x0, x1)))
+        x0, f0 = x1, f1
+        x1, f1 = x2, f(x2)
+    return x1
 
 
 def W_quad(model, K, J):
@@ -166,7 +185,10 @@ def test_stationary_density_properties(lif):
 
 
 def test_boundary_flux_consistency(lif, stat_inhib):
-    j0 = boundary_flux(float(stat_inhib.rho_star.rho[0]), lif, -0.1)
+    # the kernel's boundary relation returns J* from the stationary rho(2*pi)
+    rho = stat_inhib.rho_star.rho.copy()
+    j0 = _advance_boundary(rho, 0.0, lif.omega, -0.1 * lif.prc(0.0),
+                           -0.1 * lif.prc(TWO_PI), EPS_SING, math.inf)
     assert abs(j0 - stat_inhib.J_star) < 1e-8
 
 
