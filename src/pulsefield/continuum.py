@@ -19,7 +19,10 @@ node fluxes F_i = v_i * rho_i, inflow at theta=0 set to the outflow at
 2*pi, so the discrete mass (right-endpoint Riemann sum over nodes 1..N)
 telescopes to machine precision every step.  With K = 0 and the aligned
 step dt = dtheta/omega (Courant number 1) the update is a sample rotation
-to rounding.
+to rounding.  The kernel is written out once, inline in ``integrate``'s
+loop on buffers and views made once per run; ``step`` is one pass of that
+loop.  V on each logged row goes through a ``GridReference`` bound to the
+run's grid, with the bits of the public quantile functions.
 
 Synchronization shows up as a finite-time singularity and is detected by
 thresholds: the boundary relation's denominator falling under ``eps_sing``
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .quantile import quantile_transform, lyapunov_tv_with_qmin, _as_profile
+from .quantile import GridReference, quantile_transform, lyapunov_tv_with_qmin
 
 TWO_PI = 2.0 * math.pi
 EPS_SING = 1e-8
@@ -124,17 +127,18 @@ class DensityField:
         return cls(theta, rho, J0, t)
 
 
-# -- stepping kernels ----------------------------------------------------------
+# -- boundary relation and single steps -----------------------------------------
 
 
 def _advance_boundary(rho_new, t_new, omega, kz0, kz_end, eps_sing, flux_cap):
     """Outflow flux from rho(2*pi), then rho(0) from the flux relation."""
-    den = 1.0 - kz_end * rho_new[-1]
+    rho_end = rho_new.item(-1)
+    den = 1.0 - kz_end * rho_end
     if den <= eps_sing:
         raise BlowupError(BlowupEvent(t_new, "flux", {
-            "rho_end": rho_new[-1], "rho_critical": 1.0 / kz_end,
+            "rho_end": rho_end, "rho_critical": 1.0 / kz_end if kz_end else math.inf,
             "denominator": den, "eps_sing": eps_sing}))
-    J0 = omega * rho_new[-1] / den
+    J0 = omega * rho_end / den
     if J0 > flux_cap:
         raise BlowupError(BlowupEvent(t_new, "flux", {"flux": J0, "flux_cap": flux_cap}))
     v0 = omega + kz0 * J0
@@ -146,52 +150,19 @@ def _advance_boundary(rho_new, t_new, omega, kz0, kz_end, eps_sing, flux_cap):
     return J0
 
 
-def _upwind_step(rho, out, flux, J0, t, dt, dtheta, omega, kz, kz_lo, kz_hi,
-                 eps_sing, flux_cap, cfl=None):
-    """One upwind step from ``rho`` into ``out``; returns (out, J0_new, dt).
-
-    ``kz`` is K*Z on the grid and ``kz_lo``/``kz_hi`` its extremes, so the
-    extremes of the velocity omega + kz*J0 are two scalars (exact: rounding
-    is monotone).  ``flux`` is scratch space of the grid's size; ``rho`` is
-    left untouched.  With ``cfl`` given, the step is cfl*dtheta/max(v),
-    capped at ``dt``; otherwise ``dt`` is used as is.
-    """
-    vmin = omega + kz_lo * J0
-    vmax = omega + kz_hi * J0
-    if J0 < 0.0:
-        vmin, vmax = vmax, vmin
-    if vmin <= eps_sing * omega:
-        kind = "density" if kz[0] < 0.0 or kz[-1] < 0.0 else "flux"
-        raise BlowupError(BlowupEvent(t, kind, {
-            "min_velocity": vmin, "stall_threshold": eps_sing * omega, "flux": J0}))
-    if cfl is not None:
-        dt = min(cfl * dtheta / vmax, dt)
-    if dt * vmax > dtheta * (1.0 + 1e-12):
-        raise CFLError(f"dt={dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
-    np.multiply(kz, J0, out=flux)
-    flux += omega
-    flux *= rho
-    flux[0] = J0    # inflow equals outflow: both ends carry the boundary flux
-    flux[-1] = J0
-    update = out[1:]
-    np.subtract(flux[1:], flux[:-1], out=update)
-    update *= dt / dtheta
-    np.subtract(rho[1:], update, out=update)
-    J0_new = _advance_boundary(out, t + dt, omega, kz[0], kz[-1], eps_sing, flux_cap)
-    return out, J0_new, dt
-
-
 def step(state: DensityField, model, K: float, dt: float, *,
          eps_sing: float = EPS_SING, flux_cap: float | None = None) -> DensityField:
-    """One explicit upwind step of the transport equation; returns a new field."""
-    if flux_cap is None:
-        flux_cap = default_flux_cap(model.omega)
-    kz = K * model.prc(state.theta)
-    rho_new, J0_new, dt = _upwind_step(state.rho, np.empty_like(state.rho),
-                                       np.empty_like(state.rho), state.J0, state.t, dt,
-                                       state.dtheta, model.omega, kz, float(kz.min()),
-                                       float(kz.max()), eps_sing, flux_cap)
-    return DensityField(state.theta, rho_new, J0_new, state.t + dt)
+    """One explicit upwind step of size ``dt``; returns a new field.
+
+    This is one pass of ``integrate``'s loop, which holds the only copy of
+    the kernel: a blow-up raises ``BlowupError`` and a ``dt`` past the CFL
+    limit raises ``CFLError``.
+    """
+    traj = integrate(model, K, state, t_max=math.inf, dt=dt, max_steps=1,
+                     eps_sing=eps_sing, flux_cap=flux_cap)
+    if traj.blowup is not None:
+        raise BlowupError(traj.blowup)
+    return traj.final
 
 
 # -- initial conditions --------------------------------------------------------
@@ -240,7 +211,8 @@ class TrajectoryLog:
     The dense (per-step) flux history supports characteristic tracing and
     the first-crossing flux window.  ``stop_reason`` ('t_max', 'blowup' or
     'max_steps'), ``n_steps`` and ``v_eval_failures`` (log rows whose V
-    raised) are known for integrated runs and None for one read from CSV.
+    raised) are known for integrated runs and None for one read from CSV, as
+    is the step-size range ``summary()`` reports as dt_min and dt_max.
     """
 
     t: np.ndarray
@@ -319,6 +291,10 @@ class TrajectoryLog:
             "n_steps": self.n_steps,
             "v_eval_failures": self.v_eval_failures,
         }
+        # the step-size range, from the dense history of an integrated run
+        steps = np.diff(self.dense_t) if self.n_steps else np.empty(0)
+        out["dt_min"] = float(steps.min()) if steps.size else None
+        out["dt_max"] = float(steps.max()) if steps.size else None
         return out
 
 
@@ -336,6 +312,10 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     transport at K = 0 a rotation.  When a stationary reference is supplied,
     the quantile Lyapunov distance V and the minimum quantile density are
     logged alongside the flux.
+
+    The loop holds the one copy of the upwind kernel, written out inline on
+    views made once per run (``step`` is one pass of it).  A fixed ``dt``
+    past the CFL limit raises ``CFLError``.
     """
     if dt is not None and not dt > 0.0:
         raise ValueError(f"fixed dt must be positive, got {dt!r}")
@@ -345,15 +325,26 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     theta = initial.theta
     dtheta = initial.dtheta
     kz = K * model.prc(theta)
+    # extremes of the velocity omega + kz*J0 come from kz's two extremes
+    # (exact: rounding is monotone); the kernel's scalars are Python floats
     kz_lo, kz_hi = float(kz.min()), float(kz.max())
+    kz0, kz_end = kz.item(0), kz.item(-1)
+    stall = eps_sing * omega
+    stall_kind = "density" if kz0 < 0.0 or kz_end < 0.0 else "flux"
+    cfl_dtheta = cfl * dtheta if dt is None else None
+    dtheta_tol = dtheta * (1.0 + 1e-12)
 
-    ref_profile = _as_profile(reference) if reference is not None else None
+    # V on every logged row against one reference bound to this grid
+    grid = GridReference(reference, theta) if reference is not None else None
 
-    # the step writes into `spare` and the two buffers swap roles
+    # the step writes into `spare` and the two buffers swap roles; the views
+    # of their nodes 1..N and of the flux differences are made once
     rho = initial.rho.copy()
     spare = np.empty_like(rho)
     flux = np.empty_like(rho)
-    J0 = initial.J0
+    body, spare_body = rho[1:], spare[1:]
+    flux_hi, flux_lo = flux[1:], flux[:-1]
+    J0 = float(initial.J0)
     t = initial.t
 
     rows_t, rows_j, rows_m, rows_lo, rows_hi, rows_v, rows_q = [], [], [], [], [], [], []
@@ -375,12 +366,13 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
         rows_t.append(t)
         rows_j.append(J0)
         rho_min = float(rho.min())
-        rows_m.append(float(rho[1:].sum() * dtheta))
+        rows_m.append(float(body.sum() * dtheta))
         rows_lo.append(rho_min)
         rows_hi.append(float(rho.max()))
-        if ref_profile is not None and rho_min >= 0.0:
+        if grid is not None and rho_min >= 0.0:
             try:
-                v_val, q_val = lyapunov_tv_with_qmin(quantile_transform(theta, rho), ref_profile)
+                v_val, q_val = lyapunov_tv_with_qmin(
+                    quantile_transform(grid.theta, rho, into=grid), grid)
             except ValueError:   # QuantileDegenerateError: V undefined on this row
                 v_failures += 1
                 v_val, q_val = math.nan, math.nan
@@ -401,10 +393,29 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
         if nstep >= max_steps:
             stop_reason = "max_steps"
             break
+        # the upwind kernel: rho -> spare
         try:
-            rho_new, J0_new, step_dt = _upwind_step(
-                rho, spare, flux, J0, t, t_max - t if dt is None else dt, dtheta, omega,
-                kz, kz_lo, kz_hi, eps_sing, flux_cap, cfl=cfl if dt is None else None)
+            vmin = omega + kz_lo * J0
+            vmax = omega + kz_hi * J0
+            if J0 < 0.0:
+                vmin, vmax = vmax, vmin
+            if vmin <= stall:
+                raise BlowupError(BlowupEvent(t, stall_kind, {
+                    "min_velocity": vmin, "stall_threshold": stall, "flux": J0}))
+            step_dt = dt if dt is not None else min(cfl_dtheta / vmax, t_max - t)
+            if step_dt * vmax > dtheta_tol:
+                raise CFLError(f"dt={step_dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
+            # node fluxes v*rho; inflow equals outflow: both ends carry J0
+            np.multiply(kz, J0, flux)
+            np.add(flux, omega, flux)
+            np.multiply(flux, rho, flux)
+            flux[0] = J0
+            flux[-1] = J0
+            np.subtract(flux_hi, flux_lo, spare_body)
+            np.multiply(spare_body, step_dt / dtheta, spare_body)
+            np.subtract(body, spare_body, spare_body)
+            J0_new = _advance_boundary(spare, t + step_dt, omega, kz0, kz_end,
+                                       eps_sing, flux_cap)
         except BlowupError as exc:
             blow = exc.event
             stop_reason = "blowup"
@@ -420,7 +431,8 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                 frac = (TWO_PI - lam) / (lam_new - lam)
                 t_cross = t + frac * step_dt
             lam = lam_new
-        rho, spare = rho_new, rho
+        rho, spare = spare, rho
+        body, spare_body = spare_body, body
         J0 = J0_new
         t += step_dt
         nstep += 1
@@ -444,7 +456,8 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
         if m.any():
             j_window = (float(dense_j[m].min()), float(dense_j[m].max()))
 
-    final = DensityField(theta, rho.copy(), J0, t)
+    # `rho` is this run's own buffer: the final field takes it as is
+    final = DensityField(theta, rho, J0, t)
     return TrajectoryLog(np.asarray(rows_t), np.asarray(rows_j), np.asarray(rows_m),
                          np.asarray(rows_lo), np.asarray(rows_hi), np.asarray(rows_v),
                          np.asarray(rows_q), events, blow, dense_t, dense_j,

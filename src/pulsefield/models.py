@@ -179,14 +179,16 @@ def lif_model(S: float, gamma: float, x_lo: float = 0.0, x_hi: float = 1.0) -> O
         x(theta)    = (S - (S - gamma*x_lo) * exp(-gamma*theta/omega)) / gamma
         Z(theta)    = (omega/(S - gamma*x_lo)) * exp(gamma*theta/omega)
     """
+    if not all(map(math.isfinite, (S, gamma, x_lo, x_hi))):
+        raise ModelError("LIF parameters S, gamma, x_lo, x_hi must be finite")
     if gamma == 0.0:
         raise ModelError("gamma must be nonzero; use tabulated_model for a constant field")
     if not x_hi > x_lo:
         raise ModelError("need x_hi > x_lo")
     F_lo = S - gamma * x_lo
     F_hi = S - gamma * x_hi
-    if F_lo <= 0.0 or F_hi <= 0.0:
-        raise ModelError("field S - gamma*x must be positive on [x_lo, x_hi]")
+    if not (0.0 < F_lo < math.inf and 0.0 < F_hi < math.inf):
+        raise ModelError("field S - gamma*x must be positive and finite on [x_lo, x_hi]")
     omega = TWO_PI * gamma / math.log(F_lo / F_hi)
 
     def F(x):
@@ -273,6 +275,8 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
         xs, Fs = xs[order], Fs[order]
         if np.any(np.diff(xs) <= 0.0):
             raise ModelError("x samples must be strictly increasing")
+    if not np.isfinite(xs).all():
+        raise ModelError("x samples must be finite")
     if np.any(~np.isfinite(Fs)) or np.any(Fs <= 0.0):
         raise ModelError("vector field must be positive and finite on [x_lo, x_hi]")
 
@@ -340,9 +344,15 @@ def homoclinic_model(C: float, lambda_u: float, omega: float) -> OscillatorModel
     monotone decreasing with nonnegative curvature.  There is no scalar state
     model behind it, so the phase map operations are unavailable.
     """
-    if C <= 0.0 or lambda_u <= 0.0 or omega <= 0.0:
-        raise ModelError("homoclinic parameters C, lambda_u, omega must be positive")
-    amp = C * omega * math.exp(TWO_PI * lambda_u / omega)
+    if not all(0.0 < v < math.inf for v in (C, lambda_u, omega)):
+        raise ModelError("homoclinic parameters C, lambda_u, omega must be positive and finite")
+    try:
+        amp = C * omega * math.exp(TWO_PI * lambda_u / omega)
+    except OverflowError:
+        amp = math.inf
+    if amp == math.inf:
+        raise ModelError("homoclinic response amplitude C*omega*exp(2*pi*lambda_u/omega) "
+                         "overflows")
 
     def prc_fn(theta):
         return amp * np.exp(-lambda_u * theta / omega)

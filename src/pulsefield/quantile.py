@@ -65,13 +65,18 @@ class QuantileProfile:
         return self.q_seg[idx]
 
 
-def quantile_transform(field, rho=None) -> QuantileProfile:
+def quantile_transform(field, rho=None, *, into: GridReference | None = None) -> QuantileProfile:
     """Quantile profile of a density given as a field object or (theta, rho).
 
     P is the normalized cumulative trapezoid of rho, Q its piecewise-linear
     inverse on the grid knots.  Densities with zero plateaus (or non-finite
     values) produce a profile flagged degenerate (Q still follows the
     infimum convention through ``Q_at``, but q is unusable there).
+
+    With ``into`` (a ``GridReference`` bound to this ``theta``) the profile
+    is written into the reference's buffers instead of fresh arrays: it is
+    valid until the next such call, and ``lyapunov_tv_with_qmin(profile,
+    into)`` merges it without copying its knots.
     """
     if rho is None:
         theta = np.asarray(field.theta, dtype=float)
@@ -83,36 +88,72 @@ def quantile_transform(field, rho=None) -> QuantileProfile:
         raise ValueError("need matching 1-D theta and rho arrays")
     if (rho < 0.0).any():
         raise ValueError("density must be nonnegative")
+    if into is None:
+        return _transform(theta[1:] - theta[:-1], rho, np.empty(theta.size),
+                          np.empty(theta.size - 1), theta.copy())
+    if theta is not into.theta:
+        raise ValueError("the GridReference is bound to another theta array")
+    return _transform(into.dtheta, rho, into.phi, into.dphi, theta)
 
-    # dP = 0.5*(rho[1:] + rho[:-1])*dtheta, formed in place
-    dtheta = theta[1:] - theta[:-1]
-    dP = rho[1:] + rho[:-1]
+
+def _transform(dtheta, rho, phi, dphi, Q) -> QuantileProfile:
+    """The transform's one formula, writing P into ``phi`` and the segment
+    widths, then q, into ``dphi``."""
+    # dP = 0.5*(rho[1:] + rho[:-1])*dtheta, formed in place in dphi
+    dP = np.add(rho[1:], rho[:-1], dphi)
     dP *= 0.5
     dP *= dtheta
     total = float(dP.sum())
     if total <= 0.0:
         raise QuantileDegenerateError("density has zero mass")
-    phi = np.empty(theta.size)
     phi[0] = 0.0
     dP.cumsum(out=phi[1:])
     phi /= total
     phi[-1] = 1.0
 
-    dphi = phi[1:] - phi[:-1]
+    np.subtract(phi[1:], phi[:-1], dphi)
     if dphi.min() > 0.0:
-        return QuantileProfile(phi, theta.copy(), np.divide(dtheta, dphi, out=dtheta))
+        return QuantileProfile(phi, Q, np.divide(dtheta, dphi, dphi))
     # a zero plateau (or a non-finite density) leaves some dphi not positive:
     # q = inf there, and the profile is flagged
     q_seg = np.full(dphi.size, np.inf)
     np.divide(dtheta, dphi, out=q_seg, where=dphi > 0.0)
-    return QuantileProfile(phi, theta.copy(), q_seg, True)
+    return QuantileProfile(phi, Q, q_seg, True)
 
 
 def _as_profile(obj) -> QuantileProfile:
     if isinstance(obj, QuantileProfile):
         return obj
+    if isinstance(obj, GridReference):
+        return obj.profile
     ref = getattr(obj, "rho_star", obj)  # StationaryState carries its density here
     return quantile_transform(ref)
+
+
+class GridReference:
+    """A reference profile bound to one density grid, for V on many densities.
+
+    A run evaluates V against the same reference on every logged row of the
+    same grid.  Everything those evaluations share is made here once: the
+    grid spacings, the transform's buffers, and the union-merge buffer whose
+    second part already holds the reference knots (the transform writes the
+    density's knots into the first part), with the merge positions of the
+    slice case.  The formulas are the ones ``quantile_transform`` and
+    ``lyapunov_tv_with_qmin`` use on fresh arrays, so the bits are the same.
+    """
+
+    def __init__(self, reference, theta):
+        self.profile = _as_profile(reference)
+        self.theta = theta = np.asarray(theta, dtype=float)
+        self.dtheta = theta[1:] - theta[:-1]
+        n_a, n_b = theta.size, self.profile.phi.size
+        self.merged = np.empty(n_a + n_b)
+        self.merged[n_a:] = self.profile.phi
+        self.phi = self.merged[:n_a]
+        self.dphi = np.empty(n_a - 1)
+        self.q_min = self.profile.q_min
+        pos = np.arange(1, n_a + n_b - 2)
+        self.positions = (pos - 1, pos + (n_a - 1))
 
 
 def lyapunov_tv(state, reference) -> float:
@@ -127,32 +168,59 @@ def lyapunov_tv(state, reference) -> float:
     return lyapunov_tv_with_qmin(state, reference)[0]
 
 
-def _merged_segments(a: QuantileProfile, b: QuantileProfile):
+# union widths above this (one ulp of 1.0) leave no tie between the two knot
+# vectors and no midpoint that rounds onto its upper knot
+_MIN_SLICE_WIDTH = 2.0 ** -52
+
+
+def _merged_segments(a: QuantileProfile, b: QuantileProfile, grid=None):
     """Both quantile densities on the union of the two knot vectors.
 
     Returns (q_a, q_b, width) per union segment; each union segment takes
     the segment values of ``a`` and ``b`` at its midpoint.  One stable sort
-    merges the two sorted knot vectors.  At the last copy of each distinct
-    knot (merged position ``pos``, source index ``src``) the number of knots
-    of ``a`` at or below it is src + 1 for a knot of ``a`` and
-    pos - src + n_a for a knot of ``b`` (stability puts equal knots of ``a``
-    first); the segment index is one less.  A midpoint 0.5*(u_j + u_{j+1})
-    lies in [u_j, u_{j+1}]; when it rounds onto u_{j+1} the count at u_{j+1}
-    is the one that applies.
+    merges the two sorted knot vectors (in ``grid``'s buffer when ``a`` was
+    transformed into it).  At the last copy of each distinct knot (merged
+    position ``pos``, source index ``src``) the number of knots of ``a`` at
+    or below it is src + 1 for a knot of ``a`` and pos - src + n_a for a
+    knot of ``b`` (stability puts equal knots of ``a`` first); the segment
+    index is one less.  A midpoint 0.5*(u_j + u_{j+1}) lies in
+    [u_j, u_{j+1}]; when it rounds onto u_{j+1} the count at u_{j+1} is the
+    one that applies.
+
+    When both profiles share their end knots and every other union width
+    exceeds one ulp of 1.0, the distinct knots are a slice of the sorted
+    vector (the two copies of each end knot sit at its ends) and no
+    midpoint rounds onto a knot, so positions and sources are slices too.
     """
     n_a = a.phi.size
-    merged = np.concatenate((a.phi, b.phi))
+    if grid is not None and a.phi is grid.phi:
+        merged, positions = grid.merged, grid.positions
+    else:
+        merged, positions = np.concatenate((a.phi, b.phi)), None
     order = merged.argsort(kind="stable")
     ordered = merged[order]
-    last = np.empty(ordered.size, dtype=bool)  # last copy of each distinct knot
-    np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
-    last[-1] = True
-    pos = last.nonzero()[0]
+    width = ordered[2:-1] - ordered[1:-2]
+    sliced = (a.phi[0] == b.phi[0] and a.phi[-1] == b.phi[-1]
+              and width.min() > _MIN_SLICE_WIDTH)
+    if sliced:
+        src = order[1:-2]
+        if positions is None:
+            pos = np.arange(1, ordered.size - 2)
+            positions = (pos - 1, pos + (n_a - 1))
+    else:
+        last = np.empty(ordered.size, dtype=bool)  # last copy of each distinct knot
+        np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
+        last[-1] = True
+        pos = last.nonzero()[0]
+        src = order[pos]
+        positions = (pos - 1, pos + (n_a - 1))
+    # segment index in a: src, or pos - src + n_a - 1; in b: pos - 1 - ia
+    pos_lo, pos_hi = positions
+    ia = np.where(src < n_a, src, pos_hi - src)
+    ib = pos_lo - ia
+    if sliced:
+        return a.q_seg.take(ia), b.q_seg.take(ib), width
     knots = ordered[pos]
-    src = order[pos]
-    ia = np.where(src < n_a, src, pos - src + (n_a - 1))
-    ib = pos - ia
-    ib -= 1
     mid = knots[1:] + knots[:-1]
     mid *= 0.5
     onto = mid == knots[1:]
@@ -164,24 +232,28 @@ def _merged_segments(a: QuantileProfile, b: QuantileProfile):
         # at most n - 1 knots of each profile at or below it: no clip needed
         ia = ia[:-1]
         ib = ib[:-1]
-    return a.q_seg[ia], b.q_seg[ib], knots[1:] - knots[:-1]
+    return a.q_seg.take(ia), b.q_seg.take(ib), knots[1:] - knots[:-1]
 
 
-def _tv_and_qmin(a: QuantileProfile, b: QuantileProfile) -> tuple[float, float]:
-    qa, qb, width = _merged_segments(a, b)
+def _tv_and_qmin(a: QuantileProfile, b: QuantileProfile, grid=None) -> tuple[float, float]:
+    qa, qb, width = _merged_segments(a, b, grid)
     qa -= qb          # |q_a - q_b| * width, in q_a's fresh buffer
     np.abs(qa, out=qa)
     qa *= width
-    return float(qa.sum()), min(a.q_min, b.q_min)
+    return float(qa.sum()), min(a.q_min, b.q_min if grid is None else grid.q_min)
 
 
 def lyapunov_tv_with_qmin(state, reference) -> tuple[float, float]:
-    """V together with min(q, q_ref); the pair the trajectory logger records."""
+    """V together with min(q, q_ref); the pair the trajectory logger records.
+
+    ``reference`` may be a ``GridReference``; a state transformed into it
+    is then merged in its buffers.
+    """
     a = _as_profile(state)
     b = _as_profile(reference)
     if a.degenerate or b.degenerate:
         raise QuantileDegenerateError("quantile density undefined on a zero plateau")
-    return _tv_and_qmin(a, b)
+    return _tv_and_qmin(a, b, reference if isinstance(reference, GridReference) else None)
 
 
 def quantile_l2(state, reference) -> float:

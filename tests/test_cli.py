@@ -652,3 +652,27 @@ def test_stationary_certify_bad_input_exits_config(tmp_path, capsys, case):
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", ["lif_S=nan", "lif_S=inf", "lif_gamma=nan",
+                                  "homoclinic_omega=nan", "homoclinic_C=inf",
+                                  "homoclinic_overflow", "table_x=nan"])
+def test_nonfinite_model_input_exits_config(tmp_path, capsys, case):
+    # a NaN fails every `<= 0` check, so each parameter is tested for
+    # finiteness: no NaN in the JSON, no interpolator or overflow traceback
+    table = tmp_path / "field.csv"
+    table.write_text("x,F\n0.0,2.1\nnan,1.5\n1.0,0.1\n")
+    extra = {
+        "lif_S=nan": ["--S", "nan"],
+        "lif_S=inf": ["--S", "inf"],
+        "lif_gamma=nan": ["--gamma", "nan"],
+        "homoclinic_omega=nan": ["--model", "homoclinic", "--omega", "nan"],
+        "homoclinic_C=inf": ["--model", "homoclinic", "--C", "inf"],
+        "homoclinic_overflow": ["--model", "homoclinic", "--lambda-u", "1000", "--omega", "1"],
+        "table_x=nan": ["--model", "tabulated", "--table", str(table)],
+    }[case]
+    assert main(["stationary", "--K", "-0.1", *extra]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("model error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""

@@ -9,7 +9,8 @@ from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityFiel
                         characteristic_trace, check_admissibility, homoclinic_model,
                         initial_density, integrate, lif_model, step, tabulated_model)
 from pulsefield.continuum import (EPS_SING, BlowupEvent, TrajectoryLog, _advance_boundary,
-                                  _upwind_step, default_flux_cap)
+                                  default_flux_cap)
+from pulsefield.quantile import lyapunov_tv_with_qmin, quantile_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -204,36 +205,87 @@ def _outcome(fn):
         return exc
 
 
+def kernel_pass(model, K, field, dt, cfl):
+    """One pass of integrate's loop from ``field`` at t = 0: ``step`` with a
+    fixed dt, or integrate to t_max = dt with the CFL step (capped at
+    t_max - t, which is dt itself)."""
+    if cfl is None:
+        return step(field, model, K, dt)
+    traj = integrate(model, K, field, t_max=dt, cfl=cfl, max_steps=1)
+    if traj.blowup is not None:
+        raise BlowupError(traj.blowup)
+    return traj.final
+
+
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(STEP_MODELS)), prof=positive_profiles(),
        K=st.floats(-0.4, 0.4), J0=st.floats(-20.0, 60.0), dt_frac=st.floats(0.01, 1.5),
        cfl=st.none() | st.floats(0.05, 1.0))
 @example(name="lif", prof=VONMISES_512, K=-0.4, J0=60.0, dt_frac=0.5, cfl=None)
 def test_upwind_step_matches_reference(name, prof, K, J0, dt_frac, cfl):
-    # same rho, J0 and dt bits as the plain formula, or the same exception
+    # the loop's kernel gives the same rho, J0 and dt bits as the plain
+    # formula, or the same exception; it starts at t = 0, so the new field's
+    # t is the step size
     model = STEP_MODELS[name]
     theta = np.linspace(0.0, TWO_PI, prof.size)
     dtheta = float(theta[1] - theta[0])
     z = model.prc(theta)
-    kz = K * z
     dt = dt_frac * dtheta / model.omega
     cap = default_flux_cap(model.omega)
     rho = prof.copy()
-    got = _outcome(lambda: _upwind_step(
-        rho, np.empty_like(rho), np.empty_like(rho), J0, 0.5, dt, dtheta, model.omega,
-        kz, float(kz.min()), float(kz.max()), EPS_SING, cap, cfl=cfl))
-    want = _outcome(lambda: reference_step(prof.copy(), J0, 0.5, dt, dtheta, model.omega,
+    got = _outcome(lambda: kernel_pass(model, K, DensityField(theta, rho, J0, 0.0), dt, cfl))
+    want = _outcome(lambda: reference_step(prof.copy(), J0, 0.0, dt, dtheta, model.omega,
                                            K, z, EPS_SING, cap, cfl))
     event(want.event.kind if isinstance(want, BlowupError) else type(want).__name__)
     assert rho.tobytes() == prof.tobytes()
-    assert type(got) is type(want)
     if isinstance(want, BlowupError):
-        assert got.event == want.event
+        assert type(got) is BlowupError and got.event == want.event
     elif isinstance(want, CFLError):
-        assert str(got) == str(want)
+        assert type(got) is CFLError and str(got) == str(want)
     else:
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1] == want[1] and got[2] == want[2]
+        assert type(got) is DensityField
+        assert got.rho.tobytes() == want[0].tobytes()
+        assert got.J0 == want[1] and got.t == want[2]
+
+
+def reference_run(model, K, field, t_max, cfl=0.5):
+    """integrate's stepping as a plain loop of reference steps: the final
+    density, the dense flux history and the blow-up event (or None)."""
+    theta = field.theta
+    z = model.prc(theta)
+    cap = default_flux_cap(model.omega)
+    rho, J0, t = field.rho.copy(), field.J0, field.t
+    dense = [J0]
+    while t < t_max:
+        try:
+            rho, J0, dt = reference_step(rho, J0, t, t_max - t, field.dtheta, model.omega,
+                                         K, z, EPS_SING, cap, cfl)
+        except BlowupError as exc:
+            return rho, np.asarray(dense), exc.event
+        t += dt
+        dense.append(J0)
+    return rho, np.asarray(dense), None
+
+
+@pytest.mark.parametrize("case", ["fig1_n256", "excitatory_blowup"])
+def test_integrate_matches_reference_loop(lif, case):
+    # many passes of the inline kernel, bit for bit: fig1 (K = -0.1,
+    # perturbed stationary start) to t = 12, and fig2's excitatory run to
+    # its flux blow-up
+    from pulsefield import solve_stationary_flux
+    if case == "fig1_n256":
+        K, t_max = -0.1, 12.0
+        ic = initial_density("perturbed", 256, lif, K, epsilon=0.2,
+                             reference=solve_stationary_flux(lif, K, n_theta=256))
+    else:
+        K, t_max = 0.1, 100.0
+        ic = initial_density("vonmises", 256, lif, K, kappa=1.0)
+    traj = integrate(lif, K, ic, t_max=t_max)
+    rho, dense_j, blow = reference_run(lif, K, ic, t_max)
+    assert (blow is None) == (case == "fig1_n256")
+    assert traj.blowup == blow
+    assert traj.final.rho.tobytes() == rho.tobytes()
+    assert traj.dense_J0.tobytes() == dense_j.tobytes()
 
 
 def test_integrate_converges_to_stationary_flux(lif):
@@ -297,6 +349,67 @@ def test_v_bug_propagates(lif, stat_inhib, monkeypatch):
                          reference=stat_inhib)
     with pytest.raises(TypeError):
         integrate(lif, -0.1, ic, t_max=0.5, reference=stat_inhib)
+
+
+def test_v_evaluated_once_per_logged_row(lif, stat_inhib, monkeypatch):
+    # one V per logged row, called through the module name that
+    # bench/spans.py traces as quantile.v
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lyapunov_tv_with_qmin(*args, **kwargs)
+
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin", counted)
+    ic = initial_density("perturbed", 256, lif, -0.1, epsilon=0.1,
+                         reference=stat_inhib)
+    traj = integrate(lif, -0.1, ic, t_max=0.5, reference=stat_inhib)
+    assert len(calls) == traj.t.size > 2
+    assert np.isfinite(traj.V).all()
+
+
+@st.composite
+def v_run_cases(draw):
+    """A start profile, sometimes with a zero plateau, and how to make the
+    reference: an independent profile, the start density itself, or the
+    start density with some values moved by an ulp (knots at or next to
+    the reference's)."""
+    n = draw(st.sampled_from([16, 64, 256]))
+    prof = draw(arrays(float, n + 1, elements=st.floats(0.05, 1.0)))
+    if draw(st.booleans()):
+        start = draw(st.integers(1, n - 2))
+        prof[start:start + draw(st.integers(2, max(2, n // 4)))] = 0.0
+    kind = draw(st.sampled_from(["independent", "identical", "jittered"]))
+    other = draw(arrays(float, n + 1, elements=st.floats(0.05, 1.0)))
+    nudge = draw(arrays(np.int8, n + 1, elements=st.integers(-1, 1)))
+    return prof, kind, other, nudge
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=v_run_cases())
+def test_in_run_v_matches_public_formula(lif, case):
+    # the grid-bound V of every logged row has the bits of the public
+    # functions on that row's density, and raises on the same rows
+    prof, kind, other, nudge = case
+    ic = DensityField.from_profile(lif, -0.1, prof)
+    ref_rho = {"independent": other, "identical": ic.rho.copy(),
+               "jittered": np.maximum(np.nextafter(ic.rho, ic.rho + nudge), 0.0)}[kind]
+    with np.errstate(over="ignore"):   # q = dtheta/dphi past DBL_MAX is inf
+        ref = quantile_transform(ic.theta, ref_rho)
+        traj = integrate(lif, -0.1, ic, t_max=math.inf, log_stride=1, snapshot_stride=1,
+                         max_steps=4, reference=ref)
+        failures = 0
+        for k, rho in enumerate([ic.rho] + [arr for _, arr in traj.snapshots]):
+            try:
+                want = lyapunov_tv_with_qmin(quantile_transform(ic.theta, rho), ref)
+            except ValueError:
+                failures += 1
+                assert math.isnan(traj.V[k]) and math.isnan(traj.q_min[k])
+                continue
+            assert (traj.V[k], traj.q_min[k]) == want
+    event(f"{kind}, {'some rows raise' if failures else 'no row raises'}")
+    assert k == traj.t.size - 1 == 4
+    assert traj.v_eval_failures == failures
 
 
 def test_integrate_density_blowup_inhibitory_expanding():

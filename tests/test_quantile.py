@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from pulsefield import (QuantileDegenerateError, discrete_lyapunov, lyapunov_tv,
                         quantile_l2, quantile_transform)
-from pulsefield.quantile import QuantileProfile, lyapunov_tv_with_qmin
+from pulsefield.quantile import GridReference, QuantileProfile, lyapunov_tv_with_qmin
 
 TWO_PI = 2.0 * math.pi
 
@@ -253,9 +253,33 @@ def _example_pairs():
 NO_ONTO_PAIR, ONTO_PAIR = _example_pairs()
 
 
-def test_merge_examples_cover_both_branches():
+class _NumpySpy:
+    """numpy as the quantile module sees it, noting the names it looks up."""
+
+    def __init__(self):
+        self.names = set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(np, name)
+
+
+def _merge_branch(a, b, monkeypatch):
+    spy = _NumpySpy()
+    with monkeypatch.context() as m:
+        m.setattr("pulsefield.quantile.np", spy)
+        lyapunov_tv_with_qmin(a, b)
+    # only the general branch marks the last copy of each distinct knot
+    return "general" if "not_equal" in spy.names else "slice"
+
+
+def test_merge_examples_cover_both_branches(monkeypatch):
     assert _onto_count(*NO_ONTO_PAIR[:2]) == 0
     assert _onto_count(*ONTO_PAIR[:2]) > 0
+    assert _merge_branch(*NO_ONTO_PAIR[:2], monkeypatch) == "slice"
+    assert _merge_branch(*ONTO_PAIR[:2], monkeypatch) == "general"
+    a = NO_ONTO_PAIR[0]
+    assert _merge_branch(a, a, monkeypatch) == "general"
 
 
 @settings(max_examples=200, deadline=None)
@@ -326,3 +350,35 @@ def test_transform_matches_reference_bits(dens):
     assert prof.degenerate == want[3]
     if want[3]:
         assert np.isinf(prof.q_seg).any()
+
+
+def _v_outcome(fn):
+    try:
+        return fn()
+    except QuantileDegenerateError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dens=densities(), kind=st.sampled_from(["same", "nudged", "other"]),
+       other=densities(), nudge=st.integers(-2, 2))
+@example(dens=(np.linspace(0.0, TWO_PI, 9), np.array([1.0, 2, 0, 0, 0, 3, 1, 1, 2])),
+         kind="other", other=(np.linspace(0.0, TWO_PI, 9), np.full(9, 0.5)), nudge=0)
+def test_grid_reference_matches_public_bits(dens, kind, other, nudge):
+    # V and q_min through the grid-bound buffers equal the public functions
+    # on fresh arrays bit for bit, or both raise; twice, since the buffers
+    # are reused from one call to the next
+    theta, rho = dens
+    ref_rho = {"same": rho, "other": other[1],
+               "nudged": np.maximum(rho + nudge * np.spacing(rho), 0.0)}[kind]
+    ref_theta = other[0] if kind == "other" else theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _v_outcome(lambda: quantile_transform(ref_theta, ref_rho))
+        if ref is QuantileDegenerateError:
+            return
+        want = _v_outcome(lambda: lyapunov_tv_with_qmin(quantile_transform(theta, rho), ref))
+        grid = GridReference(ref, theta)
+        for _ in range(2):
+            got = _v_outcome(lambda: lyapunov_tv_with_qmin(
+                quantile_transform(theta, rho, into=grid), grid))
+            assert repr(got) == repr(want)   # exact floats, NaN included
