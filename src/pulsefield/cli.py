@@ -13,7 +13,9 @@ the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
 model parameter or field table).  Sweeps run their rows
 one after another; a sweep whose model cannot be built, or whose values the
-config rejects, exits 4 before its first row.
+config rejects, exits 4 before its first row.  Otherwise a sweep exits 0:
+sweep.csv records each row's exit code (empty for a row that raised), and
+each row that did not exit 0 prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -357,7 +359,8 @@ def _row_config(cfg: ExperimentConfig, param, value) -> ExperimentConfig:
 def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) -> dict:
     row_dir = out_root / f"{param}={value!r}"
     row: dict = {"param": param, "value": value, "status": "ok", "exists": None,
-                 "J_star": None, "J0_final": None, "decay_rate": None, "t_fin": None}
+                 "J_star": None, "J0_final": None, "decay_rate": None, "t_fin": None,
+                 "exit_code": None}
     try:
         code = run_scenario(row_cfg, out_dir=row_dir, bounds=bounds)
         summary = json.loads((row_dir / "summary.json").read_text())
@@ -376,6 +379,9 @@ def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) 
             row["J_star"] = stat.get("J_star")
         except OSError:
             pass
+    if row["exit_code"] != EXIT_OK:
+        outcome = row["status"] if row["exit_code"] is None else f"exit code {row['exit_code']}"
+        print(f"sweep row {param}={value!r}: {outcome}", file=sys.stderr)
     return row
 
 
@@ -397,13 +403,14 @@ def _cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     rows = [_sweep_row(c, args.param, v, out_root, bounds) for c, v in zip(row_cfgs, values)]
     header = ["param", "value", "status", "exists", "J_star", "J0_final",
-              "decay_rate", "t_fin"]
+              "decay_rate", "t_fin", "exit_code"]
     _write_csv(out_root / "sweep.csv", header,
                ([r["param"], _fmt(r["value"]), r["status"], r["exists"],
                  "" if r["J_star"] is None else _fmt(r["J_star"]),
                  "" if r["J0_final"] is None else _fmt(r["J0_final"]),
                  "" if r["decay_rate"] is None else _fmt(r["decay_rate"]),
-                 "" if r["t_fin"] is None else _fmt(r["t_fin"])] for r in rows))
+                 "" if r["t_fin"] is None else _fmt(r["t_fin"]),
+                 "" if r["exit_code"] is None else r["exit_code"]] for r in rows))
     print((out_root / "sweep.csv").read_text(), end="")
     return EXIT_OK
 

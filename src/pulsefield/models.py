@@ -37,7 +37,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,8 +89,8 @@ class OscillatorModel:
     x_lo), which the finite-N drift needs for states an inhibitory kick
     pushed under the reset; the public methods check and clip the domain.
     ``_prc_fn`` is Z without the array wrapper of ``prc``: on one float it
-    gives the same bits, so scalar hot loops (QUADPACK callbacks, the
-    first-crossing characteristic) call it directly.  ``_prc_fn`` and ``F``
+    gives the same bits, so a scalar hot loop (the first-crossing
+    characteristic) calls it directly.  ``_prc_fn`` and ``F``
     take a float path on one Python float: plain float arithmetic for the
     closed forms, ``_float_path`` for the tabulated splines.
     """
@@ -279,6 +278,9 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
         raise ModelError("x samples must be finite")
     if np.any(~np.isfinite(Fs)) or np.any(Fs <= 0.0):
         raise ModelError("vector field must be positive and finite on [x_lo, x_hi]")
+
+    # scipy costs about 0.3 s to import; only tables need it
+    from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     F_interp = PchipInterpolator(xs, Fs, extrapolate=True)

@@ -24,12 +24,11 @@ fields (reported as unbounded).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .continuum import DensityField
 from .models import OscillatorModel, ModelError
@@ -41,6 +40,46 @@ LIMIT_KS = range(1, 13)
 LIMIT_MARGIN = 1e-6
 DIVERGENCE_CAP = 1e6
 W_TOL = 1e-12
+
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21): the Kronrod abscissae on
+# [0, 1], largest first, the 10-point Gauss abscissae among them at the odd
+# positions, and both weight sets
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+       0.0)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077208932309336, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+       0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# the 21 nodes on [-1, 1] in increasing order, with Kronrod and Gauss weights
+GK_NODES = np.array([-x for x in _XK[:-1]] + list(_XK[::-1]))
+GK_WK = np.array(_WK[:-1] + _WK[::-1])
+GK_WG = np.zeros(21)
+GK_WG[1:10:2] = _WG
+GK_WG[19:10:-2] = _WG
+GK_WEIGHTS = np.stack([GK_WK, GK_WG], axis=1)
+# starting mesh: each segment cut into MESH_PIECES equal pieces, the end
+# pieces halved geometrically toward the segment's ends GRADE_LEVELS times
+# (down to 2^-30/64 of the segment, below the float spacing at 2*pi for the
+# 1e-6 segment beside an end breakpoint).  The equal pieces bound the
+# width an undetected jump in f'' can spoil: the error estimate cannot see
+# one (a PCHIP table has one at every sample), and with 16 or 32 pieces
+# a 50-sample table's existence integral missed its 1e-9 by 1.2x.
+MESH_PIECES = 64
+GRADE_LEVELS = 30
+_GRADE = 0.5 ** np.arange(GRADE_LEVELS, 0, -1) / MESH_PIECES
+MESH_FRACTIONS = np.concatenate([_GRADE, np.arange(1, MESH_PIECES) / MESH_PIECES,
+                                 1.0 - _GRADE[::-1]])
+MAX_INTERVALS = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 class NoStationaryStateError(RuntimeError):
@@ -91,14 +130,96 @@ class StationaryState:
         return J_density(self.model, self.K, self.J_star, theta)
 
 
+def _knots(a: float, b: float, points) -> tuple:
+    return (float(a), *sorted(map(float, points or ())), float(b))
+
+
+@functools.lru_cache(maxsize=64)
+def _start_mesh(knots: tuple) -> tuple:
+    """(lo, hi, nodes) of the starting mesh over the segments between
+    ``knots``; cached, and read-only, so every integral over the same
+    range and breakpoints starts from the very same node array."""
+    k = np.array(knots)
+    edges = np.unique(np.append((k[:-1, None] + np.diff(k)[:, None] * MESH_FRACTIONS).ravel(), k))
+    lo, hi = edges[:-1], edges[1:]
+    nodes = _gk_nodes(lo, hi)
+    for arr in (lo, hi, nodes):
+        arr.flags.writeable = False
+    return lo, hi, nodes
+
+
+def _on_start_mesh(fn, a: float, b: float, points):
+    """fn, with its values at the starting-mesh nodes of [a, b] and
+    ``points`` computed once: integrals of g(fn(x)) over that range then
+    call fn only at the nodes their refinements add."""
+    nodes = _start_mesh(_knots(a, b, points))[2]
+    at_nodes = fn(nodes)
+    return lambda x: at_nodes if x is nodes else fn(x)
+
+
+def _gk_nodes(lo, hi):
+    return 0.5 * (lo + hi)[:, None] + (0.5 * (hi - lo))[:, None] * GK_NODES
+
+
+def _gk21(fv, lo, hi):
+    """QUADPACK's qk21 on every interval [lo_i, hi_i] at once, from the
+    values fv of the integrand at their nodes: the Kronrod sums and
+    QUADPACK's error estimate."""
+    half = 0.5 * (hi - lo)
+    sums = fv @ GK_WEIGHTS
+    resk = sums[:, 0]
+    # with |K - G| and resasc = sum w_k |f - mean f| (both per unit
+    # half-width), QUADPACK takes resasc * min(1, (200 |K - G| / resasc)**1.5),
+    # and no less than 50 eps sum w_k |f|
+    asc = np.abs(fv - 0.5 * resk[:, None]) @ GK_WK
+    ratio = np.divide(200.0 * np.abs(resk - sums[:, 1]), asc,
+                      out=np.zeros_like(asc), where=asc > 0.0)
+    err = np.maximum(asc * np.minimum(1.0, ratio ** 1.5), 50.0 * _EPS * (np.abs(fv) @ GK_WK))
+    return resk * half, err * half
+
+
 def _quad(f, a: float, b: float, *, tol: float = 1e-11, points=None) -> float:
-    """Globally adaptive quadrature (QUADPACK); robust on the near-singular
-    integrands of the limit sequences, where tolerance-halving schemes
-    degenerate.  full_output mutes the convergence warnings (thread-safe,
-    unlike a warnings filter)."""
-    out = quad(f, a, b, epsabs=tol, epsrel=tol, limit=500, points=points,
-               full_output=1)
-    return out[0]
+    """Integral of f over [a, b], to |error| <= max(tol, tol*|result|) as
+    estimated by QUADPACK's rule, with breakpoints ``points`` inside.
+
+    f maps an array of nodes to an array of values.  Globally adaptive
+    21-point Gauss-Kronrod (Piessens et al., QUADPACK, ch. 2): the starting
+    mesh cuts each segment between a, the breakpoints and b into
+    MESH_PIECES equal pieces and halves the end pieces geometrically toward
+    the segment's ends GRADE_LEVELS times, so an integrand near-singular at
+    an end or a breakpoint is usually resolved by the first round.  Each
+    round bisects the intervals with the largest error estimates until the
+    rest fit in half the tolerance, and evaluates f once over all the new
+    halves.  Past MAX_INTERVALS, or when no interval can be halved in
+    floating point, the current estimate is returned, as QUADPACK returns
+    its estimate when it gives up: near a pole, rounding in the integrand
+    itself can keep the estimate above any tolerance.
+    """
+    lo, hi, nodes = _start_mesh(_knots(a, b, points))
+    res, err = _gk21(f(nodes), lo, hi)
+    while True:
+        total = float(res.sum())
+        budget = max(tol, tol * abs(total))
+        total_err = float(err.sum())
+        if total_err <= budget or res.size >= MAX_INTERVALS:
+            return total
+        order = np.argsort(err)[::-1]
+        left = total_err - np.cumsum(err[order])
+        split = order[:int(np.argmax(left <= 0.5 * budget)) + 1]
+        mid = 0.5 * (lo[split] + hi[split])
+        ok = (lo[split] < mid) & (mid < hi[split])
+        if not ok.any():
+            return total
+        split, mid = split[ok], mid[ok]
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_res, new_err = _gk21(f(_gk_nodes(new_lo, new_hi)), new_lo, new_hi)
+        keep = np.ones(res.size, dtype=bool)
+        keep[split] = False
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        res = np.concatenate([res[keep], new_res])
+        err = np.concatenate([err[keep], new_err])
 
 
 def _kz_scan(model: OscillatorModel, K: float, n: int = 4097) -> tuple:
@@ -120,14 +241,12 @@ def normalization_functional(model: OscillatorModel, K: float, J: float,
     hi = math.inf if r == 0.0 else model.omega / r
     if not (0.0 < J < hi):
         raise ValueError(f"J={J} outside the admissible interval (0, {hi:.6g})")
-    return _w_integral(model, K, J, [pt] if K != 0.0 else None, tol)
+    return _w_integral(model.omega, K, J, model._prc_fn, [pt] if K != 0.0 else None, tol)
 
 
-def _w_integral(model: OscillatorModel, K: float, J: float, pts, tol: float) -> float:
-    """W(J) for an admissible J, with the quadrature breakpoints given."""
-    omega = model.omega
-    prc = model._prc_fn   # QUADPACK passes one float: no array wrapper
-    return _quad(lambda th: J / (omega + K * float(prc(th)) * J),
+def _w_integral(omega: float, K: float, J: float, prc, pts, tol: float) -> float:
+    """W(J) for an admissible J, with Z and the quadrature breakpoints given."""
+    return _quad(lambda th: J / (omega + K * prc(th) * J),
                  0.0, TWO_PI, tol=tol, points=pts)
 
 
@@ -142,14 +261,14 @@ def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
     """
     r, pt = _kz_scan(model, K)
     pts = [pt] if K != 0.0 else None
-    prc = model._prc_fn   # QUADPACK passes one float: no array wrapper
+    prc = _on_start_mesh(model._prc_fn, 0.0, TWO_PI, pts)
     s_vals, ints = [], []
     consecutive = 0
     exists = None
     limit = None
     for k in LIMIT_KS:
         s = r + 10.0 ** (-k)
-        val = _quad(lambda th: 1.0 / (K * float(prc(th)) + s),
+        val = _quad(lambda th: 1.0 / (K * prc(th) + s),
                     0.0, TWO_PI, tol=1e-9, points=pts)
         s_vals.append(s)
         ints.append(val)
@@ -187,20 +306,25 @@ def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
     span = model.x_hi - model.x_lo
     x_min = float(xs[i])
     cell = (float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)]))
-    refined = minimize_scalar(model.F, bounds=cell, method="bounded",
-                              options={"xatol": 1e-12 * span})
-    if refined.fun < f_min:
-        f_min, x_min = float(refined.fun), float(refined.x)
+    x_ref, f_ref = _golden_min(model.F, *cell, xatol=1e-12 * span)
+    if f_ref < f_min:
+        f_min, x_min = f_ref, x_ref
     x_min = float(np.clip(x_min, model.x_lo + 1e-9 * span, model.x_hi - 1e-9 * span))
-    F = model.F   # QUADPACK passes one float: F's float path
+    F = _on_start_mesh(model.F, model.x_lo, model.x_hi, [x_min])
     vals = []
     unbounded = False
     for k in LIMIT_KS:
         s = f_min * (1.0 - 10.0 ** (-k))
+
+        def integrand(x):
+            gap = s - F(x)
+            if not gap.all():   # s met the field: the integral diverged
+                raise ZeroDivisionError
+            return s / gap
+
         try:
-            val = _quad(lambda x: s / (s - F(x)),
-                        model.x_lo, model.x_hi, tol=1e-9, points=[x_min])
-        except ZeroDivisionError:   # s met the field: the integral diverged
+            val = _quad(integrand, model.x_lo, model.x_hi, tol=1e-9, points=[x_min])
+        except ZeroDivisionError:
             unbounded = True
             break
         vals.append(val)
@@ -212,6 +336,24 @@ def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
         unbounded = abs(vals[-1] - vals[-2]) > 1e-6 * max(1.0, abs(vals[-1]))
     lower = -math.inf if unbounded else vals[-1]
     return CouplingBounds(lower, upper, unbounded)
+
+
+def _golden_min(f, a: float, b: float, *, xatol: float) -> tuple:
+    """(x, f(x)) at the smallest value golden-section search meets on (a, b),
+    narrowing the bracket to ``xatol``; f takes and returns one float."""
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xatol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def bisect_root(f, a: float, b: float, *, xtol: float = 1e-13, ftol: float = 0.0,
@@ -270,7 +412,8 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
     # J stays inside (0, hi_edge) below, so W skips normalization_functional's
     # interval check and its K*Z scan: the breakpoint is taken once per solve
     pts = [_kz_scan(model, K)[1]]
-    w = lambda J: _w_integral(model, K, J, pts, W_TOL) - 1.0
+    prc = _on_start_mesh(model._prc_fn, 0.0, TWO_PI, pts)
+    w = lambda J: _w_integral(omega, K, J, prc, pts, W_TOL) - 1.0
 
     lo = min(1e-12 * omega, (hi_edge if math.isfinite(hi_edge) else 1.0) * 1e-12)
     hi = None

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pulsefield
 from pulsefield import lif_model, simulate
 from pulsefield.cli import main
 from pulsefield.config import ConfigError, ExperimentConfig
@@ -676,3 +680,77 @@ def test_nonfinite_model_input_exits_config(tmp_path, capsys, case):
     assert captured.err.startswith("model error:")
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
+
+
+def test_sweep_records_row_exit_codes(tmp_path, capsys):
+    # every row expects a blow-up: the excitatory one has it (exit 0), the
+    # inhibitory one settles (exit 2); the sweep itself still exits 0
+    p = write_cfg(tmp_path, BLOWUP_CFG + "certify = false\n", out=tmp_path / "base",
+                  expect="true")
+    assert main(["sweep", "--config", str(p), "--param", "K", "--values=0.1,-0.1",
+                 "--out", str(tmp_path / "sw")]) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[-2:] == ["t_fin", "exit_code"]
+    assert [(r["value"], r["status"], r["exit_code"]) for r in rows] == [
+        ("0.1", "ok", "0"), ("-0.1", "ok", "2")]
+    assert err == ["sweep row K=-0.1: exit code 2"]
+
+
+SCIPY_PROBE = r"""
+import json, sys
+from importlib import resources
+from pathlib import Path
+
+from pulsefield.cli import main
+
+out = Path(sys.argv[1])
+small = {"n_theta = 2048": "n_theta = 256", "t_max = 12.0": "t_max = 1.0",
+         "t_max = 8.0": "t_max = 1.0"}
+for name in ("fig1", "homoclinic"):
+    text = resources.files("pulsefield").joinpath("configs", name + ".cfg").read_text()
+    for a, b in small.items():
+        text = text.replace(a, b)
+    (out / (name + ".cfg")).write_text(text)
+codes = [
+    main(["run", str(out / "fig1.cfg"), "--out", str(out / "fig1")]),
+    main(["run", str(out / "homoclinic.cfg"), "--out", str(out / "homoclinic")]),
+    main(["sweep", "--config", str(out / "fig1.cfg"), "--param", "K",
+          "--values=-0.05,-0.1", "--out", str(out / "sweep")]),
+    main(["finite", "--model", "lif", "--N", "8", "--K", "-0.1", "--nfirings", "20",
+          "--out", str(out / "finite")]),
+    main(["stationary", "--K", "-0.1", "--ntheta", "256"]),
+]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+if sys.argv[2:] == ["tabulated"]:
+    codes.append(main(["finite", "--model", "tabulated", "--table", str(out / "field.csv"),
+                       "--N", "8", "--K", "-0.1", "--nfirings", "20",
+                       "--out", str(out / "finite_tab")]))
+(out / "probe.json").write_text(json.dumps(
+    {"codes": codes, "scipy_before_table": loaded,
+     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _scipy_probe(tmp_path, *args):
+    (tmp_path / "field.csv").write_text(
+        "x,F\n" + "".join(f"{x!r},{2.1 - 2.0 * x!r}\n" for x in np.linspace(0.0, 1.0, 41).tolist()))
+    env = dict(os.environ, PYTHONPATH=str(Path(pulsefield.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *args], env=env,
+                   check=True, capture_output=True, timeout=300)
+    return json.loads((tmp_path / "probe.json").read_text())
+
+
+def test_cli_paths_never_import_scipy(tmp_path):
+    # scipy costs about 0.3 s of every start-up; only tabulated models use it
+    probe = _scipy_probe(tmp_path)
+    assert probe["codes"] == [0, 0, 0, 0, 0]
+    assert probe["scipy"] == []
+
+
+def test_tabulated_model_imports_scipy_interpolate(tmp_path):
+    probe = _scipy_probe(tmp_path, "tabulated")
+    assert probe["codes"] == [0, 0, 0, 0, 0, 0]
+    assert probe["scipy_before_table"] == []
+    assert "scipy.interpolate" in probe["scipy"]

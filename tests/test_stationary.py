@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from pulsefield import (NoStationaryStateError, coupling_bounds, existence_condition,
                         homoclinic_model, lif_model, normalization_functional,
                         solve_stationary_flux, tabulated_model)
+from pulsefield import stationary
 from pulsefield.continuum import EPS_SING, _advance_boundary
 
 TWO_PI = 2.0 * math.pi
@@ -226,10 +227,10 @@ PINNED_MODELS = {"lif": lambda: lif_model(S, GAMMA),
     pytest.param("homoclinic", 0.05, "J_star", 1.093271529302454, id="homoclinic-J_star"),
     pytest.param("wavy_table", -0.1, "J_star", 0.8627127857641228, id="wavy_table-J_star"),
     pytest.param("lif", -0.1, "integrals",
-                 (3.2908304210896584, 4.499660087635089, 5.65933993234709),
+                 (3.2908304210896633, 4.49966008763508, 5.659339932347612),
                  id="lif-existence_integrals"),
     pytest.param("wavy_table", -0.1, "integrals",
-                 (28.77858528204103, 105.35489090571579, 405.0480540344032),
+                 (28.77858528612413, 105.3548914670598, 405.04805415981565),
                  id="wavy_table-existence_integrals"),
 ])
 def test_lif_flux_bits_pinned(model, K, quantity, pinned):
@@ -241,3 +242,86 @@ def test_lif_flux_bits_pinned(model, K, quantity, pinned):
         assert solve_stationary_flux(m, K).J_star == pinned
     else:
         assert existence_condition(m, K).integrals == pinned
+
+
+# -- the quadrature against an independent one ----------------------------------
+
+ORACLE_KS = (-0.4, -0.1, 0.05, 0.1)
+EPS = float(np.finfo(float).eps)
+
+
+def _assert_quad_matches(f, a, b, pts, ref_pts, tol, kappa):
+    """_quad(f) within the tolerance it asks for of scipy's quad, plus the
+    rounding floor of the integrand itself: a value formed as a sum of terms
+    whose magnitudes add to kappa times the sum's carries a relative error
+    of a few eps * kappa, which moves any quadrature of it as much."""
+    got = stationary._quad(f, a, b, tol=tol, points=pts)
+    ref = quad(f, a, b, epsabs=1e-14, epsrel=1e-14, limit=20000, points=ref_pts,
+               full_output=1)[0]
+    allowed = tol * max(1.0, abs(ref)) + 4.0 * EPS * kappa * abs(ref)
+    assert abs(got - ref) <= allowed, (got, ref, allowed)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+@pytest.mark.parametrize("K", ORACLE_KS)
+def test_quad_matches_scipy_on_w_and_existence(name, K):
+    m = PINNED_MODELS[name]()
+    prc, omega = m._prc_fn, m.omega
+    r, pt = stationary._kz_scan(m, K)
+    # PCHIP's second derivative jumps at the table's samples, which the
+    # oracle gets as breakpoints (at their phases)
+    knots = (m.phase_of_state(np.linspace(0.0, 1.0, 50))[1:-1].tolist()
+             if name == "wavy_table" else [])
+    ref_pts = sorted({pt, *knots})
+    kz = K * m.prc(np.linspace(0.0, TWO_PI, 2 ** 20 + 1))
+    kz_min, kz_abs = float(kz.min()), float(np.abs(kz).max())
+    hi = omega / r if r > 0.0 else 10.0 * omega
+    for J in (0.1 * hi, 0.5 * hi, 0.9 * hi, (1.0 - 1e-6) * hi):
+        _assert_quad_matches(lambda th: J / (omega + K * prc(th) * J),
+                             0.0, TWO_PI, [pt], ref_pts, stationary.W_TOL,
+                             (omega + kz_abs * J) / (omega + kz_min * J))
+    # the grid's r can lie above an interior minimum of K*Z; past the pole
+    # that puts inside the range there is nothing to compare
+    for k in stationary.LIMIT_KS:
+        s = r + 10.0 ** (-k)
+        if kz_min + s <= 0.0:
+            break
+        _assert_quad_matches(lambda th: 1.0 / (K * prc(th) + s),
+                             0.0, TWO_PI, [pt], ref_pts, 1e-9,
+                             (kz_abs + s) / (kz_min + s))
+
+
+@pytest.mark.parametrize("name", ["lif", "wavy_table"])
+def test_quad_matches_scipy_on_coupling_bound_integrand(name):
+    # the limit sequence of coupling_bounds, from its refined minimum of F
+    m = PINNED_MODELS[name]()
+    F, span = m.F, m.x_hi - m.x_lo
+    xs = np.linspace(m.x_lo, m.x_hi, 4097)
+    fx = F(xs)
+    i = int(np.argmin(fx))
+    f_min, x_min = float(fx[i]), float(xs[i])
+    x_ref, f_ref = stationary._golden_min(F, float(xs[max(i - 1, 0)]),
+                                          float(xs[min(i + 1, xs.size - 1)]),
+                                          xatol=1e-12 * span)
+    if f_ref < f_min:
+        f_min, x_min = f_ref, x_ref
+    x_min = float(np.clip(x_min, m.x_lo + 1e-9 * span, m.x_hi - 1e-9 * span))
+    # PCHIP's second derivative jumps at the wavy table's 50 samples
+    knots = np.linspace(0.0, 1.0, 50)[1:-1].tolist() if name == "wavy_table" else []
+    for k in stationary.LIMIT_KS:
+        s = f_min * (1.0 - 10.0 ** (-k))
+        _assert_quad_matches(lambda x: s / (s - F(x)), m.x_lo, m.x_hi, [x_min],
+                             sorted({x_min, *knots}), 1e-9,
+                             (s + float(fx.max())) / (f_min - s))
+
+
+def test_w_matches_lif_closed_form(lif):
+    # W(J) = (J/gamma) * log((S + K*J)/(S - gamma + K*J)) on [0, 1]
+    for K in ORACLE_KS:
+        hi = (S - GAMMA) / -K if K < 0.0 else 10.0
+        for J in (0.05, 0.3 * hi, 0.7 * hi, 0.99 * hi):
+            exact = (J / GAMMA) * math.log((S + K * J) / (S - GAMMA + K * J))
+            kappa = (S + abs(K) * J) / (S - GAMMA + min(K, 0.0) * J)
+            got = normalization_functional(lif, K, J)
+            assert abs(got - exact) <= (stationary.W_TOL * max(1.0, exact)
+                                        + 4.0 * EPS * kappa * exact), (K, J, got, exact)
