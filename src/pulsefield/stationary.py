@@ -24,9 +24,9 @@ fields (reported as unbounded).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -78,7 +78,8 @@ GRADE_LEVELS = 30
 _GRADE = 0.5 ** np.arange(GRADE_LEVELS, 0, -1) / MESH_PIECES
 MESH_FRACTIONS = np.concatenate([_GRADE, np.arange(1, MESH_PIECES) / MESH_PIECES,
                                  1.0 - _GRADE[::-1]])
-MAX_INTERVALS = 1000
+MAX_INTERVALS = 500   # QUADPACK's default limit
+GOLDEN_MAX_STEPS = 100
 _EPS = float(np.finfo(float).eps)
 
 
@@ -130,31 +131,23 @@ class StationaryState:
         return J_density(self.model, self.K, self.J_star, theta)
 
 
-def _knots(a: float, b: float, points) -> tuple:
-    return (float(a), *sorted(map(float, points or ())), float(b))
+class _Sampled(NamedTuple):
+    """fn with its values at the nodes of the starting mesh over [a, b]:
+    every integral of g(fn(x)) over that range calls fn only at the nodes
+    its refinements add, so a solve evaluates Z or F on the mesh once."""
+
+    fn: Callable
+    lo: np.ndarray
+    hi: np.ndarray
+    at_nodes: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
-def _start_mesh(knots: tuple) -> tuple:
-    """(lo, hi, nodes) of the starting mesh over the segments between
-    ``knots``; cached, and read-only, so every integral over the same
-    range and breakpoints starts from the very same node array."""
-    k = np.array(knots)
+def _sample(fn, a: float, b: float, points=None) -> _Sampled:
+    """fn on the starting mesh of the segments between a, ``points`` and b."""
+    k = np.array((float(a), *sorted(map(float, points or ())), float(b)))
     edges = np.unique(np.append((k[:-1, None] + np.diff(k)[:, None] * MESH_FRACTIONS).ravel(), k))
     lo, hi = edges[:-1], edges[1:]
-    nodes = _gk_nodes(lo, hi)
-    for arr in (lo, hi, nodes):
-        arr.flags.writeable = False
-    return lo, hi, nodes
-
-
-def _on_start_mesh(fn, a: float, b: float, points):
-    """fn, with its values at the starting-mesh nodes of [a, b] and
-    ``points`` computed once: integrals of g(fn(x)) over that range then
-    call fn only at the nodes their refinements add."""
-    nodes = _start_mesh(_knots(a, b, points))[2]
-    at_nodes = fn(nodes)
-    return lambda x: at_nodes if x is nodes else fn(x)
+    return _Sampled(fn, lo, hi, fn(_gk_nodes(lo, hi)))
 
 
 def _gk_nodes(lo, hi):
@@ -178,25 +171,26 @@ def _gk21(fv, lo, hi):
     return resk * half, err * half
 
 
-def _quad(f, a: float, b: float, *, tol: float = 1e-11, points=None) -> float:
-    """Integral of f over [a, b], to |error| <= max(tol, tol*|result|) as
-    estimated by QUADPACK's rule, with breakpoints ``points`` inside.
+def _quad(g, sampled: _Sampled, *, tol: float = 1e-11) -> float:
+    """Integral of g(sampled.fn(x)) over the sampled range, to |error| <=
+    max(tol, tol*|result|) as estimated by QUADPACK's rule.
 
-    f maps an array of nodes to an array of values.  Globally adaptive
-    21-point Gauss-Kronrod (Piessens et al., QUADPACK, ch. 2): the starting
-    mesh cuts each segment between a, the breakpoints and b into
-    MESH_PIECES equal pieces and halves the end pieces geometrically toward
-    the segment's ends GRADE_LEVELS times, so an integrand near-singular at
-    an end or a breakpoint is usually resolved by the first round.  Each
-    round bisects the intervals with the largest error estimates until the
-    rest fit in half the tolerance, and evaluates f once over all the new
-    halves.  Past MAX_INTERVALS, or when no interval can be halved in
-    floating point, the current estimate is returned, as QUADPACK returns
-    its estimate when it gives up: near a pole, rounding in the integrand
-    itself can keep the estimate above any tolerance.
+    g maps an array of fn's values to an array of integrand values.
+    Globally adaptive 21-point Gauss-Kronrod (Piessens et al., QUADPACK,
+    ch. 2): the starting mesh cuts each segment between the ends and the
+    breakpoints into MESH_PIECES equal pieces and halves the end pieces
+    geometrically toward the segment's ends GRADE_LEVELS times, so an
+    integrand near-singular at an end or a breakpoint is usually resolved by
+    the first round.  Each round bisects the intervals with the largest
+    error estimates until the rest fit in half the tolerance, and evaluates
+    fn once over all the new halves.  Past MAX_INTERVALS, or when no
+    interval can be halved in floating point, the current estimate is
+    returned, as QUADPACK returns its estimate when it gives up: near a
+    pole, rounding in the integrand itself can keep the estimate above any
+    tolerance.
     """
-    lo, hi, nodes = _start_mesh(_knots(a, b, points))
-    res, err = _gk21(f(nodes), lo, hi)
+    fn, lo, hi = sampled.fn, sampled.lo, sampled.hi
+    res, err = _gk21(g(sampled.at_nodes), lo, hi)
     while True:
         total = float(res.sum())
         budget = max(tol, tol * abs(total))
@@ -213,7 +207,7 @@ def _quad(f, a: float, b: float, *, tol: float = 1e-11, points=None) -> float:
         split, mid = split[ok], mid[ok]
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_res, new_err = _gk21(f(_gk_nodes(new_lo, new_hi)), new_lo, new_hi)
+        new_res, new_err = _gk21(g(fn(_gk_nodes(new_lo, new_hi))), new_lo, new_hi)
         keep = np.ones(res.size, dtype=bool)
         keep[split] = False
         lo = np.concatenate([lo[keep], new_lo])
@@ -241,13 +235,13 @@ def normalization_functional(model: OscillatorModel, K: float, J: float,
     hi = math.inf if r == 0.0 else model.omega / r
     if not (0.0 < J < hi):
         raise ValueError(f"J={J} outside the admissible interval (0, {hi:.6g})")
-    return _w_integral(model.omega, K, J, model._prc_fn, [pt] if K != 0.0 else None, tol)
+    prc = _sample(model._prc_fn, 0.0, TWO_PI, [pt] if K != 0.0 else None)
+    return _w_integral(model.omega, K, J, prc, tol)
 
 
-def _w_integral(omega: float, K: float, J: float, prc, pts, tol: float) -> float:
-    """W(J) for an admissible J, with Z and the quadrature breakpoints given."""
-    return _quad(lambda th: J / (omega + K * prc(th) * J),
-                 0.0, TWO_PI, tol=tol, points=pts)
+def _w_integral(omega: float, K: float, J: float, prc: _Sampled, tol: float) -> float:
+    """W(J) for an admissible J, from Z sampled with the breakpoints given."""
+    return _quad(lambda z: J / (omega + K * z * J), prc, tol=tol)
 
 
 def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
@@ -260,16 +254,14 @@ def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
     value decides.
     """
     r, pt = _kz_scan(model, K)
-    pts = [pt] if K != 0.0 else None
-    prc = _on_start_mesh(model._prc_fn, 0.0, TWO_PI, pts)
+    prc = _sample(model._prc_fn, 0.0, TWO_PI, [pt] if K != 0.0 else None)
     s_vals, ints = [], []
     consecutive = 0
     exists = None
     limit = None
     for k in LIMIT_KS:
         s = r + 10.0 ** (-k)
-        val = _quad(lambda th: 1.0 / (K * prc(th) + s),
-                    0.0, TWO_PI, tol=1e-9, points=pts)
+        val = _quad(lambda z: 1.0 / (K * z + s), prc, tol=1e-9)
         s_vals.append(s)
         ints.append(val)
         if val > DIVERGENCE_CAP:
@@ -310,20 +302,20 @@ def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
     if f_ref < f_min:
         f_min, x_min = f_ref, x_ref
     x_min = float(np.clip(x_min, model.x_lo + 1e-9 * span, model.x_hi - 1e-9 * span))
-    F = _on_start_mesh(model.F, model.x_lo, model.x_hi, [x_min])
+    F = _sample(model.F, model.x_lo, model.x_hi, [x_min])
     vals = []
     unbounded = False
     for k in LIMIT_KS:
         s = f_min * (1.0 - 10.0 ** (-k))
 
-        def integrand(x):
-            gap = s - F(x)
+        def integrand(fx):
+            gap = s - fx
             if not gap.all():   # s met the field: the integral diverged
                 raise ZeroDivisionError
             return s / gap
 
         try:
-            val = _quad(integrand, model.x_lo, model.x_hi, tol=1e-9, points=[x_min])
+            val = _quad(integrand, F, tol=1e-9)
         except ZeroDivisionError:
             unbounded = True
             break
@@ -340,11 +332,17 @@ def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
 
 def _golden_min(f, a: float, b: float, *, xatol: float) -> tuple:
     """(x, f(x)) at the smallest value golden-section search meets on (a, b),
-    narrowing the bracket to ``xatol``; f takes and returns one float."""
+    narrowing the bracket to ``xatol``; f takes and returns one float.
+
+    Each step narrows the bracket by 0.618, so GOLDEN_MAX_STEPS steps take
+    any bracket far below ``xatol`` unless it has stopped shrinking: once
+    xatol is below the float spacing at a and b, c and d round onto them."""
     g = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = b - g * (b - a), a + g * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xatol:
+    for _ in range(GOLDEN_MAX_STEPS):
+        if b - a <= xatol:
+            break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - g * (b - a)
@@ -411,9 +409,8 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
     hi_edge = math.inf if r == 0.0 else omega / r
     # J stays inside (0, hi_edge) below, so W skips normalization_functional's
     # interval check and its K*Z scan: the breakpoint is taken once per solve
-    pts = [_kz_scan(model, K)[1]]
-    prc = _on_start_mesh(model._prc_fn, 0.0, TWO_PI, pts)
-    w = lambda J: _w_integral(omega, K, J, prc, pts, W_TOL) - 1.0
+    prc = _sample(model._prc_fn, 0.0, TWO_PI, [_kz_scan(model, K)[1]])
+    w = lambda J: _w_integral(omega, K, J, prc, W_TOL) - 1.0
 
     lo = min(1e-12 * omega, (hi_edge if math.isfinite(hi_edge) else 1.0) * 1e-12)
     hi = None

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -244,57 +246,119 @@ def test_lif_flux_bits_pinned(model, K, quantity, pinned):
         assert existence_condition(m, K).integrals == pinned
 
 
-# -- the quadrature against an independent one ----------------------------------
+# -- the quadrature against exact values and an independent one -----------------
+#
+# Each integral must lie within the tolerance its call asks for (W_TOL for W,
+# 1e-9 otherwise) plus the rounding floor of its integrand: a relative error
+# of eps in each term of the denominator v = a + b moves the integral of
+# 1/v by up to eps * integral (|a| + |b|)/v^2.  Near a pole that floor
+# exceeds 1e-9 (for the existence integral of LIF at K = -0.1 from
+# s = r + 1e-8 on), and no quadrature of the float integrand does better:
+# scipy's quad and _quad then differ from the exact value by about the same.
 
 ORACLE_KS = (-0.4, -0.1, 0.05, 0.1)
 EPS = float(np.finfo(float).eps)
 
 
-def _assert_quad_matches(f, a, b, pts, ref_pts, tol, kappa):
-    """_quad(f) within the tolerance it asks for of scipy's quad, plus the
-    rounding floor of the integrand itself: a value formed as a sum of terms
-    whose magnitudes add to kappa times the sum's carries a relative error
-    of a few eps * kappa, which moves any quadrature of it as much."""
-    got = stationary._quad(f, a, b, tol=tol, points=pts)
-    ref = quad(f, a, b, epsabs=1e-14, epsrel=1e-14, limit=20000, points=ref_pts,
-               full_output=1)[0]
-    allowed = tol * max(1.0, abs(ref)) + 4.0 * EPS * kappa * abs(ref)
-    assert abs(got - ref) <= allowed, (got, ref, allowed)
+def _assert_close(got, exact, tol, floor):
+    assert abs(got - exact) <= tol * max(1.0, abs(exact)) + floor, (got, exact, tol, floor)
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+def _exp_prc_integrals(c, lam, Kp, s):
+    """(I, B) for Z = c*exp(lam*theta) on [0, TWO_PI]: I the integral of
+    1/(Kp*Z + s) and B that of (|Kp*Z| + s)/(Kp*Z + s)^2, in closed form in
+    50-digit decimal arithmetic on the float inputs (lam a Decimal)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        A, s = Decimal(Kp) * Decimal(c), Decimal(s)
+        ends = (Decimal(0), lam * Decimal(TWO_PI))
+        v = [A * u.exp() + s for u in ends]
+        P = [(u - vu.ln()) / s for u, vu in zip(ends, v)]   # antiderivative of 1/v
+        I = (P[1] - P[0]) / lam
+        # for A < 0 the floor integrand is 2s/v^2 - 1/v, with antiderivative 2/v + P
+        B = I + (2 / v[1] - 2 / v[0]) / lam if A < 0 else I
+        return float(I), float(B)
+
+
+# Z = c*exp(lam*theta): c is Z(0) as the model rounds it, lam exact
+EXP_PRC = {"lif": lambda m: (float(m.prc(0.0)), Decimal(GAMMA) / Decimal(m.omega)),
+           "homoclinic": lambda m: (float(m.prc(0.0)), -1 / Decimal(m.omega))}
+
+
+@pytest.mark.parametrize("name", sorted(EXP_PRC))
 @pytest.mark.parametrize("K", ORACLE_KS)
-def test_quad_matches_scipy_on_w_and_existence(name, K):
+def test_quad_matches_closed_form_w_and_existence(name, K):
     m = PINNED_MODELS[name]()
-    prc, omega = m._prc_fn, m.omega
+    c, lam = EXP_PRC[name](m)
+    omega = m.omega
     r, pt = stationary._kz_scan(m, K)
-    # PCHIP's second derivative jumps at the table's samples, which the
-    # oracle gets as breakpoints (at their phases)
-    knots = (m.phase_of_state(np.linspace(0.0, 1.0, 50))[1:-1].tolist()
-             if name == "wavy_table" else [])
-    ref_pts = sorted({pt, *knots})
-    kz = K * m.prc(np.linspace(0.0, TWO_PI, 2 ** 20 + 1))
-    kz_min, kz_abs = float(kz.min()), float(np.abs(kz).max())
+    prc = stationary._sample(m._prc_fn, 0.0, TWO_PI, [pt])
     hi = omega / r if r > 0.0 else 10.0 * omega
     for J in (0.1 * hi, 0.5 * hi, 0.9 * hi, (1.0 - 1e-6) * hi):
-        _assert_quad_matches(lambda th: J / (omega + K * prc(th) * J),
-                             0.0, TWO_PI, [pt], ref_pts, stationary.W_TOL,
-                             (omega + kz_abs * J) / (omega + kz_min * J))
-    # the grid's r can lie above an interior minimum of K*Z; past the pole
-    # that puts inside the range there is nothing to compare
+        exact, floor = _exp_prc_integrals(c, lam, K * J, omega)
+        _assert_close(normalization_functional(m, K, J), J * exact, stationary.W_TOL,
+                      EPS * J * floor)
     for k in stationary.LIMIT_KS:
         s = r + 10.0 ** (-k)
-        if kz_min + s <= 0.0:
-            break
-        _assert_quad_matches(lambda th: 1.0 / (K * prc(th) + s),
-                             0.0, TWO_PI, [pt], ref_pts, 1e-9,
-                             (kz_abs + s) / (kz_min + s))
+        exact, floor = _exp_prc_integrals(c, lam, K, s)
+        _assert_close(stationary._quad(lambda z: 1.0 / (K * z + s), prc, tol=1e-9),
+                      exact, 1e-9, EPS * floor)
 
 
-@pytest.mark.parametrize("name", ["lif", "wavy_table"])
-def test_quad_matches_scipy_on_coupling_bound_integrand(name):
-    # the limit sequence of coupling_bounds, from its refined minimum of F
-    m = PINNED_MODELS[name]()
+def _scipy_ref_and_floor(f, floor_f, pts):
+    # scipy's quad at 1e-14, given the table's sample phases as breakpoints:
+    # PCHIP's second derivative jumps there (without them quad is itself off
+    # by up to 1.1e-9); both quadratures carry the rounding floor
+    ref = quad(f, pts[0], pts[-1], epsabs=1e-14, epsrel=1e-14, limit=20000,
+               points=pts[1:-1], full_output=1)[0]
+    floor = quad(floor_f, pts[0], pts[-1], epsabs=0.0, epsrel=1e-6, limit=20000,
+                 points=pts[1:-1], full_output=1)[0]
+    return ref, 2.0 * EPS * floor
+
+
+# s = r + 10^-k at K < 0 for k = 1, 2, ...: integrals of 1/(K*Z + s) over the
+# wavy table's Z spline, summed over its 4 096 cubic pieces (split at their
+# critical points) in 30-digit arithmetic.  From k = 8 (K = -0.4) and k = 9
+# (K = -0.1) s lies below the true minimum of -K*Z, which is interior and
+# above the 4097-point grid value r, and the integral does not exist.
+WAVY_SPLINE_SUMS = {
+    -0.4: (15.970074831725574919, 57.550375692325899537, 259.63690666673216317,
+           1244.3581476018891833, 4715.7502567110897266, 15824.694325239594901,
+           53614.974739445449143),
+    -0.1: (28.778585285951757413, 105.35489146751299043, 405.04805415651108609,
+           1979.0555594162671105, 8671.3847244570380467, 30750.081175526671546,
+           101819.77780457865983, 376752.48391270232175),
+}
+
+
+@pytest.mark.parametrize("K", ORACLE_KS)
+def test_quad_matches_oracles_on_wavy_table(K):
+    m = _wavy_table()
+    zf, omega = m._prc_fn, m.omega
+    r, pt = stationary._kz_scan(m, K)
+    prc = stationary._sample(zf, 0.0, TWO_PI, [pt])
+    knots = m.phase_of_state(np.linspace(0.0, 1.0, 50))[1:-1].tolist()
+    pts = [0.0, *sorted({pt, *knots}), TWO_PI]
+    hi = omega / r if r > 0.0 else 10.0 * omega
+    for J in (0.1 * hi, 0.5 * hi, 0.9 * hi, (1.0 - 1e-6) * hi):
+        ref, floor = _scipy_ref_and_floor(
+            lambda th: J / (omega + K * zf(th) * J),
+            lambda th: J * (omega + abs(K * zf(th) * J)) / (omega + K * zf(th) * J) ** 2, pts)
+        _assert_close(normalization_functional(m, K, J), ref, stationary.W_TOL, floor)
+    exact = WAVY_SPLINE_SUMS.get(K)
+    for k in stationary.LIMIT_KS if exact is None else range(1, len(exact) + 1):
+        s = r + 10.0 ** (-k)
+        ref, floor = _scipy_ref_and_floor(
+            lambda th: 1.0 / (K * zf(th) + s),
+            lambda th: (abs(K * zf(th)) + s) / (K * zf(th) + s) ** 2, pts)
+        got = stationary._quad(lambda z: 1.0 / (K * z + s), prc, tol=1e-9)
+        _assert_close(got, ref, 1e-9, floor)
+        if exact is not None:
+            _assert_close(got, exact[k - 1], 1e-9, 0.5 * floor)
+
+
+def _bound_sequence(m):
+    """(s_k, sampled F, breakpoint) of coupling_bounds' limit sequence."""
     F, span = m.F, m.x_hi - m.x_lo
     xs = np.linspace(m.x_lo, m.x_hi, 4097)
     fx = F(xs)
@@ -306,22 +370,52 @@ def test_quad_matches_scipy_on_coupling_bound_integrand(name):
     if f_ref < f_min:
         f_min, x_min = f_ref, x_ref
     x_min = float(np.clip(x_min, m.x_lo + 1e-9 * span, m.x_hi - 1e-9 * span))
-    # PCHIP's second derivative jumps at the wavy table's 50 samples
-    knots = np.linspace(0.0, 1.0, 50)[1:-1].tolist() if name == "wavy_table" else []
-    for k in stationary.LIMIT_KS:
-        s = f_min * (1.0 - 10.0 ** (-k))
-        _assert_quad_matches(lambda x: s / (s - F(x)), m.x_lo, m.x_hi, [x_min],
-                             sorted({x_min, *knots}), 1e-9,
-                             (s + float(fx.max())) / (f_min - s))
+    return ([f_min * (1.0 - 10.0 ** (-k)) for k in stationary.LIMIT_KS],
+            stationary._sample(F, m.x_lo, m.x_hi, [x_min]), x_min)
 
 
-def test_w_matches_lif_closed_form(lif):
-    # W(J) = (J/gamma) * log((S + K*J)/(S - gamma + K*J)) on [0, 1]
-    for K in ORACLE_KS:
-        hi = (S - GAMMA) / -K if K < 0.0 else 10.0
-        for J in (0.05, 0.3 * hi, 0.7 * hi, 0.99 * hi):
-            exact = (J / GAMMA) * math.log((S + K * J) / (S - GAMMA + K * J))
-            kappa = (S + abs(K) * J) / (S - GAMMA + min(K, 0.0) * J)
-            got = normalization_functional(lif, K, J)
-            assert abs(got - exact) <= (stationary.W_TOL * max(1.0, exact)
-                                        + 4.0 * EPS * kappa * exact), (K, J, got, exact)
+def test_quad_matches_closed_form_on_lif_coupling_bound_integrand(lif):
+    # integral_0^1 s/(s - F) dx for F = S - gamma*x, with v = F - s > 0:
+    # -(s/gamma) log(v(0)/v(1)), and the floor integrand s(s + F)/v^2 =
+    # 2s^2/v^2 + s/v integrates to (2s^2(1/v(1) - 1/v(0)) + s log(v(0)/v(1)))/gamma
+    s_vals, F, _ = _bound_sequence(lif)
+    for s in s_vals:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            sd, g = Decimal(s), Decimal(GAMMA)
+            v0, v1 = Decimal(S) - sd, Decimal(S) - g - sd
+            log = (v0 / v1).ln()
+            exact = float(-sd * log / g)
+            floor = float((2 * sd * sd * (1 / v1 - 1 / v0) + sd * log) / g)
+        _assert_close(stationary._quad(lambda fx: s / (s - fx), F, tol=1e-9),
+                      exact, 1e-9, EPS * floor)
+
+
+def test_quad_matches_scipy_on_wavy_coupling_bound_integrand():
+    m = _wavy_table()
+    s_vals, F, x_min = _bound_sequence(m)
+    pts = [0.0, *sorted({x_min, *np.linspace(0.0, 1.0, 50)[1:-1].tolist()}), 1.0]
+    for s in s_vals:
+        ref, floor = _scipy_ref_and_floor(lambda x: s / (s - m.F(x)),
+                                         lambda x: s * (s + m.F(x)) / (s - m.F(x)) ** 2, pts)
+        _assert_close(stationary._quad(lambda fx: s / (s - fx), F, tol=1e-9), ref, 1e-9, floor)
+
+
+def test_coupling_bounds_returns_where_golden_section_stalls(monkeypatch):
+    # on [8192, 8193] the float spacing (1.8e-12) exceeds xatol = 1e-12*span:
+    # the bracket round the refined minimum cannot narrow to xatol, and the
+    # search must stop all the same (F's float calls are counted, so a search
+    # that does not stop fails here instead of hanging)
+    xs = np.linspace(8192.0, 8193.0, 20)
+    m = tabulated_model(xs, 1.0 + (xs - 8192.0))
+    F, calls = m.F, []
+
+    def counted(x):
+        if type(x) is float:
+            calls.append(x)
+            assert len(calls) < 1000, "golden section does not stop"
+        return F(x)
+
+    monkeypatch.setattr(m, "F", counted)
+    b = coupling_bounds(m)
+    assert b.upper == 1.0 and b.lower_unbounded and calls
