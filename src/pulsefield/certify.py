@@ -27,11 +27,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .models import Curvature, OscillatorModel
-from .continuum import DensityField, TrajectoryLog, integrate, EPS_SING
+from .continuum import DensityField, TrajectoryLog, first_crossing
 from .quantile import (quantile_transform, lyapunov_tv, quantile_l2, density_l1,
                        _as_profile)
 
 TWO_PI = 2.0 * math.pi
+# RK2 sub-steps per logged interval when tracing a log read from CSV
+SUBSTEPS = 4
 
 
 @dataclass
@@ -166,46 +168,27 @@ class DecayFit:
                 "J_window": list(self.J_window) if self.J_window else None}
 
 
-def first_crossing_from_log(t, J0, model: OscillatorModel, K: float) -> float | None:
-    """Arrival time at 2*pi of the characteristic launched at theta=0, t=0,
-    reconstructed from a logged flux history by RK2."""
-    t = np.asarray(t, dtype=float)
-    J0 = np.asarray(J0, dtype=float)
-    omega = model.omega
-    h = float(np.median(np.diff(t))) / 4.0 if t.size > 1 else 1e-3
-    lam, tau = 0.0, float(t[0])
-    while lam < TWO_PI:
-        if tau > t[-1]:
-            return None
-        j1 = float(np.interp(tau, t, J0))
-        v1 = omega + K * float(model.prc(min(lam, TWO_PI))) * j1
-        lm = min(lam + 0.5 * h * v1, TWO_PI)
-        jm = float(np.interp(tau + 0.5 * h, t, J0))
-        v2 = omega + K * float(model.prc(lm)) * jm
-        lam_new = lam + h * v2
-        if lam_new >= TWO_PI:
-            return tau + h * (TWO_PI - lam) / (lam_new - lam)
-        lam, tau = lam_new, tau + h
-    return tau
-
-
 def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float, *,
                    window: tuple | None = None, v_floor: float = 1e-12) -> DecayFit:
     """Least-squares slope of log V over the tail half of the run.
 
     The rate is -slope; the verdict asks it to lie in the bracket
     [J_min * min|K*Z'|, J_max * max|K*Z'|] widened by 10%, with the flux
-    window taken over the first crossing.  Samples at or below ``v_floor``
-    are dropped (V has reached the numerical floor).  With K = 0 the bracket
-    degenerates and the verdict becomes |rate| <= 1e-3.
+    window taken over the first crossing.  An integrated run's own window is
+    final, None included: ``integrate`` traced it from the steps it took.  A
+    log read from CSV has no steps, so ``continuum.first_crossing`` traces it
+    over SUBSTEPS equal steps per logged interval, with J0 interpolated
+    linearly.  Samples at or below ``v_floor`` are dropped (V has reached the
+    numerical floor).  With K = 0 the bracket degenerates and the verdict
+    becomes |rate| <= 1e-3.
     """
     t, V = traj.t, traj.V
     jw = traj.J_window
-    if jw is None and t.size:
-        tc = first_crossing_from_log(traj.dense_t, traj.dense_J0, model, K)
-        if tc is not None:
-            m = traj.dense_t <= tc + 1e-15
-            jw = (float(traj.dense_J0[m].min()), float(traj.dense_J0[m].max()))
+    if traj.n_steps is None:
+        sub = np.arange(SUBSTEPS) / SUBSTEPS
+        ts = np.append((t[:-1, None] + np.diff(t)[:, None] * sub).ravel(), t[-1])
+        jw = first_crossing(ts, np.diff(ts).tolist(), np.interp(ts, t, traj.J0).tolist(),
+                            model, K)[1]
     if window is None:
         window = (float(t[0] + 0.5 * (t[-1] - t[0])), float(t[-1]))
     mask = (t >= window[0]) & (t <= window[1]) & np.isfinite(V) & (V > v_floor)

@@ -22,7 +22,9 @@ step dt = dtheta/omega (Courant number 1) the update is a sample rotation
 to rounding.  The kernel is written out once, inline in ``integrate``'s
 loop on buffers and views made once per run; ``step`` is one pass of that
 loop.  V on each logged row goes through a ``GridReference`` bound to the
-run's grid, with the bits of the public quantile functions.
+run's grid, with the bits of the public quantile functions.  After the
+loop, ``first_crossing`` traces the characteristic from theta = 0 over the
+recorded steps: the flux window up to its arrival brackets V's decay rate.
 
 Synchronization shows up as a finite-time singularity and is detected by
 thresholds: the boundary relation's denominator falling under ``eps_sing``
@@ -37,6 +39,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 import numpy as np
 
@@ -208,11 +211,12 @@ class TrajectoryLog:
 
     Columns mirror ``trajectory.csv``: t, J0, mass, rho_min, rho_max, V,
     q_min, event.  V and q_min are NaN when no stationary reference exists.
-    The dense (per-step) flux history supports characteristic tracing and
-    the first-crossing flux window.  ``stop_reason`` ('t_max', 'blowup' or
-    'max_steps'), ``n_steps`` and ``v_eval_failures`` (log rows whose V
-    raised) are known for integrated runs and None for one read from CSV, as
-    is the step-size range ``summary()`` reports as dt_min and dt_max.
+    The dense (per-step) flux history supports characteristic tracing.
+    ``stop_reason`` ('t_max', 'blowup' or 'max_steps'), ``n_steps``,
+    ``v_eval_failures`` (log rows whose V raised) and the first crossing
+    (its time and flux window; None when the run ended first) are known for
+    integrated runs and None for one read from CSV, as is the step-size
+    range ``summary()`` reports as dt_min and dt_max.
     """
 
     t: np.ndarray
@@ -231,7 +235,6 @@ class TrajectoryLog:
     initial: DensityField | None
     final: DensityField | None
     snapshots: list = dc_field(default_factory=list)
-    reference: object | None = None
     stop_reason: str | None = None
     n_steps: int | None = None
     v_eval_failures: int | None = None
@@ -315,7 +318,9 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
 
     The loop holds the one copy of the upwind kernel, written out inline on
     views made once per run (``step`` is one pass of it).  A fixed ``dt``
-    past the CFL limit raises ``CFLError``.
+    past the CFL limit raises ``CFLError``.  The loop records each step;
+    ``first_crossing`` traces over them afterwards for the first-crossing
+    time and flux window (None when the run ends first).
     """
     if dt is not None and not dt > 0.0:
         raise ValueError(f"fixed dt must be positive, got {dt!r}")
@@ -349,16 +354,10 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
 
     rows_t, rows_j, rows_m, rows_lo, rows_hi, rows_v, rows_q = [], [], [], [], [], [], []
     events: list = []
-    dense_t, dense_j = [t], [J0]
+    dense_j, dense_dt = [J0], []
     snaps: list = []
     snap_queue = sorted(float(s) for s in snapshot_times)
 
-    # characteristic launched from theta=0 at t=0: its arrival at 2*pi closes
-    # the first-crossing window that bounds the flux from then on; Z on one
-    # float goes straight to the model's function, past the array wrapper
-    prc = model._prc_fn
-    lam = 0.0
-    t_cross = None
     v_failures = 0
 
     def log_row(ev=""):
@@ -421,23 +420,13 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
             stop_reason = "blowup"
             log_row(ev=f"{blow.kind}_blowup")
             break
-        # first-crossing characteristic, RK2 with the same step
-        if t_cross is None:
-            v1 = omega + K * float(prc(min(lam, TWO_PI))) * J0
-            lam_mid = lam + 0.5 * step_dt * v1
-            v2 = omega + K * float(prc(min(lam_mid, TWO_PI))) * (0.5 * (J0 + J0_new))
-            lam_new = lam + step_dt * v2
-            if lam_new >= TWO_PI:
-                frac = (TWO_PI - lam) / (lam_new - lam)
-                t_cross = t + frac * step_dt
-            lam = lam_new
         rho, spare = spare, rho
         body, spare_body = spare_body, body
         J0 = J0_new
         t += step_dt
         nstep += 1
-        dense_t.append(t)
         dense_j.append(J0)
+        dense_dt.append(step_dt)
         while snap_queue and t >= snap_queue[0] - 1e-12:
             snaps.append((t, rho.copy()))
             snap_queue.pop(0)
@@ -448,24 +437,42 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     if blow is None and (not rows_t or rows_t[-1] < t):
         log_row()
 
-    dense_t = np.asarray(dense_t)
-    dense_j = np.asarray(dense_j)
-    j_window = None
-    if t_cross is not None:
-        m = dense_t <= t_cross + 1e-15
-        if m.any():
-            j_window = (float(dense_j[m].min()), float(dense_j[m].max()))
+    # the step times summed as the loop summed them, one float at a time
+    dense_t = np.fromiter(accumulate(dense_dt, initial=initial.t), float, nstep + 1)
+    t_cross, j_window = first_crossing(dense_t, dense_dt, dense_j, model, K)
 
     # `rho` is this run's own buffer: the final field takes it as is
     final = DensityField(theta, rho, J0, t)
     return TrajectoryLog(np.asarray(rows_t), np.asarray(rows_j), np.asarray(rows_m),
                          np.asarray(rows_lo), np.asarray(rows_hi), np.asarray(rows_v),
-                         np.asarray(rows_q), events, blow, dense_t, dense_j,
+                         np.asarray(rows_q), events, blow, dense_t, np.asarray(dense_j),
                          t_cross, j_window, initial.copy(), final, snaps,
-                         reference, stop_reason, nstep, v_failures)
+                         stop_reason, nstep, v_failures)
 
 
 # -- characteristics -------------------------------------------------------------
+
+
+def first_crossing(t: np.ndarray, dt: list, J0: list, model, K: float) -> tuple:
+    """(t_cross, J_window): when the characteristic launched from theta = 0
+    at t[0] first reaches 2*pi, and (min, max) of J0 up to then; (None, None)
+    when the steps end first.  Over step i, from t[i] by dt[i] with the flux
+    going J0[i] -> J0[i+1] (t an ascending array, dt and J0 lists of floats),
+    it takes one RK2 step with the mean flux at the midpoint.  Z on one float
+    skips the array wrapper."""
+    omega, prc = model.omega, model._prc_fn
+    lam = 0.0
+    for i, (h, j_a, j_b) in enumerate(zip(dt, J0, J0[1:])):
+        v1 = omega + K * float(prc(min(lam, TWO_PI))) * j_a
+        lam_mid = lam + 0.5 * h * v1
+        v2 = omega + K * float(prc(min(lam_mid, TWO_PI))) * (0.5 * (j_a + j_b))
+        lam_new = lam + h * v2
+        if lam_new >= TWO_PI:
+            t_cross = t.item(i) + (TWO_PI - lam) / (lam_new - lam) * h
+            seen = J0[:int(np.searchsorted(t, t_cross + 1e-15, side="right"))]
+            return t_cross, (min(seen), max(seen))
+        lam = lam_new
+    return None, None
 
 
 @dataclass(frozen=True)

@@ -71,9 +71,6 @@ class PopulationState:
     def n(self) -> int:
         return self.theta.size
 
-    def copy(self) -> "PopulationState":
-        return PopulationState(self.theta.copy(), self.ids.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class FiringEvent:
@@ -102,7 +99,6 @@ class FiniteRun:
     events: list
     snapshot_times: list
     snapshots: list
-    state: PopulationState
 
     @property
     def n_events(self) -> int:
@@ -263,8 +259,7 @@ def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
         snap_times.append(t)
         theta, ids, ev = _fire(theta, ids, k, model, K, t)
         events.append(ev)
-    return FiniteRun(model, K, N, seed, events, snap_times, snaps,
-                     PopulationState(theta, ids, t))
+    return FiniteRun(model, K, N, seed, events, snap_times, snaps)
 
 
 def splay_reference(N: int, model: OscillatorModel, K: float,

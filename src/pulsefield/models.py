@@ -110,7 +110,6 @@ class OscillatorModel:
         cls = classify_monotonicity(self)
         self.monotonicity = cls.monotonicity
         self.curvature = cls.curvature
-        self.classification = cls
 
     # -- phase map ----------------------------------------------------------
 

@@ -96,7 +96,6 @@ class ExistenceResult:
     exists: bool
     r: float
     limit_value: float
-    s_values: tuple
     integrals: tuple
 
     def to_json(self):
@@ -228,14 +227,19 @@ def _kz_scan(model: OscillatorModel, K: float, n: int = 4097) -> tuple:
     return r, float(np.clip(grid[i], 1e-6, TWO_PI - 1e-6))
 
 
+def _prepare(model: OscillatorModel, K: float) -> tuple:
+    """(r, Z on the starting mesh, the scan's argmin its breakpoint)."""
+    r, pt = _kz_scan(model, K)
+    return r, _sample(model._prc_fn, 0.0, TWO_PI, [pt] if K != 0.0 else None)
+
+
 def normalization_functional(model: OscillatorModel, K: float, J: float,
                              tol: float = W_TOL) -> float:
     """W(J) = integral J/(omega + K*Z*J) dtheta; strictly increasing in J."""
-    r, pt = _kz_scan(model, K)
+    r, prc = _prepare(model, K)
     hi = math.inf if r == 0.0 else model.omega / r
     if not (0.0 < J < hi):
         raise ValueError(f"J={J} outside the admissible interval (0, {hi:.6g})")
-    prc = _sample(model._prc_fn, 0.0, TWO_PI, [pt] if K != 0.0 else None)
     return _w_integral(model.omega, K, J, prc, tol)
 
 
@@ -249,20 +253,23 @@ def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
 
     The integrand increases monotonically as s decreases to r, so the limit
     is probed along s_k = r + 10^-k: the condition is declared satisfied
-    once three consecutive values exceed 1 + 1e-6 (or any value passes the
-    divergence cap, reported as an infinite limit); otherwise the final
-    value decides.
+    once three consecutive values exceed 1 + LIMIT_MARGIN (or any value
+    passes the divergence cap, reported as an infinite limit); otherwise the
+    final value decides against the same margin (at the coupling edge the
+    limit is exactly 1, and quadrature error must not make a state exist).
     """
-    r, pt = _kz_scan(model, K)
-    prc = _sample(model._prc_fn, 0.0, TWO_PI, [pt] if K != 0.0 else None)
-    s_vals, ints = [], []
+    return _existence(K, *_prepare(model, K))
+
+
+def _existence(K: float, r: float, prc: _Sampled) -> ExistenceResult:
+    """existence_condition from a prepared scan and sample."""
+    ints = []
     consecutive = 0
     exists = None
     limit = None
     for k in LIMIT_KS:
         s = r + 10.0 ** (-k)
         val = _quad(lambda z: 1.0 / (K * z + s), prc, tol=1e-9)
-        s_vals.append(s)
         ints.append(val)
         if val > DIVERGENCE_CAP:
             exists, limit = True, math.inf
@@ -272,10 +279,10 @@ def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
             exists = True
             break
     if exists is None:
-        exists = ints[-1] > 1.0
+        exists = ints[-1] > 1.0 + LIMIT_MARGIN
     if limit is None:
         limit = ints[-1]
-    return ExistenceResult(exists, r, limit, tuple(s_vals), tuple(ints))
+    return ExistenceResult(exists, r, limit, tuple(ints))
 
 
 def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
@@ -401,15 +408,14 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
         field = DensityField(theta, rho, j_star, 0.0)
         return StationaryState(j_star, field, True, (0.0, math.inf), 0.0, K, model)
 
-    result = existence_condition(model, K)
+    # one K*Z scan and one sample of Z serve the existence limit and W;
+    # J stays inside (0, hi_edge) below, so W skips normalization_functional
+    r, prc = _prepare(model, K)
+    result = _existence(K, r, prc)
     if not result.exists:
         raise NoStationaryStateError(result)
 
-    r = result.r
     hi_edge = math.inf if r == 0.0 else omega / r
-    # J stays inside (0, hi_edge) below, so W skips normalization_functional's
-    # interval check and its K*Z scan: the breakpoint is taken once per solve
-    prc = _sample(model._prc_fn, 0.0, TWO_PI, [_kz_scan(model, K)[1]])
     w = lambda J: _w_integral(omega, K, J, prc, W_TOL) - 1.0
 
     lo = min(1e-12 * omega, (hi_edge if math.isfinite(hi_edge) else 1.0) * 1e-12)
@@ -435,7 +441,7 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
             raise RuntimeError("normalization functional never exceeded one")
 
     j_star = bisect_root(w, lo, hi, xtol=0.0, ftol=tol, max_iter=200)
-    rho = J_density(model, K, j_star, theta)
+    rho = j_star / (omega + K * z * j_star)   # J_density on the z above
     field = DensityField(theta, rho, j_star, 0.0)
     return StationaryState(j_star, field, True, (0.0, hi_edge), r, K, model)
 

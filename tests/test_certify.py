@@ -71,6 +71,24 @@ def test_decay_rate_bracket(lif, inhib_traj):
     assert fit.in_bracket
 
 
+def test_decay_rate_from_csv_log(tmp_path, lif):
+    # a fig1-style run read back from trajectory.csv has no steps: the
+    # crossing is traced over sub-steps of the logged rows, and the window
+    # it gives moves by the log's interpolation error only (2.3e-4 here)
+    from pulsefield import solve_stationary_flux
+    from pulsefield.continuum import TrajectoryLog
+    stat = solve_stationary_flux(lif, -0.1, n_theta=256)
+    ic = initial_density("perturbed", 256, lif, -0.1, epsilon=0.2, reference=stat)
+    traj = integrate(lif, -0.1, ic, t_max=12.0, reference=stat)
+    traj.to_csv(tmp_path / "trajectory.csv")
+    back = TrajectoryLog.from_csv(tmp_path / "trajectory.csv")
+    assert back.n_steps is None and back.J_window is None
+    fit, fit_back = fit_decay_rate(traj, lif, -0.1), fit_decay_rate(back, lif, -0.1)
+    assert fit.J_window == traj.J_window
+    assert fit_back.in_bracket == fit.in_bracket
+    assert np.allclose(fit_back.J_window, traj.J_window, rtol=0.0, atol=1e-3)
+
+
 def test_decay_rate_neutral(lif):
     from pulsefield import solve_stationary_flux
     stat0 = solve_stationary_flux(lif, 0.0, n_theta=512)

@@ -250,42 +250,71 @@ def test_upwind_step_matches_reference(name, prof, K, J0, dt_frac, cfl):
 
 def reference_run(model, K, field, t_max, cfl=0.5):
     """integrate's stepping as a plain loop of reference steps: the final
-    density, the dense flux history and the blow-up event (or None)."""
+    density, the dense time and flux histories, the blow-up event (or None)
+    and the first crossing (time and flux window, or None and None)."""
     theta = field.theta
     z = model.prc(theta)
-    cap = default_flux_cap(model.omega)
+    omega, prc = model.omega, model._prc_fn
+    cap = default_flux_cap(omega)
     rho, J0, t = field.rho.copy(), field.J0, field.t
-    dense = [J0]
+    dense_t, dense_j = [t], [J0]
+    blow, lam, t_cross = None, 0.0, None
     while t < t_max:
         try:
-            rho, J0, dt = reference_step(rho, J0, t, t_max - t, field.dtheta, model.omega,
-                                         K, z, EPS_SING, cap, cfl)
+            rho, J0_new, dt = reference_step(rho, J0, t, t_max - t, field.dtheta, omega,
+                                             K, z, EPS_SING, cap, cfl)
         except BlowupError as exc:
-            return rho, np.asarray(dense), exc.event
+            blow = exc.event
+            break
+        # the first-crossing characteristic as integrate once traced it
+        # inside its loop: one RK2 step alongside each kernel step
+        if t_cross is None:
+            v1 = omega + K * float(prc(min(lam, TWO_PI))) * J0
+            lam_mid = lam + 0.5 * dt * v1
+            v2 = omega + K * float(prc(min(lam_mid, TWO_PI))) * (0.5 * (J0 + J0_new))
+            lam_new = lam + dt * v2
+            if lam_new >= TWO_PI:
+                frac = (TWO_PI - lam) / (lam_new - lam)
+                t_cross = t + frac * dt
+            lam = lam_new
+        J0 = J0_new
         t += dt
-        dense.append(J0)
-    return rho, np.asarray(dense), None
+        dense_t.append(t)
+        dense_j.append(J0)
+    dense_t, dense_j = np.asarray(dense_t), np.asarray(dense_j)
+    window = None
+    if t_cross is not None:
+        m = dense_t <= t_cross + 1e-15
+        window = (float(dense_j[m].min()), float(dense_j[m].max()))
+    return rho, dense_t, dense_j, blow, (t_cross, window)
 
 
-@pytest.mark.parametrize("case", ["fig1_n256", "excitatory_blowup"])
+@pytest.mark.parametrize("case", ["fig1_n256", "fig1_n256_before_crossing",
+                                  "excitatory_blowup"])
 def test_integrate_matches_reference_loop(lif, case):
     # many passes of the inline kernel, bit for bit: fig1 (K = -0.1,
-    # perturbed stationary start) to t = 12, and fig2's excitatory run to
-    # its flux blow-up
+    # perturbed stationary start) to t = 12 and to t = 1, before the first
+    # crossing, and fig2's excitatory run to its flux blow-up; the crossing
+    # traced after the loop from the recorded steps matches the one traced
+    # alongside them
     from pulsefield import solve_stationary_flux
-    if case == "fig1_n256":
-        K, t_max = -0.1, 12.0
+    if case.startswith("fig1_n256"):
+        K, t_max = -0.1, (1.0 if case.endswith("before_crossing") else 12.0)
         ic = initial_density("perturbed", 256, lif, K, epsilon=0.2,
                              reference=solve_stationary_flux(lif, K, n_theta=256))
     else:
         K, t_max = 0.1, 100.0
         ic = initial_density("vonmises", 256, lif, K, kappa=1.0)
     traj = integrate(lif, K, ic, t_max=t_max)
-    rho, dense_j, blow = reference_run(lif, K, ic, t_max)
-    assert (blow is None) == (case == "fig1_n256")
+    rho, dense_t, dense_j, blow, (t_cross, j_window) = reference_run(lif, K, ic, t_max)
+    assert (blow is None) == case.startswith("fig1_n256")
+    assert (t_cross is None) == case.endswith("before_crossing")
     assert traj.blowup == blow
     assert traj.final.rho.tobytes() == rho.tobytes()
+    assert traj.dense_t.tobytes() == dense_t.tobytes()
     assert traj.dense_J0.tobytes() == dense_j.tobytes()
+    assert traj.first_crossing_time == t_cross
+    assert traj.J_window == j_window
 
 
 def test_integrate_converges_to_stationary_flux(lif):

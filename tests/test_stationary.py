@@ -93,8 +93,28 @@ def test_existence_excitatory_threshold(lif):
 
 
 def test_existence_strict_at_gap(lif):
-    # K exactly at the threshold gap: strict inequality, no state
-    assert not existence_condition(lif, 1.0).exists
+    # K exactly at the threshold gap x_hi - x_lo = 1: the limit is exactly 1,
+    # no state.  The final value must clear the same margin as the
+    # three-in-a-row rule: the wavy table's quadrature gives 1 + 1.3e-11
+    for m in (lif, _wavy_table()):
+        assert not existence_condition(m, 1.0).exists
+        assert existence_condition(m, 0.99).exists
+
+
+def test_solve_evaluates_each_grid_of_z_once(monkeypatch):
+    # existence and the W bisection share one K*Z scan and one sample of Z
+    # on the starting mesh, and rho_star comes from Z on the output grid
+    m = lif_model(S, GAMMA)
+    sizes = []
+    prc_fn = m._prc_fn
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return prc_fn(x)
+
+    monkeypatch.setattr(m, "_prc_fn", counted)
+    solve_stationary_flux(m, -0.1, n_theta=2048)
+    assert len(sizes) == 3 and len(set(sizes)) == 3
 
 
 def test_existence_inhibitory(lif):
