@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .models import Curvature, OscillatorModel
-from .continuum import DensityField, TrajectoryLog, first_crossing
+from .continuum import DensityField, TrajectoryLog, first_crossing, step
 from .quantile import (quantile_transform, lyapunov_tv, quantile_l2, density_l1,
                        _as_profile)
 
@@ -255,13 +255,12 @@ class NegativeControlReport:
 
 def _one_step_rates(model, K, field: DensityField, reference, *, cfl=0.5):
     """(dVbis/dt, dV/dt, dVter/dt) across a single upwind step from a field."""
-    from .continuum import step as _step
     ref_field = getattr(reference, "rho_star", reference)
     prof_ref = _as_profile(reference)
     theta = field.theta
     v = model.omega + K * model.prc(theta) * field.J0
     dt = cfl * field.dtheta / float(v.max())
-    after = _step(field, model, K, dt)
+    after = step(field, model, K, dt)
     vbis0 = density_l1(theta, field.rho, ref_field.rho)
     vbis1 = density_l1(theta, after.rho, ref_field.rho)
     v0 = lyapunov_tv(quantile_transform(theta, field.rho), prof_ref)

@@ -37,7 +37,7 @@ from .certify import certify_theorem_bounds, fit_decay_rate
 from .finite import simulate as finite_simulate, splay_reference
 from .models import (ModelError, homoclinic_model, lif_model, load_field_table,
                      tabulated_model)
-from .quantile import discrete_lyapunov
+from .quantile import discrete_lyapunov, quantile_transform
 from .stationary import (NoStationaryStateError, coupling_bounds,
                          existence_condition, solve_stationary_flux)
 
@@ -73,7 +73,6 @@ def _density_csv(path, theta, rho, value_name="rho"):
 def _quantile_csv(path, theta, rho):
     # per-knot rows; q is the segment value to the right of the knot (the
     # last knot repeats the final segment)
-    from .quantile import quantile_transform
     prof = quantile_transform(theta, rho)
     q = np.append(prof.q_seg, prof.q_seg[-1])
     _write_csv(path, ["phi", "Q", "q"],

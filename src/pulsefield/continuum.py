@@ -25,6 +25,8 @@ loop.  V on each logged row goes through a ``GridReference`` bound to the
 run's grid, with the bits of the public quantile functions.  After the
 loop, ``first_crossing`` traces the characteristic from theta = 0 over the
 recorded steps: the flux window up to its arrival brackets V's decay rate.
+``characteristic_trace`` takes the same RK2 walk over the same steps from
+any start phase and carries the density along it.
 
 Synchronization shows up as a finite-time singularity and is detected by
 thresholds: the boundary relation's denominator falling under ``eps_sing``
@@ -43,6 +45,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .models import Monotonicity
 from .quantile import GridReference, quantile_transform, lyapunov_tv_with_qmin
 
 TWO_PI = 2.0 * math.pi
@@ -211,12 +214,13 @@ class TrajectoryLog:
 
     Columns mirror ``trajectory.csv``: t, J0, mass, rho_min, rho_max, V,
     q_min, event.  V and q_min are NaN when no stationary reference exists.
-    The dense (per-step) flux history supports characteristic tracing.
-    ``stop_reason`` ('t_max', 'blowup' or 'max_steps'), ``n_steps``,
-    ``v_eval_failures`` (log rows whose V raised) and the first crossing
-    (its time and flux window; None when the run ended first) are known for
-    integrated runs and None for one read from CSV, as is the step-size
-    range ``summary()`` reports as dt_min and dt_max.
+    The dense (per-step) history -- times ``dense_t``, the steps taken
+    ``dense_dt`` and the flux ``dense_J0`` -- supports characteristic tracing.
+    ``dense_dt``, ``stop_reason`` ('t_max', 'blowup' or 'max_steps'),
+    ``n_steps``, ``v_eval_failures`` (log rows whose V raised) and the first
+    crossing (its time and flux window; None when the run ended first) are
+    known for integrated runs and None for one read from CSV.  ``summary()``
+    reports the smallest and largest of ``dense_dt`` as dt_min and dt_max.
     """
 
     t: np.ndarray
@@ -229,6 +233,7 @@ class TrajectoryLog:
     event: list
     blowup: BlowupEvent | None
     dense_t: np.ndarray
+    dense_dt: np.ndarray | None
     dense_J0: np.ndarray
     first_crossing_time: float | None
     J_window: tuple | None
@@ -274,7 +279,7 @@ class TrajectoryLog:
             if ev:
                 blow = BlowupEvent(float(num[0][i]), ev.replace("_blowup", ""), {})
         return cls(num[0], num[1], num[2], num[3], num[4], num[5], num[6], events,
-                   blow, num[0], num[1], None, None, None, None)
+                   blow, num[0], None, num[1], None, None, None, None)
 
     def summary(self) -> dict:
         def num(x):
@@ -294,8 +299,8 @@ class TrajectoryLog:
             "n_steps": self.n_steps,
             "v_eval_failures": self.v_eval_failures,
         }
-        # the step-size range, from the dense history of an integrated run
-        steps = np.diff(self.dense_t) if self.n_steps else np.empty(0)
+        # the step-size range, from the steps an integrated run took
+        steps = self.dense_dt if self.dense_dt is not None else np.empty(0)
         out["dt_min"] = float(steps.min()) if steps.size else None
         out["dt_max"] = float(steps.max()) if steps.size else None
         return out
@@ -445,7 +450,8 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     final = DensityField(theta, rho, J0, t)
     return TrajectoryLog(np.asarray(rows_t), np.asarray(rows_j), np.asarray(rows_m),
                          np.asarray(rows_lo), np.asarray(rows_hi), np.asarray(rows_v),
-                         np.asarray(rows_q), events, blow, dense_t, np.asarray(dense_j),
+                         np.asarray(rows_q), events, blow, dense_t, np.asarray(dense_dt),
+                         np.asarray(dense_j),
                          t_cross, j_window, initial.copy(), final, snaps,
                          stop_reason, nstep, v_failures)
 
@@ -453,26 +459,40 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
 # -- characteristics -------------------------------------------------------------
 
 
-def first_crossing(t: np.ndarray, dt: list, J0: list, model, K: float) -> tuple:
-    """(t_cross, J_window): when the characteristic launched from theta = 0
-    at t[0] first reaches 2*pi, and (min, max) of J0 up to then; (None, None)
-    when the steps end first.  Over step i, from t[i] by dt[i] with the flux
-    going J0[i] -> J0[i+1] (t an ascending array, dt and J0 lists of floats),
-    it takes one RK2 step with the mean flux at the midpoint.  Z on one float
-    skips the array wrapper."""
+def _walk(t: np.ndarray, dt: list, J0: list, model, K: float, lam0: float) -> tuple:
+    """RK2 walk of d(theta)/dt = omega + K*Z(theta)*J0(t) from theta = lam0
+    at t[0].  Over step i, from t[i] by dt[i] with the flux going
+    J0[i] -> J0[i+1] (t an ascending array, dt and J0 lists of floats), it
+    takes one RK2 step with the mean flux at the midpoint.  Returns the
+    phases at the step starts walked (and at the end when the steps run
+    out), the midpoint phases, and the time theta first reaches 2*pi, linear
+    within its step (None when the steps end first).  Z on one float skips
+    the array wrapper."""
     omega, prc = model.omega, model._prc_fn
-    lam = 0.0
+    lam = lam0
+    starts, mids = [lam], []
     for i, (h, j_a, j_b) in enumerate(zip(dt, J0, J0[1:])):
         v1 = omega + K * float(prc(min(lam, TWO_PI))) * j_a
         lam_mid = lam + 0.5 * h * v1
+        mids.append(lam_mid)
         v2 = omega + K * float(prc(min(lam_mid, TWO_PI))) * (0.5 * (j_a + j_b))
         lam_new = lam + h * v2
         if lam_new >= TWO_PI:
-            t_cross = t.item(i) + (TWO_PI - lam) / (lam_new - lam) * h
-            seen = J0[:int(np.searchsorted(t, t_cross + 1e-15, side="right"))]
-            return t_cross, (min(seen), max(seen))
+            return starts, mids, t.item(i) + (TWO_PI - lam) / (lam_new - lam) * h
         lam = lam_new
-    return None, None
+        starts.append(lam)
+    return starts, mids, None
+
+
+def first_crossing(t: np.ndarray, dt: list, J0: list, model, K: float) -> tuple:
+    """(t_cross, J_window): when the characteristic launched from theta = 0
+    at t[0] first reaches 2*pi along ``_walk``'s steps, and (min, max) of J0
+    up to then; (None, None) when the steps end first."""
+    t_cross = _walk(t, dt, J0, model, K, 0.0)[2]
+    if t_cross is None:
+        return None, None
+    seen = J0[:int(np.searchsorted(t, t_cross + 1e-15, side="right"))]
+    return t_cross, (min(seen), max(seen))
 
 
 @dataclass(frozen=True)
@@ -493,66 +513,39 @@ class CharacteristicTrace:
         return None if self.truncated else float(self.rho[-1])
 
 
-def characteristic_trace(traj: TrajectoryLog, model, K: float, theta_start: float,
-                         t_start: float = 0.0, *, rho_start: float | None = None,
-                         h: float | None = None) -> CharacteristicTrace:
-    """Integrate d(theta)/dt = v and d(rho)/dt = -rho*J0*K*Z'(theta) by RK2.
+def characteristic_trace(traj: TrajectoryLog, model, K: float,
+                         theta_start: float) -> CharacteristicTrace:
+    """The characteristic launched from ``theta_start`` at the run's start and
+    the density carried along it, until the curve reaches 2*pi or the run's
+    steps end (then ``truncated`` is set).
 
-    The flux history is linearly interpolated from the dense log.  The trace
-    runs until the curve reaches 2*pi or the stored history ends (returned
-    with ``truncated`` set).  The starting density defaults to the run's
-    initial condition (t_start = 0) or a stored snapshot at t_start.
+    The curve is ``_walk`` over the steps the run took, the walk that
+    ``first_crossing`` takes from theta = 0, so a trace from 0 crosses at the
+    run's ``first_crossing_time`` exactly.  The density starts from the run's
+    initial field (linear in theta) and follows d(log rho)/dt =
+    -J0*K*Z'(theta) by the midpoint rule: Z' at the walk's midpoint phases,
+    each step's mean flux.  A log without its initial field and steps (one
+    read from CSV) raises ``ValueError``.
     """
-    omega = model.omega
-    td, jd = traj.dense_t, traj.dense_J0
-
-    def j_at(tau):
-        return float(np.interp(tau, td, jd))
-
-    if rho_start is None:
-        source = None
-        if t_start == 0.0 and traj.initial is not None:
-            source = traj.initial
-        else:
-            for ts, arr in traj.snapshots:
-                if abs(ts - t_start) < 1e-9:
-                    source = DensityField(traj.initial.theta, arr, j_at(ts), ts)
-                    break
-        if source is None:
-            raise ValueError("no stored density at t_start; pass rho_start explicitly")
-        rho_start = float(np.interp(theta_start, source.theta, source.rho))
-
-    if h is None:
-        h = float(np.median(np.diff(td))) if td.size > 1 else 1e-3
-
-    lam, rc, t = float(theta_start), float(rho_start), float(t_start)
-    ts, lams, rhos = [t], [lam], [rc]
-    truncated = False
-    while lam < TWO_PI:
-        if t > td[-1] - 1e-15:
-            truncated = True
-            break
-        j1 = j_at(t)
-        v1 = omega + K * float(model.prc(min(lam, TWO_PI))) * j1
-        g1 = -rc * j1 * K * float(model.prc_deriv(min(lam, TWO_PI)))
-        lm = min(lam + 0.5 * h * v1, TWO_PI)
-        jm = j_at(t + 0.5 * h)
-        v2 = omega + K * float(model.prc(lm)) * jm
-        g2 = -(rc + 0.5 * h * g1) * jm * K * float(model.prc_deriv(lm))
-        lam_new = lam + h * v2
-        rc_new = rc + h * g2
-        if lam_new >= TWO_PI:
-            frac = (TWO_PI - lam) / (lam_new - lam)
-            t = t + frac * h
-            lam = TWO_PI
-            rc = rc + frac * (rc_new - rc)
-        else:
-            lam, rc, t = lam_new, rc_new, t + h
-        ts.append(t)
-        lams.append(lam)
-        rhos.append(rc)
-    return CharacteristicTrace(np.asarray(ts), np.asarray(lams), np.asarray(rhos),
-                               truncated)
+    if traj.initial is None or traj.dense_dt is None:
+        raise ValueError("characteristic_trace needs an integrated run; a log read "
+                         "from CSV has no initial density and no steps")
+    starts, mids, t_cross = _walk(traj.dense_t, traj.dense_dt.tolist(),
+                                  traj.dense_J0.tolist(), model, K, float(theta_start))
+    n = len(mids)
+    t = traj.dense_t[:n + 1].copy()
+    h = traj.dense_dt[:n].copy()
+    theta = np.asarray(starts)
+    if t_cross is not None:
+        # the crossing step ends at the crossing
+        t[-1] = t_cross
+        h[-1] = t_cross - t[-2]
+        theta = np.append(theta, TWO_PI)
+    j = traj.dense_J0[:n + 1]
+    rate = -K * (0.5 * (j[:-1] + j[1:])) * model.prc_deriv(np.minimum(mids, TWO_PI))
+    rho_start = float(np.interp(theta_start, traj.initial.theta, traj.initial.rho))
+    rho = rho_start * np.exp(np.concatenate(([0.0], np.cumsum(h * rate))))
+    return CharacteristicTrace(t, theta, rho, t_cross is None)
 
 
 # -- admissibility ----------------------------------------------------------------
@@ -586,8 +579,6 @@ def check_admissibility(rho0, model, K: float, *, eps_sing: float = EPS_SING,
     settled by running the solver over the first-crossing window of the
     characteristic launched at theta = 0.
     """
-    from .models import Monotonicity
-
     prof = np.asarray(rho0.rho if hasattr(rho0, "rho") else rho0, dtype=float)
     n = prof.size - 1
     theta = np.linspace(0.0, TWO_PI, n + 1)

@@ -123,15 +123,12 @@ def test_terminal_flux_offset_first_order_in_grid(lif):
 
 
 def test_mass_telescopes_over_many_steps(lif):
+    # 100 000 CFL steps in one run (the same bits as 100 000 step() calls),
+    # the mass checked on every logged row
     field = initial_density("vonmises", 256, lif, -0.1, kappa=1.0)
-    dtheta = field.dtheta
-    masses = [field.mass]
-    for _ in range(100_000):
-        dt = 0.5 * dtheta / float((lif.omega - 0.1 * lif.prc(field.theta)
-                                   * field.J0).max())
-        field = step(field, lif, -0.1, dt)
-    masses.append(field.mass)
-    assert abs(masses[1] - masses[0]) < 1e-6  # observed: ~1e-15
+    traj = integrate(lif, -0.1, field, t_max=math.inf, cfl=0.5, max_steps=100_000)
+    assert traj.n_steps == 100_000 and traj.t.size == 5001
+    assert np.max(np.abs(traj.mass - field.mass)) < 1e-6  # observed: ~5e-15
 
 
 @settings(max_examples=25, deadline=None)
@@ -250,14 +247,15 @@ def test_upwind_step_matches_reference(name, prof, K, J0, dt_frac, cfl):
 
 def reference_run(model, K, field, t_max, cfl=0.5):
     """integrate's stepping as a plain loop of reference steps: the final
-    density, the dense time and flux histories, the blow-up event (or None)
-    and the first crossing (time and flux window, or None and None)."""
+    density, the dense time and flux histories, the steps taken, the blow-up
+    event (or None) and the first crossing (time and flux window, or None and
+    None)."""
     theta = field.theta
     z = model.prc(theta)
     omega, prc = model.omega, model._prc_fn
     cap = default_flux_cap(omega)
     rho, J0, t = field.rho.copy(), field.J0, field.t
-    dense_t, dense_j = [t], [J0]
+    dense_t, dense_j, steps = [t], [J0], []
     blow, lam, t_cross = None, 0.0, None
     while t < t_max:
         try:
@@ -281,12 +279,13 @@ def reference_run(model, K, field, t_max, cfl=0.5):
         t += dt
         dense_t.append(t)
         dense_j.append(J0)
+        steps.append(dt)
     dense_t, dense_j = np.asarray(dense_t), np.asarray(dense_j)
     window = None
     if t_cross is not None:
         m = dense_t <= t_cross + 1e-15
         window = (float(dense_j[m].min()), float(dense_j[m].max()))
-    return rho, dense_t, dense_j, blow, (t_cross, window)
+    return rho, dense_t, dense_j, steps, blow, (t_cross, window)
 
 
 @pytest.mark.parametrize("case", ["fig1_n256", "fig1_n256_before_crossing",
@@ -306,7 +305,8 @@ def test_integrate_matches_reference_loop(lif, case):
         K, t_max = 0.1, 100.0
         ic = initial_density("vonmises", 256, lif, K, kappa=1.0)
     traj = integrate(lif, K, ic, t_max=t_max)
-    rho, dense_t, dense_j, blow, (t_cross, j_window) = reference_run(lif, K, ic, t_max)
+    rho, dense_t, dense_j, steps, blow, (t_cross, j_window) = reference_run(lif, K, ic,
+                                                                            t_max)
     assert (blow is None) == case.startswith("fig1_n256")
     assert (t_cross is None) == case.endswith("before_crossing")
     assert traj.blowup == blow
@@ -315,6 +315,9 @@ def test_integrate_matches_reference_loop(lif, case):
     assert traj.dense_J0.tobytes() == dense_j.tobytes()
     assert traj.first_crossing_time == t_cross
     assert traj.J_window == j_window
+    # the reported step range is that of the steps taken
+    summary = traj.summary()
+    assert (summary["dt_min"], summary["dt_max"]) == (min(steps), max(steps))
 
 
 def test_integrate_converges_to_stationary_flux(lif):
@@ -459,6 +462,9 @@ def test_neutral_run_periodic(lif):
                      log_stride=8)
     assert abs(traj.J0[-1] - traj.J0[0]) < 1e-12 * max(1.0, traj.J0[0])
     assert abs(traj.t[-1] - period) < 1e-9
+    # every step is the aligned one, and the summary says so exactly
+    summary = traj.summary()
+    assert summary["dt_min"] == summary["dt_max"] == ic.dtheta / lif.omega
 
 
 def test_characteristic_trace_no_coupling(lif):
@@ -488,6 +494,37 @@ def test_characteristic_trace_matches_grid(lif, stat_inhib):
     j_cross = float(np.interp(tr.crossing_time, traj.dense_t, traj.dense_J0))
     rho_grid = j_cross / (lif.omega + (-0.1) * lif.prc(TWO_PI) * j_cross)
     assert abs(tr.rho_at_crossing - rho_grid) / rho_grid < 0.02
+
+
+@pytest.mark.parametrize("K, n_theta, t_max", [(-0.1, 256, 2.5), (-0.1, 2048, 2.5),
+                                              (0.05, 512, 2.0), (-0.4, 512, 5.0)])
+def test_characteristic_trace_from_zero_is_first_crossing(lif, K, n_theta, t_max):
+    # the trace walks the run's own steps by first_crossing's RK2: launched
+    # from theta = 0 it crosses at the run's first-crossing time, bit for bit
+    ic = initial_density("vonmises", n_theta, lif, K, kappa=1.0)
+    traj = integrate(lif, K, ic, t_max=t_max)
+    tr = characteristic_trace(traj, lif, K, theta_start=0.0)
+    assert traj.first_crossing_time is not None and not tr.truncated
+    assert tr.crossing_time == traj.first_crossing_time
+    assert tr.theta[-1] == TWO_PI and np.all(np.diff(tr.theta) > 0.0)
+
+
+def test_characteristic_trace_truncated_before_crossing(lif):
+    ic = initial_density("vonmises", 256, lif, -0.1, kappa=1.0)
+    traj = integrate(lif, -0.1, ic, t_max=1.0)
+    tr = characteristic_trace(traj, lif, -0.1, theta_start=0.0)
+    assert traj.first_crossing_time is None
+    assert tr.truncated and tr.crossing_time is None and tr.rho_at_crossing is None
+    assert tr.t.tobytes() == traj.dense_t.tobytes() and tr.theta[-1] < TWO_PI
+
+
+def test_characteristic_trace_refuses_csv_log(lif, tmp_path):
+    ic = initial_density("vonmises", 256, lif, -0.1, kappa=1.0)
+    integrate(lif, -0.1, ic, t_max=1.0).to_csv(tmp_path / "trajectory.csv")
+    traj = TrajectoryLog.from_csv(tmp_path / "trajectory.csv")
+    assert traj.dense_dt is None
+    with pytest.raises(ValueError, match="CSV"):
+        characteristic_trace(traj, lif, -0.1, theta_start=0.0)
 
 
 def test_admissibility_sign_rule(lif, stat_inhib):
