@@ -92,7 +92,7 @@ class OscillatorModel:
     gives the same bits, so a scalar hot loop (the first-crossing
     characteristic) calls it directly.  ``_prc_fn`` and ``F``
     take a float path on one Python float: plain float arithmetic for the
-    closed forms, ``_float_path`` for the tabulated splines.
+    closed forms, ``PiecewiseCubic``'s for the tabulated splines.
     """
 
     def __init__(self, kind, x_lo, x_hi, omega, F, phase_fn, state_inverse,
@@ -211,34 +211,142 @@ def lif_model(S: float, gamma: float, x_lo: float = 0.0, x_hi: float = 1.0) -> O
                            {"S": S, "gamma": gamma, "x_lo": x_lo, "x_hi": x_hi})
 
 
-def _float_path(pp):
-    """``pp(v)`` for a piecewise polynomial, with a fast path on one float.
+class PiecewiseCubic:
+    """Piecewise cubic (a quadratic from ``derivative``) on knots ``x``,
+    with ``c[k, i]`` the coefficient of ``(v - x[i])**(deg - k)`` on piece i.
 
-    On a Python float it repeats the sum ``PPoly.__call__`` forms -- the
-    piece by ``bisect_right`` on the breakpoints, the end pieces continued
-    outside them, then ``res = 0.0 + c3; z = s; res += c2*z; z *= s; ...``
-    from the constant term up -- in Python floats, so it returns the same
-    bits at about a seventh of the cost of the array call.  Anything else
-    goes to ``pp``.
+    The layout and the arithmetic are those of ``PPoly``, the piecewise
+    polynomial behind ``PchipInterpolator`` and ``CubicHermiteSpline``, so
+    every value has the same bits: the piece is the last knot at or below
+    v, the end pieces continue past ``x[0]`` and ``x[-1]``, and the sum runs
+    from the constant term up, ``0.0 + c3 + c2*s + c1*(s*s) + c0*((s*s)*s)``
+    with s = v - x[i]; ``slope``, the first derivative, is
+    ``0.0 + c2 + (c1*s)*2 + (c0*(s*s))*3``.  NaN propagates through the sum.
+    On one Python float the piece is found by ``bisect_right`` on a knot
+    list and the sum is formed in floats, at about a seventh of the cost of
+    the array call.  Built by ``pchip`` and ``hermite``.
     """
-    knots = pp.x.tolist()
-    pieces = list(map(tuple, pp.c.T.tolist()))
-    last = len(knots) - 2
 
-    def at(v):
-        if type(v) is not float:
-            return pp(v)
-        i = min(max(bisect_right(knots, v) - 1, 0), last)
-        c0, c1, c2, c3 = pieces[i]
-        s = v - knots[i]
-        res = 0.0 + c3
-        res += c2 * s
+    def __init__(self, x, c):
+        self.x = x
+        self.c = c
+        # a piece's coefficients and minus its left knot in one column, so
+        # one take reads a point's piece; v + (-x_i) is v - x_i exactly, and
+        # the constant is stored as PPoly's 0.0 + c (a -0.0 becomes 0.0)
+        self._rows = np.vstack([c, -x[:-1]])
+        self._rows[-2] += 0.0
+        self._inner = x[1:-1]
+        self._cubic = len(c) == 4
+        self._last = len(x) - 2
+        self._pieces = None
+
+    def __call__(self, v):
+        """Values at v: a float for a Python float (cubic tables), else an
+        array of v's shape."""
+        if type(v) is float and self._cubic:
+            if self._pieces is None:
+                self._knots = self.x.tolist()
+                self._pieces = list(map(tuple, self.c.T.tolist()))
+            knots = self._knots
+            i = bisect_right(knots, v) - 1
+            if i < 0:
+                i = 0
+            elif i > self._last:
+                i = self._last
+            c0, c1, c2, c3 = self._pieces[i]
+            s = v - knots[i]
+            res = 0.0 + c3
+            res += c2 * s
+            z = s * s
+            res += c1 * z
+            z *= s
+            return res + c0 * z
+        if type(v) is not np.ndarray:
+            v = np.asarray(v, dtype=float)
+        if not v.ndim:
+            return self(v.reshape(1)).reshape(())
+        # one searchsorted on the inner knots gives the clipped piece index,
+        # one take its column; the sum is then formed in place, term by term
+        r = self._rows.take(self._inner.searchsorted(v, "right"), axis=1)
+        s = r[-1]
+        s += v
+        if not self._cubic:
+            res = r[1]
+            res *= s
+            res += r[2]
+            s *= s
+            c0 = r[0]
+            c0 *= s
+            res += c0
+            return res
         z = s * s
-        res += c1 * z
+        c0, c1, res = r[0], r[1], r[2]
+        res *= s
+        res += r[3]
+        c1 *= z
+        res += c1
         z *= s
-        return res + c0 * z
+        c0 *= z
+        res += c0
+        return res
 
-    return at
+    def slope(self, v):
+        """First derivative of a cubic table at v, as PPoly's ``pp(v, 1)``."""
+        v = np.asarray(v, dtype=float)
+        c0, c1, c2, _, s = self._rows.take(self._inner.searchsorted(v, "right"), axis=1)
+        s = s + v
+        return ((0.0 + c2) + c1 * s * 2.0) + c0 * (s * s) * 3.0
+
+    def derivative(self):
+        """The first derivative of a cubic table as PPoly forms it, a
+        quadratic table with coefficients (3c0, 2c1, c2)."""
+        return PiecewiseCubic(self.x, self.c[:-1] * np.array([3.0, 2.0, 1.0])[:, None])
+
+
+def hermite(x, y, dydx) -> PiecewiseCubic:
+    """Cubic Hermite interpolant of values y and slopes dydx at the strictly
+    increasing knots x, with ``CubicHermiteSpline``'s coefficients."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return PiecewiseCubic(x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t,
+                                       dydx[:-1], y[:-1])))
+
+
+def pchip(x, y) -> PiecewiseCubic:
+    """Monotone piecewise cubic interpolant (Fritsch-Carlson PCHIP) of y at
+    the strictly increasing knots x, with ``PchipInterpolator``'s slopes.
+
+    Inner slopes are the weighted harmonic mean of the neighbouring secants
+    (Fritsch-Butland), zero where the secants differ in sign or one is zero;
+    the end slopes are Moler's one-sided three-point estimates, kept in
+    shape; two samples give the straight line.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return hermite(x, y, np.array([m[0], m[0]]))
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return hermite(x, y, d)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    # one-sided three-point estimate, zeroed when it leaves the sign of the
+    # end secant and capped at 3*m0 when the secants change sign
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
@@ -278,11 +386,8 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
     if np.any(~np.isfinite(Fs)) or np.any(Fs <= 0.0):
         raise ModelError("vector field must be positive and finite on [x_lo, x_hi]")
 
-    # scipy costs about 0.3 s to import; only tables need it
-    from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-
     x_lo, x_hi = float(xs[0]), float(xs[-1])
-    F_interp = PchipInterpolator(xs, Fs, extrapolate=True)
+    F_interp = pchip(xs, Fs)
 
     # table nodes: every sample interval split evenly into pieces no wider
     # than a DENSE_GRID_SIZE grid's spacing, so each piece lies inside one
@@ -305,11 +410,9 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
     # cubic Hermite maps with the exact node slopes dtheta/dx = omega/F,
     # dx/dtheta = F/omega and dZ/dtheta = -F'/F
     Fn = F_interp(xn)
-    phase_interp = CubicHermiteSpline(xn, theta_n, omega / Fn)
-    state_interp = CubicHermiteSpline(theta_n, xn, Fn / omega)
-    z_interp = CubicHermiteSpline(theta_n, omega / Fn, -F_interp(xn, 1) / Fn)
-    prc_fn = _float_path(z_interp)
-    F = _float_path(F_interp)
+    phase_interp = hermite(xn, theta_n, omega / Fn)
+    state_interp = hermite(theta_n, xn, Fn / omega)
+    z_interp = hermite(theta_n, omega / Fn, -F_interp.slope(xn) / Fn)
 
     def phase_fn(x):
         # below x_lo the table's cubic extrapolation errs like (x_lo - x)**3;
@@ -333,8 +436,8 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
             x = x - (phase_fn(x) - theta) * F_interp(x) / omega
         return x
 
-    return OscillatorModel("tabulated", x_lo, x_hi, omega, F, phase_fn, state_inverse,
-                           prc_fn, z_interp.derivative(),
+    return OscillatorModel("tabulated", x_lo, x_hi, omega, F_interp, phase_fn, state_inverse,
+                           z_interp, z_interp.derivative(),
                            {"x_lo": x_lo, "x_hi": x_hi, "n_samples": xs.size})
 
 

@@ -217,14 +217,24 @@ def _quad(g, sampled: _Sampled, *, tol: float = 1e-11) -> float:
 
 def _kz_scan(model: OscillatorModel, K: float, n: int = 4097) -> tuple:
     """(r, breakpoint) from one scan of K*Z on an n-point grid: r = |min K*Z|
-    (0 when K*Z >= 0), and the grid argmin of K*Z kept inside (0, 2*pi) as
-    the quadrature breakpoint near the singular phase."""
+    (0 when K*Z >= 0), and the argmin of K*Z kept inside (0, 2*pi) as the
+    quadrature breakpoint near the singular phase.  A negative interior
+    grid minimum is refined inside the two cells beside it, and the refined
+    minimum kept when it is lower: the true minimum lies below the grid
+    value, and s_k = r + 10^-k and the bracket walk would otherwise cross
+    the pole of 1/(K*Z + s)."""
     grid = np.linspace(0.0, TWO_PI, n)
     kz = K * model.prc(grid)
     i = int(np.argmin(kz))
-    m = float(kz[i])
+    m, th = float(kz[i]), float(grid[i])
+    if m < 0.0 and 0 < i < n - 1:
+        zf = model._prc_fn
+        th_ref, m_ref = _golden_min(lambda t: K * zf(t), float(grid[i - 1]),
+                                    float(grid[i + 1]), xatol=1e-12 * TWO_PI)
+        if m_ref < m:
+            m, th = m_ref, th_ref
     r = 0.0 if m >= 0.0 else abs(m)
-    return r, float(np.clip(grid[i], 1e-6, TWO_PI - 1e-6))
+    return r, float(np.clip(th, 1e-6, TWO_PI - 1e-6))
 
 
 def _prepare(model: OscillatorModel, K: float) -> tuple:

@@ -703,9 +703,19 @@ import json, sys
 from importlib import resources
 from pathlib import Path
 
+out, mode = Path(sys.argv[1]), sys.argv[2]
+if mode == "blocked":
+    class NoScipy:
+        # an interpreter without scipy: every import of it fails
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"No module named {name!r}")
+            return None
+
+    sys.meta_path.insert(0, NoScipy())
+
 from pulsefield.cli import main
 
-out = Path(sys.argv[1])
 small = {"n_theta = 2048": "n_theta = 256", "t_max = 12.0": "t_max = 1.0",
          "t_max = 8.0": "t_max = 1.0"}
 for name in ("fig1", "homoclinic"):
@@ -722,35 +732,43 @@ codes = [
           "--out", str(out / "finite")]),
     main(["stationary", "--K", "-0.1", "--ntheta", "256"]),
 ]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-if sys.argv[2:] == ["tabulated"]:
-    codes.append(main(["finite", "--model", "tabulated", "--table", str(out / "field.csv"),
+if mode != "lif":
+    table = str(out / "field.csv")
+    codes.append(main(["finite", "--model", "tabulated", "--table", table,
                        "--N", "8", "--K", "-0.1", "--nfirings", "20",
                        "--out", str(out / "finite_tab")]))
+    codes.append(main(["stationary", "--model", "tabulated", "--table", table,
+                       "--K", "-0.1", "--ntheta", "256"]))
 (out / "probe.json").write_text(json.dumps(
-    {"codes": codes, "scipy_before_table": loaded,
-     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    {"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def _scipy_probe(tmp_path, *args):
+def _scipy_probe(tmp_path, mode):
     (tmp_path / "field.csv").write_text(
         "x,F\n" + "".join(f"{x!r},{2.1 - 2.0 * x!r}\n" for x in np.linspace(0.0, 1.0, 41).tolist()))
     env = dict(os.environ, PYTHONPATH=str(Path(pulsefield.__file__).parents[1]))
-    subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), *args], env=env,
+    subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path), mode], env=env,
                    check=True, capture_output=True, timeout=300)
     return json.loads((tmp_path / "probe.json").read_text())
 
 
 def test_cli_paths_never_import_scipy(tmp_path):
-    # scipy costs about 0.3 s of every start-up; only tabulated models use it
-    probe = _scipy_probe(tmp_path)
+    # scipy costs about 0.3 s of every start-up; no runtime path needs it
+    probe = _scipy_probe(tmp_path, "lif")
     assert probe["codes"] == [0, 0, 0, 0, 0]
     assert probe["scipy"] == []
 
 
-def test_tabulated_model_imports_scipy_interpolate(tmp_path):
+def test_tabulated_paths_never_import_scipy(tmp_path):
+    # tabulated models build their PCHIP and Hermite tables in numpy
     probe = _scipy_probe(tmp_path, "tabulated")
-    assert probe["codes"] == [0, 0, 0, 0, 0, 0]
-    assert probe["scipy_before_table"] == []
-    assert "scipy.interpolate" in probe["scipy"]
+    assert probe["codes"] == [0, 0, 0, 0, 0, 0, 0]
+    assert probe["scipy"] == []
+
+
+def test_tabulated_paths_run_without_scipy(tmp_path):
+    # the same commands where importing scipy raises ImportError
+    probe = _scipy_probe(tmp_path, "blocked")
+    assert probe["codes"] == [0, 0, 0, 0, 0, 0, 0]
+    assert probe["scipy"] == []

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from pulsefield import (Curvature, ModelError, Monotonicity, classify_monotonicity,
                         homoclinic_model, lif_model, tabulated_model)
-from pulsefield.models import load_field_table
+from pulsefield.models import hermite, load_field_table, pchip
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
@@ -305,3 +306,86 @@ def test_lif_field_float_path_bit_identical(lif):
     scalar = [lif.F(v) for v in pts]
     assert all(type(v) is float for v in scalar)
     assert np.array_equal(np.array(scalar), lif.F(np.array(pts)))
+
+
+def _oracle_tables():
+    # (x, y) sample tables for the numpy PCHIP and Hermite builders
+    rng = np.random.default_rng(11)
+    jittered = _jittered_knots(1201, 0.25, 7)
+    wavy = np.linspace(0.0, 1.0, 50)
+    parabola = np.linspace(-1.0, 2.0, 40)
+    scattered = np.sort(rng.uniform(0.0, 5.0, 300))
+    return {
+        "jittered_lif": (jittered, S - GAMMA * jittered),
+        "wavy": (wavy, 1.0 + 0.3 * np.sin(6.0 * wavy)),
+        "parabola": (parabola, 1.0 + parabola ** 2),
+        "lognormal": (scattered, rng.lognormal(size=300)),
+        "two_points": (np.array([0.0, 1.0]), np.array([1.0, 3.0])),
+        "flat_piece": (np.arange(5.0), np.array([1.0, 2.0, 2.0, 3.0, 5.0])),
+        "step": (np.arange(6.0), np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])),
+        # Moler's end slope leaves the sign of the end secant: set to zero
+        "end_slope_zeroed": (np.array([0.0, 1.0, 1.1, 2.0]), np.array([0.0, 1.0, 5.0, 6.0])),
+        # the secants change sign and the estimate exceeds 3*m0: capped there
+        "end_slope_capped": (np.array([0.0, 1.0, 1.2, 2.0]), np.array([0.0, 0.1, 0.0, 1.0])),
+        # a -0.0 constant whose piece has negative c0, c1, c2 under the Hermite
+        # slopes below: at the knot every term is -0.0, and PPoly's sum,
+        # which starts from 0.0, gives +0.0
+        "signed_zero": (np.arange(4.0), np.array([-0.0, -1.0, -3.0, -6.0])),
+    }
+
+
+def _oracle_slopes(table, x, y):
+    if table == "signed_zero":
+        return np.array([-0.1, -2.5, -2.5, -3.0])
+    return np.cos(3.0 * x) * (y[-1] - y[0] + 1.0)
+
+
+def _oracle_probes(x, seed):
+    # random points past both ends, every knot and its float neighbours,
+    # far extrapolation and NaN
+    rng = np.random.default_rng(seed)
+    span = x[-1] - x[0]
+    return np.concatenate([rng.uniform(x[0] - span, x[-1] + span, 4000), x,
+                           np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                           [x[0] - 100.0 * span, x[-1] + 100.0 * span, np.nan]])
+
+
+def _assert_same_spline(ours, ref, v):
+    # bit for bit: a signed zero or a NaN's sign and payload must match too
+    same = lambda a, b: (np.shape(a) == np.shape(b) and np.array_equal(
+        np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64)))
+    assert same(ours.x, ref.x) and same(ours.c, ref.c)
+    assert same(ours(v), ref(v))
+    assert same(ours.slope(v), ref(v, 1))
+    assert same(ours(v[:4000].reshape(40, 100)), ref(v[:4000].reshape(40, 100)))
+    assert same(ours(np.float64(v[0])), ref(np.float64(v[0])))
+    # one Python float at a time takes the float path
+    assert same(np.array([ours(float(t)) for t in v]), ref(v))
+    d_ours, d_ref = ours.derivative(), ref.derivative()
+    assert same(d_ours.c, d_ref.c)
+    assert same(d_ours(v), d_ref(v))
+    assert same(d_ours(v[:4000].reshape(40, 100)), d_ref(v[:4000].reshape(40, 100)))
+
+
+@pytest.mark.parametrize("table", sorted(_oracle_tables()))
+def test_piecewise_cubics_match_scipy_bit_for_bit(table):
+    # scipy.interpolate as an independent oracle: the same coefficients and
+    # the same bits for values, slopes and derivative tables, on both sides
+    # of the knots, at them, at 2-D and 0-d inputs and at NaN
+    x, y = _oracle_tables()[table]
+    v = _oracle_probes(x, 5)
+    _assert_same_spline(pchip(x, y), PchipInterpolator(x, y), v)
+    slopes = _oracle_slopes(table, x, y)
+    _assert_same_spline(hermite(x, y, slopes), CubicHermiteSpline(x, y, slopes), v)
+
+
+def test_oracle_tables_reach_signed_zero_and_both_end_slope_cases():
+    tables = _oracle_tables()
+    x, y = tables["signed_zero"]
+    ref = CubicHermiteSpline(x, y, _oracle_slopes("signed_zero", x, y))
+    assert (ref.c[:, 0] < 0.0).sum() == 3 and np.signbit(ref.c[3, 0])
+    assert ref(0.0) == 0.0 and not np.signbit(ref(0.0))
+    x, y = tables["end_slope_zeroed"]
+    assert PchipInterpolator(x, y).c[2, 0] == 0.0 and y[1] != y[0]
+    x, y = tables["end_slope_capped"]
+    assert PchipInterpolator(x, y).c[2, 0] == 3.0 * ((y[1] - y[0]) / (x[1] - x[0]))

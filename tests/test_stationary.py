@@ -143,6 +143,21 @@ def test_coupling_bounds_interior_minimum_unbounded():
     assert b.lower_unbounded and b.lower == -math.inf
 
 
+@pytest.mark.parametrize("K", [-0.1, -0.4])
+def test_kz_scan_refines_interior_minimum(K):
+    # the wavy table's K*Z has its minimum inside a grid cell: r is refined
+    # there, so no s_k = r + 10^-k and no bracket candidate
+    # (1 - 10^-k)*omega/r of the solve reaches the pole of 1/(K*Z + s)
+    m = _wavy_table()
+    top = float(np.max(-K * m.prc(np.linspace(0.0, TWO_PI, 2 ** 20 + 1))))
+    r, _ = stationary._kz_scan(m, K)
+    assert all(r + 10.0 ** (-k) > top for k in stationary.LIMIT_KS)
+    assert all((1.0 - 10.0 ** (-k)) * top < r for k in range(1, 15))
+    res = existence_condition(m, K)
+    assert res.r == r and res.exists
+    assert all(math.isfinite(v) for v in res.integrals)
+
+
 def test_coupling_bounds_lif_unbounded_consistent(lif):
     # limit-sequence quadrature drifts without converging (log divergence),
     # so the bound is reported unbounded; the direct condition must agree
@@ -247,12 +262,12 @@ PINNED_MODELS = {"lif": lambda: lif_model(S, GAMMA),
     pytest.param("lif", 0.1, "J_star", 0.8022543020971771, id="0.1-0.8022543020971771"),
     pytest.param("lif", -0.3, "J_star", 0.32035017792107384, id="-0.3-0.32035017792107384"),
     pytest.param("homoclinic", 0.05, "J_star", 1.093271529302454, id="homoclinic-J_star"),
-    pytest.param("wavy_table", -0.1, "J_star", 0.8627127857641228, id="wavy_table-J_star"),
+    pytest.param("wavy_table", -0.1, "J_star", 0.8627127857440726, id="wavy_table-J_star"),
     pytest.param("lif", -0.1, "integrals",
                  (3.2908304210896633, 4.49966008763508, 5.659339932347612),
                  id="lif-existence_integrals"),
     pytest.param("wavy_table", -0.1, "integrals",
-                 (28.77858528612413, 105.3548914670598, 405.04805415981565),
+                 (28.778584800252247, 105.35487563847417, 405.047337091606),
                  id="wavy_table-existence_integrals"),
 ])
 def test_lif_flux_bits_pinned(model, K, quantity, pinned):
@@ -336,18 +351,22 @@ def _scipy_ref_and_floor(f, floor_f, pts):
     return ref, 2.0 * EPS * floor
 
 
-# s = r + 10^-k at K < 0 for k = 1, 2, ...: integrals of 1/(K*Z + s) over the
-# wavy table's Z spline, summed over its 4 096 cubic pieces (split at their
-# critical points) in 30-digit arithmetic.  From k = 8 (K = -0.4) and k = 9
-# (K = -0.1) s lies below the true minimum of -K*Z, which is interior and
-# above the 4097-point grid value r, and the integral does not exist.
+# s = r + 10^-k at K < 0 for k = 1 ... 12: integrals of 1/(K*Z + s) over the
+# wavy table's Z spline, summed over its 4 096 cubic pieces in 50-digit
+# arithmetic (partial fractions over each piece's roots; at the grid r used
+# before, the same sums reproduce the 30-digit piecewise quadrature values
+# frozen then for K = -0.1, k = 1 and 8, to all 20 digits).  r is the
+# refined interior minimum of -K*Z, so every s lies above it and each
+# integral exists.
 WAVY_SPLINE_SUMS = {
-    -0.4: (15.970074831725574919, 57.550375692325899537, 259.63690666673216317,
-           1244.3581476018891833, 4715.7502567110897266, 15824.694325239594901,
-           53614.974739445449143),
-    -0.1: (28.778585285951757413, 105.35489146751299043, 405.04805415651108609,
-           1979.0555594162671105, 8671.3847244570380467, 30750.081175526671546,
-           101819.77780457865983, 376752.48391270232175),
+    -0.4: (15.970073865742284273, 57.550338305374062434, 259.63489678809244837,
+           1244.2720718257344605, 4712.9442438017448113, 15735.362053906367398,
+           50560.886226600523453, 160648.73038980391564, 508736.00934503934331,
+           1609444.247400083315, 5090170.6337129960357, 16097147.379140998198),
+    -0.1: (28.778584800463645107, 105.35487563910231567, 405.04733709475983,
+           1979.0176788358526653, 8669.9916804526156932, 30705.661691802794963,
+           100389.90086885700708, 320603.19922415825661, 1016815.7886672748264,
+           3218269.0612108755685, 10179722.475974421112, 32194318.794223309517),
 }
 
 
@@ -366,7 +385,7 @@ def test_quad_matches_oracles_on_wavy_table(K):
             lambda th: J * (omega + abs(K * zf(th) * J)) / (omega + K * zf(th) * J) ** 2, pts)
         _assert_close(normalization_functional(m, K, J), ref, stationary.W_TOL, floor)
     exact = WAVY_SPLINE_SUMS.get(K)
-    for k in stationary.LIMIT_KS if exact is None else range(1, len(exact) + 1):
+    for k in stationary.LIMIT_KS:
         s = r + 10.0 ** (-k)
         ref, floor = _scipy_ref_and_floor(
             lambda th: 1.0 / (K * zf(th) + s),
