@@ -11,11 +11,14 @@ Subcommands
 Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
-model parameter or field table).  Sweeps run their rows
+model parameter or field table, or a finite run whose coupling ignites an
+avalanche: K >= x_hi - x_lo re-fires an oscillator within one event).
+Sweeps run their rows
 one after another; a sweep whose model cannot be built, or whose values the
 config rejects, exits 4 before its first row.  Otherwise a sweep exits 0:
-sweep.csv records each row's exit code (empty for a row that raised), and
-each row that did not exit 0 prints one line on stderr.
+sweep.csv records each row's exit code (empty for a row that raised) and
+its certification violations (empty for a row that ran no certification),
+and each row that did not exit 0 prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .config import (ConfigError, ExperimentConfig, MODEL_KINDS, check_coupling,
 from .continuum import (BlowupError, DensityField, TrajectoryLog, initial_density,
                         integrate)
 from .certify import certify_theorem_bounds, fit_decay_rate
-from .finite import simulate as finite_simulate, splay_reference
+from .finite import AvalancheError, simulate as finite_simulate, splay_reference
 from .models import (ModelError, homoclinic_model, lif_model, load_field_table,
                      tabulated_model)
 from .quantile import discrete_lyapunov, quantile_transform
@@ -224,27 +227,55 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
 
 
 def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
-    run = finite_simulate(model, K, N, n_firings=n_firings, seed=seed)
-    # rows joined by hand: the bytes csv.writer with _fmt gives, about twice as fast
-    with open(out / "firings.csv", "w", newline="") as fh:
-        fh.write("t,id,absorbed\r\n")
-        fh.writelines(f"{float(ev.t)!r},{i},{ev.absorbed}\r\n"
-                      for ev in run.events for i in ev.fired)
-    with open(out / "snapshots.csv", "w", newline="") as fh:
-        fh.writelines(",".join(map(repr, [float(ts)] + snap.tolist())) + "\r\n"
-                      for ts, snap in zip(run.snapshot_times, run.snapshots))
-    info: dict = {"N": N, "seed": seed, "n_events": run.n_events,
-                  "full_sync_event": run.full_sync_event()}
+    """Finite-N run streamed to firings.csv, snapshots.csv and a V_N fold.
+
+    Each firing's rows are written, and its V_N against the splay reference
+    folded in, as it happens, so memory stays O(N) however many firings the
+    run takes.  A run that raises leaves neither CSV behind.
+    """
     try:
         ref = splay_reference(N, model, K)
-        vn = [discrete_lyapunov(s, ref) for s in run.snapshots]
-        info["V_N_first"] = vn[0]
-        info["V_N_last"] = vn[-1]
-        d = np.diff(vn)
-        info["V_N_nonincreasing_fraction"] = float((d <= 1e-12).mean()) if d.size else None
-        info["mean_firing_rate"] = run.mean_firing_rate() if run.n_events > 4 else None
     except NoStationaryStateError:
+        ref = None
+    # V_N's first and last value, and how many steps v - v_prev were <= 1e-12
+    vn = {"first": None, "last": None, "steps": 0, "down": 0}
+    paths = (out / "firings.csv", out / "snapshots.csv")
+    try:
+        with open(paths[0], "w", newline="") as ff, open(paths[1], "w", newline="") as fs:
+            ff.write("t,id,absorbed\r\n")
+
+            # rows joined by hand: the bytes csv.writer with _fmt gives, about
+            # twice as fast
+            def on_firing(t, snap, ev):
+                ts = repr(float(t))
+                ff.write("".join(f"{ts},{i},{ev.absorbed}\r\n" for i in ev.fired))
+                fs.write(",".join([ts, *map(repr, snap.tolist())]) + "\r\n")
+                if ref is None:
+                    return
+                v = discrete_lyapunov(snap, ref)
+                if vn["last"] is None:
+                    vn["first"] = v
+                else:
+                    vn["steps"] += 1
+                    vn["down"] += v - vn["last"] <= 1e-12
+                vn["last"] = v
+
+            run = finite_simulate(model, K, N, n_firings=n_firings, seed=seed,
+                                  on_firing=on_firing)
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
+    info: dict = {"N": N, "seed": seed, "n_events": run.n_events,
+                  "full_sync_event": run.full_sync_event()}
+    if ref is None:
         info["splay_reference"] = "unavailable (no stationary state)"
+    else:
+        info["V_N_first"] = vn["first"]
+        info["V_N_last"] = vn["last"]
+        info["V_N_nonincreasing_fraction"] = (vn["down"] / vn["steps"]
+                                              if vn["steps"] else None)
+        info["mean_firing_rate"] = run.mean_firing_rate() if run.n_events > 4 else None
     _write_json(out / "summary.json", info)
     return info
 
@@ -359,7 +390,7 @@ def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) 
     row_dir = out_root / f"{param}={value!r}"
     row: dict = {"param": param, "value": value, "status": "ok", "exists": None,
                  "J_star": None, "J0_final": None, "decay_rate": None, "t_fin": None,
-                 "exit_code": None}
+                 "exit_code": None, "cert_violations": None}
     try:
         code = run_scenario(row_cfg, out_dir=row_dir, bounds=bounds)
         summary = json.loads((row_dir / "summary.json").read_text())
@@ -370,6 +401,7 @@ def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) 
         blow = summary.get("blowup")
         row["t_fin"] = blow["t_fin"] if blow else None
         row["exit_code"] = code
+        row["cert_violations"] = (summary.get("certification") or {}).get("violations")
     except Exception as exc:   # noqa: BLE001 - row failures are data
         row["status"] = f"failed: {exc}"
         try:
@@ -402,14 +434,16 @@ def _cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     rows = [_sweep_row(c, args.param, v, out_root, bounds) for c, v in zip(row_cfgs, values)]
     header = ["param", "value", "status", "exists", "J_star", "J0_final",
-              "decay_rate", "t_fin", "exit_code"]
+              "decay_rate", "t_fin", "exit_code", "cert_violations"]
     _write_csv(out_root / "sweep.csv", header,
                ([r["param"], _fmt(r["value"]), r["status"], r["exists"],
                  "" if r["J_star"] is None else _fmt(r["J_star"]),
                  "" if r["J0_final"] is None else _fmt(r["J0_final"]),
                  "" if r["decay_rate"] is None else _fmt(r["decay_rate"]),
                  "" if r["t_fin"] is None else _fmt(r["t_fin"]),
-                 "" if r["exit_code"] is None else r["exit_code"]] for r in rows))
+                 "" if r["exit_code"] is None else r["exit_code"],
+                 "" if r["cert_violations"] is None else r["cert_violations"]]
+                for r in rows))
     print((out_root / "sweep.csv").read_text(), end="")
     return EXIT_OK
 
@@ -494,6 +528,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except AvalancheError as exc:
+        print(f"avalanche: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

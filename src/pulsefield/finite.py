@@ -19,14 +19,16 @@ reset, which carry negative phases on the field's continuation), so the
 vector stays sorted without a sort.
 
 At every firing the phase vector (firing oscillators recorded at 2*pi,
-states below the reset at 0) is snapshotted; that sequence is the finite
-counterpart of the continuum trajectory and is compared against the splay
-configuration -- the N-quantiles of the stationary density -- through the
-discrete Lyapunov distance.  The tests keep a loop over states x, which
-maps every state to phase and back at each drift, as the reference: the
-phase loop fires the same oscillators in the same order, and its event
-times and snapshots (hence firings.csv and snapshots.csv) differ from it
-only at rounding level.
+states below the reset at 0) is the firing's snapshot; that sequence is the
+finite counterpart of the continuum trajectory and is compared against the
+splay configuration -- the N-quantiles of the stationary density -- through
+the discrete Lyapunov distance.  A run either keeps every snapshot, N floats
+per firing, or streams each one to a per-firing sink and keeps none, so a
+streamed run holds O(N) memory whatever its length.  The tests keep a loop
+over states x, which maps every state to phase and back at each drift, as
+the reference: the phase loop fires the same oscillators in the same order,
+and its event times and snapshots (hence firings.csv and snapshots.csv)
+differ from it only at rounding level.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class FiniteRun:
     N: int
     seed: int | None
     events: list
-    snapshot_times: list
-    snapshots: list
+    snapshot_times: list | None     # None for a run streamed to a sink
+    snapshots: list | None
 
     @property
     def n_events(self) -> int:
@@ -210,12 +212,16 @@ def apply_firing(state: PopulationState, model: OscillatorModel, K: float) -> tu
 
 def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
              t_max: float | None = None, seed: int | None = None,
-             x0: np.ndarray | None = None, ic_density=None) -> FiniteRun:
+             x0: np.ndarray | None = None, ic_density=None,
+             on_firing=None) -> FiniteRun:
     """Alternate drift and firing for ``n_firings`` events (or until t_max).
 
     Initial states are seeded uniform random in (x_lo, x_hi), the N-quantiles
     of ``ic_density`` mapped back to state space, or an explicit ``x0``.
-    Snapshots are taken at each event before the pulse is applied.
+    Snapshots are taken at each event before the pulse is applied.  Without
+    ``on_firing`` the run keeps them all; with it, each firing calls
+    ``on_firing(t, snapshot, event)`` once the event is resolved, the run
+    keeps only its events, and ``snapshot_times`` and ``snapshots`` are None.
     """
     if model.F is None:
         raise ModelError(f"{model.kind} model has no vector field")
@@ -239,8 +245,7 @@ def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
     theta, ids, t = state.theta, state.ids, 0.0
     fire_at = _firing_phase(model)
     events: list = []
-    snaps: list = []
-    snap_times: list = []
+    snaps, snap_times = ([], []) if on_firing is None else (None, None)
     for _ in range(n_firings):
         shift, drifted = _drift(theta)
         t_fire = t + shift / model.omega
@@ -255,10 +260,13 @@ def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
             snap[:below] = 0.0
         else:
             snap = theta
-        snaps.append(snap)
-        snap_times.append(t)
         theta, ids, ev = _fire(theta, ids, k, model, K, t)
         events.append(ev)
+        if on_firing is None:
+            snaps.append(snap)
+            snap_times.append(t)
+        else:
+            on_firing(t, snap, ev)
     return FiniteRun(model, K, N, seed, events, snap_times, snaps)
 
 

@@ -692,10 +692,61 @@ def test_sweep_records_row_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0])[-2:] == ["t_fin", "exit_code"]
-    assert [(r["value"], r["status"], r["exit_code"]) for r in rows] == [
-        ("0.1", "ok", "0"), ("-0.1", "ok", "2")]
+    assert list(rows[0])[-3:] == ["t_fin", "exit_code", "cert_violations"]
+    assert [(r["value"], r["status"], r["exit_code"], r["cert_violations"])
+            for r in rows] == [("0.1", "ok", "0", ""), ("-0.1", "ok", "2", "")]
     assert err == ["sweep row K=-0.1: exit code 2"]
+
+
+def test_sweep_records_certification_violations(tmp_path, capsys):
+    # at n_theta 256 the K = -0.4 row fails certification (exit 3); sweep.csv
+    # shows how many intervals it violated, the passing row shows 0
+    cfg = TINY_CFG.replace("n_theta = 64", "n_theta = 256").replace(
+        "t_max = 0.1", "t_max = 6.0").replace("certify = false", "certify = true")
+    p = write_cfg(tmp_path, cfg, out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K", "--values=-0.1,-0.4",
+                 "--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        cert = json.loads((tmp_path / "sw" / f"K={float(r['value'])!r}"
+                           / "certification.json").read_text())
+        assert r["cert_violations"] == str(cert["violations"])
+    assert [(r["exit_code"], r["cert_violations"] != "0") for r in rows] == [
+        ("0", False), ("3", True)]
+
+
+# threshold gap 0.5: the continuum runs (and blows up), then the finite run
+# meets an avalanche
+AVALANCHE_CFG = TINY_CFG.replace("gamma = 2.0", "gamma = 2.0\nx_hi = 0.5").replace(
+    "K = -0.1", "K = 0.8") + """
+[finite]
+enabled = true
+N = 10
+seed = 1
+n_firings = 50
+"""
+
+
+@pytest.mark.parametrize("command", ["finite", "run"])
+def test_avalanche_exits_config_error(tmp_path, capsys, command):
+    # K >= x_hi - x_lo re-fires an oscillator within one event: one stderr
+    # line, exit 4, no summary.json and no half-written finite CSVs
+    if command == "finite":
+        fdir = tmp_path / "fin"
+        argv = ["finite", "--model", "lif", "--N", "10", "--K", "1.5", "--seed", "1",
+                "--nfirings", "50", "--out", str(fdir)]
+    else:
+        fdir = tmp_path / "out" / "finite"
+        argv = ["run", str(write_cfg(tmp_path, AVALANCHE_CFG, out=tmp_path / "out"))]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("avalanche: oscillator re-fired within one event")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in fdir.iterdir()) == []
+    assert not (fdir.parent / "summary.json").exists()
 
 
 SCIPY_PROBE = r"""

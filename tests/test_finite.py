@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pulsefield import (AvalancheError, PopulationState, advance_to_next_firing,
                         splay_reference, tabulated_model)
 from pulsefield.cli import _run_finite
 from pulsefield.finite import TIE_TOL
+from pulsefield.stationary import NoStationaryStateError
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
@@ -295,3 +297,58 @@ def test_tabulated_run_matches_lif(lif, tmp_path):
         (tmp_path / name).mkdir()
         info = _run_finite(m, -0.1, 100, 11, 200, tmp_path / name)
         assert info["V_N_nonincreasing_fraction"] == 1.0
+
+
+def test_sink_sees_each_firing_and_run_keeps_no_snapshots(lif):
+    # a sink gets the snapshots a plain run keeps, bit for bit, in order
+    kept = simulate(lif, 0.1, 30, n_firings=200, seed=4)
+    seen = []
+    run = simulate(lif, 0.1, 30, n_firings=200, seed=4,
+                   on_firing=lambda t, snap, ev: seen.append((t, snap.copy(), ev)))
+    assert run.snapshots is None and run.snapshot_times is None
+    assert run.events == kept.events
+    assert [ev for _, _, ev in seen] == kept.events
+    assert [t for t, _, _ in seen] == kept.snapshot_times
+    for (_, snap, _), want in zip(seen, kept.snapshots):
+        assert snap.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("K,N,seed,n_firings", [
+    (-0.1, 50, 9, 300),     # inhibitory
+    (0.1, 30, 4, 300),      # excitatory, with absorptions
+    (-5.0, 40, 2, 100),     # no stationary state: no splay reference
+], ids=["inhibitory", "absorbing", "no-stationary-state"])
+def test_streamed_summary_matches_simulate(lif, tmp_path, K, N, seed, n_firings):
+    # the V_N fold over streamed firings gives the bits a stored run gives
+    info = _run_finite(lif, K, N, seed, n_firings, tmp_path)
+    run = simulate(lif, K, N, n_firings=n_firings, seed=seed)
+    want = {"N": N, "seed": seed, "n_events": n_firings,
+            "full_sync_event": run.full_sync_event()}
+    try:
+        ref = splay_reference(N, lif, K)
+    except NoStationaryStateError:
+        want["splay_reference"] = "unavailable (no stationary state)"
+    else:
+        vn = [discrete_lyapunov(s, ref) for s in run.snapshots]
+        want.update(V_N_first=vn[0], V_N_last=vn[-1],
+                    V_N_nonincreasing_fraction=float((np.diff(vn) <= 1e-12).mean()),
+                    mean_firing_rate=run.mean_firing_rate())
+    assert info == want
+    assert all(type(v) is type(want[k]) for k, v in info.items())
+    assert ("splay_reference" in info) == (K < -1.0)
+    if K > 0:
+        assert sum(ev.absorbed for ev in run.events) > 0
+
+
+def test_streamed_run_memory_is_order_n(lif, tmp_path):
+    # a stored run would hold N * n_firings * 8 bytes of snapshots (1.6 MB)
+    N, n_firings = 500, 400
+    # a first call makes the one-time imports (np.unique loads numpy.ma)
+    _run_finite(lif, -0.1, N, 3, 10, tmp_path)
+    tracemalloc.start()
+    try:
+        _run_finite(lif, -0.1, N, 3, n_firings, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * n_firings * 8 / 2
