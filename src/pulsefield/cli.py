@@ -13,12 +13,16 @@ the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
 model parameter or field table, or a finite run whose coupling ignites an
 avalanche: K >= x_hi - x_lo re-fires an oscillator within one event).
-Sweeps run their rows
-one after another; a sweep whose model cannot be built, or whose values the
-config rejects, exits 4 before its first row.  Otherwise a sweep exits 0:
-sweep.csv records each row's exit code (empty for a row that raised) and
-its certification violations (empty for a row that ran no certification),
-and each row that did not exit 0 prints one line on stderr.
+A sweep whose model
+cannot be built, or whose values the config rejects, exits 4 before its
+first row.  Otherwise its rows run in forked worker processes, one per CPU
+this process may run on (``taskset -c 0 pulsefield sweep ...`` runs them
+one after another, in process); every artifact has the same bytes either
+way, except the wall times in each row's summary.json.  The sweep exits 0:
+sweep.csv records each row's exit code (empty for a row that raised, or
+whose worker process died) and its certification violations (empty for a
+row that ran no certification), and each row that did not exit 0 prints
+one line on stderr, in row order, once every earlier row has finished.
 """
 
 from __future__ import annotations
@@ -27,7 +31,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -123,43 +130,61 @@ def _resolve_config_path(name) -> Path:
 
 # -- scenario orchestration -------------------------------------------------------
 
+PHASES = ("stationary", "integrate", "certify", "finite", "write")
+
+
+@contextmanager
+def _timed(timings: dict, phase: str):
+    """Add the block's wall time to ``timings[phase]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] += time.perf_counter() - t0
+
 
 def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
     """Stationary solve, continuum integration, certification, optional
     finite-N run; writes all artifacts under the output directory.
 
     ``bounds`` is the model's ``coupling_bounds`` when the caller has them
-    already (a sweep computes them once for all its rows)."""
+    already (a sweep computes them once for all its rows).  summary.json's
+    ``timings_s`` holds the seconds spent in each of ``PHASES``: the
+    stationary solve, ``integrate`` (V included), certification, the finite
+    run and the artifact writes before summary.json's own."""
     out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "resolved_config.json", cfg.resolved())
+    timings = dict.fromkeys(PHASES, 0.0)
+    with _timed(timings, "write"):
+        _write_json(out / "resolved_config.json", cfg.resolved())
 
     model = cfg.build_model()
     K = cfg["coupling"]["K"]
     sol = cfg["solver"]
     summary: dict = {"K": K, "omega": model.omega,
                      "monotonicity": model.monotonicity.value,
-                     "curvature": model.curvature.value}
+                     "curvature": model.curvature.value, "timings_s": timings}
 
     # stationary state (reference for V); absence is recorded, not fatal
     reference = None
-    stat_info: dict = {}
-    try:
-        reference = solve_stationary_flux(model, K, n_theta=sol["n_theta"])
-        stat_info = {"exists": True, "J_star": reference.J_star, "r": reference.r,
-                     "J_interval_hi": None if math.isinf(reference.J_interval[1])
-                     else reference.J_interval[1]}
-        if cfg["output"]["dump_stationary_density"]:
+    with _timed(timings, "stationary"):
+        try:
+            reference = solve_stationary_flux(model, K, n_theta=sol["n_theta"])
+            stat_info = {"exists": True, "J_star": reference.J_star, "r": reference.r,
+                         "J_interval_hi": None if math.isinf(reference.J_interval[1])
+                         else reference.J_interval[1]}
+        except NoStationaryStateError as exc:
+            stat_info = {"exists": False, "r": exc.result.r,
+                         "limit_value": exc.result.to_json()["limit_value"]}
+        if model.F is not None:
+            if bounds is None:
+                bounds = coupling_bounds(model)
+            stat_info["coupling_bounds"] = bounds.to_json()
+    with _timed(timings, "write"):
+        if reference is not None and cfg["output"]["dump_stationary_density"]:
             _density_csv(out / "rho_star.csv", reference.rho_star.theta,
                          reference.rho_star.rho, value_name="rho_star")
-    except NoStationaryStateError as exc:
-        stat_info = {"exists": False, "r": exc.result.r,
-                     "limit_value": exc.result.to_json()["limit_value"]}
-    if model.F is not None:
-        if bounds is None:
-            bounds = coupling_bounds(model)
-        stat_info["coupling_bounds"] = bounds.to_json()
-    _write_json(out / "stationary.json", stat_info)
+        _write_json(out / "stationary.json", stat_info)
     summary["stationary"] = stat_info
 
     try:
@@ -171,6 +196,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
         raise ConfigError("initial.kind", str(exc))
     except BlowupError as exc:
         summary["blowup"] = exc.event.to_json()
+        if cfg["finite"]["enabled"]:
+            summary["finite"] = "skipped: continuum blew up at t = 0"
         summary["exit_code"] = (EXIT_OK if cfg["run"]["expect_blowup"]
                                 else EXIT_BLOWUP_EXPECTATION)
         _write_json(out / "summary.json", summary)
@@ -179,20 +206,22 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
     dt = None
     if sol["align_dt"]:
         dt = initial.dtheta / model.omega
-    traj = integrate(model, K, initial, t_max=sol["t_max"], cfl=sol["cfl"], dt=dt,
-                     log_stride=cfg["output"]["log_stride"], reference=reference,
-                     snapshot_times=cfg["output"]["snapshot_times"])
-    traj.to_csv(out / "trajectory.csv")
-    if cfg["output"]["dump_density"]:
-        for ts, arr in traj.snapshots:
-            _density_csv(out / f"density_t{ts:.6g}.csv", traj.initial.theta, arr)
-        _density_csv(out / f"density_t{traj.final.t:.6g}.csv",
-                     traj.final.theta, traj.final.rho)
-    if cfg["output"]["dump_quantiles"]:
-        for ts, arr in traj.snapshots:
-            _quantile_csv(out / f"quantiles_t{ts:.6g}.csv", traj.initial.theta, arr)
-        _quantile_csv(out / f"quantiles_t{traj.final.t:.6g}.csv",
-                      traj.final.theta, traj.final.rho)
+    with _timed(timings, "integrate"):
+        traj = integrate(model, K, initial, t_max=sol["t_max"], cfl=sol["cfl"], dt=dt,
+                         log_stride=cfg["output"]["log_stride"], reference=reference,
+                         snapshot_times=cfg["output"]["snapshot_times"])
+    with _timed(timings, "write"):
+        traj.to_csv(out / "trajectory.csv")
+        if cfg["output"]["dump_density"]:
+            for ts, arr in traj.snapshots:
+                _density_csv(out / f"density_t{ts:.6g}.csv", traj.initial.theta, arr)
+            _density_csv(out / f"density_t{traj.final.t:.6g}.csv",
+                         traj.final.theta, traj.final.rho)
+        if cfg["output"]["dump_quantiles"]:
+            for ts, arr in traj.snapshots:
+                _quantile_csv(out / f"quantiles_t{ts:.6g}.csv", traj.initial.theta, arr)
+            _quantile_csv(out / f"quantiles_t{traj.final.t:.6g}.csv",
+                          traj.final.theta, traj.final.rho)
     summary.update(traj.summary())
 
     exit_code = EXIT_OK
@@ -202,13 +231,15 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
         summary["expected_blowup_missing"] = True
 
     if cfg["run"]["certify"] and reference is not None and np.isfinite(traj.V).any():
-        report = certify_theorem_bounds(traj, model, K,
-                                        tol_abs=cfg["run"]["certify_tol_abs"],
-                                        tol_rel=cfg["run"]["certify_tol_rel"])
-        fit = fit_decay_rate(traj, model, K)
-        cert = report.to_json()
-        cert["decay_fit"] = fit.to_json()
-        _write_json(out / "certification.json", cert)
+        with _timed(timings, "certify"):
+            report = certify_theorem_bounds(traj, model, K,
+                                            tol_abs=cfg["run"]["certify_tol_abs"],
+                                            tol_rel=cfg["run"]["certify_tol_rel"])
+            fit = fit_decay_rate(traj, model, K)
+            cert = report.to_json()
+            cert["decay_fit"] = fit.to_json()
+        with _timed(timings, "write"):
+            _write_json(out / "certification.json", cert)
         summary["certification"] = cert
         summary["decay_rate"] = fit.rate if math.isfinite(fit.rate) else None
         if not report.verdict(cfg["run"]["certify_min_fraction"]):
@@ -217,9 +248,10 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
     if cfg["finite"]["enabled"]:
         fdir = out / "finite"
         fdir.mkdir(exist_ok=True)
-        summary["finite"] = _run_finite(model, K, cfg["finite"]["N"],
-                                        cfg["finite"]["seed"],
-                                        cfg["finite"]["n_firings"], fdir)
+        with _timed(timings, "finite"):
+            summary["finite"] = _run_finite(model, K, cfg["finite"]["N"],
+                                            cfg["finite"]["seed"],
+                                            cfg["finite"]["n_firings"], fdir)
 
     summary["exit_code"] = exit_code
     _write_json(out / "summary.json", summary)
@@ -386,11 +418,18 @@ def _row_config(cfg: ExperimentConfig, param, value) -> ExperimentConfig:
     return row_cfg
 
 
+SWEEP_FIELDS = ("param", "value", "status", "exists", "J_star", "J0_final",
+                "decay_rate", "t_fin", "exit_code", "cert_violations")
+
+
+def _blank_row(param, value, status) -> dict:
+    return {**dict.fromkeys(SWEEP_FIELDS), "param": param, "value": value,
+            "status": status}
+
+
 def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) -> dict:
     row_dir = out_root / f"{param}={value!r}"
-    row: dict = {"param": param, "value": value, "status": "ok", "exists": None,
-                 "J_star": None, "J0_final": None, "decay_rate": None, "t_fin": None,
-                 "exit_code": None, "cert_violations": None}
+    row = _blank_row(param, value, "ok")
     try:
         code = run_scenario(row_cfg, out_dir=row_dir, bounds=bounds)
         summary = json.loads((row_dir / "summary.json").read_text())
@@ -410,13 +449,36 @@ def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) 
             row["J_star"] = stat.get("J_star")
         except OSError:
             pass
-    if row["exit_code"] != EXIT_OK:
-        outcome = row["status"] if row["exit_code"] is None else f"exit code {row['exit_code']}"
-        print(f"sweep row {param}={value!r}: {outcome}", file=sys.stderr)
     return row
 
 
+def _row_pool(n_rows: int):
+    """Executor for a sweep's rows: one forked worker process per CPU this
+    process may run on, at most one per row.  With one worker, or where
+    processes cannot be forked, each row runs in process when submitted."""
+    import multiprocessing
+    from concurrent.futures import Executor, Future, ProcessPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(n_rows, cpus)
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+    class InProcess(Executor):
+        def submit(self, fn, /, *args, **kwargs):
+            future = Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    return InProcess()
+
+
 def _cmd_sweep(args) -> int:
+    from concurrent.futures.process import BrokenProcessPool
+
     cfg = ExperimentConfig.parse(_resolve_config_path(args.config))
     try:
         values = [float(v) for v in args.values.split(",")] if args.values else []
@@ -432,10 +494,24 @@ def _cmd_sweep(args) -> int:
     bounds = coupling_bounds(model) if model.F is not None else None
     out_root = Path(args.out or (Path(cfg["output"]["dir"]) / "sweep"))
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = [_sweep_row(c, args.param, v, out_root, bounds) for c, v in zip(row_cfgs, values)]
-    header = ["param", "value", "status", "exists", "J_star", "J0_final",
-              "decay_rate", "t_fin", "exit_code", "cert_violations"]
-    _write_csv(out_root / "sweep.csv", header,
+    rows = []
+    with _row_pool(len(values)) as pool:
+        futures = [pool.submit(_sweep_row, c, args.param, v, out_root, bounds)
+                   for c, v in zip(row_cfgs, values)]
+        for future, v in zip(futures, values):
+            try:
+                row = future.result()
+            except BrokenProcessPool:
+                # a worker died (killed, or out of memory): every row that
+                # had not finished by then is lost with the pool
+                row = _blank_row(args.param, v, "failed: worker process died")
+            if row["exit_code"] != EXIT_OK:
+                outcome = (row["status"] if row["exit_code"] is None
+                           else f"exit code {row['exit_code']}")
+                print(f"sweep row {args.param}={v!r}: {outcome}", file=sys.stderr)
+            rows.append(row)
+
+    _write_csv(out_root / "sweep.csv", SWEEP_FIELDS,
                ([r["param"], _fmt(r["value"]), r["status"], r["exists"],
                  "" if r["J_star"] is None else _fmt(r["J_star"]),
                  "" if r["J0_final"] is None else _fmt(r["J0_final"]),

@@ -144,7 +144,9 @@ class _Sampled(NamedTuple):
 def _sample(fn, a: float, b: float, points=None) -> _Sampled:
     """fn on the starting mesh of the segments between a, ``points`` and b."""
     k = np.array((float(a), *sorted(map(float, points or ())), float(b)))
-    edges = np.unique(np.append((k[:-1, None] + np.diff(k)[:, None] * MESH_FRACTIONS).ravel(), k))
+    # np.unique's result without its import of numpy.ma on the first call
+    edges = np.sort(np.append((k[:-1, None] + np.diff(k)[:, None] * MESH_FRACTIONS).ravel(), k))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     lo, hi = edges[:-1], edges[1:]
     return _Sampled(fn, lo, hi, fn(_gk_nodes(lo, hi)))
 

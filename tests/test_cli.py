@@ -2,15 +2,18 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pulsefield
+import pulsefield.cli as cli
 from pulsefield import lif_model, simulate
 from pulsefield.cli import main
 from pulsefield.config import ConfigError, ExperimentConfig
@@ -383,6 +386,36 @@ n_firings = 150
     assert info["V_N_nonincreasing_fraction"] > 0.5
 
 
+def test_summary_records_phase_timings(tmp_path):
+    # seconds per phase go to summary.json only: each phase that ran took
+    # some time, and together they fit inside the call
+    cfg = TINY_CFG.replace("t_max = 0.1", "t_max = 1.0").replace(
+        "certify = false", "certify = true") + "\n[finite]\nenabled = true\nN = 10\n"
+    p = write_cfg(tmp_path, cfg, out=tmp_path / "out")
+    t0 = time.perf_counter()
+    assert main(["run", str(p)]) == 0
+    wall = time.perf_counter() - t0
+    timings = json.loads((tmp_path / "out" / "summary.json").read_text())["timings_s"]
+    assert sorted(timings) == sorted(cli.PHASES)
+    assert all(v > 0.0 for v in timings.values())
+    assert sum(timings.values()) <= wall
+    for f in (tmp_path / "out").rglob("*.csv"):
+        assert "tim" not in f.read_text().splitlines()[0]
+
+
+def test_blowup_at_start_reports_skipped_finite_run(tmp_path):
+    # the continuum profile blows up at t = 0, so run_scenario stops before
+    # the finite section; summary.json says so instead of leaving it out
+    cfg = BLOWUP_CFG.replace("K = 0.1", "K = 1.5") + "\n[finite]\nenabled = true\nN = 10\n"
+    p = write_cfg(tmp_path, cfg, out=tmp_path / "out", expect="false")
+    assert main(["run", str(p)]) == 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["blowup"]["t_fin"] == 0.0
+    assert summary["finite"] == "skipped: continuum blew up at t = 0"
+    assert summary["timings_s"]["integrate"] == summary["timings_s"]["finite"] == 0.0
+    assert not (tmp_path / "out" / "finite").exists()
+
+
 def test_sweep_empty_values(tmp_path, capsys):
     p = write_cfg(tmp_path, NEUTRAL_CFG, out=tmp_path / "out")
     assert main(["sweep", "--config", str(p), "--param", "K", "--values", "",
@@ -715,6 +748,107 @@ def test_sweep_records_certification_violations(tmp_path, capsys):
         assert r["cert_violations"] == str(cert["violations"])
     assert [(r["exit_code"], r["cert_violations"] != "0") for r in rows] == [
         ("0", False), ("3", True)]
+
+
+# sweep rows run in forked worker processes, one per usable CPU; patching
+# os.sched_getaffinity sets the worker count whatever the host has
+POOL_CFG = TINY_CFG.replace("n_theta = 64", "n_theta = 128").replace(
+    "t_max = 0.1", "t_max = 2.0").replace("certify = false", "certify = true").replace(
+    "dump_density = false", "dump_density = true")
+POOL_VALUES = "--values=-0.05,-0.1,-0.2,-0.4,0.1"
+
+
+def _sweep_files(root: Path) -> dict:
+    """Every file under root, by relative path; summary.json without its
+    wall times, which differ from run to run."""
+    files = {}
+    for f in sorted(root.rglob("*")):
+        if f.is_file():
+            data = f.read_bytes()
+            if f.name == "summary.json":
+                summary = json.loads(data)
+                assert summary.pop("timings_s").keys() == set(cli.PHASES)
+                data = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+            files[str(f.relative_to(root))] = data
+    return files
+
+
+def _pool_sweep(tmp_path, monkeypatch, cpus, name, values=POOL_VALUES):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    p = write_cfg(tmp_path, POOL_CFG, name="sweep.cfg", out=tmp_path / "base")
+    assert main(["sweep", "--config", str(p), "--param", "K", values,
+                 "--out", str(tmp_path / name)]) == 0
+    assert multiprocessing.active_children() == []
+    return tmp_path / name
+
+
+def test_sweep_pool_matches_one_worker_byte_for_byte(tmp_path, capsys, monkeypatch):
+    serial = _sweep_files(_pool_sweep(tmp_path, monkeypatch, 1, "serial"))
+    serial_err = capsys.readouterr().err
+    pooled = _sweep_files(_pool_sweep(tmp_path, monkeypatch, 2, "pooled"))
+    assert capsys.readouterr().err == serial_err
+    assert len(serial) == 5 * 6 + 1   # five rows of six files, and sweep.csv
+    assert pooled.keys() == serial.keys()
+    assert [k for k in serial if pooled[k] != serial[k]] == []
+
+
+def test_sweep_row_raising_in_worker_is_recorded(tmp_path, capsys, monkeypatch):
+    good = _sweep_files(_pool_sweep(tmp_path, monkeypatch, 2, "good"))
+    capsys.readouterr()
+    real = cli.integrate
+
+    def integrate(model, K, *args, **kwargs):
+        if K == -0.2:
+            raise RuntimeError("boom")
+        return real(model, K, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    bad = _pool_sweep(tmp_path, monkeypatch, 2, "bad")
+    assert capsys.readouterr().err.splitlines() == [
+        "sweep row K=-0.2: failed: boom", "sweep row K=0.1: exit code 3"]
+    with open(bad / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["value"], r["status"]) for r in rows] == [
+        ("-0.05", "ok"), ("-0.1", "ok"), ("-0.2", "failed: boom"), ("-0.4", "ok"),
+        ("0.1", "ok")]
+    assert rows[2]["exists"] == "True" and rows[2]["exit_code"] == ""
+    # every other row keeps its bytes, in its directory and in sweep.csv
+    bad = _sweep_files(bad)
+    for key, data in good.items():
+        if key == "sweep.csv":
+            assert [ln for ln in data.splitlines() if b",-0.2," not in ln] == [
+                ln for ln in bad[key].splitlines() if b",-0.2," not in ln]
+        elif not key.startswith("K=-0.2"):
+            assert bad[key] == data, key
+
+
+def _row_or_die(row_cfg, param, value, out_root, bounds):
+    # a worker process killed mid-row, as by the OOM killer
+    if value == -0.2:
+        os._exit(1)
+    return _SWEEP_ROW(row_cfg, param, value, out_root, bounds)
+
+
+_SWEEP_ROW = cli._sweep_row
+
+
+def test_sweep_dead_worker_fails_unfinished_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_row", _row_or_die)
+    out = _pool_sweep(tmp_path, monkeypatch, 2, "sw")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["value"] for r in rows] == ["-0.05", "-0.1", "-0.2", "-0.4", "0.1"]
+    died = "failed: worker process died"
+    assert rows[2]["status"] == died
+    assert all(r["status"] in ("ok", died) for r in rows)
+    assert all(r["exit_code"] == "" for r in rows if r["status"] == died)
+    # one stderr line per row that did not exit 0, in row order
+    assert err.splitlines() == [
+        f"sweep row K={float(r['value'])!r}: "
+        + (r["status"] if r["status"] == died else f"exit code {r['exit_code']}")
+        for r in rows if r["exit_code"] != "0"]
 
 
 # threshold gap 0.5: the continuum runs (and blows up), then the finite run

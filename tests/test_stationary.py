@@ -1,6 +1,10 @@
 import decimal
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,3 +462,48 @@ def test_coupling_bounds_returns_where_golden_section_stalls(monkeypatch):
     monkeypatch.setattr(m, "F", counted)
     b = coupling_bounds(m)
     assert b.upper == 1.0 and b.lower_unbounded and calls
+
+
+@pytest.mark.parametrize("K", ORACLE_KS)
+@pytest.mark.parametrize("model", sorted(PINNED_MODELS))
+def test_sample_edges_match_np_unique(model, K, monkeypatch):
+    # _sample dedupes its mesh by a sort and a mask on equal neighbours, as
+    # np.unique does without importing numpy.ma: every mesh a solve and the
+    # coupling window build keeps np.unique's edges to the bit
+    m = PINNED_MODELS[model]()
+    real, meshes = stationary._sample, []
+
+    def recorded(fn, a, b, points=None):
+        meshes.append((a, b, points))
+        return real(fn, a, b, points)
+
+    monkeypatch.setattr(stationary, "_sample", recorded)
+    try:
+        solve_stationary_flux(m, K)
+    except NoStationaryStateError:
+        pass
+    if m.F is not None:
+        coupling_bounds(m)
+    assert meshes
+    for a, b, points in meshes:
+        k = np.array((float(a), *sorted(map(float, points or ())), float(b)))
+        want = np.unique(np.append(
+            (k[:-1, None] + np.diff(k)[:, None] * stationary.MESH_FRACTIONS).ravel(), k))
+        got = real(np.zeros_like, a, b, points)
+        edges = np.append(got.lo, got.hi[-1])
+        assert edges.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_solve_does_not_import_numpy_ma():
+    # numpy.ma costs about 19 ms and 1.6 MB to import; no solve needs it
+    code = ("import sys\n"
+            "from pulsefield import coupling_bounds, lif_model, solve_stationary_flux\n"
+            "m = lif_model(2.1, 2.0)\n"
+            "solve_stationary_flux(m, -0.1)\n"
+            "coupling_bounds(m)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(stationary.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "False"
+
