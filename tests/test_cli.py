@@ -822,14 +822,14 @@ def test_sweep_row_raising_in_worker_is_recorded(tmp_path, capsys, monkeypatch):
             assert bad[key] == data, key
 
 
+_SWEEP_ROW = cli._sweep_row
+
+
 def _row_or_die(row_cfg, param, value, out_root, bounds):
     # a worker process killed mid-row, as by the OOM killer
     if value == -0.2:
         os._exit(1)
     return _SWEEP_ROW(row_cfg, param, value, out_root, bounds)
-
-
-_SWEEP_ROW = cli._sweep_row
 
 
 def test_sweep_dead_worker_fails_unfinished_rows(tmp_path, capsys, monkeypatch):
