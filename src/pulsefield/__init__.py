@@ -21,8 +21,7 @@ from .quantile import (QuantileDegenerateError, QuantileProfile, density_l1,
                        quantile_transform)
 from .certify import (CertificationReport, DecayFit, NegativeControlReport,
                       certify_theorem_bounds, fit_decay_rate, negative_controls)
-from .finite import (AvalancheError, FiniteRun, FiringEvent, PopulationState,
-                     advance_to_next_firing, apply_firing, simulate,
+from .finite import (AvalancheError, FiniteRun, FiringEvent, simulate,
                      splay_reference)
 
 __version__ = "0.1.0"

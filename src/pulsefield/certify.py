@@ -16,7 +16,11 @@ below a floor (the transform degenerates near synchrony).
 Two deliberately rejected alternatives are exercised by
 ``negative_controls``: the plain L1 density distance stalls whenever the
 boundary density agrees with the stationary one, and the L2 quantile
-distance can grow transiently even under contracting dynamics.
+distance can grow transiently even under contracting dynamics.  No command
+runs them: ``negative_controls`` and the ``continuum.step`` it steps with
+are the documented acceptance-only surface, checked by criterion 10 of the
+acceptance suite.  The commands call ``certify_theorem_bounds`` and
+``fit_decay_rate``.
 """
 
 from __future__ import annotations

@@ -40,9 +40,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ConfigError, ExperimentConfig, MODEL_KINDS, check_coupling,
-                     check_finite_size, check_n_theta)
-from .continuum import (BlowupError, DensityField, TrajectoryLog, initial_density,
-                        integrate)
+                     check_finite_size, check_n_theta, check_seed)
+from .continuum import (AdmissibilityVerdict, BlowupError, TrajectoryLog,
+                        check_admissibility, initial_density, integrate)
 from .certify import certify_theorem_bounds, fit_decay_rate
 from .finite import AvalancheError, simulate as finite_simulate, splay_reference
 from .models import (ModelError, homoclinic_model, lif_model, load_field_table,
@@ -196,6 +196,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
         raise ConfigError("initial.kind", str(exc))
     except BlowupError as exc:
         summary["blowup"] = exc.event.to_json()
+        summary["admissibility"] = {"verdict": AdmissibilityVerdict.NUMERICAL_BLOWUP.value,
+                                    "blowup": summary["blowup"]}
         if cfg["finite"]["enabled"]:
             summary["finite"] = "skipped: continuum blew up at t = 0"
         summary["exit_code"] = (EXIT_OK if cfg["run"]["expect_blowup"]
@@ -223,6 +225,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
             _quantile_csv(out / f"quantiles_t{traj.final.t:.6g}.csv",
                           traj.final.theta, traj.final.rho)
     summary.update(traj.summary())
+    adm = check_admissibility(initial, model, K, blowup=traj.blowup,
+                              first_crossing_time=traj.first_crossing_time)
+    summary["admissibility"] = {"verdict": adm.verdict.value, **adm.detail}
 
     exit_code = EXIT_OK
     if (traj.blowup is not None) != cfg["run"]["expect_blowup"]:
@@ -387,6 +392,7 @@ def _cmd_certify(args) -> int:
 def _cmd_finite(args) -> int:
     check_coupling(args.K)
     check_finite_size(args.N, args.nfirings)
+    check_seed(args.seed)
     model = _build_model(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -59,6 +59,12 @@ def check_coupling(K: float) -> None:
         raise ConfigError("coupling.K", f"must be finite, got {K!r}")
 
 
+def check_seed(seed: int) -> None:
+    # numpy's generators take no negative seed
+    if seed < 0:
+        raise ConfigError("finite.seed", f"need seed >= 0, got {seed}")
+
+
 # schema: section -> key -> (parser, default); required keys use REQUIRED
 REQUIRED = object()
 
@@ -180,10 +186,14 @@ class ExperimentConfig:
         check_n_theta(v["solver"]["n_theta"])
         if not 0.0 < v["solver"]["cfl"] <= 1.0:
             raise ConfigError("solver.cfl", "need 0 < cfl <= 1")
-        if v["solver"]["t_max"] <= 0.0:
-            raise ConfigError("solver.t_max", "need t_max > 0")
+        t_max, log_stride = v["solver"]["t_max"], v["output"]["log_stride"]
+        if not 0.0 < t_max < math.inf:
+            raise ConfigError("solver.t_max", f"need a finite t_max > 0, got {t_max!r}")
+        if log_stride < 1:
+            raise ConfigError("output.log_stride", f"need log_stride >= 1, got {log_stride}")
         check_coupling(v["coupling"]["K"])
         check_finite_size(v["finite"]["N"], v["finite"]["n_firings"])
+        check_seed(v["finite"]["seed"])
 
     def __getitem__(self, section):
         return self.values[section]

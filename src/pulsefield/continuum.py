@@ -26,7 +26,13 @@ run's grid, with the bits of the public quantile functions.  After the
 loop, ``first_crossing`` traces the characteristic from theta = 0 over the
 recorded steps: the flux window up to its arrival brackets V's decay rate.
 ``characteristic_trace`` takes the same RK2 walk over the same steps from
-any start phase and carries the density along it.
+any start phase and carries the density along it.  ``check_admissibility``
+judges an initial profile by closed-form rules, or else from its run's own
+blow-up and first crossing, without integrating again.
+
+No command calls ``step`` or ``characteristic_trace``: they are the
+acceptance suite's surface (the negative controls of criterion 10 and the
+characteristic cross-check of criterion 9).
 
 Synchronization shows up as a finite-time singularity and is detected by
 thresholds: the boundary relation's denominator falling under ``eps_sing``
@@ -556,6 +562,7 @@ class AdmissibilityVerdict(enum.Enum):
     SUFFICIENT_BOUND = "admissible_below_bound"     # rho0 < 1/(K*Z) everywhere
     NUMERICAL_OK = "admissible_numerically"
     NUMERICAL_BLOWUP = "inadmissible_numerically"
+    UNDECIDED = "undecided_run_ended_first"
 
 
 @dataclass(frozen=True)
@@ -563,21 +570,19 @@ class AdmissibilityReport:
     verdict: AdmissibilityVerdict
     detail: dict
 
-    @property
-    def admissible(self) -> bool:
-        return self.verdict is not AdmissibilityVerdict.NUMERICAL_BLOWUP
 
-
-def check_admissibility(rho0, model, K: float, *, eps_sing: float = EPS_SING,
-                        flux_cap: float | None = None) -> AdmissibilityReport:
+def check_admissibility(rho0, model, K: float, *, blowup: BlowupEvent | None,
+                        first_crossing_time: float | None) -> AdmissibilityReport:
     """Decide whether an initial profile keeps the flux finite and positive
     until every oscillator has crossed the firing phase once.
 
     Closed-form verdicts apply to contracting dynamics (K*Z' < 0): a
     non-positive boundary value of K*Z admits every positive profile, and
-    rho0 < 1/(K*Z) pointwise is sufficient otherwise.  Any other case is
-    settled by running the solver over the first-crossing window of the
-    characteristic launched at theta = 0.
+    rho0 < 1/(K*Z) pointwise is sufficient otherwise.  K = 0 admits every
+    profile (the boundary denominator is 1 and v = omega).  Any other case
+    is read from the run started at ``rho0``: its ``blowup`` (None if it
+    had none) against the time its characteristic from theta = 0 first
+    reached 2*pi (None if the run ended first).  Nothing is integrated here.
     """
     prof = np.asarray(rho0.rho if hasattr(rho0, "rho") else rho0, dtype=float)
     n = prof.size - 1
@@ -590,7 +595,7 @@ def check_admissibility(rho0, model, K: float, *, eps_sing: float = EPS_SING,
                   (K > 0 and kz_mono is Monotonicity.DECREASING)
     strictly_positive = bool(np.all(prof > 0.0))
 
-    if contracting and strictly_positive and kz_end <= 0.0:
+    if K == 0.0 or (contracting and strictly_positive and kz_end <= 0.0):
         return AdmissibilityReport(AdmissibilityVerdict.ALWAYS_BY_SIGN,
                                    {"kz_end": kz_end})
     if contracting and strictly_positive and kz_end > 0.0:
@@ -600,25 +605,11 @@ def check_admissibility(rho0, model, K: float, *, eps_sing: float = EPS_SING,
             return AdmissibilityReport(AdmissibilityVerdict.SUFFICIENT_BOUND,
                                        {"kz_end": kz_end, "margin": margin})
 
-    # numerical route: simulate until the theta=0 characteristic crosses
-    if flux_cap is None:
-        flux_cap = default_flux_cap(model.omega)
-    try:
-        field = DensityField.from_profile(model, K, prof, eps_sing=eps_sing)
-    except BlowupError as exc:
+    if blowup is not None and (first_crossing_time is None or
+                               blowup.t_fin <= first_crossing_time):
         return AdmissibilityReport(AdmissibilityVerdict.NUMERICAL_BLOWUP,
-                                   {"blowup": exc.event.to_json()})
-    t_guard = 60.0 * TWO_PI / model.omega
-    traj = integrate(model, K, field, t_max=t_guard, log_stride=1_000_000,
-                     eps_sing=eps_sing, flux_cap=flux_cap)
-    if traj.blowup is not None and (traj.first_crossing_time is None or
-                                    traj.blowup.t_fin <= traj.first_crossing_time):
-        return AdmissibilityReport(AdmissibilityVerdict.NUMERICAL_BLOWUP,
-                                   {"blowup": traj.blowup.to_json()})
-    if traj.first_crossing_time is None:
-        return AdmissibilityReport(AdmissibilityVerdict.NUMERICAL_BLOWUP,
-                                   {"reason": "no first crossing before guard time",
-                                    "t_guard": t_guard})
+                                   {"blowup": blowup.to_json()})
+    if first_crossing_time is None:
+        return AdmissibilityReport(AdmissibilityVerdict.UNDECIDED, {})
     return AdmissibilityReport(AdmissibilityVerdict.NUMERICAL_OK,
-                               {"first_crossing_time": traj.first_crossing_time,
-                                "J_window": list(traj.J_window) if traj.J_window else None})
+                               {"first_crossing_time": first_crossing_time})

@@ -22,13 +22,13 @@ At every firing the phase vector (firing oscillators recorded at 2*pi,
 states below the reset at 0) is the firing's snapshot; that sequence is the
 finite counterpart of the continuum trajectory and is compared against the
 splay configuration -- the N-quantiles of the stationary density -- through
-the discrete Lyapunov distance.  A run either keeps every snapshot, N floats
-per firing, or streams each one to a per-firing sink and keeps none, so a
-streamed run holds O(N) memory whatever its length.  The tests keep a loop
-over states x, which maps every state to phase and back at each drift, as
-the reference: the phase loop fires the same oscillators in the same order,
-and its event times and snapshots (hence firings.csv and snapshots.csv)
-differ from it only at rounding level.
+the discrete Lyapunov distance.  A run has one flow: it hands each snapshot
+to a per-firing sink and keeps only its events, so it holds O(N) memory
+whatever its length.  The tests keep a loop over states x, which maps every
+state to phase and back at each drift, as the reference: the phase loop
+fires the same oscillators in the same order, and its event times and
+snapshots (hence firings.csv and snapshots.csv) differ from it only at
+rounding level.
 """
 
 from __future__ import annotations
@@ -50,28 +50,6 @@ class AvalancheError(RuntimeError):
     """A reset oscillator was pushed back to threshold within one event
     (possible only when K >= x_hi - x_lo): no phase-locked configuration
     of distinct oscillators can exist."""
-
-
-@dataclass
-class PopulationState:
-    """The N oscillators at time t between events: their phases ``theta``
-    in ascending order (negative for a state kicked below the reset) and
-    the id of the oscillator at each position."""
-
-    theta: np.ndarray
-    ids: np.ndarray
-    t: float = 0.0
-
-    @classmethod
-    def from_states(cls, model: OscillatorModel, x, t: float = 0.0) -> "PopulationState":
-        """Population at states ``x``; oscillator i starts at x[i]."""
-        x = np.asarray(x, dtype=float)
-        ids = np.argsort(x, kind="stable")
-        return cls(model._phase_fn(x[ids]), ids, t)
-
-    @property
-    def n(self) -> int:
-        return self.theta.size
 
 
 @dataclass(frozen=True)
@@ -99,8 +77,6 @@ class FiniteRun:
     N: int
     seed: int | None
     events: list
-    snapshot_times: list | None     # None for a run streamed to a sink
-    snapshots: list | None
 
     @property
     def n_events(self) -> int:
@@ -188,40 +164,16 @@ def _fire(theta: np.ndarray, ids: np.ndarray, k: int, model: OscillatorModel,
     return model._phase_fn(x_new), ids_new, event
 
 
-def advance_to_next_firing(state: PopulationState, model: OscillatorModel) -> PopulationState:
-    """Drift all oscillators until the leader reaches threshold."""
-    if model.F is None:
-        raise ModelError(f"{model.kind} model has no vector field")
-    shift, theta = _drift(state.theta)
-    return PopulationState(theta, state.ids, state.t + shift / model.omega)
-
-
-def apply_firing(state: PopulationState, model: OscillatorModel, K: float) -> tuple:
-    """Reset everyone at threshold, kick the rest by K/N each, iterate the cascade.
-
-    Returns the post-event state and the FiringEvent.  Inhibitory coupling
-    can never absorb anyone; a previously reset oscillator reaching the
-    threshold again within this event raises AvalancheError.
-    """
-    k = int(np.searchsorted(state.theta, _firing_phase(model)))
-    if k == state.n:
-        raise ValueError("no oscillator at threshold; advance first")
-    theta, ids, event = _fire(state.theta, state.ids, k, model, K, state.t)
-    return PopulationState(theta, ids, state.t), event
-
-
-def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
-             t_max: float | None = None, seed: int | None = None,
-             x0: np.ndarray | None = None, ic_density=None,
-             on_firing=None) -> FiniteRun:
-    """Alternate drift and firing for ``n_firings`` events (or until t_max).
+def simulate(model: OscillatorModel, K: float, N: int, *, on_firing,
+             n_firings: int = 1000, seed: int | None = None,
+             x0: np.ndarray | None = None, ic_density=None) -> FiniteRun:
+    """Alternate drift and firing for ``n_firings`` events, streaming each.
 
     Initial states are seeded uniform random in (x_lo, x_hi), the N-quantiles
     of ``ic_density`` mapped back to state space, or an explicit ``x0``.
-    Snapshots are taken at each event before the pulse is applied.  Without
-    ``on_firing`` the run keeps them all; with it, each firing calls
-    ``on_firing(t, snapshot, event)`` once the event is resolved, the run
-    keeps only its events, and ``snapshot_times`` and ``snapshots`` are None.
+    Each firing's snapshot is taken before the pulse is applied; once the
+    event is resolved, ``on_firing(t, snapshot, event)`` is called with it.
+    The run keeps only its events.
     """
     if model.F is None:
         raise ModelError(f"{model.kind} model has no vector field")
@@ -241,17 +193,12 @@ def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
         raise ValueError("initial states outside thresholds")
 
     # oscillator ids number the initial states in ascending order
-    state = PopulationState.from_states(model, np.sort(x))
-    theta, ids, t = state.theta, state.ids, 0.0
+    theta, ids, t = model._phase_fn(np.sort(x)), np.arange(N), 0.0
     fire_at = _firing_phase(model)
     events: list = []
-    snaps, snap_times = ([], []) if on_firing is None else (None, None)
     for _ in range(n_firings):
-        shift, drifted = _drift(theta)
-        t_fire = t + shift / model.omega
-        if t_max is not None and t_fire > t_max:
-            break
-        theta, t = drifted, t_fire
+        shift, theta = _drift(theta)
+        t += shift / model.omega
         k = int(np.searchsorted(theta, fire_at))
         theta[k:] = TWO_PI
         below = int(np.searchsorted(theta, 0.0))
@@ -262,12 +209,8 @@ def simulate(model: OscillatorModel, K: float, N: int, *, n_firings: int = 1000,
             snap = theta
         theta, ids, ev = _fire(theta, ids, k, model, K, t)
         events.append(ev)
-        if on_firing is None:
-            snaps.append(snap)
-            snap_times.append(t)
-        else:
-            on_firing(t, snap, ev)
-    return FiniteRun(model, K, N, seed, events, snap_times, snaps)
+        on_firing(t, snap, ev)
+    return FiniteRun(model, K, N, seed, events)
 
 
 def splay_reference(N: int, model: OscillatorModel, K: float,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pulsefield import lif_model, solve_stationary_flux, tabulated_model
+from pulsefield import lif_model, simulate, solve_stationary_flux, tabulated_model
 
 # standard regime used across the suite: dx/dt = 2.1 - 2x on [0, 1]
 S, GAMMA = 2.1, 2.0
@@ -27,3 +27,18 @@ def stat_inhib(lif):
 @pytest.fixture(scope="session")
 def stat_excit(lif):
     return solve_stationary_flux(lif, 0.1)
+
+
+@pytest.fixture(scope="session")
+def simulate_kept():
+    """``simulate`` through a sink that keeps every firing: returns the run,
+    the firing times and the snapshots."""
+    def run(model, K, N, **kw):
+        times, snaps = [], []
+
+        def keep(t, snap, ev):
+            times.append(t)
+            snaps.append(snap)
+
+        return simulate(model, K, N, on_firing=keep, **kw), times, snaps
+    return run

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from pulsefield import (certify_theorem_bounds, characteristic_trace,
                         discrete_lyapunov, existence_condition, fit_decay_rate,
                         initial_density, integrate, lif_model, negative_controls,
-                        simulate, solve_stationary_flux, splay_reference)
+                        solve_stationary_flux, splay_reference)
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA, K_IN, K_EX = 2.1, 2.0, -0.1, 0.1
@@ -158,18 +158,18 @@ def test_criterion_07_neutral_rotation(model):
               f"J0 period error {j_err:.1e} < 1%")
 
 
-def test_criterion_08_finite_infinite_parallel(model):
+def test_criterion_08_finite_infinite_parallel(model, simulate_kept):
     # contraction to the splay configuration
     N = 100
-    run = simulate(model, K_IN, N, n_firings=550, seed=12)
+    _, _, snaps = simulate_kept(model, K_IN, N, n_firings=550, seed=12)
     ref = splay_reference(N, model, K_IN)
-    vn = np.array([discrete_lyapunov(s, ref) for s in run.snapshots])
+    vn = np.array([discrete_lyapunov(s, ref) for s in snaps])
     frac = float((np.diff(vn) <= 1e-12).mean())
-    comp_err = float(np.max(np.abs(run.snapshots[-1] - ref)))
+    comp_err = float(np.max(np.abs(snaps[-1] - ref)))
     assert frac >= 0.95
     assert comp_err <= TWO_PI / N
     # excitatory absorption into a single cluster
-    run_x = simulate(model, K_EX, 50, n_firings=200, seed=7)
+    run_x, _, _ = simulate_kept(model, K_EX, 50, n_firings=200, seed=7)
     sync = run_x.full_sync_event()
     assert sync is not None and sync < 200
     report(8, f"V_N non-increasing on {100 * frac:.1f}% of sections, final "

@@ -14,7 +14,7 @@ import pytest
 
 import pulsefield
 import pulsefield.cli as cli
-from pulsefield import lif_model, simulate
+from pulsefield import lif_model
 from pulsefield.cli import main
 from pulsefield.config import ConfigError, ExperimentConfig
 
@@ -411,9 +411,42 @@ def test_blowup_at_start_reports_skipped_finite_run(tmp_path):
     assert main(["run", str(p)]) == 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["blowup"]["t_fin"] == 0.0
+    assert summary["admissibility"] == {"verdict": "inadmissible_numerically",
+                                        "blowup": summary["blowup"]}
     assert summary["finite"] == "skipped: continuum blew up at t = 0"
     assert summary["timings_s"]["integrate"] == summary["timings_s"]["finite"] == 0.0
     assert not (tmp_path / "out" / "finite").exists()
+
+
+@pytest.mark.parametrize("name,verdict", [
+    ("fig1.cfg", "admissible_boundary_sign"),
+    ("homoclinic.cfg", "admissible_below_bound"),
+    ("neutral_k0.cfg", "admissible_boundary_sign"),
+    ("fig2.cfg", "admissible_numerically"),
+])
+def test_bundled_scenario_admissibility(tmp_path, monkeypatch, name, verdict):
+    # read from the run itself: fig2's characteristic from theta = 0 crosses
+    # before its flux blows up
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", name, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    adm = summary["admissibility"]
+    assert adm["verdict"] == verdict
+    if name == "homoclinic.cfg":
+        assert adm["margin"] == pytest.approx(1.12, abs=0.005)
+    if name == "fig2.cfg":
+        assert adm["first_crossing_time"] == summary["first_crossing_time"]
+        assert adm["first_crossing_time"] == pytest.approx(1.3383, abs=1e-4)
+        assert summary["blowup"]["t_fin"] == pytest.approx(1.6724, abs=1e-4)
+
+
+def test_run_ending_before_first_crossing_is_undecided(tmp_path):
+    cfg = BLOWUP_CFG.replace("t_max = 50.0", "t_max = 0.2")
+    p = write_cfg(tmp_path, cfg, out=tmp_path / "out", expect="false")
+    assert main(["run", str(p)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["blowup"] is None and summary["first_crossing_time"] is None
+    assert summary["admissibility"] == {"verdict": "undecided_run_ended_first"}
 
 
 def test_sweep_empty_values(tmp_path, capsys):
@@ -459,7 +492,7 @@ expect_blowup = true
     assert flags == ["True", "True", "False", "False"]
 
 
-def test_finite_csv_artifacts_exact(tmp_path, capsys):
+def test_finite_csv_artifacts_exact(tmp_path, capsys, simulate_kept):
     # every value parses back to the run's float; the bytes are those of
     # csv.writer with repr-formatted floats
     out = tmp_path / "fin"
@@ -467,17 +500,18 @@ def test_finite_csv_artifacts_exact(tmp_path, capsys):
                  "--gamma", "2.0", "--K", "-0.1", "--seed", "5",
                  "--nfirings", "40", "--out", str(out)]) == 0
     capsys.readouterr()
-    run = simulate(lif_model(2.1, 2.0), -0.1, 16, n_firings=40, seed=5)
+    run, times, snaps = simulate_kept(lif_model(2.1, 2.0), -0.1, 16, n_firings=40,
+                                      seed=5)
     rows = (out / "snapshots.csv").read_text().splitlines()
-    assert len(rows) == len(run.snapshots)
-    for line, ts, snap in zip(rows, run.snapshot_times, run.snapshots):
+    assert len(rows) == len(snaps)
+    for line, ts, snap in zip(rows, times, snaps):
         vals = [float(v) for v in line.split(",")]
         assert vals[0] == ts
         assert vals[1:] == snap.tolist()
 
     ref = io.StringIO(newline="")
     w = csv.writer(ref)
-    for ts, snap in zip(run.snapshot_times, run.snapshots):
+    for ts, snap in zip(times, snaps):
         w.writerow([repr(float(ts))] + [repr(float(v)) for v in snap])
     assert (out / "snapshots.csv").read_bytes() == ref.getvalue().encode()
     ref = io.StringIO(newline="")
@@ -638,7 +672,7 @@ def test_fig1_trajectory_matches_golden(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["table_nonpositive", "table_missing", "lif_field_nonpositive",
-                                  "N=1", "N=0", "nfirings=0", "K=nan"])
+                                  "N=1", "N=0", "nfirings=0", "K=nan", "seed=-1"])
 def test_finite_bad_input_exits_config(tmp_path, capsys, case):
     table = tmp_path / "field.csv"
     table.write_text("x,F\n0.0,1.0\n0.5,-0.1\n1.0,1.0\n")
@@ -650,6 +684,7 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
         "N=0": ["--N", "0"],
         "nfirings=0": ["--nfirings", "0"],
         "K=nan": ["--K", "nan"],
+        "seed=-1": ["--seed", "-1"],
     }[case]
     # later flags override the defaults given first
     assert main(["finite", "--N", "20", "--K", "-0.1", "--nfirings", "10",
@@ -657,6 +692,32 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["simulate:output.log_stride=0", "simulate:solver.t_max=inf",
+                                  "simulate:solver.t_max=nan", "run:output.log_stride=0",
+                                  "run:finite.seed=-1", "run:solver.t_max=inf"])
+def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
+    # a zero stride or a negative seed used to raise, an infinite or NaN
+    # t_max ran toward max_steps
+    out = str(tmp_path / "out")
+    simulate = ["simulate", "--K", "-0.1", "--ntheta", "64", "--tmax", "0.1", "--out", out]
+    run_cfg = {
+        "run:output.log_stride=0": TINY_CFG.replace("dump_density = false",
+                                                    "dump_density = false\nlog_stride = 0"),
+        "run:finite.seed=-1": TINY_CFG + "\n[finite]\nenabled = true\nseed = -1\n",
+        "run:solver.t_max=inf": TINY_CFG.replace("t_max = 0.1", "t_max = inf"),
+    }
+    argv = {
+        "simulate:output.log_stride=0": [*simulate, "--log-stride", "0"],
+        "simulate:solver.t_max=inf": [*simulate, "--tmax", "inf"],
+        "simulate:solver.t_max=nan": [*simulate, "--tmax", "nan"],
+    }.get(case) or ["run", str(write_cfg(tmp_path, run_cfg[case], out=out))]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    key = case.split(":")[1].split("=")[0]
+    assert err.startswith(f"config error: {key}:")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("key,value", [("N", "1"), ("n_firings", "0")])

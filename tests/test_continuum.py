@@ -97,16 +97,17 @@ def test_step_positivity_under_cfl(lif):
 def test_step_stationary_is_discrete_fixed_point(lif):
     # sampled stationary density makes every node flux equal J*, so the
     # flux-form update vanishes identically: the residual sits at rounding
-    # level and does not grow
+    # level and does not grow over 10 000 fixed-dt steps in one run (the
+    # same bits as 10 000 step() calls)
     from pulsefield import solve_stationary_flux
     stat = solve_stationary_flux(lif, -0.1, n_theta=1024)
     field = DensityField(stat.rho_star.theta, stat.rho_star.rho.copy(),
                          stat.J_star, 0.0)
     dt = 0.5 * field.dtheta / float((lif.omega - 0.1 * lif.prc(field.theta)
                                      * field.J0).max())
-    for _ in range(10_000):
-        field = step(field, lif, -0.1, dt)
-    assert np.abs(field.rho - stat.rho_star.rho).max() < 1e-13
+    traj = integrate(lif, -0.1, field, t_max=math.inf, dt=dt, max_steps=10_000)
+    assert traj.n_steps == 10_000
+    assert np.abs(traj.final.rho - stat.rho_star.rho).max() < 1e-13
 
 
 def test_terminal_flux_offset_first_order_in_grid(lif):
@@ -528,11 +529,14 @@ def test_characteristic_trace_refuses_csv_log(lif, tmp_path):
 
 
 def test_admissibility_sign_rule(lif, stat_inhib):
-    # K*Z <= 0 everywhere (inhibitory increasing PRC): any positive profile
+    # K*Z <= 0 everywhere (inhibitory increasing PRC): any positive profile;
+    # K = 0 admits every profile.  The closed forms ignore the run.
     th = np.linspace(0.0, TWO_PI, 257)
-    rep = check_admissibility(np.exp(np.cos(th)), lif, -0.1)
-    assert rep.verdict is AdmissibilityVerdict.ALWAYS_BY_SIGN
-    assert rep.admissible
+    blowup = BlowupEvent(0.5, "flux", {})
+    for K in (-0.1, 0.0):
+        rep = check_admissibility(np.exp(np.cos(th)), lif, K, blowup=blowup,
+                                  first_crossing_time=None)
+        assert rep.verdict is AdmissibilityVerdict.ALWAYS_BY_SIGN
 
 
 def test_admissibility_sufficient_bound():
@@ -540,27 +544,62 @@ def test_admissibility_sufficient_bound():
     m = homoclinic_model(1.0, 1.0, TWO_PI)
     th = np.linspace(0.0, TWO_PI, 257)
     prof = np.full(257, 1.0 / TWO_PI)
-    rep = check_admissibility(prof, m, 0.05)
+    rep = check_admissibility(prof, m, 0.05, blowup=None, first_crossing_time=None)
     assert rep.verdict is AdmissibilityVerdict.SUFFICIENT_BOUND
 
 
+def _admissibility_of_run(model, K, prof, t_max):
+    field = DensityField.from_profile(model, K, prof)
+    traj = integrate(model, K, field, t_max=t_max, log_stride=10**6)
+    rep = check_admissibility(field, model, K, blowup=traj.blowup,
+                              first_crossing_time=traj.first_crossing_time)
+    return rep, traj
+
+
 def test_admissibility_numerical_blowup(lif):
-    # boundary density already past critical: flux singular on first crossing
-    K = 0.1
+    # expanding dynamics, mass bunched just below the firing phase: the flux
+    # blows up before the characteristic from theta = 0 crosses
     th = np.linspace(0.0, TWO_PI, 257)
-    crit = 1.0 / (K * lif.prc(TWO_PI))
-    prof = np.full(257, 0.05)
-    prof[-32:] = np.linspace(0.05, 2.0 * crit, 32)
-    rep = check_admissibility(prof, lif, K)
+    rep, traj = _admissibility_of_run(lif, 0.1, np.exp(10.0 * (np.cos(th - 5.5) - 1.0)),
+                                      t_max=60.0 * TWO_PI / lif.omega)
+    assert traj.blowup is not None and traj.first_crossing_time is None
     assert rep.verdict is AdmissibilityVerdict.NUMERICAL_BLOWUP
-    assert not rep.admissible
+    assert rep.detail == {"blowup": traj.blowup.to_json()}
 
 
 def test_admissibility_numerical_ok(lif):
     # expanding dynamics from a gentle profile survives the first crossing
-    th = np.linspace(0.0, TWO_PI, 257)
-    rep = check_admissibility(np.full(257, 1.0 / TWO_PI), lif, 0.1)
+    rep, traj = _admissibility_of_run(lif, 0.1, np.full(257, 1.0 / TWO_PI),
+                                      t_max=60.0 * TWO_PI / lif.omega)
+    assert traj.first_crossing_time < traj.blowup.t_fin
     assert rep.verdict is AdmissibilityVerdict.NUMERICAL_OK
+    assert rep.detail == {"first_crossing_time": traj.first_crossing_time}
+
+
+def test_admissibility_undecided_when_run_ends_first(lif):
+    rep, traj = _admissibility_of_run(lif, 0.1, np.full(257, 1.0 / TWO_PI), t_max=0.2)
+    assert traj.blowup is None and traj.first_crossing_time is None
+    assert rep.verdict is AdmissibilityVerdict.UNDECIDED
+
+
+def test_admissibility_reads_the_run_without_integrating(lif, monkeypatch):
+    # the verdict comes from the blow-up and crossing passed in; a blow-up
+    # at the crossing time counts as first
+    def no_integration(*args, **kwargs):
+        raise AssertionError("check_admissibility integrated")
+
+    monkeypatch.setattr("pulsefield.continuum.integrate", no_integration)
+    prof = np.full(257, 1.0 / TWO_PI)
+    blow = BlowupEvent(1.5, "flux", {"flux": 1e7})
+    cases = [(blow, None, AdmissibilityVerdict.NUMERICAL_BLOWUP),
+             (blow, 1.5, AdmissibilityVerdict.NUMERICAL_BLOWUP),
+             (blow, 1.2, AdmissibilityVerdict.NUMERICAL_OK),
+             (None, 1.2, AdmissibilityVerdict.NUMERICAL_OK),
+             (None, None, AdmissibilityVerdict.UNDECIDED)]
+    for blowup, t_cross, want in cases:
+        rep = check_admissibility(prof, lif, 0.1, blowup=blowup,
+                                  first_crossing_time=t_cross)
+        assert rep.verdict is want
 
 
 @pytest.mark.parametrize("prof", [np.zeros(9), np.eye(1, 9).ravel()],
@@ -570,8 +609,6 @@ def test_zero_mass_profile_rejected(lif, prof):
     # integrate would march to max_steps
     with pytest.raises(ValueError, match="mass"):
         DensityField.from_profile(lif, 0.1, prof)
-    with pytest.raises(ValueError, match="mass"):
-        check_admissibility(prof, lif, 0.1)
 
 
 def test_trajectory_csv_round_trip(tmp_path, lif, stat_inhib):

@@ -1,15 +1,15 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pulsefield import (AvalancheError, PopulationState, advance_to_next_firing,
-                        apply_firing, discrete_lyapunov, simulate,
-                        splay_reference, tabulated_model)
+from pulsefield import (AvalancheError, discrete_lyapunov, simulate, splay_reference,
+                        tabulated_model)
 from pulsefield.cli import _run_finite
-from pulsefield.finite import TIE_TOL
+from pulsefield.finite import TIE_TOL, _drift, _fire, _firing_phase
 from pulsefield.stationary import NoStationaryStateError
 
 TWO_PI = 2.0 * math.pi
@@ -19,7 +19,41 @@ S, GAMMA = 2.1, 2.0
 # -- reference: the event loop in state coordinates ---------------------------
 # States x, indexed by oscillator id, mapped to phase and back at every
 # drift; the phase loop must reproduce its events exactly and its times and
-# snapshots to rounding.
+# snapshots to rounding.  The state loop starts each firing from the phase
+# loop's population, stepped one event at a time by the two helpers below.
+
+@dataclass
+class PopulationState:
+    """The N oscillators at time t between events: their phases ``theta``
+    in ascending order (negative for a state kicked below the reset) and
+    the id of the oscillator at each position."""
+
+    theta: np.ndarray
+    ids: np.ndarray
+    t: float = 0.0
+
+    @classmethod
+    def from_states(cls, model, x):
+        """Population at states ``x`` at t = 0; oscillator i starts at x[i]."""
+        x = np.asarray(x, dtype=float)
+        ids = np.argsort(x, kind="stable")
+        return cls(model._phase_fn(x[ids]), ids)
+
+
+def advance_to_next_firing(state, model):
+    """Drift all oscillators until the leader reaches threshold."""
+    shift, theta = _drift(state.theta)
+    return PopulationState(theta, state.ids, state.t + shift / model.omega)
+
+
+def apply_firing(state, model, K):
+    """Fire everyone at threshold, kick the rest, run the cascade: the
+    post-event state and the FiringEvent."""
+    k = int(np.searchsorted(state.theta, _firing_phase(model)))
+    assert k < state.theta.size, "no oscillator at threshold; advance first"
+    theta, ids, event = _fire(state.theta, state.ids, k, model, K, state.t)
+    return PopulationState(theta, ids, state.t), event
+
 
 def _flow(model, x, tau):
     """Exact time-tau flow of dx/dt = F(x), stopped at x_hi."""
@@ -84,7 +118,7 @@ def _seeded_states(n, seed):
 @example(name="one_plus_x", K=-0.1, x0=_seeded_states(20, 34))   # kicks below the reset
 @example(name="lif", K=0.3, x0=_seeded_states(12, 1))           # absorption cascades
 @example(name="jittered", K=3.0, x0=[0.8, 0.9, 1.0])           # avalanche
-def test_phase_loop_matches_state_loop(oracle_models, name, K, x0):
+def test_phase_loop_matches_state_loop(oracle_models, simulate_kept, name, K, x0):
     # the state loop takes each firing from the phase loop's state, so a
     # rounding difference cannot grow where the dynamics expand (K*Z' > 0)
     model = oracle_models[name]
@@ -101,29 +135,30 @@ def test_phase_loop_matches_state_loop(oracle_models, name, K, x0):
             with pytest.raises(AvalancheError):
                 apply_firing(advance_to_next_firing(state, model), model, K)
             with pytest.raises(AvalancheError):
-                simulate(model, K, n, n_firings=n_firings, x0=x0)
+                simulate_kept(model, K, n, n_firings=n_firings, x0=x0)
             return
         state, _ = apply_firing(advance_to_next_firing(state, model), model, K)
-    run = simulate(model, K, n, n_firings=n_firings, x0=x0)
+    run, times, snaps = simulate_kept(model, K, n, n_firings=n_firings, x0=x0)
     assert [(ev.fired, ev.n_initial) for ev in run.events] == [w[0] for w in want]
-    assert [ev.t for ev in run.events] == run.snapshot_times
-    for got, t_got, (_, t_want, snap) in zip(run.snapshots, run.snapshot_times, want):
+    assert [ev.t for ev in run.events] == times
+    for got, t_got, (_, t_want, snap) in zip(snaps, times, want):
         assert abs(t_got - t_want) < 1e-12
         assert np.max(np.abs(got - snap)) < 1e-12
         assert np.all(np.diff(got) >= 0.0)
         assert got[0] >= 0.0 and got[-1] == TWO_PI
 
 
-def test_below_reset_example_reaches_the_clip(oracle_models):
+def test_below_reset_example_reaches_the_clip(oracle_models, simulate_kept):
     # the explicit F = 1 + x example above has snapshots taken while states
     # an inhibitory kick pushed under the reset are still there
     model = oracle_models["one_plus_x"]
-    run = simulate(model, -0.1, 20, n_firings=60, x0=np.array(_seeded_states(20, 34)))
-    assert any(s[0] == 0.0 for s in run.snapshots[1:])
+    _, _, snaps = simulate_kept(model, -0.1, 20, n_firings=60,
+                                x0=np.array(_seeded_states(20, 34)))
+    assert any(s[0] == 0.0 for s in snaps[1:])
 
 
-def test_single_oscillator_period(lif):
-    run = simulate(lif, 0.0, 1, n_firings=5, x0=np.array([0.0]))
+def test_single_oscillator_period(lif, simulate_kept):
+    run, _, _ = simulate_kept(lif, 0.0, 1, n_firings=5, x0=np.array([0.0]))
     times = [ev.t for ev in run.events]
     gaps = np.diff(times)
     assert abs(times[0] - TWO_PI / lif.omega) < 1e-12
@@ -209,8 +244,8 @@ def test_absorption_cascade_arithmetic(lif):
     assert np.all(state.theta <= lif._phase_fn(lif.x_lo + K))
 
 
-def test_inhibitory_never_absorbs(lif):
-    run = simulate(lif, -0.2, 12, n_firings=300, seed=5)
+def test_inhibitory_never_absorbs(lif, simulate_kept):
+    run, _, _ = simulate_kept(lif, -0.2, 12, n_firings=300, seed=5)
     assert all(ev.absorbed == 0 for ev in run.events)
 
 
@@ -221,9 +256,9 @@ def test_avalanche_detected(lif):
         apply_firing(PopulationState.from_states(lif, x), lif, 3.0)
 
 
-def test_snapshots_sorted_with_firer_at_two_pi(lif):
-    run = simulate(lif, -0.1, 17, n_firings=60, seed=2)
-    for snap in run.snapshots:
+def test_snapshots_sorted_with_firer_at_two_pi(lif, simulate_kept):
+    _, _, snaps = simulate_kept(lif, -0.1, 17, n_firings=60, seed=2)
+    for snap in snaps:
         assert np.all(np.diff(snap) >= -1e-12)
         assert abs(snap[-1] - TWO_PI) < 1e-12
 
@@ -233,46 +268,53 @@ def test_splay_reference_uniform_when_uncoupled(lif):
     assert np.max(np.abs(ref - TWO_PI * np.arange(1, 9) / 8)) < 1e-12
 
 
-def test_splay_state_is_event_loop_fixed_point(lif):
+def test_splay_state_is_event_loop_fixed_point(lif, simulate_kept):
     # start on the reference configuration; the discrete distance stays small
     N, K = 64, -0.1
     ref = splay_reference(N, lif, K)
     x0 = np.sort(np.asarray(lif.state_of_phase(ref[:-1])))
     x0 = np.concatenate([[lif.x_lo], x0])
-    run = simulate(lif, K, N, n_firings=5 * N, x0=x0)
-    v = [discrete_lyapunov(s, ref) for s in run.snapshots]
+    _, _, snaps = simulate_kept(lif, K, N, n_firings=5 * N, x0=x0)
+    v = [discrete_lyapunov(s, ref) for s in snaps]
     assert max(v) < 0.3   # stays near the fixed point (O(1/N) mismatch)
 
 
-def test_contracting_run_approaches_splay(lif):
+def test_contracting_run_approaches_splay(lif, simulate_kept):
     N, K = 50, -0.1
-    run = simulate(lif, K, N, n_firings=1200, seed=9)
+    run, _, snaps = simulate_kept(lif, K, N, n_firings=1200, seed=9)
     ref = splay_reference(N, lif, K)
-    v = np.array([discrete_lyapunov(s, ref) for s in run.snapshots])
+    v = np.array([discrete_lyapunov(s, ref) for s in snaps])
     assert v[-1] < 0.1 * v[0]
     assert run.mean_firing_rate() == pytest.approx(0.53, abs=0.05)
 
 
-def test_excitatory_reaches_full_sync(lif):
-    run = simulate(lif, 0.1, 30, n_firings=300, seed=4)
+def test_excitatory_reaches_full_sync(lif, simulate_kept):
+    run, _, _ = simulate_kept(lif, 0.1, 30, n_firings=300, seed=4)
     sync = run.full_sync_event()
     assert sync is not None
     # once together, the cluster stays together
     assert all(ev.n_fired == 30 for ev in run.events[sync:])
 
 
-def test_quantile_initial_condition(lif, stat_inhib):
-    run = simulate(lif, -0.1, 40, n_firings=40, ic_density=stat_inhib.rho_star)
+def test_quantile_initial_condition(lif, stat_inhib, simulate_kept):
+    _, _, snaps = simulate_kept(lif, -0.1, 40, n_firings=40,
+                                ic_density=stat_inhib.rho_star)
     ref = splay_reference(40, lif, -0.1)
-    assert discrete_lyapunov(run.snapshots[0], ref) < 0.5
+    assert discrete_lyapunov(snaps[0], ref) < 0.5
 
 
 def test_population_histogram_matches_stationary_density(lif, stat_inhib):
     # phase histogram of a large splay population against rho_star
     N = 10_000
-    run = simulate(lif, -0.1, N, n_firings=1500,
-                   ic_density=stat_inhib.rho_star)
-    snap = run.snapshots[-1]
+    last = {}
+
+    def keep_last(t, snap, ev):
+        # only the final snapshot is needed; all of them would be 120 MB
+        last["snap"] = snap
+
+    simulate(lif, -0.1, N, n_firings=1500, ic_density=stat_inhib.rho_star,
+             on_firing=keep_last)
+    snap = last["snap"]
     bins = np.linspace(0.0, TWO_PI, 65)
     hist, _ = np.histogram(snap, bins=bins, density=True)
     centers = 0.5 * (bins[1:] + bins[:-1])
@@ -281,7 +323,7 @@ def test_population_histogram_matches_stationary_density(lif, stat_inhib):
     assert l1 < 0.05
 
 
-def test_tabulated_run_matches_lif(lif, tmp_path):
+def test_tabulated_run_matches_lif(lif, tmp_path, simulate_kept):
     # LIF samples at jittered knots, as in the benchmark's field table; the
     # whole event sequence stays on the closed-form run
     rng = np.random.default_rng(7)
@@ -289,10 +331,10 @@ def test_tabulated_run_matches_lif(lif, tmp_path):
     xs = np.arange(1201) * h
     xs[1:-1] += rng.uniform(-0.25, 0.25, 1199) * h
     tab = tabulated_model(xs, S - GAMMA * xs)
-    a = simulate(lif, -0.1, 100, n_firings=200, seed=11)
-    b = simulate(tab, -0.1, 100, n_firings=200, seed=11)
-    assert len(a.snapshots) == len(b.snapshots) == 200
-    assert max(np.max(np.abs(p - q)) for p, q in zip(a.snapshots, b.snapshots)) < 1e-9
+    _, _, a = simulate_kept(lif, -0.1, 100, n_firings=200, seed=11)
+    _, _, b = simulate_kept(tab, -0.1, 100, n_firings=200, seed=11)
+    assert len(a) == len(b) == 200
+    assert max(np.max(np.abs(p - q)) for p, q in zip(a, b)) < 1e-9
     for name, m in (("lif", lif), ("tab", tab)):
         (tmp_path / name).mkdir()
         info = _run_finite(m, -0.1, 100, 11, 200, tmp_path / name)
@@ -300,17 +342,14 @@ def test_tabulated_run_matches_lif(lif, tmp_path):
 
 
 def test_sink_sees_each_firing_and_run_keeps_no_snapshots(lif):
-    # a sink gets the snapshots a plain run keeps, bit for bit, in order
-    kept = simulate(lif, 0.1, 30, n_firings=200, seed=4)
+    # the sink gets each firing once, in order, at its event's time; the run
+    # keeps only the events
     seen = []
     run = simulate(lif, 0.1, 30, n_firings=200, seed=4,
-                   on_firing=lambda t, snap, ev: seen.append((t, snap.copy(), ev)))
-    assert run.snapshots is None and run.snapshot_times is None
-    assert run.events == kept.events
-    assert [ev for _, _, ev in seen] == kept.events
-    assert [t for t, _, _ in seen] == kept.snapshot_times
-    for (_, snap, _), want in zip(seen, kept.snapshots):
-        assert snap.tobytes() == want.tobytes()
+                   on_firing=lambda t, snap, ev: seen.append((t, ev)))
+    assert [ev for _, ev in seen] == run.events
+    assert [t for t, _ in seen] == [ev.t for ev in run.events]
+    assert not hasattr(run, "snapshots")
 
 
 @pytest.mark.parametrize("K,N,seed,n_firings", [
@@ -318,10 +357,11 @@ def test_sink_sees_each_firing_and_run_keeps_no_snapshots(lif):
     (0.1, 30, 4, 300),      # excitatory, with absorptions
     (-5.0, 40, 2, 100),     # no stationary state: no splay reference
 ], ids=["inhibitory", "absorbing", "no-stationary-state"])
-def test_streamed_summary_matches_simulate(lif, tmp_path, K, N, seed, n_firings):
-    # the V_N fold over streamed firings gives the bits a stored run gives
+def test_streamed_summary_matches_simulate(lif, tmp_path, simulate_kept, K, N, seed,
+                                           n_firings):
+    # the V_N fold over streamed firings gives the bits a kept run gives
     info = _run_finite(lif, K, N, seed, n_firings, tmp_path)
-    run = simulate(lif, K, N, n_firings=n_firings, seed=seed)
+    run, _, snaps = simulate_kept(lif, K, N, n_firings=n_firings, seed=seed)
     want = {"N": N, "seed": seed, "n_events": n_firings,
             "full_sync_event": run.full_sync_event()}
     try:
@@ -329,7 +369,7 @@ def test_streamed_summary_matches_simulate(lif, tmp_path, K, N, seed, n_firings)
     except NoStationaryStateError:
         want["splay_reference"] = "unavailable (no stationary state)"
     else:
-        vn = [discrete_lyapunov(s, ref) for s in run.snapshots]
+        vn = [discrete_lyapunov(s, ref) for s in snaps]
         want.update(V_N_first=vn[0], V_N_last=vn[-1],
                     V_N_nonincreasing_fraction=float((np.diff(vn) <= 1e-12).mean()),
                     mean_firing_rate=run.mean_firing_rate())
@@ -343,7 +383,9 @@ def test_streamed_summary_matches_simulate(lif, tmp_path, K, N, seed, n_firings)
 def test_streamed_run_memory_is_order_n(lif, tmp_path):
     # a stored run would hold N * n_firings * 8 bytes of snapshots (1.6 MB)
     N, n_firings = 500, 400
-    # a first call makes the one-time imports (np.unique loads numpy.ma)
+    # a first call imports numpy.random (seeding loads it lazily, with
+    # secrets and hashlib): about 0.7 MB of module objects that a cold
+    # traced call would count
     _run_finite(lif, -0.1, N, 3, 10, tmp_path)
     tracemalloc.start()
     try:
