@@ -26,18 +26,27 @@ acceptance suite.  The commands call ``certify_theorem_bounds`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .models import Curvature, OscillatorModel
 from .continuum import DensityField, TrajectoryLog, first_crossing, step
-from .quantile import (quantile_transform, lyapunov_tv, quantile_l2, density_l1,
-                       _as_profile)
+from .quantile import quantile_transform, lyapunov_tv, quantile_l2, density_l1
+from .stationary import StationaryState
 
 TWO_PI = 2.0 * math.pi
 # RK2 sub-steps per logged interval when tracing a log read from CSV
 SUBSTEPS = 4
+# logged rows whose density minimum is below this are not claimed
+RHO_FLOOR = 1e-6
+# V at or below this has reached the numerical floor: the decay fit drops it
+V_FLOOR = 1e-12
+# the negative controls' L2 search: its seed and number of trials, and the
+# dV/dVbis ratio a boundary crossing must reach to count as a stall
+CONTROL_SEED = 0
+L2_TRIALS = 200
+STALL_RATIO = 10.0
 
 
 @dataclass
@@ -57,7 +66,6 @@ class CertificationReport:
     kz_prime_range: tuple
     tol_abs: float
     tol_rel: float
-    rho_floor: float
 
     @property
     def n_checked(self) -> int:
@@ -109,20 +117,19 @@ class CertificationReport:
             "lemma_worst_slack": None if math.isnan(self.lemma_worst) else self.lemma_worst,
             "tol_abs": self.tol_abs,
             "tol_rel": self.tol_rel,
-            "rho_floor": self.rho_floor,
+            "rho_floor": RHO_FLOOR,
         }
 
 
 def certify_theorem_bounds(traj: TrajectoryLog, model: OscillatorModel, K: float, *,
-                           tol_abs: float = 1e-4, tol_rel: float = 0.1,
-                           rho_floor: float = 1e-6) -> CertificationReport:
+                           tol_abs: float = 1e-4, tol_rel: float = 0.1) -> CertificationReport:
     """Check every logged interval against the two-sided dV/dt bounds.
 
     dV/dt is the centered difference of the logged V, compared against
     J0 * min(K*Z') * V and J0 * max(K*Z') * V with slack
     tol_abs + tol_rel * V (first-order scheme noise plus the finite
     difference dominate the error budget).  Intervals where the density
-    minimum is below ``rho_floor`` or V is undefined are excluded from the
+    minimum is below RHO_FLOOR or V is undefined are excluded from the
     claim and only counted in the report.
     """
     hypothesis = model.curvature in (Curvature.NONNEGATIVE, Curvature.NONPOSITIVE)
@@ -135,7 +142,7 @@ def certify_theorem_bounds(traj: TrajectoryLog, model: OscillatorModel, K: float
         empty = np.zeros(0)
         return CertificationReport(empty, empty, empty, empty, empty, empty,
                                    empty.astype(bool), empty.astype(bool), lemma,
-                                   hypothesis, (kz_lo, kz_hi), tol_abs, tol_rel, rho_floor)
+                                   hypothesis, (kz_lo, kz_hi), tol_abs, tol_rel)
 
     ti, Vi, Ji = t[1:-1], V[1:-1], J0[1:-1]
     dVdt = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
@@ -144,10 +151,9 @@ def certify_theorem_bounds(traj: TrajectoryLog, model: OscillatorModel, K: float
     slack = tol_abs + tol_rel * Vi
     ok = (dVdt >= lower - slack) & (dVdt <= upper + slack)
     claimed = hypothesis & np.isfinite(Vi) & np.isfinite(dVdt) & \
-        (traj.rho_min[1:-1] >= rho_floor)
+        (traj.rho_min[1:-1] >= RHO_FLOOR)
     return CertificationReport(ti, Vi, dVdt, lower, upper, slack, ok, claimed,
-                               lemma, hypothesis, (kz_lo, kz_hi),
-                               tol_abs, tol_rel, rho_floor)
+                               lemma, hypothesis, (kz_lo, kz_hi), tol_abs, tol_rel)
 
 
 # -- decay rate ---------------------------------------------------------------
@@ -172,8 +178,7 @@ class DecayFit:
                 "J_window": list(self.J_window) if self.J_window else None}
 
 
-def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float, *,
-                   window: tuple | None = None, v_floor: float = 1e-12) -> DecayFit:
+def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float) -> DecayFit:
     """Least-squares slope of log V over the tail half of the run.
 
     The rate is -slope; the verdict asks it to lie in the bracket
@@ -182,7 +187,7 @@ def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float, *,
     final, None included: ``integrate`` traced it from the steps it took.  A
     log read from CSV has no steps, so ``continuum.first_crossing`` traces it
     over SUBSTEPS equal steps per logged interval, with J0 interpolated
-    linearly.  Samples at or below ``v_floor`` are dropped (V has reached the
+    linearly.  Samples at or below V_FLOOR are dropped (V has reached the
     numerical floor).  With K = 0 the bracket degenerates and the verdict
     becomes |rate| <= 1e-3.
     """
@@ -193,9 +198,8 @@ def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float, *,
         ts = np.append((t[:-1, None] + np.diff(t)[:, None] * sub).ravel(), t[-1])
         jw = first_crossing(ts, np.diff(ts).tolist(), np.interp(ts, t, traj.J0).tolist(),
                             model, K)[1]
-    if window is None:
-        window = (float(t[0] + 0.5 * (t[-1] - t[0])), float(t[-1]))
-    mask = (t >= window[0]) & (t <= window[1]) & np.isfinite(V) & (V > v_floor)
+    window = (float(t[0] + 0.5 * (t[-1] - t[0])), float(t[-1]))
+    mask = (t >= window[0]) & (t <= window[1]) & np.isfinite(V) & (V > V_FLOOR)
     n_pts = int(mask.sum())
 
     kz_lo, kz_hi = model.kz_prime_extrema(K)
@@ -257,16 +261,16 @@ class NegativeControlReport:
         }
 
 
-def _one_step_rates(model, K, field: DensityField, reference, *, cfl=0.5):
-    """(dVbis/dt, dV/dt, dVter/dt) across a single upwind step from a field."""
-    ref_field = getattr(reference, "rho_star", reference)
-    prof_ref = _as_profile(reference)
+def _one_step_rates(model, K, field: DensityField, reference: StationaryState):
+    """(dVbis/dt, dV/dt, dVter/dt, dt) across one upwind step at CFL number
+    0.5 from a field on the reference's grid."""
+    rho_ref, prof_ref = reference.rho_star.rho, reference.profile()
     theta = field.theta
     v = model.omega + K * model.prc(theta) * field.J0
-    dt = cfl * field.dtheta / float(v.max())
+    dt = 0.5 * field.dtheta / float(v.max())
     after = step(field, model, K, dt)
-    vbis0 = density_l1(theta, field.rho, ref_field.rho)
-    vbis1 = density_l1(theta, after.rho, ref_field.rho)
+    vbis0 = density_l1(theta, field.rho, rho_ref)
+    vbis1 = density_l1(theta, after.rho, rho_ref)
     v0 = lyapunov_tv(quantile_transform(theta, field.rho), prof_ref)
     v1 = lyapunov_tv(quantile_transform(theta, after.rho), prof_ref)
     l20 = quantile_l2(quantile_transform(theta, field.rho), prof_ref)
@@ -275,39 +279,33 @@ def _one_step_rates(model, K, field: DensityField, reference, *, cfl=0.5):
 
 
 def negative_controls(traj: TrajectoryLog, model: OscillatorModel, K: float,
-                      reference, *, seed: int = 0, n_trials: int = 200,
-                      stall_ratio: float = 10.0) -> NegativeControlReport:
+                      reference: StationaryState) -> NegativeControlReport:
     """Run both negative demonstrations on a converging trajectory.
 
-    Needs a trajectory recorded with ``snapshot_stride`` so densities are
-    available between logs.  The stall demo locates a sign change of
+    Needs an integrated run recorded with ``snapshot_stride`` so densities
+    are available between logs.  The stall demo locates a sign change of
     J0 - J* (equivalently of the boundary density error), where the L1
     density distance has zero derivative; the search demo perturbs the
-    stationary state with small localized bumps and steps once.
+    stationary state with small localized bumps and steps once.  The
+    search draws L2_TRIALS states from seed CONTROL_SEED.
     """
     notes = []
-    ref_field = getattr(reference, "rho_star", reference)
-    j_star = getattr(reference, "J_star", None)
-    theta = traj.initial.theta if traj.initial is not None else ref_field.theta
-    if hasattr(reference, "density_at"):
-        rho_ref = np.asarray(reference.density_at(theta), dtype=float)
-    elif ref_field.theta.size == theta.size:
-        rho_ref = ref_field.rho
-    else:
-        rho_ref = np.interp(theta, ref_field.theta, ref_field.rho)
-    ref_on_grid = DensityField(theta, rho_ref,
-                               j_star if j_star is not None else ref_field.J0, 0.0)
+    j_star = reference.J_star
+    theta = traj.initial.theta
+    rho_ref = reference.density_at(theta)
+    # the reference sampled on the run's grid, for the one-step rates
+    on_grid = replace(reference, rho_star=DensityField(theta, rho_ref, j_star, 0.0))
 
     # --- stall of the density-space L1 distance at a boundary crossing ---
     stall_found = False
     stall_interval = stall_dvb = stall_dv = None
-    if traj.snapshots and j_star is not None:
+    if traj.snapshots:
         times = np.asarray([s[0] for s in traj.snapshots])
         j_at = np.interp(times, traj.dense_t, traj.dense_J0)
         sign = np.sign(j_at - j_star)
         flips = np.where(np.diff(sign) != 0)[0]
         if flips.size:
-            prof_ref = _as_profile(reference)
+            prof_ref = reference.profile()
             best = None
             for i in flips:
                 rho_a, rho_b = traj.snapshots[i][1], traj.snapshots[i + 1][1]
@@ -317,50 +315,42 @@ def negative_controls(traj: TrajectoryLog, model: OscillatorModel, K: float,
                       - lyapunov_tv(quantile_transform(theta, rho_b), prof_ref))
                 if dv > 0 and (best is None or dvb / dv < best[0]):
                     best = (dvb / dv, i, dvb, dv)
-            if best is not None and best[0] < 1.0 / stall_ratio:
+            if best is not None and best[0] < 1.0 / STALL_RATIO:
                 stall_found = True
                 _, i, stall_dvb, stall_dv = best
                 stall_interval = (float(times[i]), float(times[i + 1]))
             elif best is not None:
                 notes.append(f"best crossing interval ratio {best[0]:.3g} "
-                             f"did not reach 1/{stall_ratio}")
+                             f"did not reach 1/{STALL_RATIO}")
         else:
             notes.append("flux never crossed the stationary value; stall not exhibited")
     else:
-        notes.append("no snapshots or stationary flux available; stall demo skipped")
+        notes.append("no snapshots; stall demo skipped")
 
     # --- constructed state with matching boundary density: dVbis/dt ~ 0 ---
-    constructed_vbis = constructed_v = None
-    if j_star is not None:
-        th = theta
-        rho_s = rho_ref
-        taper = np.sin(th / 2.0) ** 2         # vanishes at both boundaries
-        g = np.sin(th) * taper
-        h = np.sin(2.0 * th) * taper
-        wg = float(np.sum((rho_s * g)[1:]))
-        wh = float(np.sum((rho_s * h)[1:]))
-        pert = g - (wg / wh) * h if wh != 0.0 else g
-        amp = 0.25 / max(1e-12, float(np.max(np.abs(pert))))
-        rho_c = rho_s * (1.0 + amp * pert)
-        field = DensityField(th, rho_c.copy(), ref_on_grid.J0, 0.0)
-        dvb, dv, _, _ = _one_step_rates(model, K, field, ref_on_grid)
-        constructed_vbis, constructed_v = dvb, dv
+    taper = np.sin(theta / 2.0) ** 2      # vanishes at both boundaries
+    g = np.sin(theta) * taper
+    h = np.sin(2.0 * theta) * taper
+    wg = float(np.sum((rho_ref * g)[1:]))
+    wh = float(np.sum((rho_ref * h)[1:]))
+    pert = g - (wg / wh) * h if wh != 0.0 else g
+    amp = 0.25 / max(1e-12, float(np.max(np.abs(pert))))
+    field = DensityField(theta, rho_ref * (1.0 + amp * pert), j_star, 0.0)
+    constructed_vbis, constructed_v, _, _ = _one_step_rates(model, K, field, on_grid)
 
     # --- seeded search for a growing L2 quantile distance ---
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CONTROL_SEED)
     l2_hit = None
     trials_done = 0
-    th = theta
-    rho_s = rho_ref
-    for trial in range(n_trials):
+    for trial in range(L2_TRIALS):
         trials_done += 1
         kap = rng.uniform(20.0, 80.0)
         mu = rng.uniform(0.0, TWO_PI)
         amp = float(rng.choice([-1.0, 1.0])) * rng.uniform(5e-4, 5e-3)
-        prof = rho_s * (1.0 + amp * np.exp(kap * (np.cos(th - mu) - 1.0)))
+        prof = rho_ref * (1.0 + amp * np.exp(kap * (np.cos(theta - mu) - 1.0)))
         try:
             field = DensityField.from_profile(model, K, prof)
-            _, _, dl2, dt = _one_step_rates(model, K, field, ref_on_grid)
+            _, _, dl2, dt = _one_step_rates(model, K, field, on_grid)
         except Exception:
             continue
         if dl2 > 1e-10:

@@ -11,9 +11,9 @@ Subcommands
 Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
-model parameter or field table, or a finite run whose coupling ignites an
-avalanche: K >= x_hi - x_lo re-fires an oscillator within one event).
-A sweep whose model
+model parameter or field table, a command line argparse rejects, or a
+finite run whose coupling ignites an avalanche: K >= x_hi - x_lo re-fires
+an oscillator within one event).  A sweep whose model
 cannot be built, or whose values the config rejects, exits 4 before its
 first row.  Otherwise its rows run in forked worker processes, one per CPU
 this process may run on (``taskset -c 0 pulsefield sweep ...`` runs them
@@ -412,7 +412,7 @@ def _row_config(cfg: ExperimentConfig, param, value) -> ExperimentConfig:
     row_cfg = ExperimentConfig(copy.deepcopy(cfg.values), cfg.source)
     if param == "K":
         row_cfg.values["coupling"]["K"] = float(value)
-    elif param in ("n_theta", "ntheta"):
+    elif param == "n_theta":
         if not float(value).is_integer():
             raise ConfigError("solver.n_theta", f"not an integer: {value!r}")
         row_cfg.values["solver"]["n_theta"] = int(value)
@@ -530,9 +530,18 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are config errors (exit 4):
+    argparse's own exit 2 is this program's blow-up expectation code.
+    Subcommand parsers are made with the same class."""
+
+    def error(self, message):
+        raise ConfigError(self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pulsefield", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="pulsefield", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stationary", help="solve for the asynchronous state")
@@ -602,8 +611,8 @@ def main(argv=None) -> int:
         # an option; the joined form is unambiguous
         i = argv.index("--values")
         argv[i:i + 2] = [f"--values={argv[i + 1]}"]
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,10 +35,10 @@ acceptance suite's surface (the negative controls of criterion 10 and the
 characteristic cross-check of criterion 9).
 
 Synchronization shows up as a finite-time singularity and is detected by
-thresholds: the boundary relation's denominator falling under ``eps_sing``
-or the flux exceeding ``flux_cap`` (flux blow-up, excitatory side), and the
-velocity stalling at min v <= eps_sing*omega (density blow-up, inhibitory
-side).
+fixed thresholds: the boundary relation's denominator falling under
+``EPS_SING`` or the flux exceeding ``flux_cap(omega)`` (flux blow-up,
+excitatory side), and the velocity stalling at min v <= EPS_SING*omega
+(density blow-up, inhibitory side).
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class BlowupError(RuntimeError):
         self.event = event
 
 
-def default_flux_cap(omega: float) -> float:
+def flux_cap(omega: float) -> float:
+    """Flux past which a run reports a flux blow-up: 1e6 uncoupled rates."""
     return 1e6 * omega / TWO_PI
 
 
@@ -114,8 +115,7 @@ class DensityField:
         return DensityField(self.theta, self.rho.copy(), self.J0, self.t)
 
     @classmethod
-    def from_profile(cls, model, K, rho_values, t: float = 0.0, *,
-                     eps_sing: float = EPS_SING) -> "DensityField":
+    def from_profile(cls, model, K, rho_values, t: float = 0.0) -> "DensityField":
         """Build a consistent field from a raw nonnegative profile.
 
         The profile is normalized to unit discrete mass, then the boundary
@@ -135,26 +135,27 @@ class DensityField:
             raise ValueError(f"initial density needs positive finite mass, got {mass!r}")
         rho /= mass
         J0 = _advance_boundary(rho, t, model.omega, K * float(model.prc(0.0)),
-                               K * float(model.prc(TWO_PI)), eps_sing, math.inf)
+                               K * float(model.prc(TWO_PI)), math.inf)
         return cls(theta, rho, J0, t)
 
 
 # -- boundary relation and single steps -----------------------------------------
 
 
-def _advance_boundary(rho_new, t_new, omega, kz0, kz_end, eps_sing, flux_cap):
-    """Outflow flux from rho(2*pi), then rho(0) from the flux relation."""
+def _advance_boundary(rho_new, t_new, omega, kz0, kz_end, cap):
+    """Outflow flux from rho(2*pi), then rho(0) from the flux relation; a
+    flux above ``cap`` is a blow-up."""
     rho_end = rho_new.item(-1)
     den = 1.0 - kz_end * rho_end
-    if den <= eps_sing:
+    if den <= EPS_SING:
         raise BlowupError(BlowupEvent(t_new, "flux", {
             "rho_end": rho_end, "rho_critical": 1.0 / kz_end if kz_end else math.inf,
-            "denominator": den, "eps_sing": eps_sing}))
+            "denominator": den, "eps_sing": EPS_SING}))
     J0 = omega * rho_end / den
-    if J0 > flux_cap:
-        raise BlowupError(BlowupEvent(t_new, "flux", {"flux": J0, "flux_cap": flux_cap}))
+    if J0 > cap:
+        raise BlowupError(BlowupEvent(t_new, "flux", {"flux": J0, "flux_cap": cap}))
     v0 = omega + kz0 * J0
-    if v0 <= eps_sing * omega:
+    if v0 <= EPS_SING * omega:
         raise BlowupError(BlowupEvent(t_new, "density", {
             "velocity_at_zero": v0, "flux": J0,
             "flux_critical": omega / abs(kz0) if kz0 < 0 else math.inf}))
@@ -162,16 +163,14 @@ def _advance_boundary(rho_new, t_new, omega, kz0, kz_end, eps_sing, flux_cap):
     return J0
 
 
-def step(state: DensityField, model, K: float, dt: float, *,
-         eps_sing: float = EPS_SING, flux_cap: float | None = None) -> DensityField:
+def step(state: DensityField, model, K: float, dt: float) -> DensityField:
     """One explicit upwind step of size ``dt``; returns a new field.
 
     This is one pass of ``integrate``'s loop, which holds the only copy of
     the kernel: a blow-up raises ``BlowupError`` and a ``dt`` past the CFL
     limit raises ``CFLError``.
     """
-    traj = integrate(model, K, state, t_max=math.inf, dt=dt, max_steps=1,
-                     eps_sing=eps_sing, flux_cap=flux_cap)
+    traj = integrate(model, K, state, t_max=math.inf, dt=dt, max_steps=1)
     if traj.blowup is not None:
         raise BlowupError(traj.blowup)
     return traj.final
@@ -188,7 +187,8 @@ def initial_density(kind: str, n_theta: int, model, K: float, *,
     ``uniform``    flat profile;
     ``vonmises``   exp(kappa*cos(theta - mu)), renormalized;
     ``perturbed``  rho_star(theta) * (1 + epsilon*cos(theta)), renormalized
-                   (requires a stationary reference).
+                   (requires the ``StationaryState`` ``reference``; its
+                   rho_star is resampled linearly onto a different grid).
     """
     theta = np.linspace(0.0, TWO_PI, n_theta + 1)
     if kind == "uniform":
@@ -198,11 +198,9 @@ def initial_density(kind: str, n_theta: int, model, K: float, *,
     elif kind == "perturbed":
         if reference is None:
             raise ValueError("perturbed initial condition needs a stationary reference")
-        rho_ref = getattr(reference, "rho_star", reference)
-        rr = np.asarray(rho_ref.rho if hasattr(rho_ref, "rho") else rho_ref, dtype=float)
+        rr = reference.rho_star.rho
         if rr.size != n_theta + 1:
-            src = np.linspace(0.0, TWO_PI, rr.size)
-            rr = np.interp(theta, src, rr)
+            rr = np.interp(theta, reference.rho_star.theta, rr)
         prof = rr * (1.0 + epsilon * np.cos(theta))
         if np.any(prof <= 0.0):
             raise ValueError("perturbation amplitude drives the density negative")
@@ -315,17 +313,18 @@ class TrajectoryLog:
 def integrate(model, K: float, initial: DensityField, *, t_max: float,
               cfl: float = 0.5, dt: float | None = None,
               log_stride: int = 20, reference=None, snapshot_times=(),
-              snapshot_stride: int | None = None, eps_sing: float = EPS_SING,
-              flux_cap: float | None = None, max_steps: int = 20_000_000) -> TrajectoryLog:
+              snapshot_stride: int | None = None,
+              max_steps: int = 20_000_000) -> TrajectoryLog:
     """March the density to ``t_max``, a blow-up or ``max_steps`` steps,
     logging every ``log_stride`` steps.
 
     The step size follows the CFL condition dt = cfl * dtheta / max(v)
     (recomputed every step since the velocity depends on the flux), unless a
     fixed ``dt`` is given -- the aligned runs use dt = dtheta/omega to make
-    transport at K = 0 a rotation.  When a stationary reference is supplied,
-    the quantile Lyapunov distance V and the minimum quantile density are
-    logged alongside the flux.
+    transport at K = 0 a rotation.  When a ``StationaryState`` reference is
+    supplied, the quantile Lyapunov distance V and the minimum quantile
+    density are logged alongside the flux.  Blow-up thresholds are
+    ``EPS_SING`` and ``flux_cap(omega)``.
 
     The loop holds the one copy of the upwind kernel, written out inline on
     views made once per run (``step`` is one pass of it).  A fixed ``dt``
@@ -336,8 +335,7 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     if dt is not None and not dt > 0.0:
         raise ValueError(f"fixed dt must be positive, got {dt!r}")
     omega = model.omega
-    if flux_cap is None:
-        flux_cap = default_flux_cap(omega)
+    cap = flux_cap(omega)
     theta = initial.theta
     dtheta = initial.dtheta
     kz = K * model.prc(theta)
@@ -345,13 +343,13 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     # (exact: rounding is monotone); the kernel's scalars are Python floats
     kz_lo, kz_hi = float(kz.min()), float(kz.max())
     kz0, kz_end = kz.item(0), kz.item(-1)
-    stall = eps_sing * omega
+    stall = EPS_SING * omega
     stall_kind = "density" if kz0 < 0.0 or kz_end < 0.0 else "flux"
     cfl_dtheta = cfl * dtheta if dt is None else None
     dtheta_tol = dtheta * (1.0 + 1e-12)
 
     # V on every logged row against one reference bound to this grid
-    grid = GridReference(reference, theta) if reference is not None else None
+    grid = GridReference(reference.profile(), theta) if reference is not None else None
 
     # the step writes into `spare` and the two buffers swap roles; the views
     # of their nodes 1..N and of the flux differences are made once
@@ -424,8 +422,7 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
             np.subtract(flux_hi, flux_lo, spare_body)
             np.multiply(spare_body, step_dt / dtheta, spare_body)
             np.subtract(body, spare_body, spare_body)
-            J0_new = _advance_boundary(spare, t + step_dt, omega, kz0, kz_end,
-                                       eps_sing, flux_cap)
+            J0_new = _advance_boundary(spare, t + step_dt, omega, kz0, kz_end, cap)
         except BlowupError as exc:
             blow = exc.event
             stop_reason = "blowup"
@@ -571,9 +568,9 @@ class AdmissibilityReport:
     detail: dict
 
 
-def check_admissibility(rho0, model, K: float, *, blowup: BlowupEvent | None,
+def check_admissibility(rho0: DensityField, model, K: float, *, blowup: BlowupEvent | None,
                         first_crossing_time: float | None) -> AdmissibilityReport:
-    """Decide whether an initial profile keeps the flux finite and positive
+    """Decide whether an initial field keeps the flux finite and positive
     until every oscillator has crossed the firing phase once.
 
     Closed-form verdicts apply to contracting dynamics (K*Z' < 0): a
@@ -584,10 +581,8 @@ def check_admissibility(rho0, model, K: float, *, blowup: BlowupEvent | None,
     had none) against the time its characteristic from theta = 0 first
     reached 2*pi (None if the run ended first).  Nothing is integrated here.
     """
-    prof = np.asarray(rho0.rho if hasattr(rho0, "rho") else rho0, dtype=float)
-    n = prof.size - 1
-    theta = np.linspace(0.0, TWO_PI, n + 1)
-    z = model.prc(theta)
+    prof = rho0.rho
+    z = model.prc(rho0.theta)
     kz_end = K * float(z[-1])
 
     kz_mono = model.monotonicity

@@ -44,6 +44,8 @@ from .stationary import solve_stationary_flux
 
 TWO_PI = 2.0 * math.pi
 TIE_TOL = 1e-12          # states this close to threshold fire together
+RATE_SKIP = 0.5          # leading share of events the mean firing rate skips
+SPLAY_N_THETA = 8192     # grid of the stationary density the splay is cut from
 
 
 class AvalancheError(RuntimeError):
@@ -72,10 +74,7 @@ class FiringEvent:
 
 @dataclass
 class FiniteRun:
-    model: OscillatorModel
-    K: float
     N: int
-    seed: int | None
     events: list
 
     @property
@@ -89,9 +88,9 @@ class FiniteRun:
                 return i
         return None
 
-    def mean_firing_rate(self, skip_fraction: float = 0.5) -> float:
-        """Per-oscillator firing rate over the trailing part of the run."""
-        k0 = int(len(self.events) * skip_fraction)
+    def mean_firing_rate(self) -> float:
+        """Per-oscillator firing rate over the run past its RATE_SKIP share."""
+        k0 = int(len(self.events) * RATE_SKIP)
         if len(self.events) - k0 < 2:
             raise ValueError("not enough events to estimate a rate")
         fired = sum(ev.n_fired for ev in self.events[k0:])
@@ -170,7 +169,8 @@ def simulate(model: OscillatorModel, K: float, N: int, *, on_firing,
     """Alternate drift and firing for ``n_firings`` events, streaming each.
 
     Initial states are seeded uniform random in (x_lo, x_hi), the N-quantiles
-    of ``ic_density`` mapped back to state space, or an explicit ``x0``.
+    of the ``DensityField`` ``ic_density`` mapped back to state space, or an
+    explicit ``x0``.
     Each firing's snapshot is taken before the pulse is applied; once the
     event is resolved, ``on_firing(t, snapshot, event)`` is called with it.
     The run keeps only its events.
@@ -182,7 +182,7 @@ def simulate(model: OscillatorModel, K: float, N: int, *, on_firing,
         if x.size != N:
             raise ValueError("x0 length must equal N")
     elif ic_density is not None:
-        prof = quantile_transform(ic_density)
+        prof = quantile_transform(ic_density.theta, ic_density.rho)
         phis = (np.arange(1, N + 1) - 0.5) / N
         x = np.asarray(model.state_of_phase(prof.Q_at(phis)))
     else:
@@ -210,13 +210,12 @@ def simulate(model: OscillatorModel, K: float, N: int, *, on_firing,
         theta, ids, ev = _fire(theta, ids, k, model, K, t)
         events.append(ev)
         on_firing(t, snap, ev)
-    return FiniteRun(model, K, N, seed, events)
+    return FiniteRun(N, events)
 
 
-def splay_reference(N: int, model: OscillatorModel, K: float,
-                    n_theta: int = 8192) -> np.ndarray:
+def splay_reference(N: int, model: OscillatorModel, K: float) -> np.ndarray:
     """Phase-locked reference configuration: the N-quantiles of the
-    stationary density (uniform quantiles 2*pi*k/N when K = 0)."""
-    stat = solve_stationary_flux(model, K, n_theta=n_theta)
-    prof = quantile_transform(stat.rho_star)
-    return np.asarray(prof.Q_at(np.arange(1, N + 1) / N))
+    stationary density on SPLAY_N_THETA + 1 nodes (uniform quantiles
+    2*pi*k/N when K = 0)."""
+    stat = solve_stationary_flux(model, K, n_theta=SPLAY_N_THETA)
+    return np.asarray(stat.profile().Q_at(np.arange(1, N + 1) / N))

@@ -43,6 +43,8 @@ TWO_PI = 2.0 * math.pi
 # Sampling used for classification, extrema scans and tabulated phase maps.
 DENSE_GRID_SIZE = 4097
 SIGN_DEAD_BAND = 1e-9
+# samples a tabulated model takes of a callable field
+CALLABLE_SAMPLES = 1025
 
 
 class ModelError(ValueError):
@@ -152,9 +154,9 @@ class OscillatorModel:
         out = self._prc_deriv_fn(ta)
         return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
-    def kz_prime_extrema(self, K: float, n: int = DENSE_GRID_SIZE):
-        """(min, max) of K * Z'(theta) over a dense grid on [0, 2*pi]."""
-        grid = np.linspace(0.0, TWO_PI, n)
+    def kz_prime_extrema(self, K: float):
+        """(min, max) of K * Z'(theta) over the DENSE_GRID_SIZE grid on [0, 2*pi]."""
+        grid = np.linspace(0.0, TWO_PI, DENSE_GRID_SIZE)
         vals = K * self.prc_deriv(grid)
         return float(vals.min()), float(vals.max())
 
@@ -349,14 +351,14 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
-def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
-                    n_samples: int = 1025) -> OscillatorModel:
+def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> OscillatorModel:
     """Oscillator with a field given by samples or by a callable.
 
     ``tabulated_model(x, F_values)`` interpolates the samples; passing a
-    callable as the first argument samples it on ``n_samples`` points over
-    [x_lo, x_hi].  Interpolation is monotone piecewise cubic (PCHIP), which
-    keeps the sign of dF/dx and hence the monotonicity class of Z intact.
+    callable as the first argument samples it on CALLABLE_SAMPLES evenly
+    spaced points over [x_lo, x_hi].  Interpolation is monotone piecewise
+    cubic (PCHIP), which keeps the sign of dF/dx and hence the monotonicity
+    class of Z intact.
 
     The phase table sits on the sample knots plus enough evenly spaced
     points in each sample interval that no piece is wider than the spacing
@@ -370,7 +372,7 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None,
     if callable(x_samples):
         if x_lo is None or x_hi is None:
             raise ModelError("sampling a callable field needs x_lo and x_hi")
-        xs = np.linspace(float(x_lo), float(x_hi), max(int(n_samples), 1025))
+        xs = np.linspace(float(x_lo), float(x_hi), CALLABLE_SAMPLES)
         Fs = np.asarray([x_samples(float(x)) for x in xs], dtype=float)
     else:
         xs = np.asarray(x_samples, dtype=float)
@@ -490,18 +492,18 @@ def load_field_table(path) -> tuple[np.ndarray, np.ndarray]:
 # -- classification ------------------------------------------------------------
 
 
-def classify_monotonicity(model: OscillatorModel, n: int = DENSE_GRID_SIZE,
-                          dead_band: float = SIGN_DEAD_BAND) -> SignClassification:
-    """Sign classes of Z' and Z'' via central differences on a dense grid.
+def classify_monotonicity(model: OscillatorModel) -> SignClassification:
+    """Sign classes of Z' and Z'' via central differences on the
+    DENSE_GRID_SIZE grid.
 
-    Derivative estimates smaller than ``dead_band * max|Z|`` count as zero so
-    that a constant response curve classifies as neutral instead of picking
-    up rounding noise.
+    Derivative estimates smaller than ``SIGN_DEAD_BAND * max|Z|`` count as
+    zero so that a constant response curve classifies as neutral instead of
+    picking up rounding noise.
     """
-    grid = np.linspace(0.0, TWO_PI, n)
+    grid = np.linspace(0.0, TWO_PI, DENSE_GRID_SIZE)
     z = np.asarray(model.prc(grid), dtype=float)
     h = grid[1] - grid[0]
-    band = dead_band * float(np.max(np.abs(z)))
+    band = SIGN_DEAD_BAND * float(np.max(np.abs(z)))
 
     z1 = (z[2:] - z[:-2]) / (2.0 * h)
     z2 = (z[2:] - 2.0 * z[1:-1] + z[:-2]) / (h * h)

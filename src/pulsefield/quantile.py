@@ -21,6 +21,11 @@ integral of q over [0, 1] is exactly 2*pi, so the bound
 
 holds exactly (not merely up to quadrature error), which is what the
 blow-up monitor relies on.
+
+``quantile_transform(theta, rho)`` makes a ``QuantileProfile``, and the
+distances take profiles.  A run binds its reference profile to its grid
+once, as a ``GridReference``, which the V functions accept as the
+reference.
 """
 
 from __future__ import annotations
@@ -65,8 +70,8 @@ class QuantileProfile:
         return self.q_seg[idx]
 
 
-def quantile_transform(field, rho=None, *, into: GridReference | None = None) -> QuantileProfile:
-    """Quantile profile of a density given as a field object or (theta, rho).
+def quantile_transform(theta, rho, *, into: GridReference | None = None) -> QuantileProfile:
+    """Quantile profile of the density ``rho`` sampled at the nodes ``theta``.
 
     P is the normalized cumulative trapezoid of rho, Q its piecewise-linear
     inverse on the grid knots.  Densities with zero plateaus (or non-finite
@@ -78,12 +83,8 @@ def quantile_transform(field, rho=None, *, into: GridReference | None = None) ->
     valid until the next such call, and ``lyapunov_tv_with_qmin(profile,
     into)`` merges it without copying its knots.
     """
-    if rho is None:
-        theta = np.asarray(field.theta, dtype=float)
-        rho = np.asarray(field.rho, dtype=float)
-    else:
-        theta = np.asarray(field, dtype=float)
-        rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    rho = np.asarray(rho, dtype=float)
     if theta.ndim != 1 or theta.shape != rho.shape or theta.size < 2:
         raise ValueError("need matching 1-D theta and rho arrays")
     if (rho < 0.0).any():
@@ -121,17 +122,9 @@ def _transform(dtheta, rho, phi, dphi, Q) -> QuantileProfile:
     return QuantileProfile(phi, Q, q_seg, True)
 
 
-def _as_profile(obj) -> QuantileProfile:
-    if isinstance(obj, QuantileProfile):
-        return obj
-    if isinstance(obj, GridReference):
-        return obj.profile
-    ref = getattr(obj, "rho_star", obj)  # StationaryState carries its density here
-    return quantile_transform(ref)
-
-
 class GridReference:
-    """A reference profile bound to one density grid, for V on many densities.
+    """A reference quantile profile bound to one density grid, for V on
+    many densities.
 
     A run evaluates V against the same reference on every logged row of the
     same grid.  Everything those evaluations share is made here once: the
@@ -142,28 +135,28 @@ class GridReference:
     ``lyapunov_tv_with_qmin`` use on fresh arrays, so the bits are the same.
     """
 
-    def __init__(self, reference, theta):
-        self.profile = _as_profile(reference)
+    def __init__(self, profile: QuantileProfile, theta):
+        self.profile = profile
         self.theta = theta = np.asarray(theta, dtype=float)
         self.dtheta = theta[1:] - theta[:-1]
-        n_a, n_b = theta.size, self.profile.phi.size
+        n_a, n_b = theta.size, profile.phi.size
         self.merged = np.empty(n_a + n_b)
-        self.merged[n_a:] = self.profile.phi
+        self.merged[n_a:] = profile.phi
         self.phi = self.merged[:n_a]
         self.dphi = np.empty(n_a - 1)
-        self.q_min = self.profile.q_min
+        self.q_min = profile.q_min
         pos = np.arange(1, n_a + n_b - 2)
         self.positions = (pos - 1, pos + (n_a - 1))
 
 
-def lyapunov_tv(state, reference) -> float:
+def lyapunov_tv(state: QuantileProfile, reference) -> float:
     """Total-variation Lyapunov distance V = integral |q - q_ref| dphi.
 
-    Both arguments may be density fields, quantile profiles or stationary
-    states.  The segment values of both profiles are compared on the union
-    of their knots, where the piecewise-constant difference is integrated
-    exactly; the result is symmetric to machine precision and lies in
-    [0, 4*pi].
+    Both arguments are quantile profiles; the reference may also be a
+    ``GridReference``.  The segment values of both profiles are compared on
+    the union of their knots, where the piecewise-constant difference is
+    integrated exactly; the result is symmetric to machine precision and
+    lies in [0, 4*pi].
     """
     return lyapunov_tv_with_qmin(state, reference)[0]
 
@@ -243,24 +236,22 @@ def _tv_and_qmin(a: QuantileProfile, b: QuantileProfile, grid=None) -> tuple[flo
     return float(qa.sum()), min(a.q_min, b.q_min if grid is None else grid.q_min)
 
 
-def lyapunov_tv_with_qmin(state, reference) -> tuple[float, float]:
+def lyapunov_tv_with_qmin(state: QuantileProfile, reference) -> tuple[float, float]:
     """V together with min(q, q_ref); the pair the trajectory logger records.
 
-    ``reference`` may be a ``GridReference``; a state transformed into it
-    is then merged in its buffers.
+    ``reference`` is a ``QuantileProfile`` or a ``GridReference``; a state
+    transformed into the latter is merged in its buffers.
     """
-    a = _as_profile(state)
-    b = _as_profile(reference)
-    if a.degenerate or b.degenerate:
+    grid = reference if isinstance(reference, GridReference) else None
+    ref = reference if grid is None else grid.profile
+    if state.degenerate or ref.degenerate:
         raise QuantileDegenerateError("quantile density undefined on a zero plateau")
-    return _tv_and_qmin(a, b, reference if isinstance(reference, GridReference) else None)
+    return _tv_and_qmin(state, ref, grid)
 
 
-def quantile_l2(state, reference) -> float:
+def quantile_l2(state: QuantileProfile, reference: QuantileProfile) -> float:
     """L2 distance between quantile densities (the rejected candidate norm)."""
-    a = _as_profile(state)
-    b = _as_profile(reference)
-    qa, qb, width = _merged_segments(a, b)
+    qa, qb, width = _merged_segments(state, reference)
     return float(np.sqrt(np.sum((qa - qb) ** 2 * width)))
 
 

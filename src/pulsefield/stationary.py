@@ -32,6 +32,7 @@ import numpy as np
 
 from .continuum import DensityField
 from .models import OscillatorModel, ModelError
+from .quantile import QuantileProfile, quantile_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +41,8 @@ LIMIT_KS = range(1, 13)
 LIMIT_MARGIN = 1e-6
 DIVERGENCE_CAP = 1e6
 W_TOL = 1e-12
+# |W(J*) - 1| at which the bisection for J* stops
+J_TOL = 1e-10
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21): the Kronrod abscissae on
 # [0, 1], largest first, the 10-point Gauss abscissae among them at the odd
@@ -116,11 +119,13 @@ class CouplingBounds:
 
 @dataclass
 class StationaryState:
-    """Asynchronous fixed point: flux, sampled density and its certificate."""
+    """Asynchronous fixed point: flux, sampled density and its certificate.
+
+    This is the one reference type for V: ``profile`` is the one place
+    where the reference density becomes a quantile profile."""
 
     J_star: float
     rho_star: DensityField
-    exists: bool
     J_interval: tuple
     r: float
     K: float
@@ -128,6 +133,10 @@ class StationaryState:
 
     def density_at(self, theta):
         return J_density(self.model, self.K, self.J_star, theta)
+
+    def profile(self) -> QuantileProfile:
+        """Quantile profile of ``rho_star`` on its own grid."""
+        return quantile_transform(self.rho_star.theta, self.rho_star.rho)
 
 
 class _Sampled(NamedTuple):
@@ -172,7 +181,7 @@ def _gk21(fv, lo, hi):
     return resk * half, err * half
 
 
-def _quad(g, sampled: _Sampled, *, tol: float = 1e-11) -> float:
+def _quad(g, sampled: _Sampled, *, tol: float) -> float:
     """Integral of g(sampled.fn(x)) over the sampled range, to |error| <=
     max(tol, tol*|result|) as estimated by QUADPACK's rule.
 
@@ -245,19 +254,18 @@ def _prepare(model: OscillatorModel, K: float) -> tuple:
     return r, _sample(model._prc_fn, 0.0, TWO_PI, [pt] if K != 0.0 else None)
 
 
-def normalization_functional(model: OscillatorModel, K: float, J: float,
-                             tol: float = W_TOL) -> float:
+def normalization_functional(model: OscillatorModel, K: float, J: float) -> float:
     """W(J) = integral J/(omega + K*Z*J) dtheta; strictly increasing in J."""
     r, prc = _prepare(model, K)
     hi = math.inf if r == 0.0 else model.omega / r
     if not (0.0 < J < hi):
         raise ValueError(f"J={J} outside the admissible interval (0, {hi:.6g})")
-    return _w_integral(model.omega, K, J, prc, tol)
+    return _w_integral(model.omega, K, J, prc)
 
 
-def _w_integral(omega: float, K: float, J: float, prc: _Sampled, tol: float) -> float:
+def _w_integral(omega: float, K: float, J: float, prc: _Sampled) -> float:
     """W(J) for an admissible J, from Z sampled with the breakpoints given."""
-    return _quad(lambda z: J / (omega + K * z * J), prc, tol=tol)
+    return _quad(lambda z: J / (omega + K * z * J), prc, tol=W_TOL)
 
 
 def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
@@ -373,13 +381,13 @@ def _golden_min(f, a: float, b: float, *, xatol: float) -> tuple:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def bisect_root(f, a: float, b: float, *, xtol: float = 1e-13, ftol: float = 0.0,
-                max_iter: int = 200) -> float:
+def bisect_root(f, a: float, b: float, *, ftol: float) -> float:
     """Bracketed bisection for a continuous f with f(a), f(b) of opposite sign.
 
-    Stops when the bracket is narrower than ``xtol`` (absolute) or, if
-    ``ftol`` > 0, as soon as |f(mid)| < ftol.  Unconditionally convergent on
-    monotone functions, which is why it is preferred over Newton here.
+    Stops as soon as |f(mid)| < ``ftol``, or when the bracket is two
+    adjacent doubles (the midpoint rounds onto an end), however many orders
+    of magnitude it spanned.  Unconditionally convergent on monotone
+    functions, which is why it is preferred over Newton here.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -388,23 +396,23 @@ def bisect_root(f, a: float, b: float, *, xtol: float = 1e-13, ftol: float = 0.0
         return b
     if fa * fb > 0.0:
         raise ValueError(f"root not bracketed: f({a})={fa}, f({b})={fb}")
-    for _ in range(max_iter):
+    while True:
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            return m
         fm = f(m)
-        if fm == 0.0 or (ftol > 0.0 and abs(fm) < ftol):
+        if fm == 0.0 or abs(fm) < ftol:
             return m
         if fa * fm < 0.0:
-            b, fb = m, fm
+            b = m
         else:
             a, fa = m, fm
-        if b - a < xtol:
-            return 0.5 * (a + b)
-    return 0.5 * (a + b)
 
 
-def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
+def solve_stationary_flux(model: OscillatorModel, K: float,
                           n_theta: int = 2048) -> StationaryState:
-    """Unique root of W(J) = 1 by bracketed bisection on the admissible interval.
+    """Unique root of W(J) = 1 by bracketed bisection on the admissible
+    interval, to |W - 1| < J_TOL, sampled on ``n_theta`` + 1 nodes.
 
     K = 0 is returned in closed form (J* = omega/(2*pi), uniform density).
     For r > 0 the upper bracket is walked in as (1 - 10^-k) * omega/r until
@@ -418,7 +426,7 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
         j_star = omega / TWO_PI
         rho = np.full(n_theta + 1, 1.0 / TWO_PI)
         field = DensityField(theta, rho, j_star, 0.0)
-        return StationaryState(j_star, field, True, (0.0, math.inf), 0.0, K, model)
+        return StationaryState(j_star, field, (0.0, math.inf), 0.0, K, model)
 
     # one K*Z scan and one sample of Z serve the existence limit and W;
     # J stays inside (0, hi_edge) below, so W skips normalization_functional
@@ -428,7 +436,7 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
         raise NoStationaryStateError(result)
 
     hi_edge = math.inf if r == 0.0 else omega / r
-    w = lambda J: _w_integral(omega, K, J, prc, W_TOL) - 1.0
+    w = lambda J: _w_integral(omega, K, J, prc) - 1.0
 
     lo = min(1e-12 * omega, (hi_edge if math.isfinite(hi_edge) else 1.0) * 1e-12)
     hi = None
@@ -452,10 +460,10 @@ def solve_stationary_flux(model: OscillatorModel, K: float, tol: float = 1e-10,
         if hi is None:
             raise RuntimeError("normalization functional never exceeded one")
 
-    j_star = bisect_root(w, lo, hi, xtol=0.0, ftol=tol, max_iter=200)
+    j_star = bisect_root(w, lo, hi, ftol=J_TOL)
     rho = j_star / (omega + K * z * j_star)   # J_density on the z above
     field = DensityField(theta, rho, j_star, 0.0)
-    return StationaryState(j_star, field, True, (0.0, hi_edge), r, K, model)
+    return StationaryState(j_star, field, (0.0, hi_edge), r, K, model)
 
 
 def J_density(model: OscillatorModel, K: float, J: float, theta) -> np.ndarray:

@@ -195,7 +195,7 @@ def test_criterion_10_negative_controls(model):
                          reference=stat)
     traj = integrate(model, K_IN, ic, t_max=6.0, log_stride=5,
                      reference=stat, snapshot_stride=5)
-    rep = negative_controls(traj, model, K_IN, stat, seed=0, n_trials=200)
+    rep = negative_controls(traj, model, K_IN, stat)
     assert rep.stall_found
     tol = abs(rep.stall_delta_vbis) + 1e-15
     assert rep.stall_delta_v > 10.0 * tol

@@ -113,8 +113,7 @@ def test_decay_rate_homoclinic_weak_excitatory():
 
 
 def test_negative_controls_report(lif, stat_inhib, inhib_traj):
-    rep = negative_controls(inhib_traj, lif, -0.1, stat_inhib, seed=0,
-                            n_trials=200)
+    rep = negative_controls(inhib_traj, lif, -0.1, stat_inhib)
     # density-space L1 distance stalls at the boundary crossing while the
     # quantile distance keeps contracting
     assert rep.stall_found
@@ -131,5 +130,5 @@ def test_negative_controls_trivial_zero(stat_inhib):
     from pulsefield.quantile import density_l1, quantile_l2, quantile_transform
     ref = stat_inhib.rho_star
     assert density_l1(ref.theta, ref.rho, ref.rho) == 0.0
-    p = quantile_transform(ref)
+    p = quantile_transform(ref.theta, ref.rho)
     assert quantile_l2(p, p) == 0.0

@@ -590,14 +590,49 @@ def test_sweep_negative_values(tmp_path, capsys, flag):
     ("K", "-0.1,-0.1"), ("K", "-0.1,fast"),
     # every row is applied and validated before the first one runs: a grid
     # the solver rejects, or a non-integer one, is a config error
-    ("n_theta", "4,64"), ("n_theta", "64,64.7"), ("n_theta", "64,nan")],
-    ids=["-0.1,-0.1", "-0.1,fast", "n_theta=4,64", "n_theta=64,64.7", "n_theta=64,nan"])
+    ("n_theta", "4,64"), ("n_theta", "64,64.7"), ("n_theta", "64,nan"),
+    # the grid parameter has one name: ntheta is not a second one
+    ("ntheta", "64,128")],
+    ids=["-0.1,-0.1", "-0.1,fast", "n_theta=4,64", "n_theta=64,64.7", "n_theta=64,nan",
+         "ntheta=64,128"])
 def test_sweep_bad_values_config_error(tmp_path, capsys, param, values):
     p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
     assert main(["sweep", "--config", str(p), "--param", param,
                  f"--values={values}", "--out", str(tmp_path / "sw")]) == 4
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite", "--N", "20", "--K", "-0.1", "--out", "{out}", "--bogus"],
+    ["simulate", "--K", "-0.1", "--out", "{out}", "--log-stride", "x"],
+    # argparse reads "-inf" as a flag, so --tmax has no value
+    ["simulate", "--K", "-0.1", "--out", "{out}", "--tmax", "-inf"]],
+    ids=["finite_bogus_flag", "simulate_log_stride_x", "simulate_tmax_-inf"])
+def test_usage_error_exits_config(tmp_path, capsys, argv):
+    # argparse's own exit code, 2, is the blow-up expectation's
+    out = tmp_path / "out"
+    assert main([a.format(out=out) for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: pulsefield")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_usage_error_and_help_process_exit_codes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pulsefield.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "pulsefield"]
+    bad = subprocess.run([*cmd, "finite", "--N", "20", "--K", "-0.1",
+                          "--out", str(tmp_path / "out"), "--bogus"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 4
+    assert bad.stderr.splitlines() == [
+        "config error: pulsefield: unrecognized arguments: --bogus"]
+    helped = subprocess.run([*cmd, "simulate", "--help"], env=env, capture_output=True,
+                            text=True)
+    assert helped.returncode == 0 and "--log-stride" in helped.stdout
+    assert helped.stderr == ""
 
 
 @pytest.mark.parametrize("case", ["lif_field_nonpositive", "table_missing"])

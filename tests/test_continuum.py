@@ -6,10 +6,11 @@ from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityField,
-                        characteristic_trace, check_admissibility, homoclinic_model,
-                        initial_density, integrate, lif_model, step, tabulated_model)
+                        StationaryState, characteristic_trace, check_admissibility,
+                        homoclinic_model, initial_density, integrate, lif_model, step,
+                        tabulated_model)
 from pulsefield.continuum import (EPS_SING, BlowupEvent, TrajectoryLog, _advance_boundary,
-                                  default_flux_cap)
+                                  flux_cap)
 from pulsefield.quantile import lyapunov_tv_with_qmin, quantile_transform
 
 TWO_PI = 2.0 * math.pi
@@ -34,7 +35,7 @@ def _outflow_flux(model, K, rho_end):
     """J0 from rho(2*pi) by the kernel's boundary relation, and rho(0)."""
     rho = np.array([0.0, rho_end])
     j0 = _advance_boundary(rho, 0.0, model.omega, K * model.prc(0.0),
-                           K * model.prc(TWO_PI), EPS_SING, math.inf)
+                           K * model.prc(TWO_PI), math.inf)
     return j0, rho[0]
 
 
@@ -229,7 +230,7 @@ def test_upwind_step_matches_reference(name, prof, K, J0, dt_frac, cfl):
     dtheta = float(theta[1] - theta[0])
     z = model.prc(theta)
     dt = dt_frac * dtheta / model.omega
-    cap = default_flux_cap(model.omega)
+    cap = flux_cap(model.omega)
     rho = prof.copy()
     got = _outcome(lambda: kernel_pass(model, K, DensityField(theta, rho, J0, 0.0), dt, cfl))
     want = _outcome(lambda: reference_step(prof.copy(), J0, 0.0, dt, dtheta, model.omega,
@@ -254,7 +255,7 @@ def reference_run(model, K, field, t_max, cfl=0.5):
     theta = field.theta
     z = model.prc(theta)
     omega, prc = model.omega, model._prc_fn
-    cap = default_flux_cap(omega)
+    cap = flux_cap(omega)
     rho, J0, t = field.rho.copy(), field.J0, field.t
     dense_t, dense_j, steps = [t], [J0], []
     blow, lam, t_cross = None, 0.0, None
@@ -427,10 +428,13 @@ def test_in_run_v_matches_public_formula(lif, case):
     ic = DensityField.from_profile(lif, -0.1, prof)
     ref_rho = {"independent": other, "identical": ic.rho.copy(),
                "jittered": np.maximum(np.nextafter(ic.rho, ic.rho + nudge), 0.0)}[kind]
+    # a stationary state carrying the drawn reference density
+    state = StationaryState(math.nan, DensityField(ic.theta, ref_rho, math.nan),
+                            (0.0, math.inf), 0.0, -0.1, lif)
     with np.errstate(over="ignore"):   # q = dtheta/dphi past DBL_MAX is inf
         ref = quantile_transform(ic.theta, ref_rho)
         traj = integrate(lif, -0.1, ic, t_max=math.inf, log_stride=1, snapshot_stride=1,
-                         max_steps=4, reference=ref)
+                         max_steps=4, reference=state)
         failures = 0
         for k, rho in enumerate([ic.rho] + [arr for _, arr in traj.snapshots]):
             try:
@@ -534,8 +538,8 @@ def test_admissibility_sign_rule(lif, stat_inhib):
     th = np.linspace(0.0, TWO_PI, 257)
     blowup = BlowupEvent(0.5, "flux", {})
     for K in (-0.1, 0.0):
-        rep = check_admissibility(np.exp(np.cos(th)), lif, K, blowup=blowup,
-                                  first_crossing_time=None)
+        rep = check_admissibility(DensityField(th, np.exp(np.cos(th)), 0.0), lif, K,
+                                  blowup=blowup, first_crossing_time=None)
         assert rep.verdict is AdmissibilityVerdict.ALWAYS_BY_SIGN
 
 
@@ -543,8 +547,8 @@ def test_admissibility_sufficient_bound():
     # contracting with positive boundary response: K*Z' < 0, K*Z(2*pi) > 0
     m = homoclinic_model(1.0, 1.0, TWO_PI)
     th = np.linspace(0.0, TWO_PI, 257)
-    prof = np.full(257, 1.0 / TWO_PI)
-    rep = check_admissibility(prof, m, 0.05, blowup=None, first_crossing_time=None)
+    field = DensityField(th, np.full(257, 1.0 / TWO_PI), 0.0)
+    rep = check_admissibility(field, m, 0.05, blowup=None, first_crossing_time=None)
     assert rep.verdict is AdmissibilityVerdict.SUFFICIENT_BOUND
 
 
@@ -589,7 +593,7 @@ def test_admissibility_reads_the_run_without_integrating(lif, monkeypatch):
         raise AssertionError("check_admissibility integrated")
 
     monkeypatch.setattr("pulsefield.continuum.integrate", no_integration)
-    prof = np.full(257, 1.0 / TWO_PI)
+    field = DensityField(np.linspace(0.0, TWO_PI, 257), np.full(257, 1.0 / TWO_PI), 0.0)
     blow = BlowupEvent(1.5, "flux", {"flux": 1e7})
     cases = [(blow, None, AdmissibilityVerdict.NUMERICAL_BLOWUP),
              (blow, 1.5, AdmissibilityVerdict.NUMERICAL_BLOWUP),
@@ -597,7 +601,7 @@ def test_admissibility_reads_the_run_without_integrating(lif, monkeypatch):
              (None, 1.2, AdmissibilityVerdict.NUMERICAL_OK),
              (None, None, AdmissibilityVerdict.UNDECIDED)]
     for blowup, t_cross, want in cases:
-        rep = check_admissibility(prof, lif, 0.1, blowup=blowup,
+        rep = check_admissibility(field, lif, 0.1, blowup=blowup,
                                   first_crossing_time=t_cross)
         assert rep.verdict is want
 

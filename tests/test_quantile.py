@@ -59,7 +59,7 @@ def test_quantile_inversion_against_bisection_oracle(stat_inhib):
     # rho_star on a 4x refined grid, then compare 1/rho(Q(phi))
     field = stat_inhib.rho_star
     th, rho = field.theta, field.rho
-    prof = quantile_transform(field)
+    prof = quantile_transform(th, rho)
     dense_th = np.linspace(0.0, TWO_PI, 4 * (th.size - 1) + 1)
     dense_rho = np.interp(dense_th, th, rho)
     P = np.concatenate([[0.0], np.cumsum(0.5 * (dense_rho[1:] + dense_rho[:-1])
@@ -83,19 +83,19 @@ def test_quantile_inversion_against_bisection_oracle(stat_inhib):
 
 
 def test_lyapunov_zero_at_reference(stat_inhib):
-    assert lyapunov_tv(stat_inhib.rho_star, stat_inhib) == 0.0
+    assert lyapunov_tv(stat_inhib.profile(), stat_inhib.profile()) == 0.0
 
 
 def test_lyapunov_symmetry(stat_inhib):
     th, rho = vonmises_density(2048, 1.0)
     a = quantile_transform(th, rho)
-    b = quantile_transform(stat_inhib.rho_star)
+    b = stat_inhib.profile()
     assert abs(lyapunov_tv(a, b) - lyapunov_tv(b, a)) < 1e-10
 
 
 def test_lyapunov_range_and_lemma_bound(stat_inhib):
     rng = np.random.default_rng(3)
-    b = quantile_transform(stat_inhib.rho_star)
+    b = stat_inhib.profile()
     for _ in range(20):
         kappa = rng.uniform(0.1, 6.0)
         mu = rng.uniform(0.0, TWO_PI)
@@ -112,7 +112,7 @@ def test_lyapunov_dual_quadrature_oracle(stat_inhib):
     # piecewise-linear inversion of both cumulatives
     th, rho = vonmises_density(2048, 1.0)
     field = stat_inhib.rho_star
-    v_module = lyapunov_tv(quantile_transform(th, rho), quantile_transform(field))
+    v_module = lyapunov_tv(quantile_transform(th, rho), stat_inhib.profile())
 
     def inv_and_q(theta, dens, phis):
         P = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
@@ -135,8 +135,7 @@ def test_lyapunov_refinement_stability(stat_inhib, lif):
     for n in (1024, 2048):
         th, rho = vonmises_density(n, 1.0)
         ref = solve_stationary_flux(lif, -0.1, n_theta=n)
-        vals.append(lyapunov_tv(quantile_transform(th, rho),
-                                quantile_transform(ref.rho_star)))
+        vals.append(lyapunov_tv(quantile_transform(th, rho), ref.profile()))
     assert abs(vals[1] - vals[0]) < 0.01 * vals[1]
 
 
@@ -185,7 +184,7 @@ def test_discrete_lyapunov_validation():
 def test_discrete_lyapunov_converges_to_continuum(stat_inhib):
     th, rho = vonmises_density(8192, 1.0)
     prof = quantile_transform(th, rho)
-    ref = quantile_transform(stat_inhib.rho_star)
+    ref = stat_inhib.profile()
     v_cont = lyapunov_tv(prof, ref)
     n = 4096
     phis = np.arange(1, n + 1) / n

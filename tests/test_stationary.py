@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from pulsefield import (NoStationaryStateError, coupling_bounds, existence_condition,
                         homoclinic_model, lif_model, normalization_functional,
                         solve_stationary_flux, tabulated_model)
 from pulsefield import stationary
-from pulsefield.continuum import EPS_SING, _advance_boundary
+from pulsefield.continuum import _advance_boundary
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA = 2.1, 2.0
@@ -195,9 +196,28 @@ def test_solve_inhibitory_against_oracles(lif):
     assert abs(stat.J_star - 0.53) < 0.02
 
 
+@settings(max_examples=50, deadline=None)
+@given(gamma=st.floats(0.5, 3.0), margin=st.floats(0.5, 3.0), K=st.floats(-0.5, 0.9))
+@example(gamma=1.0, margin=1.0, K=-1.2021012630260173e-247)
+def test_stationary_residual_lif(gamma, margin, K):
+    # W(J*) = 1 by independent quadrature over LIF fields S - gamma*x with
+    # S - gamma >= 0.5 and K inside the existence window (K < x_hi - x_lo);
+    # the box keeps rho* resolved by the default grid (max/min rho* ~ 10 at
+    # most), where the trapezoid sum, the mass quantile_transform normalizes
+    # by, is 1 to the rule's O(h^2) error.  At a tiny |K| the bracket spans
+    # hundreds of orders of magnitude (omega/r ~ 1e248 in the example), more
+    # than a fixed number of halvings narrows
+    model = lif_model(gamma + margin, gamma)
+    stat = solve_stationary_flux(model, K)
+    assert abs(W_quad(model, K, stat.J_star) - 1.0) < 1e-8
+    field = stat.rho_star
+    assert field.rho.min() > 0.0
+    assert abs(np.trapezoid(field.rho, field.theta) - 1.0) < 1e-5
+
+
 def test_solve_excitatory_and_secant_agreement(lif):
-    tol = 1e-10
-    stat = solve_stationary_flux(lif, 0.1, tol=tol)
+    tol = stationary.J_TOL
+    stat = solve_stationary_flux(lif, 0.1)
     assert abs(W_quad(lif, 0.1, stat.J_star) - 1.0) < 1e-8
     f = lambda J: normalization_functional(lif, 0.1, J) - 1.0
     j_sec = secant_root(f, 0.5, 1.0, ftol=tol, lo=1e-12, hi=50.0)
@@ -230,7 +250,7 @@ def test_boundary_flux_consistency(lif, stat_inhib):
     # the kernel's boundary relation returns J* from the stationary rho(2*pi)
     rho = stat_inhib.rho_star.rho.copy()
     j0 = _advance_boundary(rho, 0.0, lif.omega, -0.1 * lif.prc(0.0),
-                           -0.1 * lif.prc(TWO_PI), EPS_SING, math.inf)
+                           -0.1 * lif.prc(TWO_PI), math.inf)
     assert abs(j0 - stat_inhib.J_star) < 1e-8
 
 
