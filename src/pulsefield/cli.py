@@ -23,6 +23,12 @@ sweep.csv records each row's exit code (empty for a row that raised, or
 whose worker process died) and its certification violations (empty for a
 row that ran no certification), and each row that did not exit 0 prints
 one line on stderr, in row order, once every earlier row has finished.
+
+A finite run formats snapshots.csv in batches of firings.  From
+POOL_MIN_FLOATS phases in the whole run (N * n_firings >= 2**18) the
+batches are formatted in forked worker processes, one per CPU, and written
+in firing order; below that, on one CPU (``taskset -c 0``) and inside a
+sweep worker, in process.  The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -55,6 +62,16 @@ EXIT_OK = 0
 EXIT_BLOWUP_EXPECTATION = 2
 EXIT_CERTIFICATION = 3
 EXIT_CONFIG = 4
+
+# A finite run of at least POOL_MIN_FLOATS phases (N * n_firings, about 0.1 s
+# of float repr, enough to pay for the forks) formats snapshots.csv in forked
+# workers, in batches of about SNAPSHOT_BATCH_FLOATS phases (64 KiB of data):
+# half that size cost 21 % more time per run.  In process a batch only
+# coalesces writes, and one of LOCAL_BATCH_FLOATS phases keeps its text (about
+# 75 kB) from raising the peak RSS, as 2**13 did by 0.8 MB at N = 100.
+POOL_MIN_FLOATS = 2**18
+SNAPSHOT_BATCH_FLOATS = 2**13
+LOCAL_BATCH_FLOATS = 2**12
 
 
 def _fmt(x) -> str:
@@ -263,12 +280,73 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
     return exit_code
 
 
+# -- worker pool ----------------------------------------------------------------
+
+class _Done:
+    """The result of a task that ran when it was submitted."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def result(self):
+        return self._value
+
+
+class _InProcess:
+    """Executor stand-in that runs each task in process when submitted."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, /, *args, **kwargs):
+        return _Done(fn(*args, **kwargs))
+
+
+def _pool(n_tasks: int) -> tuple:
+    """Executor for ``n_tasks`` independent tasks, and the number of worker
+    processes it forks: one per CPU this process may run on, at most one
+    per task.  With one worker, in a worker process (a pool is never
+    nested), or where processes cannot be forked, it forks none: each task
+    runs in process when submitted, and concurrent.futures is not
+    imported."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(n_tasks, cpus)
+    if workers > 1:
+        import multiprocessing
+        if (multiprocessing.parent_process() is None
+                and "fork" in multiprocessing.get_all_start_methods()):
+            from concurrent.futures import ProcessPoolExecutor
+            fork = multiprocessing.get_context("fork")
+            return ProcessPoolExecutor(workers, mp_context=fork), workers
+    return _InProcess(), 0
+
+
+def _snapshot_text(times, snaps) -> bytes:
+    """snapshots.csv lines of a batch of firings: each firing's time, then
+    its phases, every value as ``repr`` writes it (the bytes csv.writer
+    with _fmt gives, about twice as fast)."""
+    return "".join([",".join([repr(t), *map(repr, row.tolist())]) + "\r\n"
+                    for t, row in zip(times, snaps)]).encode()
+
+
 def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
     """Finite-N run streamed to firings.csv, snapshots.csv and a V_N fold.
 
     Each firing's rows are written, and its V_N against the splay reference
-    folded in, as it happens, so memory stays O(N) however many firings the
-    run takes.  A run that raises leaves neither CSV behind.
+    folded in, as it happens; its snapshot joins a batch, which
+    ``_snapshot_text`` formats.  From POOL_MIN_FLOATS phases in the whole
+    run the batches (of about SNAPSHOT_BATCH_FLOATS phases) are formatted
+    in forked worker processes (``_pool``), at most one pending per worker,
+    and written in firing order; otherwise (batches of about
+    LOCAL_BATCH_FLOATS phases) in process.  The snapshots take O(N) memory
+    however many firings the run takes; the run keeps its events.  A run
+    that raises leaves neither CSV behind.
     """
     try:
         ref = splay_reference(N, model, K)
@@ -276,17 +354,33 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
         ref = None
     # V_N's first and last value, and how many steps v - v_prev were <= 1e-12
     vn = {"first": None, "last": None, "steps": 0, "down": 0}
+    rows = max(1, SNAPSHOT_BATCH_FLOATS // N)
+    pool, workers = _pool(-(-n_firings // rows) if N * n_firings >= POOL_MIN_FLOATS else 1)
+    if not workers:
+        rows = max(1, LOCAL_BATCH_FLOATS // N)
     paths = (out / "firings.csv", out / "snapshots.csv")
     try:
-        with open(paths[0], "w", newline="") as ff, open(paths[1], "w", newline="") as fs:
+        with pool, open(paths[0], "w", newline="") as ff, open(paths[1], "wb") as fs:
             ff.write("t,id,absorbed\r\n")
+            pending = deque()
+            times, snaps = [], np.empty((rows, N))
 
-            # rows joined by hand: the bytes csv.writer with _fmt gives, about
-            # twice as fast
+            def submit():
+                nonlocal times, snaps
+                pending.append(pool.submit(_snapshot_text, times, snaps[:len(times)]))
+                # a fresh batch: a forked pool pickles the arguments after
+                # submit returns
+                times, snaps = [], np.empty((rows, N))
+                while len(pending) > workers:
+                    fs.write(pending.popleft().result())
+
             def on_firing(t, snap, ev):
                 ts = repr(float(t))
                 ff.write("".join(f"{ts},{i},{ev.absorbed}\r\n" for i in ev.fired))
-                fs.write(",".join([ts, *map(repr, snap.tolist())]) + "\r\n")
+                snaps[len(times)] = snap
+                times.append(float(t))
+                if len(times) == rows:
+                    submit()
                 if ref is None:
                     return
                 v = discrete_lyapunov(snap, ref)
@@ -299,6 +393,10 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
 
             run = finite_simulate(model, K, N, n_firings=n_firings, seed=seed,
                                   on_firing=on_firing)
+            if times:
+                submit()
+            while pending:
+                fs.write(pending.popleft().result())
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
@@ -458,30 +556,6 @@ def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) 
     return row
 
 
-def _row_pool(n_rows: int):
-    """Executor for a sweep's rows: one forked worker process per CPU this
-    process may run on, at most one per row.  With one worker, or where
-    processes cannot be forked, each row runs in process when submitted."""
-    import multiprocessing
-    from concurrent.futures import Executor, Future, ProcessPoolExecutor
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(n_rows, cpus)
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-    class InProcess(Executor):
-        def submit(self, fn, /, *args, **kwargs):
-            future = Future()
-            future.set_result(fn(*args, **kwargs))
-            return future
-
-    return InProcess()
-
-
 def _cmd_sweep(args) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
@@ -501,7 +575,8 @@ def _cmd_sweep(args) -> int:
     out_root = Path(args.out or (Path(cfg["output"]["dir"]) / "sweep"))
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
-    with _row_pool(len(values)) as pool:
+    pool, _ = _pool(len(values))
+    with pool:
         futures = [pool.submit(_sweep_row, c, args.param, v, out_root, bounds)
                    for c, v in zip(row_cfgs, values)]
         for future, v in zip(futures, values):

@@ -509,18 +509,26 @@ def test_finite_csv_artifacts_exact(tmp_path, capsys, simulate_kept):
         assert vals[0] == ts
         assert vals[1:] == snap.tolist()
 
-    ref = io.StringIO(newline="")
-    w = csv.writer(ref)
-    for ts, snap in zip(times, snaps):
-        w.writerow([repr(float(ts))] + [repr(float(v)) for v in snap])
-    assert (out / "snapshots.csv").read_bytes() == ref.getvalue().encode()
+    want = _expected_csv_artifacts(run, times, snaps)
+    assert {f: (out / f).read_bytes() for f in want} == want
+
+
+def _expected_csv_artifacts(run, times, snaps) -> dict:
+    """A finite run's CSVs as csv.writer writes them with repr-formatted
+    floats."""
     ref = io.StringIO(newline="")
     w = csv.writer(ref)
     w.writerow(["t", "id", "absorbed"])
     for ev in run.events:
         for i in ev.fired:
             w.writerow([repr(float(ev.t)), i, ev.absorbed])
-    assert (out / "firings.csv").read_bytes() == ref.getvalue().encode()
+    files = {"firings.csv": ref.getvalue().encode()}
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    for ts, snap in zip(times, snaps):
+        w.writerow([repr(float(ts))] + [repr(float(v)) for v in snap])
+    files["snapshots.csv"] = ref.getvalue().encode()
+    return files
 
 
 def test_certify_nothing_checked_fails(tmp_path, capsys):
@@ -855,13 +863,14 @@ POOL_VALUES = "--values=-0.05,-0.1,-0.2,-0.4,0.1"
 
 
 def _sweep_files(root: Path) -> dict:
-    """Every file under root, by relative path; summary.json without its
-    wall times, which differ from run to run."""
+    """Every file under root, by relative path; a row's summary.json without
+    its wall times, which differ from run to run (a finite run's own
+    summary.json has none)."""
     files = {}
     for f in sorted(root.rglob("*")):
         if f.is_file():
             data = f.read_bytes()
-            if f.name == "summary.json":
+            if f.name == "summary.json" and f.parent.name != "finite":
                 summary = json.loads(data)
                 assert summary.pop("timings_s").keys() == set(cli.PHASES)
                 data = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
@@ -869,9 +878,9 @@ def _sweep_files(root: Path) -> dict:
     return files
 
 
-def _pool_sweep(tmp_path, monkeypatch, cpus, name, values=POOL_VALUES):
+def _pool_sweep(tmp_path, monkeypatch, cpus, name, values=POOL_VALUES, cfg=POOL_CFG):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    p = write_cfg(tmp_path, POOL_CFG, name="sweep.cfg", out=tmp_path / "base")
+    p = write_cfg(tmp_path, cfg, name="sweep.cfg", out=tmp_path / "base")
     assert main(["sweep", "--config", str(p), "--param", "K", values,
                  "--out", str(tmp_path / name)]) == 0
     assert multiprocessing.active_children() == []
@@ -945,6 +954,110 @@ def test_sweep_dead_worker_fails_unfinished_rows(tmp_path, capsys, monkeypatch):
         f"sweep row K={float(r['value'])!r}: "
         + (r["status"] if r["status"] == died else f"exit code {r['exit_code']}")
         for r in rows if r["exit_code"] != "0"]
+
+
+# from cli.POOL_MIN_FLOATS phases (N * n_firings) a finite run formats
+# snapshots.csv in forked worker processes, one per usable CPU; below it, on
+# one CPU and inside a sweep worker, in process
+FINITE_POOL_ARGV = ["finite", "--model", "lif", "--N", "1000", "--K", "-0.1",
+                    "--seed", "5", "--nfirings", "300"]
+_TEST_PID = os.getpid()
+_SNAPSHOT_TEXT = cli._snapshot_text
+_POOL = cli._pool
+
+
+def _finite_run(tmp_path, monkeypatch, cpus, name):
+    """The pooled finite run on ``cpus`` CPUs: how many worker processes
+    each pool it made forks, and the run's three files."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    workers = []
+
+    def pool(n_tasks):
+        executor, n = _POOL(n_tasks)
+        workers.append(n)
+        return executor, n
+
+    monkeypatch.setattr(cli, "_pool", pool)
+    out = tmp_path / name
+    assert main([*FINITE_POOL_ARGV, "--out", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    return workers, {f: (out / f).read_bytes()
+                     for f in ("firings.csv", "snapshots.csv", "summary.json")}
+
+
+def test_finite_pool_matches_one_cpu_byte_for_byte(tmp_path, capsys, monkeypatch,
+                                                   simulate_kept):
+    assert 1000 * 300 >= cli.POOL_MIN_FLOATS
+    serial_workers, serial = _finite_run(tmp_path, monkeypatch, 1, "serial")
+    serial_out = capsys.readouterr().out
+    pooled_workers, pooled = _finite_run(tmp_path, monkeypatch, 2, "pooled")
+    assert capsys.readouterr().out == serial_out
+    assert (serial_workers, pooled_workers) == ([0], [2])
+    assert pooled == serial
+    run, times, snaps = simulate_kept(lif_model(2.1, 2.0), -0.1, 1000, n_firings=300,
+                                      seed=5)
+    want = _expected_csv_artifacts(run, times, snaps)
+    assert {f: pooled[f] for f in want} == want
+
+
+def _text_or_die(times, snaps):
+    # a formatting worker killed mid-batch, as by the OOM killer
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _SNAPSHOT_TEXT(times, snaps)
+
+
+def test_finite_dead_worker_fails_the_run(tmp_path, capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_snapshot_text", _text_or_die)
+    out = tmp_path / "fin"
+    with pytest.raises(BrokenProcessPool):
+        main([*FINITE_POOL_ARGV, "--out", str(out)])
+    assert multiprocessing.active_children() == []
+    assert sorted(p.name for p in out.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
+def test_small_finite_run_imports_no_pool(tmp_path):
+    # below POOL_MIN_FLOATS nothing forks, and the modules a pool needs
+    # (about 1 MB) are not imported
+    assert 100 * 200 < cli.POOL_MIN_FLOATS
+    code = ("import contextlib, io, sys\n"
+            "from pulsefield.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['finite', '--N', '100', '--K', '-0.1', '--nfirings', '200',\n"
+            f"                 '--out', {str(tmp_path / 'fin')!r}])\n"
+            "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
+            "                   if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pulsefield.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "0 []"
+
+
+def _text_beside_row(times, snaps):
+    # a sweep row formats its snapshots in its own process, a worker of the
+    # sweep's pool or this one: never in a pool nested in a sweep worker
+    if _TEST_PID not in (os.getpid(), os.getppid()):
+        raise RuntimeError("snapshots formatted in a nested pool")
+    return _SNAPSHOT_TEXT(times, snaps)
+
+
+def test_sweep_row_formats_large_finite_run_in_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_snapshot_text", _text_beside_row)
+    cfg = POOL_CFG + "\n[finite]\nenabled = true\nN = 1000\nseed = 5\nn_firings = 300\n"
+    values = "--values=-0.05,-0.1"
+    serial = _sweep_files(_pool_sweep(tmp_path, monkeypatch, 1, "serial", values, cfg))
+    pooled = _sweep_files(_pool_sweep(tmp_path, monkeypatch, 2, "pooled", values, cfg))
+    capsys.readouterr()
+    assert [k for k in serial if k.endswith("snapshots.csv")] == [
+        "K=-0.05/finite/snapshots.csv", "K=-0.1/finite/snapshots.csv"]
+    assert pooled.keys() == serial.keys()
+    assert [k for k in serial if pooled[k] != serial[k]] == []
+    with open(tmp_path / "pooled" / "sweep.csv", newline="") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
 
 
 # threshold gap 0.5: the continuum runs (and blows up), then the finite run

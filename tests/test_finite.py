@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import dataclass
 
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pulsefield import (AvalancheError, discrete_lyapunov, simulate, splay_reference,
                         tabulated_model)
-from pulsefield.cli import _run_finite
+from pulsefield.cli import POOL_MIN_FLOATS, SNAPSHOT_BATCH_FLOATS, _run_finite
 from pulsefield.finite import TIE_TOL, _drift, _fire, _firing_phase
 from pulsefield.stationary import NoStationaryStateError
 
@@ -394,3 +396,27 @@ def test_streamed_run_memory_is_order_n(lif, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < N * n_firings * 8 / 2
+
+
+def test_pooled_run_memory_is_bounded_by_batches(lif, tmp_path, monkeypatch):
+    # from POOL_MIN_FLOATS phases snapshots.csv is formatted in forked
+    # workers, and the parent holds at most one pending batch per worker:
+    # its peak is a fixed multiple of the batch budget.  Only the run's
+    # events (about 200 bytes per firing, against N * 8 = 8 kB of snapshot)
+    # grow with the run: far less than a tenth of the extra snapshots
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    N, budget = 1000, SNAPSHOT_BATCH_FLOATS * 8
+    assert N * 300 >= POOL_MIN_FLOATS
+    # a first call imports multiprocessing and concurrent.futures
+    _run_finite(lif, -0.1, N, 3, 300, tmp_path)
+    peaks = {}
+    for n_firings in (300, 1200):
+        tracemalloc.start()
+        try:
+            _run_finite(lif, -0.1, N, 3, n_firings, tmp_path)
+            peaks[n_firings] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert multiprocessing.active_children() == []
+    assert max(peaks.values()) < 24 * budget
+    assert peaks[1200] - peaks[300] < 900 * N * 8 / 10
