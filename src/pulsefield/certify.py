@@ -9,9 +9,11 @@ so contracting dynamics (K*Z' < 0) force exponential decay at a rate
 bracketed by the flux window of the first crossing, and expanding dynamics
 (K*Z' > 0) force growth until finite-time blow-up.  The certifier replays a
 trajectory log, estimates dV/dt by centered differences, and checks every
-interval against those bounds with a configurable slack; it refuses to claim
-anything when the curvature hypothesis fails or the density has dropped
-below a floor (the transform degenerates near synchrony).
+interval against those bounds with the fixed slack TOL_ABS + TOL_REL * V
+(1e-4 + 0.1 * V); a run passes when MIN_FRACTION (99 %) of the claimed
+intervals hold.  It refuses to claim anything when the curvature hypothesis
+fails or the density has dropped below a floor (the transform degenerates
+near synchrony).
 
 Two deliberately rejected alternatives are exercised by
 ``negative_controls``: the plain L1 density distance stalls whenever the
@@ -40,6 +42,12 @@ TWO_PI = 2.0 * math.pi
 SUBSTEPS = 4
 # logged rows whose density minimum is below this are not claimed
 RHO_FLOOR = 1e-6
+# each interval's slack is TOL_ABS + TOL_REL * V: first-order scheme noise
+# plus the centered difference dominate the error budget
+TOL_ABS = 1e-4
+TOL_REL = 0.1
+# the share of claimed intervals that must hold for a run to pass
+MIN_FRACTION = 0.99
 # V at or below this has reached the numerical floor: the decay fit drops it
 V_FLOOR = 1e-12
 # the negative controls' L2 search: its seed and number of trials, and the
@@ -64,8 +72,6 @@ class CertificationReport:
     lemma_slack: np.ndarray
     hypothesis_met: bool
     kz_prime_range: tuple
-    tol_abs: float
-    tol_rel: float
 
     @property
     def n_checked(self) -> int:
@@ -99,10 +105,10 @@ class CertificationReport:
         vals = self.lemma_slack[np.isfinite(self.lemma_slack)]
         return float(vals.min()) if vals.size else math.nan
 
-    def verdict(self, min_fraction: float = 0.99) -> bool:
+    def verdict(self) -> bool:
         """Pass only if some interval was checked: checking nothing proves nothing."""
         return (self.hypothesis_met and self.lemma_ok and self.n_checked > 0
-                and self.fraction_ok >= min_fraction)
+                and self.fraction_ok >= MIN_FRACTION)
 
     def to_json(self) -> dict:
         return {
@@ -115,22 +121,20 @@ class CertificationReport:
             "worst_violation": self.worst_violation,
             "lemma_ok": self.lemma_ok,
             "lemma_worst_slack": None if math.isnan(self.lemma_worst) else self.lemma_worst,
-            "tol_abs": self.tol_abs,
-            "tol_rel": self.tol_rel,
+            "tol_abs": TOL_ABS,
+            "tol_rel": TOL_REL,
             "rho_floor": RHO_FLOOR,
         }
 
 
-def certify_theorem_bounds(traj: TrajectoryLog, model: OscillatorModel, K: float, *,
-                           tol_abs: float = 1e-4, tol_rel: float = 0.1) -> CertificationReport:
+def certify_theorem_bounds(traj: TrajectoryLog, model: OscillatorModel,
+                           K: float) -> CertificationReport:
     """Check every logged interval against the two-sided dV/dt bounds.
 
     dV/dt is the centered difference of the logged V, compared against
-    J0 * min(K*Z') * V and J0 * max(K*Z') * V with slack
-    tol_abs + tol_rel * V (first-order scheme noise plus the finite
-    difference dominate the error budget).  Intervals where the density
-    minimum is below RHO_FLOOR or V is undefined are excluded from the
-    claim and only counted in the report.
+    J0 * min(K*Z') * V and J0 * max(K*Z') * V with slack TOL_ABS + TOL_REL * V.
+    Intervals where the density minimum is below RHO_FLOOR or V is undefined
+    are excluded from the claim and only counted in the report.
     """
     hypothesis = model.curvature in (Curvature.NONNEGATIVE, Curvature.NONPOSITIVE)
     kz_lo, kz_hi = model.kz_prime_extrema(K)
@@ -142,18 +146,18 @@ def certify_theorem_bounds(traj: TrajectoryLog, model: OscillatorModel, K: float
         empty = np.zeros(0)
         return CertificationReport(empty, empty, empty, empty, empty, empty,
                                    empty.astype(bool), empty.astype(bool), lemma,
-                                   hypothesis, (kz_lo, kz_hi), tol_abs, tol_rel)
+                                   hypothesis, (kz_lo, kz_hi))
 
     ti, Vi, Ji = t[1:-1], V[1:-1], J0[1:-1]
     dVdt = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
     lower = Ji * kz_lo * Vi
     upper = Ji * kz_hi * Vi
-    slack = tol_abs + tol_rel * Vi
+    slack = TOL_ABS + TOL_REL * Vi
     ok = (dVdt >= lower - slack) & (dVdt <= upper + slack)
     claimed = hypothesis & np.isfinite(Vi) & np.isfinite(dVdt) & \
         (traj.rho_min[1:-1] >= RHO_FLOOR)
     return CertificationReport(ti, Vi, dVdt, lower, upper, slack, ok, claimed,
-                               lemma, hypothesis, (kz_lo, kz_hi), tol_abs, tol_rel)
+                               lemma, hypothesis, (kz_lo, kz_hi))
 
 
 # -- decay rate ---------------------------------------------------------------

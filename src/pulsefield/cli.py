@@ -160,6 +160,15 @@ def _timed(timings: dict, phase: str):
         timings[phase] += time.perf_counter() - t0
 
 
+def _certify(traj: TrajectoryLog, model, K: float) -> tuple:
+    """certification.json's record of a trajectory (the dV/dt bound checks
+    and the decay fit), and whether the trajectory passes."""
+    report = certify_theorem_bounds(traj, model, K)
+    cert = report.to_json()
+    cert["decay_fit"] = fit_decay_rate(traj, model, K).to_json()
+    return cert, report.verdict()
+
+
 def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
     """Stationary solve, continuum integration, certification, optional
     finite-N run; writes all artifacts under the output directory.
@@ -231,16 +240,14 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
                          snapshot_times=cfg["output"]["snapshot_times"])
     with _timed(timings, "write"):
         traj.to_csv(out / "trajectory.csv")
-        if cfg["output"]["dump_density"]:
-            for ts, arr in traj.snapshots:
-                _density_csv(out / f"density_t{ts:.6g}.csv", traj.initial.theta, arr)
-            _density_csv(out / f"density_t{traj.final.t:.6g}.csv",
-                         traj.final.theta, traj.final.rho)
-        if cfg["output"]["dump_quantiles"]:
-            for ts, arr in traj.snapshots:
-                _quantile_csv(out / f"quantiles_t{ts:.6g}.csv", traj.initial.theta, arr)
-            _quantile_csv(out / f"quantiles_t{traj.final.t:.6g}.csv",
-                          traj.final.theta, traj.final.rho)
+        # one state per file label; the final state wins a shared label
+        states = {f"{ts:.6g}": (traj.initial.theta, arr) for ts, arr in traj.snapshots}
+        states[f"{traj.final.t:.6g}"] = (traj.final.theta, traj.final.rho)
+        for label, (theta, rho) in states.items():
+            if cfg["output"]["dump_density"]:
+                _density_csv(out / f"density_t{label}.csv", theta, rho)
+            if cfg["output"]["dump_quantiles"]:
+                _quantile_csv(out / f"quantiles_t{label}.csv", theta, rho)
     summary.update(traj.summary())
     adm = check_admissibility(initial, model, K, blowup=traj.blowup,
                               first_crossing_time=traj.first_crossing_time)
@@ -254,17 +261,12 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
 
     if cfg["run"]["certify"] and reference is not None and np.isfinite(traj.V).any():
         with _timed(timings, "certify"):
-            report = certify_theorem_bounds(traj, model, K,
-                                            tol_abs=cfg["run"]["certify_tol_abs"],
-                                            tol_rel=cfg["run"]["certify_tol_rel"])
-            fit = fit_decay_rate(traj, model, K)
-            cert = report.to_json()
-            cert["decay_fit"] = fit.to_json()
+            cert, passed = _certify(traj, model, K)
         with _timed(timings, "write"):
             _write_json(out / "certification.json", cert)
         summary["certification"] = cert
-        summary["decay_rate"] = fit.rate if math.isfinite(fit.rate) else None
-        if not report.verdict(cfg["run"]["certify_min_fraction"]):
+        summary["decay_rate"] = cert["decay_fit"]["rate"]
+        if not passed:
             exit_code = max(exit_code, EXIT_CERTIFICATION)
 
     if cfg["finite"]["enabled"]:
@@ -453,9 +455,8 @@ def _args_to_config(args) -> ExperimentConfig:
     if args.table:
         cp["model"]["table"] = args.table
     cp["coupling"] = {"K": str(args.K)}
-    cp["solver"] = {"scheme": args.scheme, "n_theta": str(args.ntheta),
-                    "cfl": str(args.cfl), "t_max": str(args.tmax),
-                    "align_dt": str(args.align_dt).lower()}
+    cp["solver"] = {"n_theta": str(args.ntheta), "cfl": str(args.cfl),
+                    "t_max": str(args.tmax), "align_dt": str(args.align_dt).lower()}
     cp["initial"] = {"kind": args.ic, "kappa": str(args.kappa), "mu": str(args.mu),
                      "epsilon": str(args.epsilon)}
     cp["output"] = {"dir": args.out, "log_stride": str(args.log_stride),
@@ -475,16 +476,12 @@ def _cmd_certify(args) -> int:
         traj = TrajectoryLog.from_csv(args.trajectory)
     except (OSError, ValueError) as exc:   # unreadable, bad header or row
         raise ConfigError("--trajectory", str(exc))
-    report = certify_theorem_bounds(traj, model, args.K,
-                                    tol_abs=args.tol_abs, tol_rel=args.tol_rel)
-    fit = fit_decay_rate(traj, model, args.K)
-    payload = report.to_json()
-    payload["decay_fit"] = fit.to_json()
+    payload, passed = _certify(traj, model, args.K)
     out = Path(args.out) if args.out else Path(args.trajectory).parent
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "certification.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK if report.verdict(args.min_fraction) else EXIT_CERTIFICATION
+    return EXIT_OK if passed else EXIT_CERTIFICATION
 
 
 def _cmd_finite(args) -> int:
@@ -593,14 +590,8 @@ def _cmd_sweep(args) -> int:
             rows.append(row)
 
     _write_csv(out_root / "sweep.csv", SWEEP_FIELDS,
-               ([r["param"], _fmt(r["value"]), r["status"], r["exists"],
-                 "" if r["J_star"] is None else _fmt(r["J_star"]),
-                 "" if r["J0_final"] is None else _fmt(r["J0_final"]),
-                 "" if r["decay_rate"] is None else _fmt(r["decay_rate"]),
-                 "" if r["t_fin"] is None else _fmt(r["t_fin"]),
-                 "" if r["exit_code"] is None else r["exit_code"],
-                 "" if r["cert_violations"] is None else r["cert_violations"]]
-                for r in rows))
+               ([_fmt(x) if isinstance(x, float) else "" if x is None else x
+                 for x in map(r.get, SWEEP_FIELDS)] for r in rows))
     print((out_root / "sweep.csv").read_text(), end="")
     return EXIT_OK
 
@@ -632,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--ntheta", type=int, default=2048)
     p.add_argument("--cfl", type=float, default=0.5)
-    p.add_argument("--scheme", default="upwind", help="upwind (the only scheme)")
     p.add_argument("--ic", choices=("uniform", "vonmises", "perturbed"),
                    default="perturbed")
     p.add_argument("--kappa", type=float, default=2.0)
@@ -650,9 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--trajectory", required=True)
     p.add_argument("--K", type=float, required=True)
-    p.add_argument("--tol-abs", type=float, default=1e-4)
-    p.add_argument("--tol-rel", type=float, default=0.1)
-    p.add_argument("--min-fraction", type=float, default=0.99)
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_certify)
 

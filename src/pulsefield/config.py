@@ -107,9 +107,6 @@ SCHEMA = {
     "run": {
         "expect_blowup": (_parse_bool, False),
         "certify": (_parse_bool, True),
-        "certify_tol_abs": (float, 1e-4),
-        "certify_tol_rel": (float, 0.1),
-        "certify_min_fraction": (float, 0.99),
     },
     "finite": {
         "enabled": (_parse_bool, False),

@@ -104,10 +104,8 @@ def test_criterion_03_coupling_existence_boundary(model):
 
 
 def test_criterion_04_lyapunov_bounds_certified(model, fig1, fig1_coarse):
-    rep_hi = certify_theorem_bounds(fig1["traj"], model, K_IN,
-                                    tol_abs=1e-4, tol_rel=0.1)
-    rep_lo = certify_theorem_bounds(fig1_coarse["traj"], model, K_IN,
-                                    tol_abs=1e-4, tol_rel=0.1)
+    rep_hi = certify_theorem_bounds(fig1["traj"], model, K_IN)
+    rep_lo = certify_theorem_bounds(fig1_coarse["traj"], model, K_IN)
     assert rep_hi.hypothesis_met
     assert rep_hi.fraction_ok >= 0.99
     assert rep_hi.n_violations <= rep_lo.n_violations

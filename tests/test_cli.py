@@ -129,7 +129,9 @@ def test_run_neutral_scenario(tmp_path, capsys):
     p = write_cfg(tmp_path, NEUTRAL_CFG, out=tmp_path / "out")
     assert main(["run", str(p)]) == 0
     out = tmp_path / "out"
-    assert (out / "resolved_config.json").exists()
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    # the certificate's slack and pass fraction are fixed, not config keys
+    assert sorted(resolved["run"]) == ["certify", "expect_blowup"]
     assert (out / "trajectory.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["blowup"] is None
@@ -271,13 +273,21 @@ def test_simulate_and_certify_subcommands(tmp_path, capsys):
                  "--ic", "perturbed", "--epsilon", "0.2",
                  "--out", str(out)]) == 0
     capsys.readouterr()
+    run_cert = json.loads((out / "certification.json").read_text())
     assert main(["certify", "--trajectory", str(out / "trajectory.csv"),
                  "--model", "lif", "--S", "2.1", "--gamma", "2.0",
                  "--K", "-0.1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["hypothesis_met"] is True
     assert payload["fraction_ok"] >= 0.99
-    assert (out / "certification.json").exists()
+    # replaying the run's own log gives the run's certificate; only the flux
+    # window differs, which the CSV path re-traces over SUBSTEPS per interval
+    assert json.loads((out / "certification.json").read_text()) == payload
+    retraced = ("J_window", "bracket", "in_bracket")
+    for cert in (payload, run_cert):
+        for key in retraced:
+            cert["decay_fit"].pop(key)
+    assert payload == run_cert
 
 
 def test_certify_flags_violations(tmp_path, capsys):
@@ -615,8 +625,15 @@ def test_sweep_bad_values_config_error(tmp_path, capsys, param, values):
     ["finite", "--N", "20", "--K", "-0.1", "--out", "{out}", "--bogus"],
     ["simulate", "--K", "-0.1", "--out", "{out}", "--log-stride", "x"],
     # argparse reads "-inf" as a flag, so --tmax has no value
-    ["simulate", "--K", "-0.1", "--out", "{out}", "--tmax", "-inf"]],
-    ids=["finite_bogus_flag", "simulate_log_stride_x", "simulate_tmax_-inf"])
+    ["simulate", "--K", "-0.1", "--out", "{out}", "--tmax", "-inf"],
+    # the certificate's slack and pass fraction are fixed, and upwind is the
+    # only scheme: none of these is a flag
+    ["certify", "--K", "-0.1", "--trajectory", "{out}/trajectory.csv", "--tol-abs", "1"],
+    ["certify", "--K", "-0.1", "--trajectory", "{out}/trajectory.csv",
+     "--min-fraction", "0.5"],
+    ["simulate", "--K", "-0.1", "--out", "{out}", "--scheme", "upwind"]],
+    ids=["finite_bogus_flag", "simulate_log_stride_x", "simulate_tmax_-inf",
+         "certify_tol_abs", "certify_min_fraction", "simulate_scheme"])
 def test_usage_error_exits_config(tmp_path, capsys, argv):
     # argparse's own exit code, 2, is the blow-up expectation's
     out = tmp_path / "out"
@@ -739,7 +756,8 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", ["simulate:output.log_stride=0", "simulate:solver.t_max=inf",
                                   "simulate:solver.t_max=nan", "run:output.log_stride=0",
-                                  "run:finite.seed=-1", "run:solver.t_max=inf"])
+                                  "run:finite.seed=-1", "run:solver.t_max=inf",
+                                  "run:run.certify_tol_abs=1"])
 def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
     # a zero stride or a negative seed used to raise, an infinite or NaN
     # t_max ran toward max_steps
@@ -750,6 +768,8 @@ def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
                                                     "dump_density = false\nlog_stride = 0"),
         "run:finite.seed=-1": TINY_CFG + "\n[finite]\nenabled = true\nseed = -1\n",
         "run:solver.t_max=inf": TINY_CFG.replace("t_max = 0.1", "t_max = inf"),
+        # the certificate's slack is fixed: an unknown key like any other
+        "run:run.certify_tol_abs=1": TINY_CFG + "certify_tol_abs = 1\n",
     }
     argv = {
         "simulate:output.log_stride=0": [*simulate, "--log-stride", "0"],
