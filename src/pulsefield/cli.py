@@ -29,6 +29,13 @@ POOL_MIN_FLOATS phases in the whole run (N * n_firings >= 2**18) the
 batches are formatted in forked worker processes, one per CPU, and written
 in firing order; below that, on one CPU (``taskset -c 0``) and inside a
 sweep worker, in process.  The bytes are the same either way.
+
+A run's V on logged rows, past the first ring of them, is evaluated in
+one forked helper process (``continuum.integrate``) under the same rule
+(``fork_cpus``): not on one CPU (``taskset -c 0`` gives the in-process
+form, with the same bytes) and not inside a sweep worker.  summary.json's
+``v_helper_rows`` says how many rows it evaluated.  Traced ``quantile.*``
+spans then count only the rows evaluated in process.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from collections import deque
@@ -49,7 +55,7 @@ import numpy as np
 from .config import (ConfigError, ExperimentConfig, MODEL_KINDS, check_coupling,
                      check_finite_size, check_n_theta, check_seed)
 from .continuum import (AdmissibilityVerdict, BlowupError, TrajectoryLog,
-                        check_admissibility, initial_density, integrate)
+                        check_admissibility, fork_cpus, initial_density, integrate)
 from .certify import certify_theorem_bounds, fit_decay_rate
 from .finite import AvalancheError, simulate as finite_simulate, splay_reference
 from .models import (ModelError, homoclinic_model, lif_model, load_field_table,
@@ -197,6 +203,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
         try:
             reference = solve_stationary_flux(model, K, n_theta=sol["n_theta"])
             stat_info = {"exists": True, "J_star": reference.J_star, "r": reference.r,
+                         "rho_star_mass": reference.rho_star.mass,
                          "J_interval_hi": None if math.isinf(reference.J_interval[1])
                          else reference.J_interval[1]}
         except NoStationaryStateError as exc:
@@ -309,23 +316,16 @@ class _InProcess:
 
 def _pool(n_tasks: int) -> tuple:
     """Executor for ``n_tasks`` independent tasks, and the number of worker
-    processes it forks: one per CPU this process may run on, at most one
-    per task.  With one worker, in a worker process (a pool is never
-    nested), or where processes cannot be forked, it forks none: each task
-    runs in process when submitted, and concurrent.futures is not
-    imported."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(n_tasks, cpus)
+    processes it forks: one per CPU ``fork_cpus`` allows, at most one per
+    task.  With one worker, in a worker process (a pool is never nested),
+    or where processes cannot be forked, it forks none: each task runs in
+    process when submitted, and concurrent.futures is not imported."""
+    workers = min(n_tasks, len(fork_cpus()))
     if workers > 1:
         import multiprocessing
-        if (multiprocessing.parent_process() is None
-                and "fork" in multiprocessing.get_all_start_methods()):
-            from concurrent.futures import ProcessPoolExecutor
-            fork = multiprocessing.get_context("fork")
-            return ProcessPoolExecutor(workers, mp_context=fork), workers
+        from concurrent.futures import ProcessPoolExecutor
+        fork = multiprocessing.get_context("fork")
+        return ProcessPoolExecutor(workers, mp_context=fork), workers
     return _InProcess(), 0
 
 
@@ -425,7 +425,7 @@ def _cmd_stationary(args) -> int:
     check_n_theta(args.ntheta)
     model = _build_model(args)
     res = existence_condition(model, args.K)
-    payload = {"exists": res.exists, "r": res.r, "J_star": None,
+    payload = {"exists": res.exists, "r": res.r, "J_star": None, "rho_star_mass": None,
                "K_lower": None, "K_upper": None}
     if model.F is not None:
         b = coupling_bounds(model)
@@ -434,6 +434,7 @@ def _cmd_stationary(args) -> int:
     if res.exists:
         stat = solve_stationary_flux(model, args.K, n_theta=args.ntheta)
         payload["J_star"] = stat.J_star
+        payload["rho_star_mass"] = stat.rho_star.mass
         if args.rho_csv:
             _density_csv(args.rho_csv, stat.rho_star.theta, stat.rho_star.rho,
                          value_name="rho_star")

@@ -22,7 +22,14 @@ step dt = dtheta/omega (Courant number 1) the update is a sample rotation
 to rounding.  The kernel is written out once, inline in ``integrate``'s
 loop on buffers and views made once per run; ``step`` is one pass of that
 loop.  V on each logged row goes through a ``GridReference`` bound to the
-run's grid, with the bits of the public quantile functions.  After the
+run's grid, with the bits of the public quantile functions.  Once a run has
+logged one ring of rows (RING_FLOATS // n_theta) in process, and when
+``fork_cpus`` allows two or more CPUs, V on the rest goes to one forked
+helper (``_VHelper``) pinned off the CPU the loop steps on, and the loop
+keeps stepping; the values keep their bits, and under ``taskset -c 0`` V
+stays in process.  The helper calls this module's ``quantile_transform``
+and ``lyapunov_tv_with_qmin`` names, so traced spans of them count only the
+rows evaluated in process.  After the
 loop, ``first_crossing`` traces the characteristic from theta = 0 over the
 recorded steps: the flux window up to its arrival brackets V's decay rate.
 ``characteristic_trace`` takes the same RK2 walk over the same steps from
@@ -46,6 +53,11 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import mmap
+import os
+import signal
+import sys
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 
@@ -56,6 +68,10 @@ from .quantile import GridReference, quantile_transform, lyapunov_tv_with_qmin
 
 TWO_PI = 2.0 * math.pi
 EPS_SING = 1e-8
+# The V helper's ring holds RING_FLOATS // n_theta logged rows (32 at n_theta
+# 2048, about 512 KiB); a run starts the helper once it has logged that many
+# rows in process, so a shorter run never forks.
+RING_FLOATS = 2**16
 
 
 class CFLError(RuntimeError):
@@ -209,6 +225,163 @@ def initial_density(kind: str, n_theta: int, model, K: float, *,
     return DensityField.from_profile(model, K, prof)
 
 
+# -- V on logged rows --------------------------------------------------------------
+
+
+def fork_cpus() -> set:
+    """The CPUs that processes forked from here may use: the ones this
+    process may run on (``os.sched_getaffinity``), and none where processes
+    cannot be forked or in a forked worker, which never forks again.  A
+    process that has not loaded multiprocessing is no worker of it, so
+    multiprocessing is not imported to ask."""
+    mp = sys.modules.get("multiprocessing")
+    if not hasattr(os, "fork") or (mp is not None and mp.parent_process() is not None):
+        return set()
+    try:
+        return set(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        return set(range(os.cpu_count() or 1))
+
+
+def _running_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat)."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            stat = fh.read()
+        return int(stat[stat.rindex(b")") + 2:].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _v_row(grid: GridReference, rho) -> tuple:
+    """(V, q_min, failed) of one logged density; only an undefined V (a
+    ValueError) fails, and then both values are NaN."""
+    try:
+        return (*lyapunov_tv_with_qmin(quantile_transform(grid.theta, rho, into=grid),
+                                       grid), False)
+    except ValueError:   # QuantileDegenerateError: V undefined on this row
+        return math.nan, math.nan, True
+
+
+class _VHelper:
+    """One forked process that evaluates ``_v_row`` on a run's logged rows.
+
+    The parent copies a row's density into the next slot of a shared
+    anonymous mmap ring and writes one byte to the ``ready`` pipe; the
+    helper writes (V, q_min, failed) into the slot and one byte to the
+    ``done`` pipe.  Rows go round the ring in order, so each side knows a
+    row's slot by counting bytes.  The helper runs on the parent's CPUs
+    minus the one the parent ran on when it forked (unpinned when /proc or
+    sched_setaffinity fails).  It stops at the first exception other than
+    V's ValueError, or when the parent closes ``ready``; the parent then
+    evaluates every row the helper did not finish itself, in order, so no
+    row is lost and V's bugs raise in the parent.  ``store(row, V, q_min,
+    failed)`` receives every result; ``helped`` counts those the helper
+    made.
+    """
+
+    def __init__(self, grid: GridReference, n_nodes: int, slots: int, cpus: set, store):
+        self.grid, self.slots, self.store = grid, slots, store
+        self.rows: deque = deque()   # logged rows sent and not yet stored, in order
+        self.sent = self.helped = 0
+        self.alive = True
+        cpu = _running_cpu()
+        ring = mmap.mmap(-1, 8 * slots * (n_nodes + 3))
+        view = np.frombuffer(ring, float).reshape(slots, n_nodes + 3)
+        self.rho, self.out = view[:, :n_nodes], view[:, n_nodes:]
+        fds: list = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        ready_r, self._ready, self._done, done_w = fds
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._ready)
+                os.close(self._done)
+                if cpu is not None:
+                    try:
+                        os.sched_setaffinity(0, cpus - {cpu})
+                    except (OSError, ValueError):
+                        pass
+                code = self._serve(ready_r, done_w)
+            finally:
+                os._exit(code)
+        os.close(ready_r)
+        os.close(done_w)
+        os.set_blocking(self._done, False)
+
+    def _serve(self, ready: int, done: int) -> int:
+        """The helper's loop, until the parent closes ``ready``."""
+        k = 0
+        while got := os.read(ready, 4096):
+            for _ in got:
+                slot = k % self.slots
+                self.out[slot] = _v_row(self.grid, self.rho[slot])
+                os.write(done, b"\0")
+                k += 1
+        return 0
+
+    def submit(self, row: int, rho) -> bool:
+        """Send logged row ``row`` with its density; False when no slot is
+        free or the helper is gone, and the caller evaluates it."""
+        self.collect()
+        if not self.alive or len(self.rows) == self.slots:
+            return False
+        np.copyto(self.rho[self.sent % self.slots], rho)
+        try:
+            os.write(self._ready, b"\0")
+        except BrokenPipeError:
+            self.collect()
+            return False
+        self.rows.append(row)
+        self.sent += 1
+        return True
+
+    def collect(self, wait: bool = False):
+        """Store the rows the helper has finished (with ``wait``, every row
+        sent); once it is gone, evaluate the rest here, in order."""
+        if wait:
+            os.set_blocking(self._done, True)
+        while self.rows:
+            try:
+                got = os.read(self._done, len(self.rows))
+            except BlockingIOError:
+                return
+            if not got:
+                self.alive = False
+                while self.rows:
+                    self._store(from_helper=False)
+                return
+            for _ in got:
+                self._store(from_helper=True)
+
+    def _store(self, from_helper: bool):
+        """Store the oldest row in flight: the helper's values, or V
+        evaluated here on the row's copy in the ring."""
+        slot = (self.sent - len(self.rows)) % self.slots
+        row = self.rows.popleft()
+        if from_helper:
+            v_val, q_val, failed = self.out[slot].tolist()
+            self.helped += 1
+            self.store(row, v_val, q_val, failed != 0.0)
+        else:
+            self.store(row, *_v_row(self.grid, self.rho[slot]))
+
+    def close(self):
+        """End the helper (at once when rows are still in flight) and reap it."""
+        os.close(self._ready)
+        os.close(self._done)
+        if self.rows:
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
 # -- trajectory integration ------------------------------------------------------
 
 
@@ -221,9 +394,10 @@ class TrajectoryLog:
     The dense (per-step) history -- times ``dense_t``, the steps taken
     ``dense_dt`` and the flux ``dense_J0`` -- supports characteristic tracing.
     ``dense_dt``, ``stop_reason`` ('t_max', 'blowup' or 'max_steps'),
-    ``n_steps``, ``v_eval_failures`` (log rows whose V raised) and the first
-    crossing (its time and flux window; None when the run ended first) are
-    known for integrated runs and None for one read from CSV.  ``summary()``
+    ``n_steps``, ``v_eval_failures`` (log rows whose V raised),
+    ``v_helper_rows`` (log rows whose V the forked helper evaluated) and the
+    first crossing (its time and flux window; None when the run ended
+    first) are known for integrated runs and None for one read from CSV.  ``summary()``
     reports the smallest and largest of ``dense_dt`` as dt_min and dt_max.
     """
 
@@ -247,6 +421,7 @@ class TrajectoryLog:
     stop_reason: str | None = None
     n_steps: int | None = None
     v_eval_failures: int | None = None
+    v_helper_rows: int | None = None
 
     COLUMNS = ("t", "J0", "mass", "rho_min", "rho_max", "V", "q_min", "event")
 
@@ -302,6 +477,7 @@ class TrajectoryLog:
             "stop_reason": self.stop_reason,
             "n_steps": self.n_steps,
             "v_eval_failures": self.v_eval_failures,
+            "v_helper_rows": self.v_helper_rows,
         }
         # the step-size range, from the steps an integrated run took
         steps = self.dense_dt if self.dense_dt is not None else np.empty(0)
@@ -323,8 +499,13 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     fixed ``dt`` is given -- the aligned runs use dt = dtheta/omega to make
     transport at K = 0 a rotation.  When a ``StationaryState`` reference is
     supplied, the quantile Lyapunov distance V and the minimum quantile
-    density are logged alongside the flux.  Blow-up thresholds are
-    ``EPS_SING`` and ``flux_cap(omega)``.
+    density are logged alongside the flux: in process for the first
+    RING_FLOATS // n_theta rows, then, when ``fork_cpus`` allows two or more
+    CPUs, by one forked ``_VHelper`` while the loop steps on (the parent
+    evaluates a row itself when the helper's ring is full, and every row
+    the helper did not finish when it stops).  The helper is reaped before
+    this returns or raises.  Blow-up thresholds are ``EPS_SING`` and
+    ``flux_cap(omega)``.
 
     The loop holds the one copy of the upwind kernel, written out inline on
     views made once per run (``step`` is one pass of it).  A fixed ``dt``
@@ -368,82 +549,101 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     snap_queue = sorted(float(s) for s in snapshot_times)
 
     v_failures = 0
+    # past one ring of rows logged here, V goes to a helper if this process
+    # may fork onto two CPUs
+    ring_rows = max(1, RING_FLOATS // (theta.size - 1))
+    helper, may_fork = None, True
+
+    def store(row, v_val, q_val, failed):
+        nonlocal v_failures
+        rows_v[row], rows_q[row] = v_val, q_val
+        v_failures += failed
 
     def log_row(ev=""):
-        nonlocal v_failures
+        nonlocal helper, may_fork
+        row = len(rows_t)
         rows_t.append(t)
         rows_j.append(J0)
         rho_min = float(rho.min())
         rows_m.append(float(body.sum() * dtheta))
         rows_lo.append(rho_min)
         rows_hi.append(float(rho.max()))
-        if grid is not None and rho_min >= 0.0:
-            try:
-                v_val, q_val = lyapunov_tv_with_qmin(
-                    quantile_transform(grid.theta, rho, into=grid), grid)
-            except ValueError:   # QuantileDegenerateError: V undefined on this row
-                v_failures += 1
-                v_val, q_val = math.nan, math.nan
-        else:
-            v_val, q_val = math.nan, math.nan
-        rows_v.append(v_val)
-        rows_q.append(q_val)
+        rows_v.append(math.nan)
+        rows_q.append(math.nan)
         events.append(ev)
+        if grid is None or rho_min < 0.0:
+            return
+        if may_fork and row >= ring_rows:
+            may_fork = False
+            cpus = fork_cpus()
+            if len(cpus) >= 2:
+                try:
+                    helper = _VHelper(grid, rho.size, ring_rows, cpus, store)
+                except OSError:   # no process or pipe to spare: V stays here
+                    pass
+        if helper is None or not helper.submit(row, rho):
+            store(row, *_v_row(grid, rho))
 
     blow = None
     nstep = 0
-    log_row()
-    while True:
-        # fixed stepping (aligned runs) stops at the nearest multiple of dt
-        if (t >= t_max) if dt is None else (t_max - t < 0.5 * dt):
-            stop_reason = "t_max"
-            break
-        if nstep >= max_steps:
-            stop_reason = "max_steps"
-            break
-        # the upwind kernel: rho -> spare
-        try:
-            vmin = omega + kz_lo * J0
-            vmax = omega + kz_hi * J0
-            if J0 < 0.0:
-                vmin, vmax = vmax, vmin
-            if vmin <= stall:
-                raise BlowupError(BlowupEvent(t, stall_kind, {
-                    "min_velocity": vmin, "stall_threshold": stall, "flux": J0}))
-            step_dt = dt if dt is not None else min(cfl_dtheta / vmax, t_max - t)
-            if step_dt * vmax > dtheta_tol:
-                raise CFLError(f"dt={step_dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
-            # node fluxes v*rho; inflow equals outflow: both ends carry J0
-            np.multiply(kz, J0, flux)
-            np.add(flux, omega, flux)
-            np.multiply(flux, rho, flux)
-            flux[0] = J0
-            flux[-1] = J0
-            np.subtract(flux_hi, flux_lo, spare_body)
-            np.multiply(spare_body, step_dt / dtheta, spare_body)
-            np.subtract(body, spare_body, spare_body)
-            J0_new = _advance_boundary(spare, t + step_dt, omega, kz0, kz_end, cap)
-        except BlowupError as exc:
-            blow = exc.event
-            stop_reason = "blowup"
-            log_row(ev=f"{blow.kind}_blowup")
-            break
-        rho, spare = spare, rho
-        body, spare_body = spare_body, body
-        J0 = J0_new
-        t += step_dt
-        nstep += 1
-        dense_j.append(J0)
-        dense_dt.append(step_dt)
-        while snap_queue and t >= snap_queue[0] - 1e-12:
-            snaps.append((t, rho.copy()))
-            snap_queue.pop(0)
-        if snapshot_stride and nstep % snapshot_stride == 0:
-            snaps.append((t, rho.copy()))
-        if nstep % log_stride == 0:
-            log_row()
-    if blow is None and (not rows_t or rows_t[-1] < t):
+    try:
         log_row()
+        while True:
+            # fixed stepping (aligned runs) stops at the nearest multiple of dt
+            if (t >= t_max) if dt is None else (t_max - t < 0.5 * dt):
+                stop_reason = "t_max"
+                break
+            if nstep >= max_steps:
+                stop_reason = "max_steps"
+                break
+            # the upwind kernel: rho -> spare
+            try:
+                vmin = omega + kz_lo * J0
+                vmax = omega + kz_hi * J0
+                if J0 < 0.0:
+                    vmin, vmax = vmax, vmin
+                if vmin <= stall:
+                    raise BlowupError(BlowupEvent(t, stall_kind, {
+                        "min_velocity": vmin, "stall_threshold": stall, "flux": J0}))
+                step_dt = dt if dt is not None else min(cfl_dtheta / vmax, t_max - t)
+                if step_dt * vmax > dtheta_tol:
+                    raise CFLError(f"dt={step_dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
+                # node fluxes v*rho; inflow equals outflow: both ends carry J0
+                np.multiply(kz, J0, flux)
+                np.add(flux, omega, flux)
+                np.multiply(flux, rho, flux)
+                flux[0] = J0
+                flux[-1] = J0
+                np.subtract(flux_hi, flux_lo, spare_body)
+                np.multiply(spare_body, step_dt / dtheta, spare_body)
+                np.subtract(body, spare_body, spare_body)
+                J0_new = _advance_boundary(spare, t + step_dt, omega, kz0, kz_end, cap)
+            except BlowupError as exc:
+                blow = exc.event
+                stop_reason = "blowup"
+                log_row(ev=f"{blow.kind}_blowup")
+                break
+            rho, spare = spare, rho
+            body, spare_body = spare_body, body
+            J0 = J0_new
+            t += step_dt
+            nstep += 1
+            dense_j.append(J0)
+            dense_dt.append(step_dt)
+            while snap_queue and t >= snap_queue[0] - 1e-12:
+                snaps.append((t, rho.copy()))
+                snap_queue.pop(0)
+            if snapshot_stride and nstep % snapshot_stride == 0:
+                snaps.append((t, rho.copy()))
+            if nstep % log_stride == 0:
+                log_row()
+        if blow is None and (not rows_t or rows_t[-1] < t):
+            log_row()
+        if helper is not None:
+            helper.collect(wait=True)
+    finally:
+        if helper is not None:
+            helper.close()
 
     # the step times summed as the loop summed them, one float at a time
     dense_t = np.fromiter(accumulate(dense_dt, initial=initial.t), float, nstep + 1)
@@ -456,7 +656,8 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                          np.asarray(rows_q), events, blow, dense_t, np.asarray(dense_dt),
                          np.asarray(dense_j),
                          t_cross, j_window, initial.copy(), final, snaps,
-                         stop_reason, nstep, v_failures)
+                         stop_reason, nstep, v_failures,
+                         0 if helper is None else helper.helped)
 
 
 # -- characteristics -------------------------------------------------------------

@@ -1080,6 +1080,80 @@ def test_sweep_row_formats_large_finite_run_in_process(tmp_path, capsys, monkeyp
         assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
 
 
+# a run that logs more rows than the V helper's ring (RING_FLOATS // 512 at
+# n_theta 512) evaluates V on a forked helper when two CPUs are usable
+HELPER_CFG = TINY_CFG.replace("n_theta = 64", "n_theta = 512").replace(
+    "t_max = 0.1", "t_max = 6.0").replace("certify = false", "certify = true").replace(
+    "dump_density = false", "dump_density = true")
+
+
+def _helper_run_files(tmp_path, monkeypatch, cpus, name) -> tuple:
+    """The run's files, summary.json without its wall times and helper rows,
+    and those helper rows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    p = write_cfg(tmp_path, HELPER_CFG, name="helper.cfg", out=tmp_path / "base")
+    out = tmp_path / name
+    assert main(["run", str(p), "--out", str(out)]) == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    summary = json.loads(files["summary.json"])
+    assert summary.pop("timings_s").keys() == set(cli.PHASES)
+    helper_rows = summary.pop("v_helper_rows")
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True).encode()
+    return files, helper_rows
+
+
+def test_run_with_v_helper_matches_one_cpu_byte_for_byte(tmp_path, monkeypatch):
+    serial, serial_rows = _helper_run_files(tmp_path, monkeypatch, 1, "serial")
+    helped, helped_rows = _helper_run_files(tmp_path, monkeypatch, 2, "helped")
+    assert (serial_rows, helped_rows > 0) == (0, True)
+    assert {"trajectory.csv", "certification.json", "stationary.json"} <= serial.keys()
+    assert helped.keys() == serial.keys()
+    assert [k for k in serial if helped[k] != serial[k]] == []
+
+
+def _v_helper_rows_in_worker():
+    from pulsefield import initial_density, integrate, solve_stationary_flux
+    model = lif_model(2.1, 2.0)
+    stat = solve_stationary_flux(model, -0.1)
+    ic = initial_density("perturbed", 512, model, -0.1, epsilon=0.2, reference=stat)
+    traj = integrate(model, -0.1, ic, t_max=6.0, reference=stat)
+    return traj.t.size, traj.v_helper_rows
+
+
+def test_no_v_helper_in_pool_worker(monkeypatch):
+    # a worker process never forks a helper of its own; the same run in this
+    # process does
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pool, workers = cli._pool(2)
+    with pool:
+        futures = [pool.submit(_v_helper_rows_in_worker) for _ in range(2)]
+        in_workers = [f.result() for f in futures]
+    assert multiprocessing.active_children() == []
+    rows, here = _v_helper_rows_in_worker()
+    assert workers == 2 and rows > 128 and here > 0
+    assert in_workers == [(rows, 0), (rows, 0)]
+
+
+def test_stationary_json_records_rho_star_mass(tmp_path, capsys):
+    # the discrete mass the kernel conserves, h * sum(rho_star[1:]): near 1
+    # for fig1, far from it near velocity stall
+    assert main(["stationary", "--K", "-0.1"]) == 0
+    fig1 = json.loads(capsys.readouterr().out)["rho_star_mass"]
+    assert fig1 == pytest.approx(1.0002, abs=5e-5)
+    assert main(["stationary", "--S", "1.74", "--gamma", "1.67", "--K", "-0.84",
+                 "--ntheta", "2048"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho_star_mass"] == pytest.approx(
+        1657.6, abs=0.05)
+    assert main(["stationary", "--K", "-5"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho_star_mass"] is None
+    cfg = TINY_CFG.replace("n_theta = 64", "n_theta = 2048")
+    assert main(["run", str(write_cfg(tmp_path, cfg, out=tmp_path / "run"))]) == 0
+    stat = json.loads((tmp_path / "run" / "stationary.json").read_text())
+    assert stat["rho_star_mass"] == fig1
+
+
 # threshold gap 0.5: the continuum runs (and blows up), then the finite run
 # meets an avalanche
 AVALANCHE_CFG = TINY_CFG.replace("gamma = 2.0", "gamma = 2.0\nx_hi = 0.5").replace(

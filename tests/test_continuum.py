@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityFiel
                         StationaryState, characteristic_trace, check_admissibility,
                         homoclinic_model, initial_density, integrate, lif_model, step,
                         tabulated_model)
-from pulsefield.continuum import (EPS_SING, BlowupEvent, TrajectoryLog, _advance_boundary,
-                                  flux_cap)
+from pulsefield.continuum import (EPS_SING, RING_FLOATS, BlowupEvent, TrajectoryLog,
+                                  _advance_boundary, flux_cap)
+from pulsefield import continuum
 from pulsefield.quantile import lyapunov_tv_with_qmin, quantile_transform
 
 TWO_PI = 2.0 * math.pi
@@ -400,6 +403,151 @@ def test_v_evaluated_once_per_logged_row(lif, stat_inhib, monkeypatch):
     traj = integrate(lif, -0.1, ic, t_max=0.5, reference=stat_inhib)
     assert len(calls) == traj.t.size > 2
     assert np.isfinite(traj.V).all()
+
+
+# fig1's model at n_theta 512 to t = 6 logs 198 rows; past the ring's first
+# RING_FLOATS // 512 rows a forked helper evaluates V when two CPUs are usable
+HELPER_N = 512
+HELPER_COLUMNS = ("t", "J0", "mass", "rho_min", "rho_max", "V", "q_min")
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _helper_run(lif, stat, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    ic = initial_density("perturbed", HELPER_N, lif, -0.1, epsilon=0.2, reference=stat)
+    try:
+        return integrate(lif, -0.1, ic, t_max=6.0, reference=stat)
+    finally:
+        _assert_no_child()
+
+
+def _assert_same_log(a, b):
+    for name in HELPER_COLUMNS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.event == b.event
+    assert a.v_eval_failures == b.v_eval_failures
+
+
+def _v_failing_below(threshold, exc, flag=None):
+    """V that raises ``exc`` on every row whose V is at most ``threshold``,
+    touching ``flag`` first when it raises in another process."""
+    parent = os.getpid()
+
+    def v(state, ref):
+        result = lyapunov_tv_with_qmin(state, ref)
+        if result[0] <= threshold:
+            if flag is not None and os.getpid() != parent:
+                flag.touch()
+            raise exc("V failed on purpose")
+        return result
+    return v
+
+
+def test_v_helper_matches_one_cpu_bit_for_bit(lif, stat_inhib, monkeypatch):
+    serial = _helper_run(lif, stat_inhib, monkeypatch, 1)
+    helped = _helper_run(lif, stat_inhib, monkeypatch, 2)
+    ring = RING_FLOATS // HELPER_N
+    assert serial.t.size > ring + 50
+    assert serial.v_helper_rows == 0
+    assert 0 < helped.v_helper_rows <= serial.t.size - ring
+    assert helped.summary()["v_helper_rows"] == helped.v_helper_rows
+    _assert_same_log(helped, serial)
+    assert np.isfinite(helped.V).all()
+
+
+def test_v_bug_in_helper_propagates(lif, stat_inhib, monkeypatch, tmp_path):
+    # a TypeError from V in the helper ends it; the parent evaluates that row
+    # again and raises, as an in-process run does
+    serial = _helper_run(lif, stat_inhib, monkeypatch, 1)
+    threshold = serial.V[150]
+    assert (serial.V[:RING_FLOATS // HELPER_N + 1] > threshold).all()
+    flag = tmp_path / "raised_in_helper"
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin",
+                        _v_failing_below(threshold, TypeError, flag))
+    with pytest.raises(TypeError, match="on purpose"):
+        _helper_run(lif, stat_inhib, monkeypatch, 2)
+    assert flag.exists()
+
+
+def test_v_failure_in_helper_counted_as_in_process(lif, stat_inhib, monkeypatch, tmp_path):
+    serial = _helper_run(lif, stat_inhib, monkeypatch, 1)
+    threshold = serial.V[150]
+    flag = tmp_path / "raised_in_helper"
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin",
+                        _v_failing_below(threshold, ValueError, flag))
+    serial = _helper_run(lif, stat_inhib, monkeypatch, 1)
+    helped = _helper_run(lif, stat_inhib, monkeypatch, 2)
+    assert flag.exists()
+    assert helped.v_helper_rows > 0
+    assert helped.v_eval_failures == np.isnan(helped.V).sum() > 0
+    _assert_same_log(helped, serial)
+
+
+def test_v_helper_dying_loses_no_row(lif, stat_inhib, monkeypatch):
+    serial = _helper_run(lif, stat_inhib, monkeypatch, 1)
+    parent, calls = os.getpid(), []
+
+    def dying(state, ref):
+        # the helper's own copy of `calls` counts its rows
+        if os.getpid() != parent:
+            calls.append(1)
+            if len(calls) == 5:
+                os._exit(1)
+        return lyapunov_tv_with_qmin(state, ref)
+
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin", dying)
+    helped = _helper_run(lif, stat_inhib, monkeypatch, 2)
+    assert calls == []
+    assert helped.v_helper_rows == 4
+    _assert_same_log(helped, serial)
+    assert np.isfinite(helped.V).all()
+
+
+def _slow_in_helper(seconds):
+    parent = os.getpid()
+
+    def v(state, ref):
+        if os.getpid() != parent:
+            time.sleep(seconds)
+        return lyapunov_tv_with_qmin(state, ref)
+    return v
+
+
+@pytest.mark.parametrize("ring_rows,seconds", [(1, 0.002), (8, 0.01)])
+def test_lagging_helper_never_holds_the_run_back(lif, stat_inhib, monkeypatch, ring_rows,
+                                                 seconds):
+    # with every slot of a small ring taken the parent evaluates the row
+    # itself, and a slot is reused only once the helper has finished it
+    serial = _helper_run(lif, stat_inhib, monkeypatch, 1)
+    monkeypatch.setattr(continuum, "RING_FLOATS", ring_rows * HELPER_N)
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin",
+                        _slow_in_helper(seconds))
+    helped = _helper_run(lif, stat_inhib, monkeypatch, 2)
+    assert 0 < helped.v_helper_rows < serial.t.size // 2
+    _assert_same_log(helped, serial)
+
+
+def test_raising_mid_run_reaps_a_busy_helper(lif, stat_inhib, monkeypatch):
+    # an exception in the stepping loop while rows are in flight
+    real, steps = continuum._advance_boundary, []
+
+    def failing(*args):
+        steps.append(1)
+        if len(steps) == 3500:
+            raise RuntimeError("stepping failed on purpose")
+        return real(*args)
+
+    monkeypatch.setattr(continuum, "_advance_boundary", failing)
+    monkeypatch.setattr("pulsefield.continuum.lyapunov_tv_with_qmin",
+                        _slow_in_helper(10.0))
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="on purpose"):
+        _helper_run(lif, stat_inhib, monkeypatch, 2)
+    assert time.perf_counter() - t0 < 5.0
 
 
 @st.composite
