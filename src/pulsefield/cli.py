@@ -98,9 +98,17 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_lines(path, header: str, rows: list):
+    """A CSV file of a header and rows already joined by commas.  Floats as
+    ``repr`` writes them and plain names need no quoting, so with \\r\\n
+    line ends these are the bytes csv.writer gives."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([header, *rows, ""]))
+
+
 def _density_csv(path, theta, rho, value_name="rho"):
-    _write_csv(path, ["theta", value_name],
-               ([_fmt(t), _fmt(r)] for t, r in zip(theta, rho)))
+    _write_lines(path, f"theta,{value_name}",
+                 [f"{t!r},{r!r}" for t, r in zip(theta.tolist(), rho.tolist())])
 
 
 def _quantile_csv(path, theta, rho):
@@ -108,9 +116,9 @@ def _quantile_csv(path, theta, rho):
     # last knot repeats the final segment)
     prof = quantile_transform(theta, rho)
     q = np.append(prof.q_seg, prof.q_seg[-1])
-    _write_csv(path, ["phi", "Q", "q"],
-               ([_fmt(p), _fmt(Q), _fmt(qq)]
-                for p, Q, qq in zip(prof.phi, prof.Q, q)))
+    _write_lines(path, "phi,Q,q",
+                 [f"{p!r},{Q!r},{qq!r}"
+                  for p, Q, qq in zip(prof.phi.tolist(), prof.Q.tolist(), q.tolist())])
 
 
 # -- model flags shared by several subcommands -----------------------------------

@@ -23,13 +23,13 @@ to rounding.  The kernel is written out once, inline in ``integrate``'s
 loop on buffers and views made once per run; ``step`` is one pass of that
 loop.  V on each logged row goes through a ``GridReference`` bound to the
 run's grid, with the bits of the public quantile functions.  Once a run has
-logged one ring of rows (RING_FLOATS // n_theta) in process, and when
-``fork_cpus`` allows two or more CPUs, V on the rest goes to one forked
-helper (``_VHelper``) pinned off the CPU the loop steps on, and the loop
-keeps stepping; the values keep their bits, and under ``taskset -c 0`` V
-stays in process.  The helper calls this module's ``quantile_transform``
-and ``lyapunov_tv_with_qmin`` names, so traced spans of them count only the
-rows evaluated in process.  After the
+logged one ring of rows (RING_FLOATS // n_theta) in process, when the time
+left still holds another ring of rows and ``fork_cpus`` allows two or more
+CPUs, V on the rest goes to one forked helper (``_VHelper``) pinned off the
+CPU the loop steps on, and the loop keeps stepping; the values keep their
+bits, and under ``taskset -c 0`` V stays in process.  The helper calls this
+module's ``quantile_transform`` and ``lyapunov_tv_with_qmin`` names, so
+traced spans of them count only the rows evaluated in process.  After the
 loop, ``first_crossing`` traces the characteristic from theta = 0 over the
 recorded steps: the flux window up to its arrival brackets V's decay rate.
 ``characteristic_trace`` takes the same RK2 walk over the same steps from
@@ -70,7 +70,8 @@ TWO_PI = 2.0 * math.pi
 EPS_SING = 1e-8
 # The V helper's ring holds RING_FLOATS // n_theta logged rows (32 at n_theta
 # 2048, about 512 KiB); a run starts the helper once it has logged that many
-# rows in process, so a shorter run never forks.
+# rows in process and only if as many are still to come, so a run of fewer
+# than two rings never forks.
 RING_FLOATS = 2**16
 
 
@@ -426,14 +427,15 @@ class TrajectoryLog:
     COLUMNS = ("t", "J0", "mass", "rho_min", "rho_max", "V", "q_min", "event")
 
     def to_csv(self, path):
+        # floats as repr writes them and the event names need no quoting:
+        # csv.writer's bytes, joined here
+        cols = [c.tolist() for c in (self.t, self.J0, self.mass, self.rho_min,
+                                     self.rho_max, self.V, self.q_min)]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.COLUMNS)
-            for i in range(self.t.size):
-                w.writerow([repr(float(self.t[i])), repr(float(self.J0[i])),
-                            repr(float(self.mass[i])), repr(float(self.rho_min[i])),
-                            repr(float(self.rho_max[i])), repr(float(self.V[i])),
-                            repr(float(self.q_min[i])), self.event[i]])
+            fh.write("\r\n".join([",".join(self.COLUMNS),
+                                   *[f"{t!r},{j!r},{m!r},{lo!r},{hi!r},{v!r},{q!r},{ev}"
+                                     for t, j, m, lo, hi, v, q, ev in zip(*cols, self.event)],
+                                   ""]))
 
     @classmethod
     def from_csv(cls, path):
@@ -500,21 +502,25 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     transport at K = 0 a rotation.  When a ``StationaryState`` reference is
     supplied, the quantile Lyapunov distance V and the minimum quantile
     density are logged alongside the flux: in process for the first
-    RING_FLOATS // n_theta rows, then, when ``fork_cpus`` allows two or more
-    CPUs, by one forked ``_VHelper`` while the loop steps on (the parent
-    evaluates a row itself when the helper's ring is full, and every row
-    the helper did not finish when it stops).  The helper is reaped before
-    this returns or raises.  Blow-up thresholds are ``EPS_SING`` and
-    ``flux_cap(omega)``.
+    RING_FLOATS // n_theta rows, then, when the time left (``t_max - t``
+    over the last step) still holds that many rows again and ``fork_cpus``
+    allows two or more CPUs, by one forked ``_VHelper`` while the loop
+    steps on (the parent evaluates a row itself when the helper's ring is
+    full, and every row the helper did not finish when it stops).  The
+    helper is reaped before this returns or raises.  Blow-up thresholds are
+    ``EPS_SING`` and ``flux_cap(omega)``.
 
     The loop holds the one copy of the upwind kernel, written out inline on
     views made once per run (``step`` is one pass of it).  A fixed ``dt``
-    past the CFL limit raises ``CFLError``.  The loop records each step;
-    ``first_crossing`` traces over them afterwards for the first-crossing
-    time and flux window (None when the run ends first).
+    past the CFL limit raises ``CFLError``, and a ``log_stride`` below 1
+    raises ``ValueError``.  The loop records each step; ``first_crossing``
+    traces over them afterwards for the first-crossing time and flux window
+    (None when the run ends first).
     """
     if dt is not None and not dt > 0.0:
         raise ValueError(f"fixed dt must be positive, got {dt!r}")
+    if log_stride < 1:
+        raise ValueError(f"log_stride must be at least 1, got {log_stride!r}")
     omega = model.omega
     cap = flux_cap(omega)
     theta = initial.theta
@@ -575,22 +581,33 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
             return
         if may_fork and row >= ring_rows:
             may_fork = False
-            cpus = fork_cpus()
-            if len(cpus) >= 2:
-                try:
-                    helper = _VHelper(grid, rho.size, ring_rows, cpus, store)
-                except OSError:   # no process or pipe to spare: V stays here
-                    pass
+            # only when the time left, in steps of the last one, still holds
+            # one more ring of rows (a blow-up row is the run's last)
+            if not ev and t_max - t >= ring_rows * log_stride * dense_dt[-1]:
+                cpus = fork_cpus()
+                if len(cpus) >= 2:
+                    try:
+                        helper = _VHelper(grid, rho.size, ring_rows, cpus, store)
+                    except OSError:   # no process or pipe to spare: V stays here
+                        pass
         if helper is None or not helper.submit(row, rho):
             store(row, *_v_row(grid, rho))
 
     blow = None
     nstep = 0
+    # fixed stepping (aligned runs) stops at the nearest multiple of dt; the
+    # step size is dt itself, or the CFL size capped at the time left
+    fixed = dt is not None
+    half_dt = 0.5 * dt if fixed else None
+    step_dt = dt
+    log_left = log_stride   # steps to the next logged row
+    t_snap = snap_queue[0] - 1e-12 if snap_queue else math.inf
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    dense_j_append, dense_dt_append = dense_j.append, dense_dt.append
     try:
         log_row()
         while True:
-            # fixed stepping (aligned runs) stops at the nearest multiple of dt
-            if (t >= t_max) if dt is None else (t_max - t < 0.5 * dt):
+            if (t_max - t < half_dt) if fixed else (t >= t_max):
                 stop_reason = "t_max"
                 break
             if nstep >= max_steps:
@@ -605,19 +622,24 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                 if vmin <= stall:
                     raise BlowupError(BlowupEvent(t, stall_kind, {
                         "min_velocity": vmin, "stall_threshold": stall, "flux": J0}))
-                step_dt = dt if dt is not None else min(cfl_dtheta / vmax, t_max - t)
+                if not fixed:
+                    step_dt = cfl_dtheta / vmax
+                    rest = t_max - t
+                    if rest < step_dt:
+                        step_dt = rest
                 if step_dt * vmax > dtheta_tol:
                     raise CFLError(f"dt={step_dt:.3e} exceeds dtheta/max(v)={dtheta / vmax:.3e}")
                 # node fluxes v*rho; inflow equals outflow: both ends carry J0
-                np.multiply(kz, J0, flux)
-                np.add(flux, omega, flux)
-                np.multiply(flux, rho, flux)
+                multiply(kz, J0, flux)
+                add(flux, omega, flux)
+                multiply(flux, rho, flux)
                 flux[0] = J0
                 flux[-1] = J0
-                np.subtract(flux_hi, flux_lo, spare_body)
-                np.multiply(spare_body, step_dt / dtheta, spare_body)
-                np.subtract(body, spare_body, spare_body)
-                J0_new = _advance_boundary(spare, t + step_dt, omega, kz0, kz_end, cap)
+                subtract(flux_hi, flux_lo, spare_body)
+                multiply(spare_body, step_dt / dtheta, spare_body)
+                subtract(body, spare_body, spare_body)
+                t_new = t + step_dt
+                J0 = _advance_boundary(spare, t_new, omega, kz0, kz_end, cap)
             except BlowupError as exc:
                 blow = exc.event
                 stop_reason = "blowup"
@@ -625,17 +647,20 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                 break
             rho, spare = spare, rho
             body, spare_body = spare_body, body
-            J0 = J0_new
-            t += step_dt
+            t = t_new
             nstep += 1
-            dense_j.append(J0)
-            dense_dt.append(step_dt)
-            while snap_queue and t >= snap_queue[0] - 1e-12:
-                snaps.append((t, rho.copy()))
-                snap_queue.pop(0)
+            dense_j_append(J0)
+            dense_dt_append(step_dt)
+            if t >= t_snap:
+                while snap_queue and t >= snap_queue[0] - 1e-12:
+                    snaps.append((t, rho.copy()))
+                    snap_queue.pop(0)
+                t_snap = snap_queue[0] - 1e-12 if snap_queue else math.inf
             if snapshot_stride and nstep % snapshot_stride == 0:
                 snaps.append((t, rho.copy()))
-            if nstep % log_stride == 0:
+            log_left -= 1
+            if not log_left:
+                log_left = log_stride
                 log_row()
         if blow is None and (not rows_t or rows_t[-1] < t):
             log_row()
@@ -672,17 +697,20 @@ def _walk(t: np.ndarray, dt: list, J0: list, model, K: float, lam0: float) -> tu
     out), the midpoint phases, and the time theta first reaches 2*pi, linear
     within its step (None when the steps end first).  Z on one float skips
     the array wrapper."""
-    omega, prc = model.omega, model._prc_fn
+    omega, prc, two_pi = model.omega, model._prc_fn, TWO_PI
     lam = lam0
     starts, mids = [lam], []
-    for i, (h, j_a, j_b) in enumerate(zip(dt, J0, J0[1:])):
-        v1 = omega + K * float(prc(min(lam, TWO_PI))) * j_a
+    # Z's argument is min(phase, 2*pi), NaN passed on as min passes it
+    for i, h in enumerate(dt):
+        j_a = J0[i]
+        v1 = omega + K * float(prc(two_pi if two_pi < lam else lam)) * j_a
         lam_mid = lam + 0.5 * h * v1
         mids.append(lam_mid)
-        v2 = omega + K * float(prc(min(lam_mid, TWO_PI))) * (0.5 * (j_a + j_b))
+        v2 = omega + K * float(prc(two_pi if two_pi < lam_mid else lam_mid)) * (
+            0.5 * (j_a + J0[i + 1]))
         lam_new = lam + h * v2
-        if lam_new >= TWO_PI:
-            return starts, mids, t.item(i) + (TWO_PI - lam) / (lam_new - lam) * h
+        if lam_new >= two_pi:
+            return starts, mids, t.item(i) + (two_pi - lam) / (lam_new - lam) * h
         lam = lam_new
         starts.append(lam)
     return starts, mids, None

@@ -440,27 +440,31 @@ def solve_stationary_flux(model: OscillatorModel, K: float,
 
     lo = min(1e-12 * omega, (hi_edge if math.isfinite(hi_edge) else 1.0) * 1e-12)
     hi = None
-    if math.isfinite(hi_edge):
-        for k in range(1, 15):
-            cand = (1.0 - 10.0 ** (-k)) * hi_edge
-            if w(cand) > 0.0:
-                hi = cand
-                break
-        if hi is None:
-            raise RuntimeError(
-                "stationary flux is closer to the admissible-interval endpoint than "
-                "double precision resolves; coupling too strong to solve numerically")
-    else:
-        cand = omega / TWO_PI
-        for _ in range(80):
-            if w(cand) > 0.0:
-                hi = cand
-                break
-            cand *= 2.0
-        if hi is None:
-            raise RuntimeError("normalization functional never exceeded one")
+    # at |K| ~ 1e-308 the first upper bracket (J ~ 1e308) takes W's sums past
+    # the largest double (and its error estimate to inf - inf): W reads inf
+    # there, the verdict W > 1 it has, and numpy's warnings would say no more
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(hi_edge):
+            for k in range(1, 15):
+                cand = (1.0 - 10.0 ** (-k)) * hi_edge
+                if w(cand) > 0.0:
+                    hi = cand
+                    break
+            if hi is None:
+                raise RuntimeError(
+                    "stationary flux is closer to the admissible-interval endpoint than "
+                    "double precision resolves; coupling too strong to solve numerically")
+        else:
+            cand = omega / TWO_PI
+            for _ in range(80):
+                if w(cand) > 0.0:
+                    hi = cand
+                    break
+                cand *= 2.0
+            if hi is None:
+                raise RuntimeError("normalization functional never exceeded one")
 
-    j_star = bisect_root(w, lo, hi, ftol=J_TOL)
+        j_star = bisect_root(w, lo, hi, ftol=J_TOL)
     rho = j_star / (omega + K * z * j_star)   # J_density on the z above
     field = DensityField(theta, rho, j_star, 0.0)
     return StationaryState(j_star, field, (0.0, hi_edge), r, K, model)

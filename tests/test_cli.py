@@ -1080,10 +1080,10 @@ def test_sweep_row_formats_large_finite_run_in_process(tmp_path, capsys, monkeyp
         assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
 
 
-# a run that logs more rows than the V helper's ring (RING_FLOATS // 512 at
+# a run that logs over two rings of the V helper's rows (RING_FLOATS // 512 at
 # n_theta 512) evaluates V on a forked helper when two CPUs are usable
 HELPER_CFG = TINY_CFG.replace("n_theta = 64", "n_theta = 512").replace(
-    "t_max = 0.1", "t_max = 6.0").replace("certify = false", "certify = true").replace(
+    "t_max = 0.1", "t_max = 12.0").replace("certify = false", "certify = true").replace(
     "dump_density = false", "dump_density = true")
 
 
@@ -1118,7 +1118,7 @@ def _v_helper_rows_in_worker():
     model = lif_model(2.1, 2.0)
     stat = solve_stationary_flux(model, -0.1)
     ic = initial_density("perturbed", 512, model, -0.1, epsilon=0.2, reference=stat)
-    traj = integrate(model, -0.1, ic, t_max=6.0, reference=stat)
+    traj = integrate(model, -0.1, ic, t_max=12.0, reference=stat)
     return traj.t.size, traj.v_helper_rows
 
 
@@ -1132,7 +1132,7 @@ def test_no_v_helper_in_pool_worker(monkeypatch):
         in_workers = [f.result() for f in futures]
     assert multiprocessing.active_children() == []
     rows, here = _v_helper_rows_in_worker()
-    assert workers == 2 and rows > 128 and here > 0
+    assert workers == 2 and rows > 2 * 128 and here > 0
     assert in_workers == [(rows, 0), (rows, 0)]
 
 
@@ -1260,3 +1260,50 @@ def test_tabulated_paths_run_without_scipy(tmp_path):
     probe = _scipy_probe(tmp_path, "blocked")
     assert probe["codes"] == [0, 0, 0, 0, 0, 0, 0]
     assert probe["scipy"] == []
+
+
+# floats whose repr is more than plain digits
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-05, 1e16, 0.1, 2.5,
+              -1.7976931348623157e308]
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """A float table as csv.writer writes it, every float through repr(float(x))."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(x)) if not isinstance(x, str) else x for x in row]
+                    for row in rows)
+    return path.read_bytes()
+
+
+def test_float_tables_keep_csv_writer_bytes(tmp_path, monkeypatch):
+    # trajectory.csv, density and quantile files joined by hand have the
+    # bytes csv.writer gives, odd floats and event names included
+    from dataclasses import replace
+    from types import SimpleNamespace
+    from pulsefield import initial_density, integrate
+    a = np.array(ODD_FLOATS)
+    b = a[::-1].copy()
+    n = a.size
+    events = ["", "flux_blowup", "density_blowup"] * 3 + [""]
+    model = lif_model(2.1, 2.0)
+    traj = integrate(model, -0.1, initial_density("uniform", 16, model, -0.1), t_max=0.01)
+    traj = replace(traj, t=a, J0=b, mass=np.roll(a, 1), rho_min=np.roll(a, 2),
+                   rho_max=np.roll(b, 3), V=np.roll(a, 4), q_min=np.roll(b, 5), event=events)
+    traj.to_csv(tmp_path / "trajectory.csv")
+    want = _csv_writer_bytes(tmp_path / "want.csv", traj.COLUMNS,
+                             zip(traj.t, traj.J0, traj.mass, traj.rho_min, traj.rho_max,
+                                 traj.V, traj.q_min, events))
+    assert (tmp_path / "trajectory.csv").read_bytes() == want
+
+    cli._density_csv(tmp_path / "density.csv", a, b, value_name="rho_star")
+    want = _csv_writer_bytes(tmp_path / "want.csv", ["theta", "rho_star"], zip(a, b))
+    assert (tmp_path / "density.csv").read_bytes() == want
+
+    prof = SimpleNamespace(phi=a, Q=b, q_seg=np.roll(a, 3)[:n - 1])
+    monkeypatch.setattr(cli, "quantile_transform", lambda theta, rho: prof)
+    cli._quantile_csv(tmp_path / "quantiles.csv", a, b)
+    q = np.append(prof.q_seg, prof.q_seg[-1])
+    want = _csv_writer_bytes(tmp_path / "want.csv", ["phi", "Q", "q"], zip(a, b, q))
+    assert (tmp_path / "quantiles.csv").read_bytes() == want

@@ -250,11 +250,13 @@ def test_upwind_step_matches_reference(name, prof, K, J0, dt_frac, cfl):
         assert got.J0 == want[1] and got.t == want[2]
 
 
-def reference_run(model, K, field, t_max, cfl=0.5):
+def reference_run(model, K, field, t_max, cfl=0.5, dt=None, log_stride=20,
+                  snapshot_times=()):
     """integrate's stepping as a plain loop of reference steps: the final
     density, the dense time and flux histories, the steps taken, the blow-up
-    event (or None) and the first crossing (time and flux window, or None and
-    None)."""
+    event (or None), the first crossing (time and flux window, or None and
+    None), the step indices of the logged rows and the snapshots as (step
+    index, density).  A fixed ``dt`` stops at the nearest multiple of it."""
     theta = field.theta
     z = model.prc(theta)
     omega, prc = model.omega, model._prc_fn
@@ -262,57 +264,113 @@ def reference_run(model, K, field, t_max, cfl=0.5):
     rho, J0, t = field.rho.copy(), field.J0, field.t
     dense_t, dense_j, steps = [t], [J0], []
     blow, lam, t_cross = None, 0.0, None
-    while t < t_max:
+    logged, snaps, pending = [0], [], sorted(snapshot_times)
+    while (t < t_max) if dt is None else (t_max - t >= 0.5 * dt):
         try:
-            rho, J0_new, dt = reference_step(rho, J0, t, t_max - t, field.dtheta, omega,
-                                             K, z, EPS_SING, cap, cfl)
+            # the CFL step capped at the time left, or the fixed dt
+            rho, J0_new, h = reference_step(rho, J0, t, t_max - t if dt is None else dt,
+                                            field.dtheta, omega, K, z, EPS_SING, cap,
+                                            cfl if dt is None else None)
         except BlowupError as exc:
             blow = exc.event
+            logged.append(len(steps))
             break
         # the first-crossing characteristic as integrate once traced it
         # inside its loop: one RK2 step alongside each kernel step
         if t_cross is None:
             v1 = omega + K * float(prc(min(lam, TWO_PI))) * J0
-            lam_mid = lam + 0.5 * dt * v1
+            lam_mid = lam + 0.5 * h * v1
             v2 = omega + K * float(prc(min(lam_mid, TWO_PI))) * (0.5 * (J0 + J0_new))
-            lam_new = lam + dt * v2
+            lam_new = lam + h * v2
             if lam_new >= TWO_PI:
                 frac = (TWO_PI - lam) / (lam_new - lam)
-                t_cross = t + frac * dt
+                t_cross = t + frac * h
             lam = lam_new
         J0 = J0_new
-        t += dt
+        t += h
         dense_t.append(t)
         dense_j.append(J0)
-        steps.append(dt)
+        steps.append(h)
+        n = len(steps)
+        while pending and t >= pending[0] - 1e-12:
+            snaps.append((n, rho.copy()))
+            pending.pop(0)
+        if n % log_stride == 0:
+            logged.append(n)
+    if blow is None and logged[-1] != len(steps):
+        logged.append(len(steps))
     dense_t, dense_j = np.asarray(dense_t), np.asarray(dense_j)
     window = None
     if t_cross is not None:
         m = dense_t <= t_cross + 1e-15
         window = (float(dense_j[m].min()), float(dense_j[m].max()))
-    return rho, dense_t, dense_j, steps, blow, (t_cross, window)
+    return rho, dense_t, dense_j, steps, blow, (t_cross, window), logged, snaps
+
+
+def _least_float(f, target, x):
+    """The least float near ``x`` where the rising f(x) >= ``target``."""
+    while f(x) >= target:
+        x = math.nextafter(x, -math.inf)
+    while f(x) < target:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _loop_case(lif, case):
+    """(K, initial field, t_max, integrate keywords) of a reference-loop case;
+    snapshot times are placed against the plain loop's own step times."""
+    from pulsefield import solve_stationary_flux
+    if case == "excitatory_blowup":
+        return 0.1, initial_density("vonmises", 256, lif, 0.1, kappa=1.0), 100.0, {}
+    K = -0.1
+    ic = initial_density("perturbed", 256, lif, K, epsilon=0.2,
+                         reference=solve_stationary_flux(lif, K, n_theta=256))
+    if case == "fig1_n256":
+        return K, ic, 12.0, {}
+    if case == "fig1_n256_before_crossing":
+        return K, ic, 1.0, {}
+    if case == "aligned_fixed_dt":
+        # the aligned step dtheta/omega, which K < 0 keeps under the CFL
+        # limit; t_max is the least float half a step past step 500, so
+        # stepping just goes on there
+        dt = ic.dtheta / lif.omega
+        t_500 = float(reference_run(lif, K, ic, 3.3, dt=dt)[1][500])
+        t_max = _least_float(lambda x: x - t_500, 0.5 * dt, t_500 + 0.5 * dt)
+        return K, ic, t_max, {"dt": dt, "log_stride": 7, "snapshot_times": (1.0, t_max)}
+    if case == "dyadic_fixed_dt":
+        # dt = 2**-8 sums exactly: t_max - t is half a step after step 500
+        # with no rounding, a tie that goes on stepping
+        dt = 2.0**-8
+        return K, ic, 500.5 * dt, {"dt": dt, "log_stride": 20}
+    t_max = 2.0
+    ts = reference_run(lif, K, ic, t_max)[1].tolist()
+    snapshot_times = (
+        ts[40], 0.5 * (ts[10] + ts[11]),     # on a step; between steps
+        ts[10], ts[10],                      # duplicated, on a step
+        ts[25] + 5e-13,                      # within the 1e-12 slack
+        _least_float(lambda x: x - 1e-12, ts[30], ts[30] + 1e-12),   # at its edge
+        t_max + 1.0, -1.0, 0.0)              # past t_max; before the start
+    stride = {"log_stride_1": 1, "log_stride_7": 7, "log_stride_20": 20}[case]
+    return K, ic, t_max, {"log_stride": stride, "snapshot_times": snapshot_times}
 
 
 @pytest.mark.parametrize("case", ["fig1_n256", "fig1_n256_before_crossing",
-                                  "excitatory_blowup"])
+                                  "excitatory_blowup", "log_stride_1", "log_stride_7",
+                                  "log_stride_20", "aligned_fixed_dt", "dyadic_fixed_dt"])
 def test_integrate_matches_reference_loop(lif, case):
     # many passes of the inline kernel, bit for bit: fig1 (K = -0.1,
     # perturbed stationary start) to t = 12 and to t = 1, before the first
-    # crossing, and fig2's excitatory run to its flux blow-up; the crossing
-    # traced after the loop from the recorded steps matches the one traced
-    # alongside them
-    from pulsefield import solve_stationary_flux
-    if case.startswith("fig1_n256"):
-        K, t_max = -0.1, (1.0 if case.endswith("before_crossing") else 12.0)
-        ic = initial_density("perturbed", 256, lif, K, epsilon=0.2,
-                             reference=solve_stationary_flux(lif, K, n_theta=256))
-    else:
-        K, t_max = 0.1, 100.0
-        ic = initial_density("vonmises", 256, lif, K, kappa=1.0)
-    traj = integrate(lif, K, ic, t_max=t_max)
-    rho, dense_t, dense_j, steps, blow, (t_cross, j_window) = reference_run(lif, K, ic,
-                                                                            t_max)
-    assert (blow is None) == case.startswith("fig1_n256")
+    # crossing, fig2's excitatory run to its flux blow-up, fig1 with log
+    # strides 1, 7 and 20 and snapshot times in every place, and two fixed
+    # steps that stop right at the half-step rule's edge;
+    # the crossing traced after the loop from the recorded steps matches the
+    # one traced alongside them, and rows and snapshots come from the same
+    # steps as the plain loop's
+    K, ic, t_max, kwargs = _loop_case(lif, case)
+    traj = integrate(lif, K, ic, t_max=t_max, **kwargs)
+    (rho, dense_t, dense_j, steps, blow, (t_cross, j_window), logged,
+     snaps) = reference_run(lif, K, ic, t_max, **kwargs)
+    assert (blow is None) == (case != "excitatory_blowup")
     assert (t_cross is None) == case.endswith("before_crossing")
     assert traj.blowup == blow
     assert traj.final.rho.tobytes() == rho.tobytes()
@@ -320,6 +378,15 @@ def test_integrate_matches_reference_loop(lif, case):
     assert traj.dense_J0.tobytes() == dense_j.tobytes()
     assert traj.first_crossing_time == t_cross
     assert traj.J_window == j_window
+    assert traj.t.tobytes() == dense_t[logged].tobytes()
+    assert traj.J0.tobytes() == dense_j[logged].tobytes()
+    assert [t for t, _ in traj.snapshots] == [dense_t[n] for n, _ in snaps]
+    assert [a.tobytes() for _, a in traj.snapshots] == [a.tobytes() for _, a in snaps]
+    if "snapshot_times" in kwargs and "dt" not in kwargs:
+        # two duplicates on one step, one past t_max never taken
+        assert len(snaps) == len(kwargs["snapshot_times"]) - 1
+    if "dt" in kwargs:
+        assert len(steps) == 501
     # the reported step range is that of the steps taken
     summary = traj.summary()
     assert (summary["dt_min"], summary["dt_max"]) == (min(steps), max(steps))
@@ -405,8 +472,9 @@ def test_v_evaluated_once_per_logged_row(lif, stat_inhib, monkeypatch):
     assert np.isfinite(traj.V).all()
 
 
-# fig1's model at n_theta 512 to t = 6 logs 198 rows; past the ring's first
-# RING_FLOATS // 512 rows a forked helper evaluates V when two CPUs are usable
+# fig1's model at n_theta 512 to t = 12 logs 395 rows; past the ring's first
+# RING_FLOATS // 512 rows, with more than a ring of rows still to come, a
+# forked helper evaluates V when two CPUs are usable
 HELPER_N = 512
 HELPER_COLUMNS = ("t", "J0", "mass", "rho_min", "rho_max", "V", "q_min")
 
@@ -420,7 +488,7 @@ def _helper_run(lif, stat, monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     ic = initial_density("perturbed", HELPER_N, lif, -0.1, epsilon=0.2, reference=stat)
     try:
-        return integrate(lif, -0.1, ic, t_max=6.0, reference=stat)
+        return integrate(lif, -0.1, ic, t_max=12.0, reference=stat)
     finally:
         _assert_no_child()
 
@@ -457,6 +525,36 @@ def test_v_helper_matches_one_cpu_bit_for_bit(lif, stat_inhib, monkeypatch):
     assert helped.summary()["v_helper_rows"] == helped.v_helper_rows
     _assert_same_log(helped, serial)
     assert np.isfinite(helped.V).all()
+
+
+@pytest.mark.parametrize("rings", [1, 3])
+def test_v_helper_starts_with_a_ring_of_rows_to_come(lif, stat_inhib, monkeypatch, rings):
+    # fixed-dt runs logging every step: at one ring and one row the helper
+    # would get the last row alone, so nothing forks; at three rings it
+    # starts, and the log keeps the bits of a run that may not fork
+    ring = RING_FLOATS // HELPER_N
+    ic = initial_density("perturbed", HELPER_N, lif, -0.1, epsilon=0.2,
+                         reference=stat_inhib)
+    dt = ic.dtheta / lif.omega
+
+    def run():
+        try:
+            return integrate(lif, -0.1, ic, t_max=rings * ring * dt, dt=dt, log_stride=1,
+                             reference=stat_inhib)
+        finally:
+            _assert_no_child()
+
+    monkeypatch.setattr(continuum, "fork_cpus", set)
+    serial = run()
+    assert serial.t.size == rings * ring + 1
+    monkeypatch.setattr(continuum, "fork_cpus", lambda: {0, 1})
+    if rings == 1:
+        def no_fork():
+            raise AssertionError("forked a V helper")
+        monkeypatch.setattr(os, "fork", no_fork)
+    helped = run()
+    assert (helped.v_helper_rows > 0) == (rings == 3)
+    _assert_same_log(helped, serial)
 
 
 def test_v_bug_in_helper_propagates(lif, stat_inhib, monkeypatch, tmp_path):

@@ -196,9 +196,12 @@ def test_solve_inhibitory_against_oracles(lif):
     assert abs(stat.J_star - 0.53) < 0.02
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=50, deadline=None)
 @given(gamma=st.floats(0.5, 3.0), margin=st.floats(0.5, 3.0), K=st.floats(-0.5, 0.9))
 @example(gamma=1.0, margin=1.0, K=-1.2021012630260173e-247)
+@example(gamma=0.5, margin=3.0, K=-2.2250738585072014e-308)
+@example(gamma=0.5, margin=1.0, K=-1.1125369292536007e-308)
 def test_stationary_residual_lif(gamma, margin, K):
     # W(J*) = 1 by independent quadrature over LIF fields S - gamma*x with
     # S - gamma >= 0.5 and K inside the existence window (K < x_hi - x_lo);
@@ -206,7 +209,10 @@ def test_stationary_residual_lif(gamma, margin, K):
     # most), where the trapezoid sum, the mass quantile_transform normalizes
     # by, is 1 to the rule's O(h^2) error.  At a tiny |K| the bracket spans
     # hundreds of orders of magnitude (omega/r ~ 1e248 in the example), more
-    # than a fixed number of halvings narrows
+    # than a fixed number of halvings narrows; at |K| = 2.2e-308 W's sums at
+    # the first upper bracket pass the largest double (at 1.1e-308 both
+    # Kronrod and Gauss sums, whose difference is then inf - inf), which
+    # reads W > 1 without a warning
     model = lif_model(gamma + margin, gamma)
     stat = solve_stationary_flux(model, K)
     assert abs(W_quad(model, K, stat.J_star) - 1.0) < 1e-8
