@@ -8,21 +8,27 @@ Subcommands
     run         full scenario from a config file
     sweep       repeat a scenario over one scalar parameter
 
+The model, coupling, solver, initial, output and finite flags of
+stationary, simulate, certify and finite set the config keys of their names
+(``FLAG_NAMES`` holds the six other spellings).  A flag left out takes its
+key's default, and ``--help`` prints each flag's ``[section] key``.
+
 Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
-model parameter or field table, a command line argparse rejects, or a
-finite run whose coupling ignites an avalanche: K >= x_hi - x_lo re-fires
-an oscillator within one event).  A sweep whose model
-cannot be built, or whose values the config rejects, exits 4 before its
-first row.  Otherwise its rows run in forked worker processes, one per CPU
-this process may run on (``taskset -c 0 pulsefield sweep ...`` runs them
-one after another, in process); every artifact has the same bytes either
-way, except the wall times in each row's summary.json.  The sweep exits 0:
-sweep.csv records each row's exit code (empty for a row that raised, or
-whose worker process died) and its certification violations (empty for a
-row that ran no certification), and each row that did not exit 0 prints
-one line on stderr, in row order, once every earlier row has finished.
+model parameter or field table, a command line argparse rejects, an output
+path that cannot be made, or a finite run whose coupling ignites an
+avalanche: K >= x_hi - x_lo re-fires an oscillator within one event).
+A sweep whose model cannot be built, or whose values the config rejects,
+exits 4 before its first row.  Otherwise its rows run in forked worker
+processes, one per CPU this process may run on (``taskset -c 0 pulsefield
+sweep ...`` runs them one after another, in process); every artifact has
+the same bytes either way, except the wall times in each row's
+summary.json.  The sweep exits 0: sweep.csv records each row's exit code
+(empty for a row that raised, or whose worker process died) and its
+certification violations (empty for a row that ran no certification), and
+each row that did not exit 0 prints one line on stderr, in row order, once
+every earlier row has finished.
 
 A finite run formats snapshots.csv in batches of firings.  From
 POOL_MIN_FLOATS phases in the whole run (N * n_firings >= 2**18) the
@@ -52,14 +58,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (ConfigError, ExperimentConfig, MODEL_KINDS, check_coupling,
-                     check_finite_size, check_n_theta, check_seed)
+from .config import REQUIRED, SCHEMA, ConfigError, ExperimentConfig
 from .continuum import (AdmissibilityVerdict, BlowupError, TrajectoryLog,
                         check_admissibility, fork_cpus, initial_density, integrate)
 from .certify import certify_theorem_bounds, fit_decay_rate
 from .finite import AvalancheError, simulate as finite_simulate, splay_reference
-from .models import (ModelError, homoclinic_model, lif_model, load_field_table,
-                     tabulated_model)
+from .models import ModelError
+# unused here: bench/spans.py times models.build by rebinding them in this module too
+from .models import homoclinic_model, lif_model, tabulated_model  # noqa: F401
 from .quantile import discrete_lyapunov, quantile_transform
 from .stationary import (NoStationaryStateError, coupling_bounds,
                          existence_condition, solve_stationary_flux)
@@ -121,30 +127,60 @@ def _quantile_csv(path, theta, rho):
                   for p, Q, qq in zip(prof.phi.tolist(), prof.Q.tolist(), q.tolist())])
 
 
-# -- model flags shared by several subcommands -----------------------------------
+# -- flags: each sets the SCHEMA key of its name ----------------------------------
+
+# the flags not spelled --key with "_" written "-"
+FLAG_NAMES = {"solver.n_theta": "--ntheta", "solver.t_max": "--tmax", "initial.kind": "--ic",
+              "output.dir": "--out", "output.snapshot_times": "--snapshots",
+              "finite.n_firings": "--nfirings"}
+MODEL_KEYS = tuple(f"model.{key}" for key in SCHEMA["model"])
 
 
-def _add_model_args(p):
-    p.add_argument("--model", choices=MODEL_KINDS, default="lif")
-    p.add_argument("--S", type=float, default=2.1)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--x-lo", type=float, default=0.0)
-    p.add_argument("--x-hi", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--lambda-u", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=2.0 * math.pi)
-    p.add_argument("--table", default="", help="CSV of x,F samples (tabulated model)")
+def _schema_flags() -> dict:
+    """{"section.key": (flag, add_argument keywords)} for every SCHEMA key.
+    The key's own parser reads the flag's value; a boolean key's flag sets
+    it true.  A flag not given stays out of the namespace, so its key takes
+    the SCHEMA default (``_config``)."""
+    flags = {}
+    for section, keys in SCHEMA.items():
+        for key, (parser, default) in keys.items():
+            path = f"{section}.{key}"
+            kw = {"dest": path, "default": argparse.SUPPRESS, "help": f"[{section}] {key}",
+                  "required": default is REQUIRED}
+            if isinstance(default, bool):
+                kw.update(action="store_const", const=True)
+            else:
+                kw["type"] = parser
+            flags[path] = FLAG_NAMES.get(path, "--" + key.replace("_", "-")), kw
+    return flags
 
 
-def _build_model(args):
-    if args.model == "lif":
-        return lif_model(args.S, args.gamma, args.x_lo, args.x_hi)
-    if args.model == "homoclinic":
-        return homoclinic_model(args.C, args.lambda_u, args.omega)
-    if not args.table:
-        raise ConfigError("model.table", "tabulated model needs --table")
-    xs, fs = load_field_table(args.table)
-    return tabulated_model(xs, fs)
+SCHEMA_FLAGS = _schema_flags()
+
+
+def _add_schema_args(p, *paths, required=()):
+    """The SCHEMA_FLAGS of ``paths``; those of REQUIRED keys and of the keys
+    in ``required`` must be given."""
+    for path in paths:
+        flag, kw = SCHEMA_FLAGS[path]
+        p.add_argument(flag, **(dict(kw, required=True) if path in required else kw))
+
+
+def _config(args) -> ExperimentConfig:
+    """The config that a command line's SCHEMA flags describe."""
+    return ExperimentConfig.from_values(
+        {dest: value for dest, value in vars(args).items() if "." in dest}, source="<cli>")
+
+
+def _make_dir(path, name) -> Path:
+    """The output directory ``path``, created if missing.  One that cannot
+    be created is a config error on the flag or key ``name``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(name, f"cannot create the directory: {exc}")
+    return path
 
 
 def _resolve_config_path(name) -> Path:
@@ -192,8 +228,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
     ``timings_s`` holds the seconds spent in each of ``PHASES``: the
     stationary solve, ``integrate`` (V included), certification, the finite
     run and the artifact writes before summary.json's own."""
-    out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(out_dir if out_dir is not None else cfg["output"]["dir"], "output.dir")
     timings = dict.fromkeys(PHASES, 0.0)
     with _timed(timings, "write"):
         _write_json(out / "resolved_config.json", cfg.resolved())
@@ -285,8 +320,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
             exit_code = max(exit_code, EXIT_CERTIFICATION)
 
     if cfg["finite"]["enabled"]:
-        fdir = out / "finite"
-        fdir.mkdir(exist_ok=True)
+        fdir = _make_dir(out / "finite", "output.dir")
         with _timed(timings, "finite"):
             summary["finite"] = _run_finite(model, K, cfg["finite"]["N"],
                                             cfg["finite"]["seed"],
@@ -429,10 +463,10 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
 
 
 def _cmd_stationary(args) -> int:
-    check_coupling(args.K)
-    check_n_theta(args.ntheta)
-    model = _build_model(args)
-    res = existence_condition(model, args.K)
+    cfg = _config(args)
+    model = cfg.build_model()
+    K = cfg["coupling"]["K"]
+    res = existence_condition(model, K)
     payload = {"exists": res.exists, "r": res.r, "J_star": None, "rho_star_mass": None,
                "K_lower": None, "K_upper": None}
     if model.F is not None:
@@ -440,67 +474,47 @@ def _cmd_stationary(args) -> int:
         payload["K_lower"] = None if b.lower_unbounded else b.lower
         payload["K_upper"] = b.upper
     if res.exists:
-        stat = solve_stationary_flux(model, args.K, n_theta=args.ntheta)
+        stat = solve_stationary_flux(model, K, n_theta=cfg["solver"]["n_theta"])
         payload["J_star"] = stat.J_star
         payload["rho_star_mass"] = stat.rho_star.mass
         if args.rho_csv:
-            _density_csv(args.rho_csv, stat.rho_star.theta, stat.rho_star.rho,
-                         value_name="rho_star")
+            try:
+                _density_csv(args.rho_csv, stat.rho_star.theta, stat.rho_star.rho,
+                             value_name="rho_star")
+            except OSError as exc:   # e.g. a missing directory
+                raise ConfigError("--rho-csv", str(exc))
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "stationary.json").write_text(text + "\n")
+        (_make_dir(args.out, "--out") / "stationary.json").write_text(text + "\n")
     print(text)
     return EXIT_OK
 
 
-def _args_to_config(args) -> ExperimentConfig:
-    import configparser
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    cp["model"] = {"model": args.model, "S": str(args.S), "gamma": str(args.gamma),
-                   "x_lo": str(args.x_lo), "x_hi": str(args.x_hi), "C": str(args.C),
-                   "lambda_u": str(args.lambda_u), "omega": str(args.omega)}
-    if args.table:
-        cp["model"]["table"] = args.table
-    cp["coupling"] = {"K": str(args.K)}
-    cp["solver"] = {"n_theta": str(args.ntheta), "cfl": str(args.cfl),
-                    "t_max": str(args.tmax), "align_dt": str(args.align_dt).lower()}
-    cp["initial"] = {"kind": args.ic, "kappa": str(args.kappa), "mu": str(args.mu),
-                     "epsilon": str(args.epsilon)}
-    cp["output"] = {"dir": args.out, "log_stride": str(args.log_stride),
-                    "snapshot_times": args.snapshots}
-    cp["run"] = {"expect_blowup": str(args.expect_blowup).lower()}
-    return ExperimentConfig.from_parser(cp, source="<cli>")
-
-
 def _cmd_simulate(args) -> int:
-    return run_scenario(_args_to_config(args))
+    return run_scenario(_config(args))
 
 
 def _cmd_certify(args) -> int:
-    check_coupling(args.K)
-    model = _build_model(args)
+    cfg = _config(args)
+    model = cfg.build_model()
     try:
         traj = TrajectoryLog.from_csv(args.trajectory)
     except (OSError, ValueError) as exc:   # unreadable, bad header or row
         raise ConfigError("--trajectory", str(exc))
-    payload, passed = _certify(traj, model, args.K)
-    out = Path(args.out) if args.out else Path(args.trajectory).parent
-    out.mkdir(parents=True, exist_ok=True)
+    payload, passed = _certify(traj, model, cfg["coupling"]["K"])
+    out = _make_dir(args.out or Path(args.trajectory).parent, "--out")
     _write_json(out / "certification.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if passed else EXIT_CERTIFICATION
 
 
 def _cmd_finite(args) -> int:
-    check_coupling(args.K)
-    check_finite_size(args.N, args.nfirings)
-    check_seed(args.seed)
-    model = _build_model(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    info = _run_finite(model, args.K, args.N, args.seed, args.nfirings, out)
+    cfg = _config(args)
+    model = cfg.build_model()
+    out = _make_dir(args.out, "--out")
+    fin = cfg["finite"]
+    info = _run_finite(model, cfg["coupling"]["K"], fin["N"], fin["seed"], fin["n_firings"],
+                       out)
     print(json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -578,8 +592,8 @@ def _cmd_sweep(args) -> int:
     # table exits 4 here) and take its coupling window once for every row
     model = cfg.build_model()
     bounds = coupling_bounds(model) if model.F is not None else None
-    out_root = Path(args.out or (Path(cfg["output"]["dir"]) / "sweep"))
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = _make_dir(args.out or Path(cfg["output"]["dir"]) / "sweep",
+                         "--out" if args.out else "output.dir")
     rows = []
     pool, _ = _pool(len(values))
     with pool:
@@ -620,44 +634,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stationary", help="solve for the asynchronous state")
-    _add_model_args(p)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--ntheta", type=int, default=2048)
+    _add_schema_args(p, *MODEL_KEYS, "coupling.K", "solver.n_theta")
     p.add_argument("--out", default="")
     p.add_argument("--rho-csv", default="", help="dump rho_star as theta,rho CSV")
     p.set_defaults(func=_cmd_stationary)
 
     p = sub.add_parser("simulate", help="integrate the transport equation")
-    _add_model_args(p)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--ntheta", type=int, default=2048)
-    p.add_argument("--cfl", type=float, default=0.5)
-    p.add_argument("--ic", choices=("uniform", "vonmises", "perturbed"),
-                   default="perturbed")
-    p.add_argument("--kappa", type=float, default=2.0)
-    p.add_argument("--mu", type=float, default=math.pi)
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--tmax", type=float, default=10.0)
-    p.add_argument("--log-stride", type=int, default=20)
-    p.add_argument("--align-dt", action="store_true", dest="align_dt")
-    p.add_argument("--expect-blowup", action="store_true", dest="expect_blowup")
-    p.add_argument("--snapshots", default="", help="comma list of snapshot times")
-    p.add_argument("--out", required=True)
+    _add_schema_args(p, *MODEL_KEYS, "coupling.K", "solver.n_theta", "solver.cfl",
+                     "initial.kind", "initial.kappa", "initial.mu", "initial.epsilon",
+                     "solver.t_max", "output.log_stride", "solver.align_dt",
+                     "run.expect_blowup", "output.snapshot_times", "output.dir",
+                     required=("output.dir",))
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("certify", help="check a trajectory against the V bounds")
-    _add_model_args(p)
+    _add_schema_args(p, *MODEL_KEYS)
     p.add_argument("--trajectory", required=True)
-    p.add_argument("--K", type=float, required=True)
+    _add_schema_args(p, "coupling.K")
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("finite", help="event-driven finite population run")
-    _add_model_args(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nfirings", type=int, default=1000)
+    _add_schema_args(p, *MODEL_KEYS, "finite.N", "coupling.K", "finite.seed",
+                     "finite.n_firings", required=("finite.N",))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_finite)
 

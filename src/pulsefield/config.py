@@ -5,7 +5,8 @@ validated against the schema below; unknown sections or keys, missing
 required keys and unparsable values are all rejected with the offending
 ``section.key`` path.  A parsed configuration can be re-emitted with every
 default materialized (``resolved()``), which each run writes next to its
-artifacts so it can reproduce itself.
+artifacts so it can reproduce itself.  The command-line flags set the same
+keys through ``from_values``.
 """
 
 from __future__ import annotations
@@ -38,31 +39,6 @@ def _parse_bool(s):
 def _parse_float_list(s):
     s = s.strip()
     return [] if not s else [float(p) for p in s.split(",")]
-
-
-def check_finite_size(N: int, n_firings: int) -> None:
-    """A finite run needs two oscillators (V_N compares phase pairs) and
-    one firing (V_N starts from the first snapshot)."""
-    if N < 2:
-        raise ConfigError("finite.N", f"need N >= 2, got {N}")
-    if n_firings < 1:
-        raise ConfigError("finite.n_firings", f"need n_firings >= 1, got {n_firings}")
-
-
-def check_n_theta(n_theta: int) -> None:
-    if n_theta < 8:
-        raise ConfigError("solver.n_theta", f"grid too small: need >= 8, got {n_theta}")
-
-
-def check_coupling(K: float) -> None:
-    if not math.isfinite(K):
-        raise ConfigError("coupling.K", f"must be finite, got {K!r}")
-
-
-def check_seed(seed: int) -> None:
-    # numpy's generators take no negative seed
-    if seed < 0:
-        raise ConfigError("finite.seed", f"need seed >= 0, got {seed}")
 
 
 # schema: section -> key -> (parser, default); required keys use REQUIRED
@@ -140,28 +116,36 @@ class ExperimentConfig:
             cp.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(str(path), f"parse error: {exc}")
-        return cls.from_parser(cp, source=str(path))
-
-    @classmethod
-    def from_parser(cls, cp, source="<memory>") -> "ExperimentConfig":
-        values: dict = {}
         for section in cp.sections():
             if section not in SCHEMA:
                 raise ConfigError(section, "unknown section")
             for key in cp[section]:
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"{section}.{key}", "unknown key")
+        given = {}
         for section, keys in SCHEMA.items():
-            values[section] = {}
-            for key, (parser, default) in keys.items():
+            for key, (parser, _) in keys.items():
                 if cp.has_option(section, key):
                     raw = cp.get(section, key)
                     try:
-                        values[section][key] = parser(raw)
+                        given[f"{section}.{key}"] = parser(raw)
                     except (ValueError, TypeError) as exc:
                         raise ConfigError(f"{section}.{key}", f"bad value {raw!r}: {exc}")
+        return cls.from_values(given, source=str(path))
+
+    @classmethod
+    def from_values(cls, given: dict, source="<memory>") -> "ExperimentConfig":
+        """The config of ``given`` ({"section.key": parsed value}), every other
+        key at its SCHEMA default, validated."""
+        values: dict = {}
+        for section, keys in SCHEMA.items():
+            values[section] = {}
+            for key, (_, default) in keys.items():
+                path = f"{section}.{key}"
+                if path in given:
+                    values[section][key] = given[path]
                 elif default is REQUIRED:
-                    raise ConfigError(f"{section}.{key}", "required key missing")
+                    raise ConfigError(path, "required key missing")
                 else:
                     values[section][key] = default
         cfg = cls(values, source)
@@ -180,7 +164,9 @@ class ExperimentConfig:
                               "rotation the removed semilagrangian scheme gave)")
         if v["initial"]["kind"] not in IC_KINDS:
             raise ConfigError("initial.kind", f"must be one of {IC_KINDS}")
-        check_n_theta(v["solver"]["n_theta"])
+        n_theta = v["solver"]["n_theta"]
+        if n_theta < 8:
+            raise ConfigError("solver.n_theta", f"grid too small: need >= 8, got {n_theta}")
         if not 0.0 < v["solver"]["cfl"] <= 1.0:
             raise ConfigError("solver.cfl", "need 0 < cfl <= 1")
         t_max, log_stride = v["solver"]["t_max"], v["output"]["log_stride"]
@@ -188,9 +174,19 @@ class ExperimentConfig:
             raise ConfigError("solver.t_max", f"need a finite t_max > 0, got {t_max!r}")
         if log_stride < 1:
             raise ConfigError("output.log_stride", f"need log_stride >= 1, got {log_stride}")
-        check_coupling(v["coupling"]["K"])
-        check_finite_size(v["finite"]["N"], v["finite"]["n_firings"])
-        check_seed(v["finite"]["seed"])
+        K = v["coupling"]["K"]
+        if not math.isfinite(K):
+            raise ConfigError("coupling.K", f"must be finite, got {K!r}")
+        N, n_firings, seed = v["finite"]["N"], v["finite"]["n_firings"], v["finite"]["seed"]
+        # a finite run needs two oscillators (V_N compares phase pairs) and
+        # one firing (V_N starts from the first snapshot)
+        if N < 2:
+            raise ConfigError("finite.N", f"need N >= 2, got {N}")
+        if n_firings < 1:
+            raise ConfigError("finite.n_firings", f"need n_firings >= 1, got {n_firings}")
+        # numpy's generators take no negative seed
+        if seed < 0:
+            raise ConfigError("finite.seed", f"need seed >= 0, got {seed}")
 
     def __getitem__(self, section):
         return self.values[section]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -660,6 +661,97 @@ def test_usage_error_and_help_process_exit_codes(tmp_path):
     assert helped.stderr == ""
 
 
+MODEL_FLAGS = ["--model", "--S", "--gamma", "--x-lo", "--x-hi", "--C", "--lambda-u",
+               "--omega", "--table"]
+COMMAND_FLAGS = {
+    "stationary": ["-h", "--help", *MODEL_FLAGS, "--K", "--ntheta", "--out", "--rho-csv"],
+    "simulate": ["-h", "--help", *MODEL_FLAGS, "--K", "--ntheta", "--cfl", "--ic", "--kappa",
+                 "--mu", "--epsilon", "--tmax", "--log-stride", "--align-dt",
+                 "--expect-blowup", "--snapshots", "--out"],
+    "certify": ["-h", "--help", *MODEL_FLAGS, "--trajectory", "--K", "--out"],
+    "finite": ["-h", "--help", *MODEL_FLAGS, "--N", "--K", "--seed", "--nfirings", "--out"],
+}
+
+
+def test_command_flags_are_schema_keys(tmp_path, capsys):
+    # the flags are generated from SCHEMA but keep every existing spelling,
+    # and a flag left out takes its key's SCHEMA default
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, flags in COMMAND_FLAGS.items():
+        assert [f for a in sub.choices[name]._actions for f in a.option_strings] == flags
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--K", "-0.1", "--out", out]) == 0
+    capsys.readouterr()
+    want = ExperimentConfig.from_values({"coupling.K": -0.1, "output.dir": out},
+                                        source="<cli>").resolved()
+    assert (tmp_path / "sim" / "resolved_config.json").read_text() == \
+        json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_simulate_flags_match_run_config(tmp_path, capsys, monkeypatch):
+    # simulate with every flag set and run on a config of the same values
+    # write the same artifacts, each into ./out of its own working directory
+    sim, run = tmp_path / "sim", tmp_path / "run"
+    sim.mkdir()
+    run.mkdir()
+    argv = ["simulate", "--model", "lif", "--S", "2.3", "--gamma", "1.9", "--x-lo", "0.1",
+            "--x-hi", "1.2", "--C", "1.5", "--lambda-u", "0.5", "--omega", "6.0",
+            "--table", "field.csv", "--K", "-0.15", "--ntheta", "128", "--cfl", "0.7",
+            "--ic", "vonmises", "--kappa", "1.5", "--mu", "3.0", "--epsilon", "0.3",
+            "--tmax", "1.0", "--log-stride", "5", "--align-dt", "--expect-blowup",
+            "--snapshots", "0.25,0.5", "--out", "out"]
+    cfg = write_cfg(tmp_path, """
+[model]
+model = lif
+S = 2.3
+gamma = 1.9
+x_lo = 0.1
+x_hi = 1.2
+C = 1.5
+lambda_u = 0.5
+omega = 6.0
+table = field.csv           # read only by the tabulated model
+[coupling]
+K = -0.15
+[solver]
+n_theta = 128
+cfl = 0.7
+t_max = 1.0
+align_dt = true
+[initial]
+kind = vonmises
+kappa = 1.5
+mu = 3.0
+epsilon = 0.3
+[output]
+dir = out
+log_stride = 5
+snapshot_times = 0.25, 0.5
+[run]
+expect_blowup = true
+""")
+    codes = []
+    for cwd, command in ((sim, argv), (run, ["run", str(cfg)])):
+        monkeypatch.chdir(cwd)
+        codes.append(main(command))
+    assert codes[0] == codes[1]
+    capsys.readouterr()
+    sim, run = sim / "out", run / "out"
+    names = sorted(f.name for f in sim.iterdir())
+    assert names == sorted(f.name for f in run.iterdir())
+    compared = [n for n in names if n.endswith(".csv")] + ["stationary.json",
+                                                           "certification.json"]
+    # two snapshots and the final state
+    assert "trajectory.csv" in compared
+    assert len([n for n in names if n.startswith("density_t")]) == 3
+    for name in compared:
+        assert (sim / name).read_bytes() == (run / name).read_bytes(), name
+    resolved = [json.loads((d / "resolved_config.json").read_text()) for d in (sim, run)]
+    assert [r.pop("_source") for r in resolved] == ["<cli>", str(cfg)]
+    assert resolved[0] == resolved[1]
+
+
 @pytest.mark.parametrize("case", ["lif_field_nonpositive", "table_missing"])
 def test_sweep_bad_model_exits_config(tmp_path, capsys, case):
     # the model is built once, before any row: a bad one is a config error,
@@ -732,10 +824,14 @@ def test_fig1_trajectory_matches_golden(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["table_nonpositive", "table_missing", "lif_field_nonpositive",
-                                  "N=1", "N=0", "nfirings=0", "K=nan", "seed=-1"])
+                                  "N=1", "N=0", "nfirings=0", "K=nan", "seed=-1",
+                                  "out_under_file"])
 def test_finite_bad_input_exits_config(tmp_path, capsys, case):
     table = tmp_path / "field.csv"
     table.write_text("x,F\n0.0,1.0\n0.5,-0.1\n1.0,1.0\n")
+    # a directory cannot be created below a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
     extra = {
         "table_nonpositive": ["--model", "tabulated", "--table", str(table)],
         "table_missing": ["--model", "tabulated", "--table", str(tmp_path / "nope.csv")],
@@ -745,6 +841,7 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
         "nfirings=0": ["--nfirings", "0"],
         "K=nan": ["--K", "nan"],
         "seed=-1": ["--seed", "-1"],
+        "out_under_file": ["--out", str(blocker / "fin")],
     }[case]
     # later flags override the defaults given first
     assert main(["finite", "--N", "20", "--K", "-0.1", "--nfirings", "10",
@@ -752,16 +849,23 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    if case == "out_under_file":
+        assert err.startswith("config error: --out:")
 
 
 @pytest.mark.parametrize("case", ["simulate:output.log_stride=0", "simulate:solver.t_max=inf",
                                   "simulate:solver.t_max=nan", "run:output.log_stride=0",
                                   "run:finite.seed=-1", "run:solver.t_max=inf",
-                                  "run:run.certify_tol_abs=1"])
+                                  "run:run.certify_tol_abs=1",
+                                  "simulate:output.dir=under_file",
+                                  "run:output.dir=under_file"])
 def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
     # a zero stride or a negative seed used to raise, an infinite or NaN
-    # t_max ran toward max_steps
-    out = str(tmp_path / "out")
+    # t_max ran toward max_steps, and an output directory below a regular
+    # file raised NotADirectoryError
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str((blocker if case.endswith("under_file") else tmp_path) / "out")
     simulate = ["simulate", "--K", "-0.1", "--ntheta", "64", "--tmax", "0.1", "--out", out]
     run_cfg = {
         "run:output.log_stride=0": TINY_CFG.replace("dump_density = false",
@@ -770,17 +874,20 @@ def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
         "run:solver.t_max=inf": TINY_CFG.replace("t_max = 0.1", "t_max = inf"),
         # the certificate's slack is fixed: an unknown key like any other
         "run:run.certify_tol_abs=1": TINY_CFG + "certify_tol_abs = 1\n",
+        "run:output.dir=under_file": TINY_CFG,
     }
     argv = {
         "simulate:output.log_stride=0": [*simulate, "--log-stride", "0"],
         "simulate:solver.t_max=inf": [*simulate, "--tmax", "inf"],
         "simulate:solver.t_max=nan": [*simulate, "--tmax", "nan"],
+        "simulate:output.dir=under_file": simulate,
     }.get(case) or ["run", str(write_cfg(tmp_path, run_cfg[case], out=out))]
     assert main(argv) == 4
     err = capsys.readouterr().err
     key = case.split(":")[1].split("=")[0]
     assert err.startswith(f"config error: {key}:")
     assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key,value", [("N", "1"), ("n_firings", "0")])
@@ -794,25 +901,42 @@ def test_config_finite_size_validated(tmp_path, key, value):
 @pytest.mark.parametrize("case", ["stationary_ntheta=-5", "stationary_ntheta=0",
                                   "stationary_K=nan",
                                   "certify_missing", "certify_columns",
-                                  "certify_short_row", "certify_no_rows"])
+                                  "certify_short_row", "certify_no_rows",
+                                  "stationary_out_under_file", "stationary_rho_csv_no_dir",
+                                  "certify_out_under_file"])
 def test_stationary_certify_bad_input_exits_config(tmp_path, capsys, case):
+    header = "t,J0,mass,rho_min,rho_max,V,q_min,event\n"
     traj = tmp_path / "trajectory.csv"
     traj.write_text({"certify_columns": "t,J0,V\n0.0,0.5,1.0\n",
-                     "certify_short_row": "t,J0,mass,rho_min,rho_max,V,q_min,event\n0.0,0.5\n",
-                     "certify_no_rows": "t,J0,mass,rho_min,rho_max,V,q_min,event\n",
+                     "certify_short_row": header + "0.0,0.5\n",
+                     "certify_no_rows": header,
+                     "certify_out_under_file": header + "0.0,1.0,1.0,0.1,0.2,0.5,0.1,\n"
+                                               "0.1,1.0,1.0,0.1,0.2,0.4,0.1,\n",
                      }.get(case, ""))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    stationary = ["stationary", "--K", "-0.1", "--ntheta", "64"]
     argv = {
         "stationary_ntheta=-5": ["stationary", "--K", "-0.1", "--ntheta", "-5"],
         "stationary_ntheta=0": ["stationary", "--K", "-0.1", "--ntheta", "0"],
         "stationary_K=nan": ["stationary", "--K", "nan"],
         "certify_missing": ["certify", "--K", "-0.1",
                             "--trajectory", str(tmp_path / "nope.csv")],
+        "stationary_out_under_file": [*stationary, "--out", str(blocker / "out")],
+        "stationary_rho_csv_no_dir": [*stationary, "--rho-csv",
+                                      str(tmp_path / "nope" / "rho.csv")],
+        "certify_out_under_file": ["certify", "--K", "-0.1", "--trajectory", str(traj),
+                                   "--out", str(blocker / "out")],
     }.get(case, ["certify", "--K", "-0.1", "--trajectory", str(traj)])
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    flag = {"stationary_out_under_file": "--out", "stationary_rho_csv_no_dir": "--rho-csv",
+            "certify_out_under_file": "--out"}.get(case)
+    if flag:
+        assert captured.err.startswith(f"config error: {flag}:")
 
 
 @pytest.mark.parametrize("case", ["lif_S=nan", "lif_S=inf", "lif_gamma=nan",
