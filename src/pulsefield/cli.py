@@ -1,7 +1,8 @@
 """Command-line surface: stationary solves, PDE runs, certification, sweeps.
 
 Subcommands
-    stationary  solve for the asynchronous state, print/emit JSON
+    stationary  solve for the asynchronous state; print (--out: write) the
+                stationary.json record a run writes
     simulate    integrate the transport equation, emit trajectory artifacts
     certify     replay a trajectory CSV against the Lyapunov bounds
     finite      event-driven finite-N run
@@ -11,7 +12,8 @@ Subcommands
 The model, coupling, solver, initial, output and finite flags of
 stationary, simulate, certify and finite set the config keys of their names
 (``FLAG_NAMES`` holds the six other spellings).  A flag left out takes its
-key's default, and ``--help`` prints each flag's ``[section] key``.
+key's default, a model flag the chosen model kind does not read is a config
+error, and ``--help`` prints each flag's ``[section] key``.
 
 Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
@@ -67,8 +69,7 @@ from .models import ModelError
 # unused here: bench/spans.py times models.build by rebinding them in this module too
 from .models import homoclinic_model, lif_model, tabulated_model  # noqa: F401
 from .quantile import discrete_lyapunov, quantile_transform
-from .stationary import (NoStationaryStateError, coupling_bounds,
-                         existence_condition, solve_stationary_flux)
+from .stationary import NoStationaryStateError, coupling_bounds, solve_stationary_flux
 
 EXIT_OK = 0
 EXIT_BLOWUP_EXPECTATION = 2
@@ -98,10 +99,13 @@ def _write_csv(path, header, rows):
             w.writerow(row)
 
 
+def _json_text(obj) -> str:
+    """The one JSON text of every record: written, and printed."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(_json_text(obj))
 
 
 def _write_lines(path, header: str, rows: list):
@@ -219,9 +223,31 @@ def _certify(traj: TrajectoryLog, model, K: float) -> tuple:
     return cert, report.verdict()
 
 
-def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
+def _stationary(model, K: float, n_theta: int, bounds=None) -> tuple:
+    """(the stationary state or None, stationary.json's record of it):
+    ``exists`` and ``r``; with a state ``J_star``, ``rho_star_mass`` and
+    ``J_interval_hi`` (null when unbounded), without one the existence
+    ``limit_value``; for a model with a field its ``coupling_bounds``
+    (``bounds`` when the caller has them already)."""
+    reference = None
+    try:
+        reference = solve_stationary_flux(model, K, n_theta=n_theta)
+        record = {"exists": True, "J_star": reference.J_star, "r": reference.r,
+                  "rho_star_mass": reference.rho_star.mass,
+                  "J_interval_hi": None if math.isinf(reference.J_interval[1])
+                  else reference.J_interval[1]}
+    except NoStationaryStateError as exc:
+        record = {"exists": False, "r": exc.result.r,
+                  "limit_value": exc.result.to_json()["limit_value"]}
+    if model.F is not None:
+        record["coupling_bounds"] = (bounds or coupling_bounds(model)).to_json()
+    return reference, record
+
+
+def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
     """Stationary solve, continuum integration, certification, optional
-    finite-N run; writes all artifacts under the output directory.
+    finite-N run; writes all artifacts under the output directory and
+    returns summary.json's record, its ``exit_code`` included.
 
     ``bounds`` is the model's ``coupling_bounds`` when the caller has them
     already (a sweep computes them once for all its rows).  summary.json's
@@ -241,21 +267,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
                      "curvature": model.curvature.value, "timings_s": timings}
 
     # stationary state (reference for V); absence is recorded, not fatal
-    reference = None
     with _timed(timings, "stationary"):
-        try:
-            reference = solve_stationary_flux(model, K, n_theta=sol["n_theta"])
-            stat_info = {"exists": True, "J_star": reference.J_star, "r": reference.r,
-                         "rho_star_mass": reference.rho_star.mass,
-                         "J_interval_hi": None if math.isinf(reference.J_interval[1])
-                         else reference.J_interval[1]}
-        except NoStationaryStateError as exc:
-            stat_info = {"exists": False, "r": exc.result.r,
-                         "limit_value": exc.result.to_json()["limit_value"]}
-        if model.F is not None:
-            if bounds is None:
-                bounds = coupling_bounds(model)
-            stat_info["coupling_bounds"] = bounds.to_json()
+        reference, stat_info = _stationary(model, K, sol["n_theta"], bounds)
     with _timed(timings, "write"):
         if reference is not None and cfg["output"]["dump_stationary_density"]:
             _density_csv(out / "rho_star.csv", reference.rho_star.theta,
@@ -279,7 +292,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
         summary["exit_code"] = (EXIT_OK if cfg["run"]["expect_blowup"]
                                 else EXIT_BLOWUP_EXPECTATION)
         _write_json(out / "summary.json", summary)
-        return summary["exit_code"]
+        return summary
 
     dt = None
     if sol["align_dt"]:
@@ -328,7 +341,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> int:
 
     summary["exit_code"] = exit_code
     _write_json(out / "summary.json", summary)
-    return exit_code
+    return summary
 
 
 # -- worker pool ----------------------------------------------------------------
@@ -464,34 +477,22 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
 
 def _cmd_stationary(args) -> int:
     cfg = _config(args)
-    model = cfg.build_model()
-    K = cfg["coupling"]["K"]
-    res = existence_condition(model, K)
-    payload = {"exists": res.exists, "r": res.r, "J_star": None, "rho_star_mass": None,
-               "K_lower": None, "K_upper": None}
-    if model.F is not None:
-        b = coupling_bounds(model)
-        payload["K_lower"] = None if b.lower_unbounded else b.lower
-        payload["K_upper"] = b.upper
-    if res.exists:
-        stat = solve_stationary_flux(model, K, n_theta=cfg["solver"]["n_theta"])
-        payload["J_star"] = stat.J_star
-        payload["rho_star_mass"] = stat.rho_star.mass
-        if args.rho_csv:
-            try:
-                _density_csv(args.rho_csv, stat.rho_star.theta, stat.rho_star.rho,
-                             value_name="rho_star")
-            except OSError as exc:   # e.g. a missing directory
-                raise ConfigError("--rho-csv", str(exc))
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    reference, record = _stationary(cfg.build_model(), cfg["coupling"]["K"],
+                                    cfg["solver"]["n_theta"])
+    if reference is not None and args.rho_csv:
+        try:
+            _density_csv(args.rho_csv, reference.rho_star.theta, reference.rho_star.rho,
+                         value_name="rho_star")
+        except OSError as exc:   # e.g. a missing directory
+            raise ConfigError("--rho-csv", str(exc))
     if args.out:
-        (_make_dir(args.out, "--out") / "stationary.json").write_text(text + "\n")
-    print(text)
+        _write_json(_make_dir(args.out, "--out") / "stationary.json", record)
+    print(_json_text(record), end="")
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    return run_scenario(_config(args))
+    return run_scenario(_config(args))["exit_code"]
 
 
 def _cmd_certify(args) -> int:
@@ -504,7 +505,7 @@ def _cmd_certify(args) -> int:
     payload, passed = _certify(traj, model, cfg["coupling"]["K"])
     out = _make_dir(args.out or Path(args.trajectory).parent, "--out")
     _write_json(out / "certification.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload), end="")
     return EXIT_OK if passed else EXIT_CERTIFICATION
 
 
@@ -515,13 +516,13 @@ def _cmd_finite(args) -> int:
     fin = cfg["finite"]
     info = _run_finite(model, cfg["coupling"]["K"], fin["N"], fin["seed"], fin["n_firings"],
                        out)
-    print(json.dumps(info, indent=2, sort_keys=True))
+    print(_json_text(info), end="")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.parse(_resolve_config_path(args.config))
-    return run_scenario(cfg, out_dir=args.out)
+    return run_scenario(cfg, out_dir=args.out)["exit_code"]
 
 
 def _row_config(cfg: ExperimentConfig, param, value) -> ExperimentConfig:
@@ -555,24 +556,20 @@ def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) 
     row_dir = out_root / f"{param}={value!r}"
     row = _blank_row(param, value, "ok")
     try:
-        code = run_scenario(row_cfg, out_dir=row_dir, bounds=bounds)
-        summary = json.loads((row_dir / "summary.json").read_text())
-        row["exists"] = summary.get("stationary", {}).get("exists")
-        row["J_star"] = summary.get("stationary", {}).get("J_star")
-        row["J0_final"] = summary.get("J0_final")
-        row["decay_rate"] = summary.get("decay_rate")
-        blow = summary.get("blowup")
-        row["t_fin"] = blow["t_fin"] if blow else None
-        row["exit_code"] = code
-        row["cert_violations"] = (summary.get("certification") or {}).get("violations")
+        summary = run_scenario(row_cfg, out_dir=row_dir, bounds=bounds)
     except Exception as exc:   # noqa: BLE001 - row failures are data
         row["status"] = f"failed: {exc}"
+        # a row that raised keeps the stationary record it wrote, if any
         try:
-            stat = json.loads((row_dir / "stationary.json").read_text())
-            row["exists"] = stat.get("exists")
-            row["J_star"] = stat.get("J_star")
+            summary = {"stationary": json.loads((row_dir / "stationary.json").read_text())}
         except OSError:
-            pass
+            return row
+    blow = summary.get("blowup")
+    row.update(exists=summary["stationary"].get("exists"),
+               J_star=summary["stationary"].get("J_star"), J0_final=summary.get("J0_final"),
+               decay_rate=summary.get("decay_rate"), t_fin=blow["t_fin"] if blow else None,
+               exit_code=summary.get("exit_code"),
+               cert_violations=(summary.get("certification") or {}).get("violations"))
     return row
 
 

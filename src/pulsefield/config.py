@@ -2,8 +2,8 @@
 
 The format is plain INI (configparser) with '#' comments.  Every key is
 validated against the schema below; unknown sections or keys, missing
-required keys and unparsable values are all rejected with the offending
-``section.key`` path.  A parsed configuration can be re-emitted with every
+required keys, unparsable values and model keys the model kind does not
+read (``MODEL_KIND_KEYS``) are rejected with the offending ``section.key``.  A parsed configuration can be re-emitted with every
 default materialized (``resolved()``), which each run writes next to its
 artifacts so it can reproduce itself.  The command-line flags set the same
 keys through ``from_values``.
@@ -92,7 +92,10 @@ SCHEMA = {
     },
 }
 
-MODEL_KINDS = ("lif", "tabulated", "homoclinic")
+# the [model] keys each model kind reads, in build_model's argument order;
+# a config that sets another one is refused
+MODEL_KIND_KEYS = {"lif": ("S", "gamma", "x_lo", "x_hi"), "tabulated": ("table",),
+                   "homoclinic": ("C", "lambda_u", "omega")}
 IC_KINDS = ("uniform", "vonmises", "perturbed")
 
 
@@ -116,21 +119,18 @@ class ExperimentConfig:
             cp.read_string(text, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(str(path), f"parse error: {exc}")
+        given = {}
         for section in cp.sections():
             if section not in SCHEMA:
                 raise ConfigError(section, "unknown section")
-            for key in cp[section]:
+            for key, raw in cp[section].items():
+                name = f"{section}.{key}"
                 if key not in SCHEMA[section]:
-                    raise ConfigError(f"{section}.{key}", "unknown key")
-        given = {}
-        for section, keys in SCHEMA.items():
-            for key, (parser, _) in keys.items():
-                if cp.has_option(section, key):
-                    raw = cp.get(section, key)
-                    try:
-                        given[f"{section}.{key}"] = parser(raw)
-                    except (ValueError, TypeError) as exc:
-                        raise ConfigError(f"{section}.{key}", f"bad value {raw!r}: {exc}")
+                    raise ConfigError(name, "unknown key")
+                try:
+                    given[name] = SCHEMA[section][key][0](raw)
+                except (ValueError, TypeError) as exc:
+                    raise ConfigError(name, f"bad value {raw!r}: {exc}")
         return cls.from_values(given, source=str(path))
 
     @classmethod
@@ -142,20 +142,22 @@ class ExperimentConfig:
             values[section] = {}
             for key, (_, default) in keys.items():
                 path = f"{section}.{key}"
-                if path in given:
-                    values[section][key] = given[path]
-                elif default is REQUIRED:
+                if path not in given and default is REQUIRED:
                     raise ConfigError(path, "required key missing")
-                else:
-                    values[section][key] = default
+                values[section][key] = given.get(path, default)
         cfg = cls(values, source)
         cfg._validate()
+        kind = values["model"]["model"]
+        reads = ("model", *MODEL_KIND_KEYS[kind])
+        for path in given:
+            if path.startswith("model.") and path[6:] not in reads:
+                raise ConfigError(path, f"the {kind} model reads only {', '.join(reads[1:])}")
         return cfg
 
     def _validate(self):
         v = self.values
-        if v["model"]["model"] not in MODEL_KINDS:
-            raise ConfigError("model.model", f"must be one of {MODEL_KINDS}")
+        if v["model"]["model"] not in MODEL_KIND_KEYS:
+            raise ConfigError("model.model", f"must be one of {tuple(MODEL_KIND_KEYS)}")
         if v["model"]["model"] == "tabulated" and not v["model"]["table"]:
             raise ConfigError("model.table", "tabulated model needs a CSV path")
         if v["solver"]["scheme"] != "upwind":
@@ -174,9 +176,10 @@ class ExperimentConfig:
             raise ConfigError("solver.t_max", f"need a finite t_max > 0, got {t_max!r}")
         if log_stride < 1:
             raise ConfigError("output.log_stride", f"need log_stride >= 1, got {log_stride}")
-        K = v["coupling"]["K"]
-        if not math.isfinite(K):
-            raise ConfigError("coupling.K", f"must be finite, got {K!r}")
+        for path in ("coupling.K", "initial.kappa", "initial.mu", "initial.epsilon"):
+            section, key = path.split(".")
+            if not math.isfinite(v[section][key]):
+                raise ConfigError(path, f"must be finite, got {v[section][key]!r}")
         N, n_firings, seed = v["finite"]["N"], v["finite"]["n_firings"], v["finite"]["seed"]
         # a finite run needs two oscillators (V_N compares phase pairs) and
         # one firing (V_N starts from the first snapshot)
@@ -198,10 +201,9 @@ class ExperimentConfig:
 
     def build_model(self):
         m = self.values["model"]
-        kind = m["model"]
-        if kind == "lif":
-            return lif_model(m["S"], m["gamma"], m["x_lo"], m["x_hi"])
-        if kind == "homoclinic":
-            return homoclinic_model(m["C"], m["lambda_u"], m["omega"])
-        xs, fs = load_field_table(m["table"])
-        return tabulated_model(xs, fs)
+        args = [m[key] for key in MODEL_KIND_KEYS[m["model"]]]
+        if m["model"] == "lif":
+            return lif_model(*args)
+        if m["model"] == "homoclinic":
+            return homoclinic_model(*args)
+        return tabulated_model(*load_field_table(*args))

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .continuum import DensityField
-from .models import OscillatorModel, ModelError
+from .models import DENSE_GRID_SIZE, OscillatorModel, ModelError
 from .quantile import QuantileProfile, quantile_transform
 
 TWO_PI = 2.0 * math.pi
@@ -226,19 +226,19 @@ def _quad(g, sampled: _Sampled, *, tol: float) -> float:
         err = np.concatenate([err[keep], new_err])
 
 
-def _kz_scan(model: OscillatorModel, K: float, n: int = 4097) -> tuple:
-    """(r, breakpoint) from one scan of K*Z on an n-point grid: r = |min K*Z|
-    (0 when K*Z >= 0), and the argmin of K*Z kept inside (0, 2*pi) as the
-    quadrature breakpoint near the singular phase.  A negative interior
-    grid minimum is refined inside the two cells beside it, and the refined
-    minimum kept when it is lower: the true minimum lies below the grid
-    value, and s_k = r + 10^-k and the bracket walk would otherwise cross
-    the pole of 1/(K*Z + s)."""
-    grid = np.linspace(0.0, TWO_PI, n)
+def _kz_scan(model: OscillatorModel, K: float) -> tuple:
+    """(r, breakpoint) from one scan of K*Z on the DENSE_GRID_SIZE grid:
+    r = |min K*Z| (0 when K*Z >= 0), and the argmin of K*Z kept inside
+    (0, 2*pi) as the quadrature breakpoint near the singular phase.  A
+    negative interior grid minimum is refined inside the two cells beside
+    it, and the refined minimum kept when it is lower: the true minimum lies
+    below the grid value, and s_k = r + 10^-k and the bracket walk would
+    otherwise cross the pole of 1/(K*Z + s)."""
+    grid = np.linspace(0.0, TWO_PI, DENSE_GRID_SIZE)
     kz = K * model.prc(grid)
     i = int(np.argmin(kz))
     m, th = float(kz[i]), float(grid[i])
-    if m < 0.0 and 0 < i < n - 1:
+    if m < 0.0 and 0 < i < grid.size - 1:
         zf = model._prc_fn
         th_ref, m_ref = _golden_min(lambda t: K * zf(t), float(grid[i - 1]),
                                     float(grid[i + 1]), xatol=1e-12 * TWO_PI)
@@ -318,7 +318,7 @@ def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
     if model.F is None:
         raise ModelError(f"{model.kind} model has no vector field; coupling bounds undefined")
     upper = model.x_hi - model.x_lo
-    xs = np.linspace(model.x_lo, model.x_hi, 4097)
+    xs = np.linspace(model.x_lo, model.x_hi, DENSE_GRID_SIZE)
     fx = np.asarray(model.F(xs), dtype=float)
     i = int(np.argmin(fx))
     f_min = float(fx[i])

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +206,8 @@ def test_stationary_subcommand_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["exists"] is True
     assert abs(payload["J_star"] - 0.53) < 0.02
-    assert payload["K_upper"] == 1.0
-    assert payload["K_lower"] is None
+    assert payload["coupling_bounds"]["K_upper"] == 1.0
+    assert payload["coupling_bounds"]["K_lower"] is None
     assert payload["r"] > 0.0
 
 
@@ -218,8 +219,8 @@ def test_stationary_interior_minimum_table(tmp_path, capsys):
                                         for x in xs.tolist()))
     assert main(["stationary", "--model", "tabulated", "--table", str(table),
                  "--K", "-0.1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["K_lower"] is None and payload["K_upper"] == 1.0
+    bounds = json.loads(capsys.readouterr().out)["coupling_bounds"]
+    assert bounds["K_lower"] is None and bounds["K_upper"] == 1.0
 
 
 def test_stationary_density_csv(tmp_path, capsys):
@@ -690,14 +691,14 @@ def test_command_flags_are_schema_keys(tmp_path, capsys):
 
 
 def test_simulate_flags_match_run_config(tmp_path, capsys, monkeypatch):
-    # simulate with every flag set and run on a config of the same values
-    # write the same artifacts, each into ./out of its own working directory
+    # simulate with every flag that a lif model reads, and run on a config
+    # of the same values, write the same artifacts, each into ./out of its
+    # own working directory
     sim, run = tmp_path / "sim", tmp_path / "run"
     sim.mkdir()
     run.mkdir()
     argv = ["simulate", "--model", "lif", "--S", "2.3", "--gamma", "1.9", "--x-lo", "0.1",
-            "--x-hi", "1.2", "--C", "1.5", "--lambda-u", "0.5", "--omega", "6.0",
-            "--table", "field.csv", "--K", "-0.15", "--ntheta", "128", "--cfl", "0.7",
+            "--x-hi", "1.2", "--K", "-0.15", "--ntheta", "128", "--cfl", "0.7",
             "--ic", "vonmises", "--kappa", "1.5", "--mu", "3.0", "--epsilon", "0.3",
             "--tmax", "1.0", "--log-stride", "5", "--align-dt", "--expect-blowup",
             "--snapshots", "0.25,0.5", "--out", "out"]
@@ -708,10 +709,6 @@ S = 2.3
 gamma = 1.9
 x_lo = 0.1
 x_hi = 1.2
-C = 1.5
-lambda_u = 0.5
-omega = 6.0
-table = field.csv           # read only by the tabulated model
 [coupling]
 K = -0.15
 [solver]
@@ -858,11 +855,18 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
                                   "run:finite.seed=-1", "run:solver.t_max=inf",
                                   "run:run.certify_tol_abs=1",
                                   "simulate:output.dir=under_file",
-                                  "run:output.dir=under_file"])
+                                  "run:output.dir=under_file",
+                                  "simulate:model.omega=6", "simulate:model.table=lif",
+                                  "simulate:model.S=homoclinic", "run:model.C=1.5",
+                                  "run:model.S=tabulated",
+                                  "simulate:initial.epsilon=nan",
+                                  "simulate:initial.kappa=nan", "simulate:initial.mu=inf",
+                                  "run:initial.kappa=inf"])
 def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
     # a zero stride or a negative seed used to raise, an infinite or NaN
     # t_max ran toward max_steps, and an output directory below a regular
-    # file raised NotADirectoryError
+    # file raised NotADirectoryError; a model key the model kind does not
+    # read ran without it, and a NaN epsilon or kappa blamed initial.kind
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str((blocker if case.endswith("under_file") else tmp_path) / "out")
@@ -875,14 +879,27 @@ def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
         # the certificate's slack is fixed: an unknown key like any other
         "run:run.certify_tol_abs=1": TINY_CFG + "certify_tol_abs = 1\n",
         "run:output.dir=under_file": TINY_CFG,
+        "run:model.C=1.5": TINY_CFG.replace("gamma = 2.0", "gamma = 2.0\nC = 1.5"),
+        "run:model.S=tabulated": TINY_CFG.replace("model = lif",
+                                                  "model = tabulated\ntable = f.csv"),
+        "run:initial.kappa=inf": TINY_CFG.replace("kappa = 1.0", "kappa = inf"),
     }
+    vonmises = [*simulate, "--ic", "vonmises"]
     argv = {
         "simulate:output.log_stride=0": [*simulate, "--log-stride", "0"],
         "simulate:solver.t_max=inf": [*simulate, "--tmax", "inf"],
         "simulate:solver.t_max=nan": [*simulate, "--tmax", "nan"],
         "simulate:output.dir=under_file": simulate,
+        "simulate:model.omega=6": [*simulate, "--omega", "6.0"],
+        "simulate:model.table=lif": [*simulate, "--table", "f.csv"],
+        "simulate:model.S=homoclinic": [*simulate, "--model", "homoclinic", "--S", "2.1"],
+        "simulate:initial.epsilon=nan": [*simulate, "--epsilon", "nan"],
+        "simulate:initial.kappa=nan": [*vonmises, "--kappa", "nan"],
+        "simulate:initial.mu=inf": [*vonmises, "--mu", "inf"],
     }.get(case) or ["run", str(write_cfg(tmp_path, run_cfg[case], out=out))]
-    assert main(argv) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy warning before the refusal
+        assert main(argv) == 4
     err = capsys.readouterr().err
     key = case.split(":")[1].split("=")[0]
     assert err.startswith(f"config error: {key}:")
@@ -1271,11 +1288,46 @@ def test_stationary_json_records_rho_star_mass(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rho_star_mass"] == pytest.approx(
         1657.6, abs=0.05)
     assert main(["stationary", "--K", "-5"]) == 0
-    assert json.loads(capsys.readouterr().out)["rho_star_mass"] is None
+    assert "rho_star_mass" not in json.loads(capsys.readouterr().out)
     cfg = TINY_CFG.replace("n_theta = 64", "n_theta = 2048")
     assert main(["run", str(write_cfg(tmp_path, cfg, out=tmp_path / "run"))]) == 0
     stat = json.loads((tmp_path / "run" / "stationary.json").read_text())
     assert stat["rho_star_mass"] == fig1
+
+
+@pytest.mark.parametrize("case", ["exists", "none", "homoclinic"])
+def test_stationary_command_writes_run_record(tmp_path, capsys, case):
+    # one record: the stationary command prints, and with --out writes, the
+    # stationary.json a run on the same model, K and n_theta writes; no state
+    # at K = -5, and a homoclinic model has no coupling bounds
+    model, K = {"exists": ("lif", "-0.1"), "none": ("lif", "-5.0"),
+                "homoclinic": ("homoclinic", "0.05")}[case]
+    cfg = TINY_CFG.replace("K = -0.1", f"K = {K}")
+    if model == "homoclinic":
+        cfg = cfg.replace("model = lif\nS = 2.1\ngamma = 2.0", "model = homoclinic")
+    main(["run", str(write_cfg(tmp_path, cfg, out=tmp_path / "run"))])
+    capsys.readouterr()
+    assert main(["stationary", "--model", model, "--K", K, "--ntheta", "64",
+                 "--out", str(tmp_path / "stat")]) == 0
+    printed = capsys.readouterr().out
+    written = (tmp_path / "stat" / "stationary.json").read_text()
+    assert written == printed == (tmp_path / "run" / "stationary.json").read_text()
+    record = json.loads(written)
+    assert record["exists"] is (case != "none")
+    assert ("coupling_bounds" in record) is (model == "lif")
+    assert ("limit_value" in record) is (case == "none")
+
+
+def test_stationary_command_evaluates_existence_once(capsys, monkeypatch):
+    # the existence limit is evaluated by the solve alone
+    import pulsefield.stationary as stationary
+    calls = []
+    existence = stationary._existence
+    monkeypatch.setattr(stationary, "_existence",
+                        lambda *a: calls.append(a) or existence(*a))
+    assert main(["stationary", "--K", "-0.1", "--ntheta", "64"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 # threshold gap 0.5: the continuum runs (and blows up), then the finite run
