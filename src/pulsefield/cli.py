@@ -7,13 +7,13 @@ Subcommands
     certify     replay a trajectory CSV against the Lyapunov bounds
     finite      event-driven finite-N run
     run         full scenario from a config file
-    sweep       repeat a scenario over one scalar parameter
+    sweep       repeat a scenario over the values of one config key
 
 The model, coupling, solver, initial, output and finite flags of
 stationary, simulate, certify and finite set the config keys of their names
 (``FLAG_NAMES`` holds the six other spellings).  A flag left out takes its
-key's default, a model flag the chosen model kind does not read is a config
-error, and ``--help`` prints each flag's ``[section] key``.
+key's default, a model or initial flag the chosen kind does not read is a
+config error, and ``--help`` prints each flag's ``[section] key``.
 
 Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
@@ -21,8 +21,13 @@ the config did not expect, or an expected one that did not happen),
 model parameter or field table, a command line argparse rejects, an output
 path that cannot be made, or a finite run whose coupling ignites an
 avalanche: K >= x_hi - x_lo re-fires an oscillator within one event).
-A sweep whose model cannot be built, or whose values the config rejects,
-exits 4 before its first row.  Otherwise its rows run in forked worker
+A sweep's --param is any config key, as section.key or bare; each --values
+item is read by that key's parser, as a config line is, and each row's
+config is the sweep's with that key set (``ExperimentConfig.from_values``).
+A sweep whose model (for a swept [model] key, any row's) cannot be built,
+or whose values the config rejects, exits 4 before its first row.  Each row
+of a swept [model] key takes its own coupling window; any other sweep takes
+the one model's once.  The rows run in forked worker
 processes, one per CPU this process may run on (``taskset -c 0 pulsefield
 sweep ...`` runs them one after another, in process); every artifact has
 the same bytes either way, except the wall times in each row's
@@ -60,7 +65,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import REQUIRED, SCHEMA, ConfigError, ExperimentConfig
+from .config import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig, key_path,
+                     parse_value)
 from .continuum import (AdmissibilityVerdict, BlowupError, TrajectoryLog,
                         check_admissibility, fork_cpus, initial_density, integrate)
 from .certify import certify_theorem_bounds, fit_decay_rate
@@ -85,18 +91,6 @@ EXIT_CONFIG = 4
 POOL_MIN_FLOATS = 2**18
 SNAPSHOT_BATCH_FLOATS = 2**13
 LOCAL_BATCH_FLOATS = 2**12
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
 
 
 def _json_text(obj) -> str:
@@ -387,7 +381,7 @@ def _pool(n_tasks: int) -> tuple:
 def _snapshot_text(times, snaps) -> bytes:
     """snapshots.csv lines of a batch of firings: each firing's time, then
     its phases, every value as ``repr`` writes it (the bytes csv.writer
-    with _fmt gives, about twice as fast)."""
+    gives, about twice as fast)."""
     return "".join([",".join([repr(t), *map(repr, row.tolist())]) + "\r\n"
                     for t, row in zip(times, snaps)]).encode()
 
@@ -459,7 +453,8 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
             path.unlink(missing_ok=True)
         raise
     info: dict = {"N": N, "seed": seed, "n_events": run.n_events,
-                  "full_sync_event": run.full_sync_event()}
+                  "full_sync_event": run.full_sync_event(),
+                  "mean_firing_rate": run.mean_firing_rate() if run.n_events > 4 else None}
     if ref is None:
         info["splay_reference"] = "unavailable (no stationary state)"
     else:
@@ -467,7 +462,6 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
         info["V_N_last"] = vn["last"]
         info["V_N_nonincreasing_fraction"] = (vn["down"] / vn["steps"]
                                               if vn["steps"] else None)
-        info["mean_firing_rate"] = run.mean_firing_rate() if run.n_events > 4 else None
     _write_json(out / "summary.json", info)
     return info
 
@@ -525,24 +519,6 @@ def _cmd_run(args) -> int:
     return run_scenario(cfg, out_dir=args.out)["exit_code"]
 
 
-def _row_config(cfg: ExperimentConfig, param, value) -> ExperimentConfig:
-    """The sweep's config with ``param`` set to ``value``, validated."""
-    import copy
-    row_cfg = ExperimentConfig(copy.deepcopy(cfg.values), cfg.source)
-    if param == "K":
-        row_cfg.values["coupling"]["K"] = float(value)
-    elif param == "n_theta":
-        if not float(value).is_integer():
-            raise ConfigError("solver.n_theta", f"not an integer: {value!r}")
-        row_cfg.values["solver"]["n_theta"] = int(value)
-    elif param == "epsilon":
-        row_cfg.values["initial"]["epsilon"] = float(value)
-    else:
-        raise ConfigError(f"sweep.{param}", "sweepable parameters: K, n_theta, epsilon")
-    row_cfg._validate()
-    return row_cfg
-
-
 SWEEP_FIELDS = ("param", "value", "status", "exists", "J_star", "J0_final",
                 "decay_rate", "t_fin", "exit_code", "cert_violations")
 
@@ -577,18 +553,21 @@ def _cmd_sweep(args) -> int:
     from concurrent.futures.process import BrokenProcessPool
 
     cfg = ExperimentConfig.parse(_resolve_config_path(args.config))
-    try:
-        values = [float(v) for v in args.values.split(",")] if args.values else []
-    except ValueError as exc:
-        raise ConfigError("sweep.values", str(exc))
+    path = key_path(args.param)
+    values = [parse_value(path, v) for v in args.values.split(",")] if args.values else []
     if len({repr(v) for v in values}) != len(values):
         raise ConfigError("sweep.values", "a repeated value would share a row directory")
-    # every row's config is checked before the first row runs
-    row_cfgs = [_row_config(cfg, args.param, v) for v in values]
-    # no sweepable parameter changes the model: build it (a bad model or
-    # table exits 4 here) and take its coupling window once for every row
-    model = cfg.build_model()
-    bounds = coupling_bounds(model) if model.F is not None else None
+    # every row's config, and for a swept [model] key every row's model, is
+    # checked before the first row runs (a bad model or table exits 4 here)
+    row_cfgs = [ExperimentConfig.from_values({**cfg.given, path: v}, cfg.source)
+                for v in values]
+    if path.startswith("model."):
+        for row_cfg in row_cfgs:
+            row_cfg.build_model()
+        bounds = None   # each row takes its own model's coupling window
+    else:
+        model = cfg.build_model()
+        bounds = coupling_bounds(model) if model.F is not None else None
     out_root = _make_dir(args.out or Path(cfg["output"]["dir"]) / "sweep",
                          "--out" if args.out else "output.dir")
     rows = []
@@ -609,9 +588,10 @@ def _cmd_sweep(args) -> int:
                 print(f"sweep row {args.param}={v!r}: {outcome}", file=sys.stderr)
             rows.append(row)
 
-    _write_csv(out_root / "sweep.csv", SWEEP_FIELDS,
-               ([_fmt(x) if isinstance(x, float) else "" if x is None else x
-                 for x in map(r.get, SWEEP_FIELDS)] for r in rows))
+    with open(out_root / "sweep.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([SWEEP_FIELDS, *(
+            [repr(float(x)) if isinstance(x, float) else "" if x is None else x
+             for x in map(r.get, SWEEP_FIELDS)] for r in rows)])
     print((out_root / "sweep.csv").read_text(), end="")
     return EXIT_OK
 

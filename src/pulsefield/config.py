@@ -2,11 +2,12 @@
 
 The format is plain INI (configparser) with '#' comments.  Every key is
 validated against the schema below; unknown sections or keys, missing
-required keys, unparsable values and model keys the model kind does not
-read (``MODEL_KIND_KEYS``) are rejected with the offending ``section.key``.  A parsed configuration can be re-emitted with every
+required keys, unparsable values and model or initial keys the chosen
+kind does not read (``KIND_KEYS``) are rejected with the offending
+``section.key``.  A parsed configuration can be re-emitted with every
 default materialized (``resolved()``), which each run writes next to its
-artifacts so it can reproduce itself.  The command-line flags set the same
-keys through ``from_values``.
+artifacts so it can reproduce itself.  The command-line flags and each
+sweep row set the same keys through ``from_values``.
 """
 
 from __future__ import annotations
@@ -92,11 +93,32 @@ SCHEMA = {
     },
 }
 
-# the [model] keys each model kind reads, in build_model's argument order;
-# a config that sets another one is refused
-MODEL_KIND_KEYS = {"lif": ("S", "gamma", "x_lo", "x_hi"), "tabulated": ("table",),
-                   "homoclinic": ("C", "lambda_u", "omega")}
-IC_KINDS = ("uniform", "vonmises", "perturbed")
+# the keys each kind of a section (named by its first key) reads, the [model]
+# keys in build_model's argument order; a config that sets another is refused
+KIND_KEYS = {"model": {"lif": ("S", "gamma", "x_lo", "x_hi"), "tabulated": ("table",),
+                       "homoclinic": ("C", "lambda_u", "omega")},
+             "initial": {"uniform": (), "vonmises": ("kappa", "mu"),
+                         "perturbed": ("epsilon",)}}
+# every bare key is unique across sections: {"K": "coupling.K", ...}
+KEY_PATHS = {key: f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys}
+
+
+def key_path(name: str) -> str:
+    """The "section.key" of the SCHEMA key ``name``, written so or bare."""
+    section, _, key = KEY_PATHS.get(name, name).partition(".")
+    if key not in SCHEMA.get(section, {}):
+        raise ConfigError(name, "unknown key")
+    return f"{section}.{key}"
+
+
+def parse_value(path: str, raw: str):
+    """The value the text ``raw`` gives the key ``path``, read by the key's
+    SCHEMA parser as a config line is."""
+    section, key = path.split(".")
+    try:
+        return SCHEMA[section][key][0](raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, f"bad value {raw!r}: {exc}")
 
 
 @dataclass
@@ -105,6 +127,8 @@ class ExperimentConfig:
 
     values: dict
     source: str = "<memory>"
+    # the keys the file or flags gave, {"section.key": value}
+    given: dict = dc_field(default_factory=dict)
 
     @classmethod
     def parse(cls, path) -> "ExperimentConfig":
@@ -124,13 +148,8 @@ class ExperimentConfig:
             if section not in SCHEMA:
                 raise ConfigError(section, "unknown section")
             for key, raw in cp[section].items():
-                name = f"{section}.{key}"
-                if key not in SCHEMA[section]:
-                    raise ConfigError(name, "unknown key")
-                try:
-                    given[name] = SCHEMA[section][key][0](raw)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(name, f"bad value {raw!r}: {exc}")
+                name = key_path(f"{section}.{key}")
+                given[name] = parse_value(name, raw)
         return cls.from_values(given, source=str(path))
 
     @classmethod
@@ -145,27 +164,28 @@ class ExperimentConfig:
                 if path not in given and default is REQUIRED:
                     raise ConfigError(path, "required key missing")
                 values[section][key] = given.get(path, default)
-        cfg = cls(values, source)
+        cfg = cls(values, source, dict(given))
         cfg._validate()
-        kind = values["model"]["model"]
-        reads = ("model", *MODEL_KIND_KEYS[kind])
-        for path in given:
-            if path.startswith("model.") and path[6:] not in reads:
-                raise ConfigError(path, f"the {kind} model reads only {', '.join(reads[1:])}")
         return cfg
 
     def _validate(self):
         v = self.values
-        if v["model"]["model"] not in MODEL_KIND_KEYS:
-            raise ConfigError("model.model", f"must be one of {tuple(MODEL_KIND_KEYS)}")
+        for section, kinds in KIND_KEYS.items():
+            selector = next(iter(SCHEMA[section]))
+            kind = v[section][selector]
+            if kind not in kinds:
+                raise ConfigError(f"{section}.{selector}", f"must be one of {tuple(kinds)}")
+            for path in self.given:
+                given_section, _, key = path.partition(".")
+                if given_section == section and key not in (selector, *kinds[kind]):
+                    raise ConfigError(path, f"the {kind} {section} reads only "
+                                      f"{', '.join(kinds[kind]) or 'its ' + selector}")
         if v["model"]["model"] == "tabulated" and not v["model"]["table"]:
             raise ConfigError("model.table", "tabulated model needs a CSV path")
         if v["solver"]["scheme"] != "upwind":
             raise ConfigError("solver.scheme", f"{v['solver']['scheme']!r} is not a scheme; "
                               "use upwind (with align_dt = true for the aligned K = 0 "
                               "rotation the removed semilagrangian scheme gave)")
-        if v["initial"]["kind"] not in IC_KINDS:
-            raise ConfigError("initial.kind", f"must be one of {IC_KINDS}")
         n_theta = v["solver"]["n_theta"]
         if n_theta < 8:
             raise ConfigError("solver.n_theta", f"grid too small: need >= 8, got {n_theta}")
@@ -201,7 +221,7 @@ class ExperimentConfig:
 
     def build_model(self):
         m = self.values["model"]
-        args = [m[key] for key in MODEL_KIND_KEYS[m["model"]]]
+        args = [m[key] for key in KIND_KEYS["model"][m["model"]]]
         if m["model"] == "lif":
             return lif_model(*args)
         if m["model"] == "homoclinic":

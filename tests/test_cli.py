@@ -612,9 +612,15 @@ def test_sweep_negative_values(tmp_path, capsys, flag):
     # the solver rejects, or a non-integer one, is a config error
     ("n_theta", "4,64"), ("n_theta", "64,64.7"), ("n_theta", "64,nan"),
     # the grid parameter has one name: ntheta is not a second one
-    ("ntheta", "64,128")],
+    ("ntheta", "64,128"),
+    # --param is a SCHEMA key, as section.key or bare; each value is read by
+    # the key's own parser, as in a config file (n_theta = 512.0 is refused)
+    ("bogus", "1,2"), ("solver.bogus", "1,2"), ("n_theta", "256,512.0"),
+    # TINY_CFG starts from vonmises, which does not read epsilon
+    ("epsilon", "0.1,0.5")],
     ids=["-0.1,-0.1", "-0.1,fast", "n_theta=4,64", "n_theta=64,64.7", "n_theta=64,nan",
-         "ntheta=64,128"])
+         "ntheta=64,128", "bogus=1,2", "solver.bogus=1,2", "n_theta=256,512.0",
+         "epsilon_vonmises=0.1,0.5"])
 def test_sweep_bad_values_config_error(tmp_path, capsys, param, values):
     p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
     assert main(["sweep", "--config", str(p), "--param", param,
@@ -699,7 +705,7 @@ def test_simulate_flags_match_run_config(tmp_path, capsys, monkeypatch):
     run.mkdir()
     argv = ["simulate", "--model", "lif", "--S", "2.3", "--gamma", "1.9", "--x-lo", "0.1",
             "--x-hi", "1.2", "--K", "-0.15", "--ntheta", "128", "--cfl", "0.7",
-            "--ic", "vonmises", "--kappa", "1.5", "--mu", "3.0", "--epsilon", "0.3",
+            "--ic", "vonmises", "--kappa", "1.5", "--mu", "3.0",
             "--tmax", "1.0", "--log-stride", "5", "--align-dt", "--expect-blowup",
             "--snapshots", "0.25,0.5", "--out", "out"]
     cfg = write_cfg(tmp_path, """
@@ -720,7 +726,6 @@ align_dt = true
 kind = vonmises
 kappa = 1.5
 mu = 3.0
-epsilon = 0.3
 [output]
 dir = out
 log_stride = 5
@@ -783,6 +788,36 @@ def test_sweep_takes_coupling_bounds_once(tmp_path, capsys, monkeypatch):
     assert len(rows) == 3
     for r in rows:
         assert json.loads(r.read_text())["coupling_bounds"] == want
+
+
+def test_sweep_any_schema_key(tmp_path, capsys):
+    # --param takes any SCHEMA key (every bare key names one section.key);
+    # each row's config is the base config with that key set
+    from pulsefield.config import KEY_PATHS, SCHEMA
+    assert len(KEY_PATHS) == sum(map(len, SCHEMA.values()))
+    p = write_cfg(tmp_path, TINY_CFG + "\n[finite]\nenabled = true\nn_firings = 20\n",
+                  out=tmp_path / "base")
+    sweeps = {"solver.cfl": ("0.5", "1.0"), "finite.N": ("10", "20"), "S": ("2.1", "2.6")}
+    for param, values in sweeps.items():
+        out = tmp_path / param
+        assert main(["sweep", "--config", str(p), "--param", param,
+                     f"--values={','.join(values)}", "--out", str(out)]) == 0
+        assert [ln.split(",")[:3] for ln in (out / "sweep.csv").read_text().splitlines()[1:]] \
+            == [[param, v, "ok"] for v in values]
+        assert sorted(d.name for d in out.iterdir() if d.is_dir()) == \
+            [f"{param}={v}" for v in values]
+    capsys.readouterr()
+    rows = [tmp_path / "solver.cfl" / f"solver.cfl={v}" for v in ("0.5", "1.0")]
+    assert [json.loads((r / "resolved_config.json").read_text())["solver"]["cfl"]
+            for r in rows] == [0.5, 1.0]
+    assert (rows[0] / "trajectory.csv").read_bytes() != (rows[1] / "trajectory.csv").read_bytes()
+    for n in (10, 20):
+        finite = tmp_path / "finite.N" / f"finite.N={n}" / "finite" / "summary.json"
+        assert json.loads(finite.read_text())["N"] == n
+    # a swept model key gives each row its own model's coupling window
+    for S in (2.1, 2.6):
+        stat = json.loads((tmp_path / "S" / f"S={S!r}" / "stationary.json").read_text())
+        assert stat["coupling_bounds"] == cli.coupling_bounds(lif_model(S, 2.0)).to_json()
 
 
 GOLDEN_FIG1 = Path(__file__).parent / "data" / "fig1_n256_t2.csv"
@@ -861,12 +896,15 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
                                   "run:model.S=tabulated",
                                   "simulate:initial.epsilon=nan",
                                   "simulate:initial.kappa=nan", "simulate:initial.mu=inf",
-                                  "run:initial.kappa=inf"])
+                                  "run:initial.kappa=inf",
+                                  "simulate:initial.epsilon=vonmises",
+                                  "run:initial.kappa=perturbed"])
 def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
     # a zero stride or a negative seed used to raise, an infinite or NaN
     # t_max ran toward max_steps, and an output directory below a regular
     # file raised NotADirectoryError; a model key the model kind does not
-    # read ran without it, and a NaN epsilon or kappa blamed initial.kind
+    # read ran without it, and a NaN epsilon or kappa blamed initial.kind;
+    # an initial key the initial kind does not read ran without it too
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str((blocker if case.endswith("under_file") else tmp_path) / "out")
@@ -883,6 +921,7 @@ def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
         "run:model.S=tabulated": TINY_CFG.replace("model = lif",
                                                   "model = tabulated\ntable = f.csv"),
         "run:initial.kappa=inf": TINY_CFG.replace("kappa = 1.0", "kappa = inf"),
+        "run:initial.kappa=perturbed": TINY_CFG.replace("vonmises", "perturbed"),
     }
     vonmises = [*simulate, "--ic", "vonmises"]
     argv = {
@@ -896,6 +935,7 @@ def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
         "simulate:initial.epsilon=nan": [*simulate, "--epsilon", "nan"],
         "simulate:initial.kappa=nan": [*vonmises, "--kappa", "nan"],
         "simulate:initial.mu=inf": [*vonmises, "--mu", "inf"],
+        "simulate:initial.epsilon=vonmises": [*vonmises, "--epsilon", "0.3"],
     }.get(case) or ["run", str(write_cfg(tmp_path, run_cfg[case], out=out))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # no numpy warning before the refusal
