@@ -159,21 +159,22 @@ class DensityField:
 # -- boundary relation and single steps -----------------------------------------
 
 
-def _advance_boundary(rho_new, t_new, omega, kz0, kz_end, cap):
+def _advance_boundary(rho_new, t, omega, kz0, kz_end, cap):
     """Outflow flux from rho(2*pi), then rho(0) from the flux relation; a
-    flux above ``cap`` is a blow-up."""
+    flux above ``cap`` is a blow-up, dated ``t``: in a step, the step's
+    start, the time of the run's last good state."""
     rho_end = rho_new.item(-1)
     den = 1.0 - kz_end * rho_end
     if den <= EPS_SING:
-        raise BlowupError(BlowupEvent(t_new, "flux", {
+        raise BlowupError(BlowupEvent(t, "flux", {
             "rho_end": rho_end, "rho_critical": 1.0 / kz_end if kz_end else math.inf,
             "denominator": den, "eps_sing": EPS_SING}))
     J0 = omega * rho_end / den
     if J0 > cap:
-        raise BlowupError(BlowupEvent(t_new, "flux", {"flux": J0, "flux_cap": cap}))
+        raise BlowupError(BlowupEvent(t, "flux", {"flux": J0, "flux_cap": cap}))
     v0 = omega + kz0 * J0
     if v0 <= EPS_SING * omega:
-        raise BlowupError(BlowupEvent(t_new, "density", {
+        raise BlowupError(BlowupEvent(t, "density", {
             "velocity_at_zero": v0, "flux": J0,
             "flux_critical": omega / abs(kz0) if kz0 < 0 else math.inf}))
     rho_new[0] = J0 / v0
@@ -508,7 +509,8 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     steps on (the parent evaluates a row itself when the helper's ring is
     full, and every row the helper did not finish when it stops).  The
     helper is reaped before this returns or raises.  Blow-up thresholds are
-    ``EPS_SING`` and ``flux_cap(omega)``.
+    ``EPS_SING`` and ``flux_cap(omega)``; a blow-up is dated at the start of
+    the step that meets it, the time of its logged row.
 
     The loop holds the one copy of the upwind kernel, written out inline on
     views made once per run (``step`` is one pass of it).  A fixed ``dt``
@@ -638,8 +640,9 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                 subtract(flux_hi, flux_lo, spare_body)
                 multiply(spare_body, step_dt / dtheta, spare_body)
                 subtract(body, spare_body, spare_body)
-                t_new = t + step_dt
-                J0 = _advance_boundary(spare, t_new, omega, kz0, kz_end, cap)
+                # a blow-up here is dated, like a stall, at the step's start:
+                # the time of the row it logs
+                J0 = _advance_boundary(spare, t, omega, kz0, kz_end, cap)
             except BlowupError as exc:
                 blow = exc.event
                 stop_reason = "blowup"
@@ -647,7 +650,7 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
                 break
             rho, spare = spare, rho
             body, spare_body = spare_body, body
-            t = t_new
+            t += step_dt
             nstep += 1
             dense_j_append(J0)
             dense_dt_append(step_dt)

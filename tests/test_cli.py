@@ -448,8 +448,20 @@ def test_bundled_scenario_admissibility(tmp_path, monkeypatch, name, verdict):
         assert adm["margin"] == pytest.approx(1.12, abs=0.005)
     if name == "fig2.cfg":
         assert adm["first_crossing_time"] == summary["first_crossing_time"]
-        assert adm["first_crossing_time"] == pytest.approx(1.3383, abs=1e-4)
-        assert summary["blowup"]["t_fin"] == pytest.approx(1.6724, abs=1e-4)
+        assert adm["first_crossing_time"] == pytest.approx(1.3386, abs=1e-4)
+        assert summary["blowup"]["t_fin"] == pytest.approx(1.6753, abs=1e-4)
+
+
+def test_blowup_time_agrees_across_artifacts(tmp_path, monkeypatch):
+    # one blow-up time: the trajectory.csv row, summary.json's t_final and
+    # blowup.t_fin, and the event certify --trajectory rebuilds from the row
+    from pulsefield.continuum import TrajectoryLog
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "fig2.cfg", "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    back = TrajectoryLog.from_csv(tmp_path / "out" / "trajectory.csv").blowup
+    assert back.kind == summary["blowup"]["kind"] == "flux"
+    assert back.t_fin == summary["blowup"]["t_fin"] == summary["t_final"]
 
 
 def test_run_ending_before_first_crossing_is_undecided(tmp_path):
@@ -821,15 +833,19 @@ def test_sweep_any_schema_key(tmp_path, capsys):
 
 
 GOLDEN_FIG1 = Path(__file__).parent / "data" / "fig1_n256_t2.csv"
+GOLDEN_FIG1_CFL1 = Path(__file__).parent / "data" / "fig1_n256_t2_cfl1.csv"
+# the Courant number and log stride GOLDEN_FIG1 was written with; the bundled
+# fig1.cfg steps at Courant number 1 and logs every 10 steps
+AT_CFL_HALF = (("cfl = 1.0", "cfl = 0.5"), ("log_stride = 10", "log_stride = 20"))
 
 
-def _fig1_small_cfg(tmp_path):
+def _fig1_small_cfg(tmp_path, rewrites=AT_CFL_HALF):
     # bundled fig1 at n_theta 256 and t_max 2; the golden file is this run's
     # trajectory.csv: `pulsefield run <this cfg>` reproduces it
     from pulsefield.cli import _resolve_config_path
     text = _resolve_config_path("fig1.cfg").read_text()
     for old, new in (("n_theta = 2048", "n_theta = 256"), ("t_max = 12.0", "t_max = 2.0"),
-                     ("dir = out/fig1", f"dir = {tmp_path / 'out'}")):
+                     ("dir = out/fig1", f"dir = {tmp_path / 'out'}"), *rewrites):
         assert old in text
         text = text.replace(old, new)
     p = tmp_path / "fig1_small.cfg"
@@ -837,14 +853,12 @@ def _fig1_small_cfg(tmp_path):
     return p
 
 
-def test_fig1_trajectory_matches_golden(tmp_path):
-    # pins the stepping kernel and V to the committed trajectory; a relative
-    # tolerance rather than bytes, since SIMD exp/log may differ by an ulp
-    # between CPUs
-    assert main(["run", str(_fig1_small_cfg(tmp_path))]) == 0
-    with open(GOLDEN_FIG1, newline="") as fh:
+def _assert_matches_golden(path, golden):
+    # a relative tolerance rather than bytes, since SIMD exp/log may differ
+    # by an ulp between CPUs
+    with open(golden, newline="") as fh:
         want = list(csv.reader(fh))
-    with open(tmp_path / "out" / "trajectory.csv", newline="") as fh:
+    with open(path, newline="") as fh:
         got = list(csv.reader(fh))
     assert got[0] == want[0] and got[0][-1] == "event"
     assert len(got) == len(want) > 30
@@ -853,6 +867,20 @@ def test_fig1_trajectory_matches_golden(tmp_path):
         for gv, wv in zip(g[:-1], w[:-1]):
             gv, wv = float(gv), float(wv)
             assert gv == wv or abs(gv - wv) <= 1e-12 * abs(wv), (g, w)
+
+
+def test_fig1_trajectory_matches_golden(tmp_path):
+    # pins the stepping kernel and V to the committed trajectory, at the
+    # settings it was recorded with (Courant number 0.5, every 20th step)
+    assert main(["run", str(_fig1_small_cfg(tmp_path))]) == 0
+    _assert_matches_golden(tmp_path / "out" / "trajectory.csv", GOLDEN_FIG1)
+
+
+def test_fig1_cfl1_trajectory_matches_golden(tmp_path):
+    # the bundled path as shipped: Courant number 1, every 10th step logged;
+    # fig1 has no blow-up, so the file pins the kernel and V alone
+    assert main(["run", str(_fig1_small_cfg(tmp_path, rewrites=()))]) == 0
+    _assert_matches_golden(tmp_path / "out" / "trajectory.csv", GOLDEN_FIG1_CFL1)
 
 
 @pytest.mark.parametrize("case", ["table_nonpositive", "table_missing", "lif_field_nonpositive",

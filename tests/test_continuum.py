@@ -22,6 +22,13 @@ TWO_PI = 2.0 * math.pi
 VONMISES_512 = np.exp(2.0 * (np.cos(np.linspace(0.0, TWO_PI, 513) - math.pi) - 1.0))
 
 
+# n 256 profiles for the Courant-number-1 examples: seeded U(0.05, 1) node
+# values, and a bump that is exactly zero on [0, pi/2] and [pi, 3*pi/2]
+_TH_256 = np.linspace(0.0, TWO_PI, 257)
+RANDOM_256 = np.random.default_rng(0).uniform(0.05, 1.0, 257)
+PLATEAU_256 = np.where((_TH_256 % math.pi) < 0.5 * math.pi, 0.0, 1.0 + np.sin(4.0 * _TH_256) ** 2)
+
+
 def positive_profiles():
     """Random positive node profiles on a few grid sizes."""
     return st.sampled_from([16, 64, 256]).flatmap(
@@ -150,6 +157,10 @@ def test_aligned_rotation(lif, prof):
 
 @settings(max_examples=25, deadline=None)
 @given(prof=positive_profiles(), K=st.floats(-0.4, 0.0), cfl=st.floats(0.05, 1.0))
+@example(prof=RANDOM_256, K=-0.4, cfl=1.0)
+@example(prof=RANDOM_256, K=0.0, cfl=1.0)
+@example(prof=PLATEAU_256, K=-0.4, cfl=1.0)
+@example(prof=PLATEAU_256, K=0.0, cfl=1.0)
 def test_kernel_mass_and_positivity(lif, prof, K, cfl):
     # K <= 0 contracts for an increasing response curve; log every step so
     # rho_min and mass are seen after each of the 2000 CFL-chosen steps
@@ -182,18 +193,19 @@ def reference_step(rho, J0, t, dt, dtheta, omega, K, z, eps_sing, flux_cap, cfl)
     flux[-1] = J0
     rho_new = rho.copy()
     rho_new[1:] -= (dt / dtheta) * (flux[1:] - flux[:-1])
-    t_new, z0, z_end = t + dt, z[0], z[-1]
+    # a blow-up after the update is dated at the step's start, as a stall is
+    z0, z_end = z[0], z[-1]
     den = 1.0 - K * z_end * rho_new[-1]
     if den <= eps_sing:
-        raise BlowupError(BlowupEvent(t_new, "flux", {
+        raise BlowupError(BlowupEvent(t, "flux", {
             "rho_end": rho_new[-1], "rho_critical": 1.0 / (K * z_end),
             "denominator": den, "eps_sing": eps_sing}))
     J0_new = omega * rho_new[-1] / den
     if J0_new > flux_cap:
-        raise BlowupError(BlowupEvent(t_new, "flux", {"flux": J0_new, "flux_cap": flux_cap}))
+        raise BlowupError(BlowupEvent(t, "flux", {"flux": J0_new, "flux_cap": flux_cap}))
     v0 = omega + K * z0 * J0_new
     if v0 <= eps_sing * omega:
-        raise BlowupError(BlowupEvent(t_new, "density", {
+        raise BlowupError(BlowupEvent(t, "density", {
             "velocity_at_zero": v0, "flux": J0_new,
             "flux_critical": omega / abs(K * z0) if K * z0 < 0 else math.inf}))
     rho_new[0] = J0_new / v0
@@ -224,6 +236,7 @@ def kernel_pass(model, K, field, dt, cfl):
        K=st.floats(-0.4, 0.4), J0=st.floats(-20.0, 60.0), dt_frac=st.floats(0.01, 1.5),
        cfl=st.none() | st.floats(0.05, 1.0))
 @example(name="lif", prof=VONMISES_512, K=-0.4, J0=60.0, dt_frac=0.5, cfl=None)
+@example(name="lif", prof=RANDOM_256, K=-0.4, J0=0.2, dt_frac=1.5, cfl=1.0)
 def test_upwind_step_matches_reference(name, prof, K, J0, dt_frac, cfl):
     # the loop's kernel gives the same rho, J0 and dt bits as the plain
     # formula, or the same exception; it starts at t = 0, so the new field's
