@@ -196,6 +196,13 @@ class ExperimentConfig:
             raise ConfigError("solver.t_max", f"need a finite t_max > 0, got {t_max!r}")
         if log_stride < 1:
             raise ConfigError("output.log_stride", f"need log_stride >= 1, got {log_stride}")
+        # a run snapshots at the first step ending at or past each time: a
+        # NaN or infinite time is never met (a NaN, sorted first, hid every
+        # later time), and a negative one names no time of the run
+        for ts in v["output"]["snapshot_times"]:
+            if not 0.0 <= ts < math.inf:
+                raise ConfigError("output.snapshot_times",
+                                  f"need finite times >= 0, got {ts!r}")
         for path in ("coupling.K", "initial.kappa", "initial.mu", "initial.epsilon"):
             section, key = path.split(".")
             if not math.isfinite(v[section][key]):

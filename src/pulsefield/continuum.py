@@ -57,7 +57,9 @@ import mmap
 import os
 import signal
 import sys
+from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 
@@ -401,6 +403,8 @@ class TrajectoryLog:
     first crossing (its time and flux window; None when the run ended
     first) are known for integrated runs and None for one read from CSV.  ``summary()``
     reports the smallest and largest of ``dense_dt`` as dt_min and dt_max.
+    An integrated run's seven numeric columns, ``dense_dt`` and ``dense_J0``
+    view the float64 buffers its loop filled.
     """
 
     t: np.ndarray
@@ -550,9 +554,12 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     J0 = float(initial.J0)
     t = initial.t
 
-    rows_t, rows_j, rows_m, rows_lo, rows_hi, rows_v, rows_q = [], [], [], [], [], [], []
+    # the logged columns and the per-step history are float64 buffers, 8
+    # bytes a value, that the returned log views in place
+    columns = [array("d") for _ in range(7)]
+    rows_t, rows_j, rows_m, rows_lo, rows_hi, rows_v, rows_q = columns
     events: list = []
-    dense_j, dense_dt = [J0], []
+    dense_j, dense_dt = array("d", [J0]), array("d")
     snaps: list = []
     snap_queue = sorted(float(s) for s in snapshot_times)
 
@@ -679,11 +686,9 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
 
     # `rho` is this run's own buffer: the final field takes it as is
     final = DensityField(theta, rho, J0, t)
-    return TrajectoryLog(np.asarray(rows_t), np.asarray(rows_j), np.asarray(rows_m),
-                         np.asarray(rows_lo), np.asarray(rows_hi), np.asarray(rows_v),
-                         np.asarray(rows_q), events, blow, dense_t, np.asarray(dense_dt),
-                         np.asarray(dense_j),
-                         t_cross, j_window, initial.copy(), final, snaps,
+    return TrajectoryLog(*map(np.frombuffer, columns), events, blow, dense_t,
+                         np.frombuffer(dense_dt), np.frombuffer(dense_j), t_cross, j_window,
+                         initial.copy(), final, snaps,
                          stop_reason, nstep, v_failures,
                          0 if helper is None else helper.helped)
 
@@ -691,10 +696,11 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
 # -- characteristics -------------------------------------------------------------
 
 
-def _walk(t: np.ndarray, dt: list, J0: list, model, K: float, lam0: float) -> tuple:
+def _walk(t: np.ndarray, dt: Sequence, J0: Sequence, model, K: float, lam0: float) -> tuple:
     """RK2 walk of d(theta)/dt = omega + K*Z(theta)*J0(t) from theta = lam0
     at t[0].  Over step i, from t[i] by dt[i] with the flux going
-    J0[i] -> J0[i+1] (t an ascending array, dt and J0 lists of floats), it
+    J0[i] -> J0[i+1] (t an ascending array, dt and J0 float sequences that
+    index to Python floats: the run's float64 buffers or lists), it
     takes one RK2 step with the mean flux at the midpoint.  Returns the
     phases at the step starts walked (and at the end when the steps run
     out), the midpoint phases, and the time theta first reaches 2*pi, linear
@@ -719,7 +725,7 @@ def _walk(t: np.ndarray, dt: list, J0: list, model, K: float, lam0: float) -> tu
     return starts, mids, None
 
 
-def first_crossing(t: np.ndarray, dt: list, J0: list, model, K: float) -> tuple:
+def first_crossing(t: np.ndarray, dt: Sequence, J0: Sequence, model, K: float) -> tuple:
     """(t_cross, J_window): when the characteristic launched from theta = 0
     at t[0] first reaches 2*pi along ``_walk``'s steps, and (min, max) of J0
     up to then; (None, None) when the steps end first."""

@@ -43,6 +43,9 @@ DIVERGENCE_CAP = 1e6
 W_TOL = 1e-12
 # |W(J*) - 1| at which the bisection for J* stops
 J_TOL = 1e-10
+# a bracket [lo, hi] with hi > lo * GEOMETRIC_SPAN is split at its geometric
+# mean: at a tiny |K| it spans ~1e319, which halving crosses one bit a step
+GEOMETRIC_SPAN = 2.0 ** 64
 
 # QUADPACK's 21-point Gauss-Kronrod rule (qk21): the Kronrod abscissae on
 # [0, 1], largest first, the 10-point Gauss abscissae among them at the odd
@@ -386,7 +389,10 @@ def bisect_root(f, a: float, b: float, *, ftol: float) -> float:
 
     Stops as soon as |f(mid)| < ``ftol``, or when the bracket is two
     adjacent doubles (the midpoint rounds onto an end), however many orders
-    of magnitude it spanned.  Unconditionally convergent on monotone
+    of magnitude it spanned.  A positive bracket wider than a factor
+    GEOMETRIC_SPAN is split at its geometric mean, so that many orders of
+    magnitude take a few halvings of their logarithm; narrower brackets are
+    split at the midpoint.  Unconditionally convergent on monotone
     functions, which is why it is preferred over Newton here.
     """
     fa, fb = f(a), f(b)
@@ -397,7 +403,10 @@ def bisect_root(f, a: float, b: float, *, ftol: float) -> float:
     if fa * fb > 0.0:
         raise ValueError(f"root not bracketed: f({a})={fa}, f({b})={fb}")
     while True:
-        m = 0.5 * (a + b)
+        if 0.0 < a and a * GEOMETRIC_SPAN < b:
+            m = math.sqrt(a) * math.sqrt(b)
+        else:
+            m = 0.5 * (a + b)
         if m == a or m == b:
             return m
         fm = f(m)

@@ -926,13 +926,20 @@ def test_finite_bad_input_exits_config(tmp_path, capsys, case):
                                   "simulate:initial.kappa=nan", "simulate:initial.mu=inf",
                                   "run:initial.kappa=inf",
                                   "simulate:initial.epsilon=vonmises",
-                                  "run:initial.kappa=perturbed"])
+                                  "run:initial.kappa=perturbed",
+                                  "simulate:output.snapshot_times=nan",
+                                  "simulate:output.snapshot_times=inf",
+                                  "simulate:output.snapshot_times=-1",
+                                  "run:output.snapshot_times=nan",
+                                  "run:output.snapshot_times=-1"])
 def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
     # a zero stride or a negative seed used to raise, an infinite or NaN
     # t_max ran toward max_steps, and an output directory below a regular
     # file raised NotADirectoryError; a model key the model kind does not
     # read ran without it, and a NaN epsilon or kappa blamed initial.kind;
-    # an initial key the initial kind does not read ran without it too
+    # an initial key the initial kind does not read ran without it too; a
+    # NaN snapshot time hid every later one, an infinite one never came and
+    # a negative one gave a first-step snapshot
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str((blocker if case.endswith("under_file") else tmp_path) / "out")
@@ -950,6 +957,10 @@ def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
                                                   "model = tabulated\ntable = f.csv"),
         "run:initial.kappa=inf": TINY_CFG.replace("kappa = 1.0", "kappa = inf"),
         "run:initial.kappa=perturbed": TINY_CFG.replace("vonmises", "perturbed"),
+        "run:output.snapshot_times=nan": TINY_CFG.replace(
+            "dump_density = false", "dump_density = false\nsnapshot_times = 0.05, nan"),
+        "run:output.snapshot_times=-1": TINY_CFG.replace(
+            "dump_density = false", "dump_density = false\nsnapshot_times = -1"),
     }
     vonmises = [*simulate, "--ic", "vonmises"]
     argv = {
@@ -964,6 +975,9 @@ def test_simulate_run_bad_input_exits_config(tmp_path, capsys, case):
         "simulate:initial.kappa=nan": [*vonmises, "--kappa", "nan"],
         "simulate:initial.mu=inf": [*vonmises, "--mu", "inf"],
         "simulate:initial.epsilon=vonmises": [*vonmises, "--epsilon", "0.3"],
+        "simulate:output.snapshot_times=nan": [*simulate, "--snapshots=nan,0.05"],
+        "simulate:output.snapshot_times=inf": [*simulate, "--snapshots=inf"],
+        "simulate:output.snapshot_times=-1": [*simulate, "--snapshots=-1"],
     }.get(case) or ["run", str(write_cfg(tmp_path, run_cfg[case], out=out))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # no numpy warning before the refusal

@@ -1,6 +1,7 @@
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -568,6 +569,35 @@ def test_v_helper_starts_with_a_ring_of_rows_to_come(lif, stat_inhib, monkeypatc
     helped = run()
     assert (helped.v_helper_rows > 0) == (rings == 3)
     _assert_same_log(helped, serial)
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["no_reference", "reference"])
+def test_step_history_memory_per_step(lif, stat_inhib, monkeypatch, reference):
+    # the per-step flux and step size and the logged columns are float64
+    # buffers: 20 000 steps at n_theta 64 peak near 25 traced bytes a step
+    # (two buffers, their growth slack and dense_t) and 60-70 a logged row
+    # (seven columns and the event), where lists of floats took about 100
+    # and 270.  With a reference every fifth step logs a row: the first ring
+    # of rows takes V in process, the helper the rest
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ic = initial_density("vonmises", 64, lif, -0.1)
+    kw = {"reference": stat_inhib, "log_stride": 5} if reference else {}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traj = integrate(lif, -0.1, ic, t_max=math.inf, cfl=1.0, max_steps=20_000, **kw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        _assert_no_child()
+    assert traj.n_steps == 20_000
+    if reference:
+        assert 0 < traj.v_helper_rows <= traj.t.size - RING_FLOATS // 64
+        assert np.isfinite(traj.V).all()
+    # a row's share is 96 bytes: the rows in flight to a lagging helper and
+    # the GridReference add to the seven columns
+    assert peak <= 32 * traj.n_steps + (96 * traj.t.size if reference else 0), \
+        (peak, traj.t.size)
 
 
 def test_v_bug_in_helper_propagates(lif, stat_inhib, monkeypatch, tmp_path):

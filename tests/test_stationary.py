@@ -533,3 +533,22 @@ def test_solve_does_not_import_numpy_ma():
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "False"
 
+
+@pytest.mark.parametrize("K", [-2.2250738585072014e-308, -1e-200])
+def test_tiny_coupling_solve_splits_wide_brackets_geometrically(K, monkeypatch):
+    # at a tiny |K| the bracket spans [2e-11, ~omega/r]: halving it crossed
+    # one bit per W evaluation (1 057 calls at K = -2.2e-308, 698 at -1e-200);
+    # splitting at the geometric mean while it spans more than GEOMETRIC_SPAN
+    # halves its logarithm instead
+    m = lif_model(3.5, 0.5)
+    calls = []
+    w_integral = stationary._w_integral
+
+    def counted(*args):
+        calls.append(args)
+        return w_integral(*args)
+
+    monkeypatch.setattr(stationary, "_w_integral", counted)
+    stat = solve_stationary_flux(m, K)
+    assert len(calls) <= 100
+    assert abs(W_quad(m, K, stat.J_star) - 1.0) < 1e-8
