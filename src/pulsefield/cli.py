@@ -247,7 +247,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
     already (a sweep computes them once for all its rows).  summary.json's
     ``timings_s`` holds the seconds spent in each of ``PHASES``: the
     stationary solve, ``integrate`` (V included), certification, the finite
-    run and the artifact writes before summary.json's own."""
+    run and the artifact writes before summary.json's own.
+    ``snapshot_times_unmet`` lists the requested snapshot times the run
+    never reached (past ``t_max``, or after a blow-up)."""
     out = _make_dir(out_dir if out_dir is not None else cfg["output"]["dir"], "output.dir")
     timings = dict.fromkeys(PHASES, 0.0)
     with _timed(timings, "write"):
@@ -256,6 +258,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
     model = cfg.build_model()
     K = cfg["coupling"]["K"]
     sol = cfg["solver"]
+    snapshot_times = sorted(cfg["output"]["snapshot_times"])
     summary: dict = {"K": K, "omega": model.omega,
                      "monotonicity": model.monotonicity.value,
                      "curvature": model.curvature.value, "timings_s": timings}
@@ -279,6 +282,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
         raise ConfigError("initial.kind", str(exc))
     except BlowupError as exc:
         summary["blowup"] = exc.event.to_json()
+        summary["snapshot_times_unmet"] = snapshot_times
         summary["admissibility"] = {"verdict": AdmissibilityVerdict.NUMERICAL_BLOWUP.value,
                                     "blowup": summary["blowup"]}
         if cfg["finite"]["enabled"]:
@@ -294,7 +298,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
     with _timed(timings, "integrate"):
         traj = integrate(model, K, initial, t_max=sol["t_max"], cfl=sol["cfl"], dt=dt,
                          log_stride=cfg["output"]["log_stride"], reference=reference,
-                         snapshot_times=cfg["output"]["snapshot_times"])
+                         snapshot_times=snapshot_times)
     with _timed(timings, "write"):
         traj.to_csv(out / "trajectory.csv")
         # one state per file label; the final state wins a shared label
@@ -306,6 +310,9 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
             if cfg["output"]["dump_quantiles"]:
                 _quantile_csv(out / f"quantiles_t{label}.csv", theta, rho)
     summary.update(traj.summary())
+    # each requested time gives at most one snapshot, in sorted order: the
+    # times past the last one were never reached (t_max, or a blow-up)
+    summary["snapshot_times_unmet"] = snapshot_times[len(traj.snapshots):]
     adm = check_admissibility(initial, model, K, blowup=traj.blowup,
                               first_crossing_time=traj.first_crossing_time)
     summary["admissibility"] = {"verdict": adm.verdict.value, **adm.detail}

@@ -45,6 +45,14 @@ DENSE_GRID_SIZE = 4097
 SIGN_DEAD_BAND = 1e-9
 # samples a tabulated model takes of a callable field
 CALLABLE_SAMPLES = 1025
+# the 8-point Gauss-Legendre rule on [-1, 1], nodes increasing: the doubles
+# numpy.polynomial.legendre.leggauss(8) returns, without importing it
+GL_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                     0.7966664774136267, 0.9602898564975362])
+GL_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                       0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                       0.22238103445337443, 0.10122853629037706])
 
 
 class ModelError(ValueError):
@@ -400,11 +408,15 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> Oscil
     frac = (np.arange(cell.size) - np.repeat(np.cumsum(m) - m, m)) / m[cell]
     xn = np.append(xs[cell] + frac * dx[cell], x_hi)
 
-    # integral dx/F by one 8-point Gauss-Legendre sum per piece
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
+    # integral dx/F by one 8-point Gauss-Legendre sum per piece; F is taken
+    # one node column at a time, so no (pieces, 8) gather of cubics is made
     half = 0.5 * np.diff(xn)
-    nodes = (xn[:-1] + half)[:, None] + half[:, None] * gl_nodes
-    cum = np.concatenate([[0.0], np.cumsum(half * (gl_weights / F_interp(nodes)).sum(axis=1))])
+    mid = xn[:-1] + half
+    terms = np.empty((half.size, GL_NODES.size))
+    for j, g in enumerate(GL_NODES):
+        terms[:, j] = F_interp(mid + half * g)
+    np.divide(GL_WEIGHTS, terms, out=terms)
+    cum = np.concatenate([[0.0], np.cumsum(half * terms.sum(axis=1))])
     omega = TWO_PI / cum[-1]
     theta_n = omega * cum
     theta_n[-1] = TWO_PI
@@ -425,8 +437,8 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> Oscil
         if below.any():
             xb = x[below]
             half = 0.5 * (x_lo - xb)
-            nodes = (x_lo - half)[:, None] + half[:, None] * gl_nodes
-            theta[below] = -omega * half * (gl_weights / F_interp(nodes)).sum(axis=1)
+            nodes = (x_lo - half)[:, None] + half[:, None] * GL_NODES
+            theta[below] = -omega * half * (GL_WEIGHTS / F_interp(nodes)).sum(axis=1)
         return theta
 
     def state_inverse(theta):

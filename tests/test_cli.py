@@ -417,8 +417,11 @@ def test_summary_records_phase_timings(tmp_path):
 
 def test_blowup_at_start_reports_skipped_finite_run(tmp_path):
     # the continuum profile blows up at t = 0, so run_scenario stops before
-    # the finite section; summary.json says so instead of leaving it out
-    cfg = BLOWUP_CFG.replace("K = 0.1", "K = 1.5") + "\n[finite]\nenabled = true\nN = 10\n"
+    # the finite section and every snapshot time; summary.json says so
+    # instead of leaving them out
+    cfg = BLOWUP_CFG.replace("K = 0.1", "K = 1.5").replace(
+        "dir = {out}", "dir = {out}\nsnapshot_times = 0.5, 0")
+    cfg += "\n[finite]\nenabled = true\nN = 10\n"
     p = write_cfg(tmp_path, cfg, out=tmp_path / "out", expect="false")
     assert main(["run", str(p)]) == 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -426,6 +429,7 @@ def test_blowup_at_start_reports_skipped_finite_run(tmp_path):
     assert summary["admissibility"] == {"verdict": "inadmissible_numerically",
                                         "blowup": summary["blowup"]}
     assert summary["finite"] == "skipped: continuum blew up at t = 0"
+    assert summary["snapshot_times_unmet"] == [0.0, 0.5]
     assert summary["timings_s"]["integrate"] == summary["timings_s"]["finite"] == 0.0
     assert not (tmp_path / "out" / "finite").exists()
 
@@ -438,10 +442,11 @@ def test_blowup_at_start_reports_skipped_finite_run(tmp_path):
 ])
 def test_bundled_scenario_admissibility(tmp_path, monkeypatch, name, verdict):
     # read from the run itself: fig2's characteristic from theta = 0 crosses
-    # before its flux blows up
+    # before its flux blows up; every bundled snapshot time is met
     monkeypatch.chdir(tmp_path)
     assert main(["run", name, "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["snapshot_times_unmet"] == []
     adm = summary["admissibility"]
     assert adm["verdict"] == verdict
     if name == "homoclinic.cfg":
@@ -471,6 +476,35 @@ def test_run_ending_before_first_crossing_is_undecided(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["blowup"] is None and summary["first_crossing_time"] is None
     assert summary["admissibility"] == {"verdict": "undecided_run_ended_first"}
+
+
+@pytest.mark.parametrize("case", ["flag", "config", "blowup"])
+def test_unmet_snapshot_times_are_recorded(tmp_path, monkeypatch, capsys, case):
+    # a time past t_max, or after a blow-up, is never reached: summary.json
+    # lists it, sorted, and no density file is written for it
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    if case == "flag":
+        argv = ["simulate", "--K", "-0.1", "--tmax", "1", "--ntheta", "256",
+                "--snapshots=5,0.5", "--out", str(out)]
+        met, unmet = [0.5, 1.0], [5.0]
+    elif case == "config":
+        cfg = TINY_CFG.replace("dump_density = false", "snapshot_times = 1, 0.05, 0.5")
+        argv = ["run", str(write_cfg(tmp_path, cfg, out=out))]
+        met, unmet = [0.05, 0.1], [0.5, 1.0]
+    else:
+        cfg = BLOWUP_CFG.replace("dir = {out}", "dir = {out}\nsnapshot_times = 40, 0.5")
+        argv = ["run", str(write_cfg(tmp_path, cfg, out=out, expect="true"))]
+        met, unmet = [0.5, 1.6466], [40.0]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["snapshot_times_unmet"] == unmet
+    assert (summary["stop_reason"] == "blowup") == (case == "blowup")
+    # the met times' snapshots (at the first step past each) and the final state
+    written = sorted(float(f.name[len("density_t"):-len(".csv")])
+                     for f in out.glob("density_t*.csv"))
+    assert written == pytest.approx(met, abs=0.02)
 
 
 def test_sweep_empty_values(tmp_path, capsys):
@@ -1565,3 +1599,51 @@ def test_float_tables_keep_csv_writer_bytes(tmp_path, monkeypatch):
     q = np.append(prof.q_seg, prof.q_seg[-1])
     want = _csv_writer_bytes(tmp_path / "want.csv", ["phi", "Q", "q"], zip(a, b, q))
     assert (tmp_path / "quantiles.csv").read_bytes() == want
+
+
+def _bench_spans():
+    """bench/spans.py, executed from its source (no bytecode is written)."""
+    import types
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spans = types.ModuleType("bench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    return spans
+
+
+def test_bench_span_boundaries_exist():
+    # the benchmark times each layer by rebinding these names; a missing one
+    # reads "unmeasured" in every per-layer metric that needs it (and in
+    # cli.self_s), which only a traced benchmark run would show
+    import importlib
+    spans = _bench_spans()
+    missing = [f"{mod}.{attr}" for targets in spans.BOUNDARIES.values()
+               for mod, attr in targets if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []
+
+
+def test_bench_span_counters_read_results(tmp_path):
+    # the counts the spans take from integrate's, finite_simulate's,
+    # certify_theorem_bounds' and V's results (dense_t, final.theta, mass,
+    # n_events, events[i].absorbed, n_checked) are still there
+    spans = _bench_spans()
+    cfg = TINY_CFG.replace("t_max = 0.1", "t_max = 1.0").replace(
+        "dump_density = false", "log_stride = 2").replace("certify = false", "certify = true")
+    cfg += "\n[finite]\nenabled = true\nN = 10\nn_firings = 20\n"
+    p = write_cfg(tmp_path, cfg, out=tmp_path / "out")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert main(["run", str(p)]) == 0
+    assert tracer.missing == {}
+    assert not [s["fn"] for s in tracer.spans if s.get("uncounted") or s["error"]]
+    counted = {s["fn"]: s for s in tracer.spans if s["fn"] in spans.COUNTERS}
+    assert sorted(counted) == sorted(spans.COUNTERS)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    integ = counted["integrate"]
+    assert (integ["steps"], integ["n_theta"]) == (summary["n_steps"], 64)
+    assert 0.0 <= integ["mass_drift"] < 1e-12
+    fin = counted["finite_simulate"]
+    assert fin["firings"] == summary["finite"]["n_events"] == 20
+    assert type(fin["absorbed"]) is int and fin["absorbed"] >= 0
+    assert counted["certify_theorem_bounds"]["intervals"] == \
+        summary["certification"]["intervals_checked"] > 0
+    assert counted["lyapunov_tv_with_qmin"]["nan"] is False

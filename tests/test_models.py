@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from pulsefield import (Curvature, ModelError, Monotonicity, classify_monotonicity,
                         homoclinic_model, lif_model, tabulated_model)
+from pulsefield import models
 from pulsefield.models import hermite, load_field_table, pchip
 
 TWO_PI = 2.0 * math.pi
@@ -272,6 +278,63 @@ def test_nonlinear_phase_table_matches_quadrature():
     probe = np.sort(np.concatenate([xs, 0.5 * (xs[1:] + xs[:-1])]))
     ref = np.array([TWO_PI * integral(b) / period if b > 0.0 else 0.0 for b in probe])
     assert np.max(np.abs(m.phase_of_state(probe) - ref)) < QUAD_TOL * m.omega
+
+
+def test_gauss_legendre_constants_are_leggauss_doubles():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert models.GL_NODES.tobytes() == nodes.tobytes()
+    assert models.GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
+# a fresh interpreter builds the benchmark's kind of table (1201 seed-jittered
+# samples of F = 2.1 - 2x) under tracemalloc, then runs a 20-firing finite run
+# on it through the command line
+BUILD_PROBE = """
+import json, sys, tracemalloc
+from pathlib import Path
+import numpy as np
+from pulsefield.cli import main
+from pulsefield.models import tabulated_model
+out = Path(sys.argv[1])
+rng = np.random.default_rng(31)
+h = 1.0 / 1200
+xs = np.arange(1201) * h
+xs[1:-1] += rng.uniform(-0.25, 0.25, 1199) * h
+tracemalloc.start()
+tabulated_model(xs, 2.1 - 2.0 * xs)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+(out / "field.csv").write_text("x,F\\n" + "".join(f"{x!r},{2.1 - 2.0 * x!r}\\n"
+                                                 for x in xs.tolist()))
+code = main(["finite", "--model", "tabulated", "--table", str(out / "field.csv"),
+             "--N", "10", "--K", "-0.1", "--seed", "1", "--nfirings", "20",
+             "--out", str(out / "fin")])
+(out / "probe.json").write_text(json.dumps(
+    {"code": code, "peak": peak,
+     "polynomial": sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))}))
+"""
+
+
+@pytest.fixture(scope="module")
+def build_probe(tmp_path_factory):
+    out = tmp_path_factory.mktemp("build_probe")
+    env = dict(os.environ, PYTHONPATH=str(Path(models.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", BUILD_PROBE, str(out)], env=env, check=True,
+                   capture_output=True, timeout=120)
+    return json.loads((out / "probe.json").read_text())
+
+
+def test_tabulated_build_peak_memory(build_probe):
+    # importing numpy.polynomial for leggauss took the build's traced peak
+    # from about 2.5 to 3.2 MB; without it the peak is reached while the
+    # finished tables are classified
+    assert build_probe["peak"] <= 2.6e6
+
+
+def test_tabulated_finite_run_never_imports_numpy_polynomial(build_probe):
+    # nine modules (about 0.9 MB and 3 ms) for eight constants
+    assert build_probe["code"] == 0
+    assert build_probe["polynomial"] == []
 
 
 def _float_path_probes(knots, lo, hi, seed):
