@@ -323,7 +323,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
     if traj.blowup is None and cfg["run"]["expect_blowup"]:
         summary["expected_blowup_missing"] = True
 
-    if cfg["run"]["certify"] and reference is not None and np.isfinite(traj.V).any():
+    if cfg["run"]["certify"] and reference is not None:
         with _timed(timings, "certify"):
             cert, passed = _certify(traj, model, K)
         with _timed(timings, "write"):

@@ -63,12 +63,6 @@ class QuantileProfile:
         """Quantile function by monotone piecewise-linear inversion."""
         return np.interp(phi, self.phi, self.Q)
 
-    def q_at(self, phi):
-        """Piecewise-constant quantile density at the given indices."""
-        idx = np.clip(np.searchsorted(self.phi, phi, side="right") - 1,
-                      0, self.q_seg.size - 1)
-        return self.q_seg[idx]
-
 
 def quantile_transform(theta, rho, *, into: GridReference | None = None) -> QuantileProfile:
     """Quantile profile of the density ``rho`` sampled at the nodes ``theta``.
@@ -116,9 +110,11 @@ def _transform(dtheta, rho, phi, dphi, Q) -> QuantileProfile:
     if dphi.min() > 0.0:
         return QuantileProfile(phi, Q, np.divide(dtheta, dphi, dphi))
     # a zero plateau (or a non-finite density) leaves some dphi not positive:
-    # q = inf there, and the profile is flagged
+    # q = inf there (and where a subnormal dphi overflows it), and the
+    # profile is flagged
     q_seg = np.full(dphi.size, np.inf)
-    np.divide(dtheta, dphi, out=q_seg, where=dphi > 0.0)
+    with np.errstate(over="ignore"):
+        np.divide(dtheta, dphi, out=q_seg, where=dphi > 0.0)
     return QuantileProfile(phi, Q, q_seg, True)
 
 
@@ -172,18 +168,17 @@ def _merged_segments(a: QuantileProfile, b: QuantileProfile, grid=None):
     Returns (q_a, q_b, width) per union segment; each union segment takes
     the segment values of ``a`` and ``b`` at its midpoint.  One stable sort
     merges the two sorted knot vectors (in ``grid``'s buffer when ``a`` was
-    transformed into it).  At the last copy of each distinct knot (merged
-    position ``pos``, source index ``src``) the number of knots of ``a`` at
-    or below it is src + 1 for a knot of ``a`` and pos - src + n_a for a
-    knot of ``b`` (stability puts equal knots of ``a`` first); the segment
-    index is one less.  A midpoint 0.5*(u_j + u_{j+1}) lies in
-    [u_j, u_{j+1}]; when it rounds onto u_{j+1} the count at u_{j+1} is the
-    one that applies.
+    transformed into it).
 
     When both profiles share their end knots and every other union width
     exceeds one ulp of 1.0, the distinct knots are a slice of the sorted
     vector (the two copies of each end knot sit at its ends) and no
-    midpoint rounds onto a knot, so positions and sources are slices too.
+    midpoint rounds onto a knot.  Then the union segment at merged position
+    pos, whose lower knot is entry src of the concatenated knots (stability
+    puts equal knots of ``a`` first), has index src in ``a`` when src < n_a,
+    else pos - src + n_a - 1, and pos - 1 minus that in ``b``.  Otherwise
+    ``searchsorted`` finds each profile's segment at the midpoints of the
+    distinct knots.
     """
     n_a = a.phi.size
     if grid is not None and a.phi is grid.phi:
@@ -193,47 +188,25 @@ def _merged_segments(a: QuantileProfile, b: QuantileProfile, grid=None):
     order = merged.argsort(kind="stable")
     ordered = merged[order]
     width = ordered[2:-1] - ordered[1:-2]
-    sliced = (a.phi[0] == b.phi[0] and a.phi[-1] == b.phi[-1]
-              and width.min() > _MIN_SLICE_WIDTH)
-    if sliced:
+    if (a.phi[0] == b.phi[0] and a.phi[-1] == b.phi[-1]
+            and width.min() > _MIN_SLICE_WIDTH):
         src = order[1:-2]
         if positions is None:
             pos = np.arange(1, ordered.size - 2)
             positions = (pos - 1, pos + (n_a - 1))
-    else:
-        last = np.empty(ordered.size, dtype=bool)  # last copy of each distinct knot
-        np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
-        last[-1] = True
-        pos = last.nonzero()[0]
-        src = order[pos]
-        positions = (pos - 1, pos + (n_a - 1))
-    # segment index in a: src, or pos - src + n_a - 1; in b: pos - 1 - ia
-    pos_lo, pos_hi = positions
-    ia = np.where(src < n_a, src, pos_hi - src)
-    ib = pos_lo - ia
-    if sliced:
+        pos_lo, pos_hi = positions
+        ia = np.where(src < n_a, src, pos_hi - src)
+        ib = pos_lo - ia
         return a.q_seg.take(ia), b.q_seg.take(ib), width
-    knots = ordered[pos]
+    first = np.empty(ordered.size, dtype=bool)  # first copy of each distinct knot
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    knots = ordered[first]
     mid = knots[1:] + knots[:-1]
     mid *= 0.5
-    onto = mid == knots[1:]
-    if onto.any() or a.phi[0] != b.phi[0] or a.phi[-1] != b.phi[-1]:
-        ia = np.clip(np.where(onto, ia[1:], ia[:-1]), 0, a.q_seg.size - 1)
-        ib = np.clip(np.where(onto, ib[1:], ib[:-1]), 0, b.q_seg.size - 1)
-    else:
-        # with shared end knots, a non-final union knot has at least one and
-        # at most n - 1 knots of each profile at or below it: no clip needed
-        ia = ia[:-1]
-        ib = ib[:-1]
+    ia = np.clip(np.searchsorted(a.phi, mid, side="right") - 1, 0, a.q_seg.size - 1)
+    ib = np.clip(np.searchsorted(b.phi, mid, side="right") - 1, 0, b.q_seg.size - 1)
     return a.q_seg.take(ia), b.q_seg.take(ib), knots[1:] - knots[:-1]
-
-
-def _tv_and_qmin(a: QuantileProfile, b: QuantileProfile, grid=None) -> tuple[float, float]:
-    qa, qb, width = _merged_segments(a, b, grid)
-    qa -= qb          # |q_a - q_b| * width, in q_a's fresh buffer
-    np.abs(qa, out=qa)
-    qa *= width
-    return float(qa.sum()), min(a.q_min, b.q_min if grid is None else grid.q_min)
 
 
 def lyapunov_tv_with_qmin(state: QuantileProfile, reference) -> tuple[float, float]:
@@ -246,7 +219,11 @@ def lyapunov_tv_with_qmin(state: QuantileProfile, reference) -> tuple[float, flo
     ref = reference if grid is None else grid.profile
     if state.degenerate or ref.degenerate:
         raise QuantileDegenerateError("quantile density undefined on a zero plateau")
-    return _tv_and_qmin(state, ref, grid)
+    qa, qb, width = _merged_segments(state, ref, grid)
+    qa -= qb          # |q_a - q_b| * width, in q_a's fresh buffer
+    np.abs(qa, out=qa)
+    qa *= width
+    return float(qa.sum()), min(state.q_min, ref.q_min if grid is None else grid.q_min)
 
 
 def quantile_l2(state: QuantileProfile, reference: QuantileProfile) -> float:

@@ -603,6 +603,25 @@ def test_certify_nothing_checked_fails(tmp_path, capsys):
     assert code == 3
 
 
+def test_run_with_every_v_undefined_certifies_nothing_and_fails(tmp_path):
+    # a start so sharp that every logged row has a zero plateau: V is undefined
+    # on all of them, yet the run certifies (checking nothing, which fails)
+    # and the subnormal tail's q = inf comes with no overflow warning
+    out = tmp_path / "s1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--K", "-0.1", "--ic", "vonmises", "--kappa", "2000",
+                     "--tmax", "0.3", "--ntheta", "256", "--out", str(out)])
+    assert code == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["v_eval_failures"] == 7
+    assert summary["V_first"] is None and summary["V_final"] is None
+    cert = json.loads((out / "certification.json").read_text())
+    assert cert["intervals_checked"] == 0
+    assert summary["certification"] == cert
+    assert summary["exit_code"] == 3
+
+
 TINY_CFG = """
 [model]
 model = lif

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pulsefield import (QuantileDegenerateError, discrete_lyapunov, lyapunov_tv,
-                        quantile_l2, quantile_transform)
+from pulsefield import (QuantileDegenerateError, discrete_lyapunov, initial_density,
+                        integrate, lif_model, lyapunov_tv, quantile_l2, quantile_transform,
+                        solve_stationary_flux)
 from pulsefield.quantile import GridReference, QuantileProfile, lyapunov_tv_with_qmin
 
 TWO_PI = 2.0 * math.pi
@@ -25,7 +27,8 @@ def test_uniform_density_transform():
     phis = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(prof.Q_at(phis) - TWO_PI * phis)) < 1e-12
     assert np.max(np.abs(prof.q_seg - TWO_PI)) < 1e-10
-    assert np.max(np.abs(prof.q_at(phis[:-1]) - TWO_PI)) < 1e-10
+    seg = np.searchsorted(prof.phi, phis[:-1], side="right") - 1
+    assert np.max(np.abs(prof.q_seg[seg] - TWO_PI)) < 1e-10
 
 
 def test_cumulative_endpoints_and_monotonicity():
@@ -45,7 +48,8 @@ def test_reciprocal_identity_at_segment_midpoints():
     theta_mid = prof.Q_at(mids)
     # density at Q(phi) by the same piecewise-linear representation
     rho_mid = np.interp(theta_mid, th, rho / np.trapezoid(rho, th))
-    assert np.max(np.abs(prof.q_at(mids) * rho_mid - 1.0)) < 1e-6
+    # segment i holds its own midpoint
+    assert np.max(np.abs(prof.q_seg * rho_mid - 1.0)) < 1e-6
 
 
 def test_quantile_density_integrates_to_two_pi():
@@ -78,7 +82,8 @@ def test_quantile_inversion_against_bisection_oracle(stat_inhib):
                 hi = mid
         theta_p = 0.5 * (lo + hi)
         q_oracle[i] = 1.0 / np.interp(theta_p, dense_th, dense_rho)
-    rel = np.abs(prof.q_at(phis) / q_oracle - 1.0)
+    seg = np.searchsorted(prof.phi, phis, side="right") - 1
+    rel = np.abs(prof.q_seg[seg] / q_oracle - 1.0)
     assert np.max(rel) < 0.01
 
 
@@ -268,7 +273,7 @@ def _merge_branch(a, b, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr("pulsefield.quantile.np", spy)
         lyapunov_tv_with_qmin(a, b)
-    # only the general branch marks the last copy of each distinct knot
+    # only the union formula marks the first copy of each distinct knot
     return "general" if "not_equal" in spy.names else "slice"
 
 
@@ -279,6 +284,22 @@ def test_merge_examples_cover_both_branches(monkeypatch):
     assert _merge_branch(*ONTO_PAIR[:2], monkeypatch) == "general"
     a = NO_ONTO_PAIR[0]
     assert _merge_branch(a, a, monkeypatch) == "general"
+
+
+def test_fig1_rows_take_the_sliced_merge(monkeypatch):
+    # fig1 at n_theta 256 to t = 2, Courant number 1, every 10th step logged:
+    # V on every row merges by the sliced branch.  If rows ever reach the
+    # union formula, its speed starts to matter.
+    model = lif_model(2.1, 2.0)
+    ref = solve_stationary_flux(model, -0.1, n_theta=256)
+    initial = initial_density("perturbed", 256, model, -0.1, epsilon=0.2, reference=ref)
+    spy = _NumpySpy()
+    monkeypatch.setattr("pulsefield.quantile.np", spy)
+    traj = integrate(model, -0.1, initial, t_max=2.0, cfl=1.0, log_stride=10,
+                     reference=ref)
+    assert traj.v_helper_rows == 0   # the ring holds 256 rows: all in process
+    assert traj.V.size > 30 and np.isfinite(traj.V).all()
+    assert "not_equal" not in spy.names
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,6 +370,17 @@ def test_transform_matches_reference_bits(dens):
     assert prof.degenerate == want[3]
     if want[3]:
         assert np.isinf(prof.q_seg).any()
+
+
+def test_subnormal_tail_gives_degenerate_profile_without_warning():
+    # the tail of exp(2000*(cos - 1)) reaches subnormal widths dphi, whose
+    # q = dtheta/dphi overflows to inf: a degenerate profile, not a warning
+    th = np.linspace(0.0, TWO_PI, 257)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = quantile_transform(th, np.exp(2000.0 * (np.cos(th - math.pi) - 1.0)))
+    assert prof.degenerate
+    assert np.isinf(prof.q_seg).any()
 
 
 def _v_outcome(fn):
