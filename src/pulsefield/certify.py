@@ -82,9 +82,10 @@ class CertificationReport:
         return int(np.sum(self.claimed & ~self.ok))
 
     @property
-    def fraction_ok(self) -> float:
+    def fraction_ok(self) -> float | None:
+        """Share of checked intervals that hold; None when none was checked."""
         n = self.n_checked
-        return 1.0 if n == 0 else float(np.sum(self.claimed & self.ok)) / n
+        return float(np.sum(self.claimed & self.ok)) / n if n else None
 
     @property
     def worst_violation(self) -> float:
@@ -96,19 +97,35 @@ class CertificationReport:
         return float(over.max())
 
     @property
-    def lemma_ok(self) -> bool:
+    def lemma_ok(self) -> bool | None:
+        """Whether 4*pi - 2*q_min - V >= 0 on every row where it is finite;
+        None when it is finite on none."""
         vals = self.lemma_slack[np.isfinite(self.lemma_slack)]
-        return bool(vals.size == 0 or vals.min() >= -1e-6)
+        return bool(vals.min() >= -1e-6) if vals.size else None
 
     @property
     def lemma_worst(self) -> float:
         vals = self.lemma_slack[np.isfinite(self.lemma_slack)]
         return float(vals.min()) if vals.size else math.nan
 
+    @property
+    def unchecked_reason(self) -> str | None:
+        """Why no interval was checked; None when some interval was."""
+        if self.n_checked:
+            return None
+        if self.t.size == 0:
+            return "fewer than three logged rows"
+        if not self.hypothesis_met:
+            return "curvature hypothesis not met"
+        if not (np.isfinite(self.V) & np.isfinite(self.dVdt)).any():
+            return "V is undefined on every interval"
+        return "density below rho_floor on every interval where V is defined"
+
     def verdict(self) -> bool:
-        """Pass only if some interval was checked: checking nothing proves nothing."""
-        return (self.hypothesis_met and self.lemma_ok and self.n_checked > 0
-                and self.fraction_ok >= MIN_FRACTION)
+        """Pass only if some interval was checked: checking nothing proves
+        nothing.  A lemma with no finite slack does not fail it."""
+        return (self.hypothesis_met and self.lemma_ok is not False
+                and self.n_checked > 0 and self.fraction_ok >= MIN_FRACTION)
 
     def to_json(self) -> dict:
         return {
@@ -116,6 +133,7 @@ class CertificationReport:
             "kz_prime_min": self.kz_prime_range[0],
             "kz_prime_max": self.kz_prime_range[1],
             "intervals_checked": self.n_checked,
+            "unchecked_reason": self.unchecked_reason,
             "violations": self.n_violations,
             "fraction_ok": self.fraction_ok,
             "worst_violation": self.worst_violation,
@@ -187,13 +205,14 @@ def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float) -> Dec
 
     The rate is -slope; the verdict asks it to lie in the bracket
     [J_min * min|K*Z'|, J_max * max|K*Z'|] widened by 10%, with the flux
-    window taken over the first crossing.  An integrated run's own window is
-    final, None included: ``integrate`` traced it from the steps it took.  A
-    log read from CSV has no steps, so ``continuum.first_crossing`` traces it
-    over SUBSTEPS equal steps per logged interval, with J0 interpolated
-    linearly.  Samples at or below V_FLOOR are dropped (V has reached the
-    numerical floor).  With K = 0 the bracket degenerates and the verdict
-    becomes |rate| <= 1e-3.
+    window taken over the first crossing.  An expanding run (min K*Z' > 0)
+    grows, so its rate is negative and its bracket the mirror image.  An
+    integrated run's own window is final, None included: ``integrate``
+    traced it from the steps it took.  A log read from CSV has no steps, so
+    ``continuum.first_crossing`` traces it over SUBSTEPS equal steps per
+    logged interval, with J0 interpolated linearly.  Samples at or below
+    V_FLOOR are dropped (V has reached the numerical floor).  With K = 0 the
+    bracket degenerates and the verdict becomes |rate| <= 1e-3.
     """
     t, V = traj.t, traj.V
     jw = traj.J_window
@@ -211,13 +230,18 @@ def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float) -> Dec
     amax = max(abs(kz_lo), abs(kz_hi))
     if jw is not None and amax > 0.0:
         bracket = (0.9 * jw[0] * amin, 1.1 * jw[1] * amax)
+        if kz_lo > 0.0:
+            bracket = (-bracket[1], -bracket[0])
     else:
         bracket = (0.0, 0.0)
 
     if n_pts < 2:
         return DecayFit(math.nan, bracket, False, window, n_pts, jw)
-    slope = float(np.polyfit(t[mask], np.log(V[mask]), 1)[0])
-    rate = -slope
+    # the least-squares line on centred times: four sums, no LAPACK call
+    x = t[mask]
+    x = x - x.mean()
+    y = np.log(V[mask])
+    rate = -float(np.sum(x * (y - y.mean())) / np.sum(x * x))
     if bracket == (0.0, 0.0):
         ok = abs(rate) <= 1e-3
     else:

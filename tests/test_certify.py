@@ -60,7 +60,69 @@ def test_hypothesis_refused_for_mixed_curvature():
     rep = certify_theorem_bounds(traj, wob, -0.05)
     assert not rep.hypothesis_met
     assert rep.n_checked == 0
+    assert rep.fraction_ok is None
+    assert rep.unchecked_reason == "curvature hypothesis not met"
     assert not rep.verdict()
+
+
+def _csv_log(tmp_path, rows):
+    # a hand-built trajectory.csv read back as a log: rows of
+    # (t, J0, rho_min, V), with mass 1, rho_max 0.4 and q_min 1
+    from pulsefield.continuum import TrajectoryLog
+    lines = ["t,J0,mass,rho_min,rho_max,V,q_min,event"]
+    lines += [f"{t!r},{j!r},1.0,{r!r},0.4,{v!r},1.0," for t, j, r, v in rows]
+    path = tmp_path / "trajectory.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return TrajectoryLog.from_csv(path)
+
+
+@pytest.mark.parametrize("case,reason,lemma_ok", [
+    ("two_rows", "fewer than three logged rows", True),
+    ("v_undefined", "V is undefined on every interval", None),
+    ("below_floor", "density below rho_floor on every interval where V is defined", True),
+])
+def test_unchecked_reason_names_why_nothing_was_checked(tmp_path, lif, case, reason,
+                                                        lemma_ok):
+    n = 2 if case == "two_rows" else 12
+    v = math.nan if case == "v_undefined" else 1.0
+    rho_min = 1e-9 if case == "below_floor" else 0.2
+    traj = _csv_log(tmp_path, [(0.5 * i, 0.5, rho_min, v * math.exp(-0.05 * i))
+                               for i in range(n)])
+    rep = certify_theorem_bounds(traj, lif, -0.1)
+    assert rep.n_checked == 0 and not rep.verdict()
+    assert rep.unchecked_reason == reason
+    assert rep.fraction_ok is None
+    assert rep.lemma_ok is lemma_ok
+    cert = rep.to_json()
+    assert (cert["unchecked_reason"], cert["fraction_ok"], cert["lemma_ok"]) == \
+        (reason, None, lemma_ok)
+
+
+@pytest.mark.parametrize("K", [0.1, 0.05])
+def test_expanding_decay_fit_takes_the_mirror_bracket(lif, K):
+    # V grows, so the rate is negative: an expanding run's bracket is
+    # [-1.1 * J_max * max K*Z', -0.9 * J_min * min K*Z']
+    from pulsefield import solve_stationary_flux
+    stat = solve_stationary_flux(lif, K)
+    ic = initial_density("vonmises", 512, lif, K, kappa=1.0)
+    traj = integrate(lif, K, ic, t_max=50.0, reference=stat)
+    assert traj.blowup is not None
+    fit = fit_decay_rate(traj, lif, K)
+    kz_lo, kz_hi = lif.kz_prime_extrema(K)
+    assert kz_lo > 0.0
+    assert fit.bracket == (-1.1 * fit.J_window[1] * kz_hi, -0.9 * fit.J_window[0] * kz_lo)
+    assert fit.bracket[0] <= fit.rate <= fit.bracket[1] < 0.0
+    assert fit.in_bracket
+
+
+def test_decay_fit_on_two_points_matches_least_squares(tmp_path, lif):
+    # four rows leave two in the tail half: the fitted line joins them
+    traj = _csv_log(tmp_path, [(0.0, 0.5, 0.2, 1.0), (1.0, 0.5, 0.2, 0.7),
+                               (2.0, 0.5, 0.2, 0.45), (3.0, 0.5, 0.2, 0.3)])
+    fit = fit_decay_rate(traj, lif, -0.1)
+    assert fit.n_points == 2
+    oracle = -np.polyfit([2.0, 3.0], np.log([0.45, 0.3]), 1)[0]
+    assert abs(fit.rate - oracle) <= 1e-15 * abs(oracle)
 
 
 def test_decay_rate_bracket(lif, inhib_traj):

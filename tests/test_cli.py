@@ -618,6 +618,9 @@ def test_run_with_every_v_undefined_certifies_nothing_and_fails(tmp_path):
     assert summary["V_first"] is None and summary["V_final"] is None
     cert = json.loads((out / "certification.json").read_text())
     assert cert["intervals_checked"] == 0
+    # a certificate that checked nothing does not read like a pass
+    assert cert["fraction_ok"] is None and cert["lemma_ok"] is None
+    assert cert["unchecked_reason"] == "V is undefined on every interval"
     assert summary["certification"] == cert
     assert summary["exit_code"] == 3
 
@@ -927,6 +930,40 @@ def test_fig1_trajectory_matches_golden(tmp_path):
     # settings it was recorded with (Courant number 0.5, every 20th step)
     assert main(["run", str(_fig1_small_cfg(tmp_path))]) == 0
     _assert_matches_golden(tmp_path / "out" / "trajectory.csv", GOLDEN_FIG1)
+
+
+def test_certified_run_calls_no_lapack(tmp_path, monkeypatch):
+    # the decay fit is a closed-form line: a certified run needs no
+    # least-squares solver
+    def refuse(*args, **kw):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    assert main(["run", str(_fig1_small_cfg(tmp_path, rewrites=()))]) == 0
+    cert = json.loads((tmp_path / "out" / "certification.json").read_text())
+    assert cert["intervals_checked"] > 0 and cert["decay_fit"]["in_bracket"]
+
+
+@pytest.mark.parametrize("name", ["fig1.cfg", "fig2.cfg", "homoclinic.cfg"])
+def test_bundled_decay_fit_matches_least_squares(tmp_path, monkeypatch, name):
+    # the closed-form slope against numpy's least-squares fit of the same
+    # logged floats: within 1e-15 relative, and on the same side of the
+    # bracket; fig2 grows, and its rate lies in the mirror bracket
+    from pulsefield.certify import V_FLOOR
+    from pulsefield.continuum import TrajectoryLog
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", name, "--out", str(tmp_path / "out")]) == 0
+    fit = json.loads((tmp_path / "out" / "certification.json").read_text())["decay_fit"]
+    traj = TrajectoryLog.from_csv(tmp_path / "out" / "trajectory.csv")
+    t, V = traj.t, traj.V
+    lo, hi = fit["window"]
+    mask = (t >= lo) & (t <= hi) & np.isfinite(V) & (V > V_FLOOR)
+    assert mask.sum() == fit["n_points"] > 100
+    oracle = -np.polyfit(t[mask], np.log(V[mask]), 1)[0]
+    assert abs(fit["rate"] - oracle) <= 1e-15 * abs(oracle)
+    assert fit["in_bracket"] == (fit["bracket"][0] <= oracle <= fit["bracket"][1])
+    assert fit["in_bracket"]
 
 
 def test_fig1_cfl1_trajectory_matches_golden(tmp_path):
