@@ -292,6 +292,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
         _write_json(out / "summary.json", summary)
         return summary
 
+    summary["initial"] = {"boundary_jump": initial.boundary_jump}
+
     dt = None
     if sol["align_dt"]:
         dt = initial.dtheta / model.omega

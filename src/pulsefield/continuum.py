@@ -114,13 +114,14 @@ class DensityField:
     ``theta`` holds N+1 uniform nodes on [0, 2*pi]; node 0 and node N carry
     the two distinct boundary densities.  ``mass`` is the right-endpoint
     Riemann sum over nodes 1..N, the functional the upwind scheme conserves
-    exactly.
+    exactly.  ``boundary_jump`` is set by ``from_profile`` (telemetry only).
     """
 
     theta: np.ndarray
     rho: np.ndarray
     J0: float
     t: float = 0.0
+    boundary_jump: float | None = dc_field(default=None, compare=False)
 
     @property
     def dtheta(self) -> float:
@@ -140,7 +141,10 @@ class DensityField:
         The profile is normalized to unit discrete mass, then the boundary
         flux is computed from rho(2*pi) and rho(0) is overwritten with the
         value the flux relation dictates (an arbitrary profile will not
-        satisfy it).  A profile already past the critical boundary density
+        satisfy it).  ``boundary_jump`` is the ratio rho(0)/rho(0+) of that
+        value to the normalized profile's own value at node 0, the density
+        jump the start carries at theta = 0+ (None when the profile is 0
+        there).  A profile already past the critical boundary density
         raises ``BlowupError`` at construction; one without positive finite
         mass raises ``ValueError``.
         """
@@ -153,9 +157,11 @@ class DensityField:
         if not (0.0 < mass < math.inf):
             raise ValueError(f"initial density needs positive finite mass, got {mass!r}")
         rho /= mass
+        rho_0_plus = rho.item(0)
         J0 = _advance_boundary(rho, t, model.omega, K * float(model.prc(0.0)),
                                K * float(model.prc(TWO_PI)), math.inf)
-        return cls(theta, rho, J0, t)
+        jump = rho.item(0) / rho_0_plus if rho_0_plus else None
+        return cls(theta, rho, J0, t, jump)
 
 
 # -- boundary relation and single steps -----------------------------------------

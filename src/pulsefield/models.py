@@ -234,21 +234,27 @@ class PiecewiseCubic:
     ``0.0 + c2 + (c1*s)*2 + (c0*(s*s))*3``.  NaN propagates through the sum.
     On one Python float the piece is found by ``bisect_right`` on a knot
     list and the sum is formed in floats, at about a seventh of the cost of
-    the array call.  Built by ``pchip`` and ``hermite``.
+    the array call.  Built by ``pchip``, ``hermite`` and ``derivative`` from
+    one ``(deg + 2, pieces)`` array ``rows``: the coefficient rows, which
+    ``c`` views, and minus each piece's left knot, so one take reads a
+    point's piece.
     """
 
-    def __init__(self, x, c):
+    def __init__(self, x, rows):
         self.x = x
-        self.c = c
-        # a piece's coefficients and minus its left knot in one column, so
-        # one take reads a point's piece; v + (-x_i) is v - x_i exactly, and
-        # the constant is stored as PPoly's 0.0 + c (a -0.0 becomes 0.0)
-        self._rows = np.vstack([c, -x[:-1]])
-        self._rows[-2] += 0.0
+        self.c = rows[:-1]
+        self._rows = rows
         self._inner = x[1:-1]
-        self._cubic = len(c) == 4
+        self._cubic = len(rows) == 5
         self._last = len(x) - 2
         self._pieces = None
+        # PPoly's sum starts from 0.0, which changes a total only by turning
+        # -0.0 into 0.0.  A sum is -0.0 only if every term is, its constant
+        # included, and (0.0 + a) + b is 0.0 + (a + b) for every a and b, so
+        # the array path adds the 0.0 last, and only to a table with a -0.0
+        # constant
+        const = rows[-2]
+        self._zero_sum = bool(np.signbit(const[const == 0.0]).any())
 
     def __call__(self, v):
         """Values at v: a float for a Python float (cubic tables), else an
@@ -276,28 +282,33 @@ class PiecewiseCubic:
         if not v.ndim:
             return self(v.reshape(1)).reshape(())
         # one searchsorted on the inner knots gives the clipped piece index,
-        # one take its column; the sum is then formed in place, term by term
+        # one take its column; the sum is then formed term by term, v + (-x_i)
+        # being v - x_i exactly.  Only the first product is a new array, so a
+        # result held by the caller does not hold the taken rows
         r = self._rows.take(self._inner.searchsorted(v, "right"), axis=1)
         s = r[-1]
         s += v
         if not self._cubic:
-            res = r[1]
-            res *= s
+            res = r[1] * s
             res += r[2]
             s *= s
             c0 = r[0]
             c0 *= s
             res += c0
+            if self._zero_sum:
+                res += 0.0
             return res
         z = s * s
-        c0, c1, res = r[0], r[1], r[2]
-        res *= s
+        c0, c1 = r[0], r[1]
+        res = r[2] * s
         res += r[3]
         c1 *= z
         res += c1
         z *= s
         c0 *= z
         res += c0
+        if self._zero_sum:
+            res += 0.0
         return res
 
     def slope(self, v):
@@ -310,17 +321,34 @@ class PiecewiseCubic:
     def derivative(self):
         """The first derivative of a cubic table as PPoly forms it, a
         quadratic table with coefficients (3c0, 2c1, c2)."""
-        return PiecewiseCubic(self.x, self.c[:-1] * np.array([3.0, 2.0, 1.0])[:, None])
+        rows = np.empty((4, self._last + 1))
+        np.multiply(self.c[:-1], ((3.0,), (2.0,), (1.0,)), out=rows[:-1])
+        rows[-1] = self._rows[-1]
+        return PiecewiseCubic(self.x, rows)
 
 
 def hermite(x, y, dydx) -> PiecewiseCubic:
     """Cubic Hermite interpolant of values y and slopes dydx at the strictly
     increasing knots x, with ``CubicHermiteSpline``'s coefficients."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    return PiecewiseCubic(x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t,
-                                       dydx[:-1], y[:-1])))
+    rows = np.empty((5, x.size - 1))
+    c0, c1, c2, c3, knot = rows
+    # c2, c3 and the knot row hold t, the secant slope and the knot spacing
+    # until the coefficients are formed
+    t, slope, dx = c2, c3, knot
+    np.subtract(x[1:], x[:-1], out=dx)
+    np.subtract(y[1:], y[:-1], out=slope)
+    slope /= dx
+    np.add(dydx[:-1], dydx[1:], out=t)
+    t -= 2.0 * slope
+    t /= dx
+    np.divide(t, dx, out=c0)
+    np.subtract(slope, dydx[:-1], out=c1)
+    c1 /= dx
+    c1 -= t
+    c2[:] = dydx[:-1]
+    c3[:] = y[:-1]
+    np.negative(x[:-1], out=knot)
+    return PiecewiseCubic(x, rows)
 
 
 def pchip(x, y) -> PiecewiseCubic:
@@ -408,17 +436,15 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> Oscil
     frac = (np.arange(cell.size) - np.repeat(np.cumsum(m) - m, m)) / m[cell]
     xn = np.append(xs[cell] + frac * dx[cell], x_hi)
 
-    # integral dx/F by one 8-point Gauss-Legendre sum per piece; F is taken
-    # one node column at a time, so no (pieces, 8) gather of cubics is made
+    # integral dx/F by one 8-point Gauss-Legendre sum per piece
     half = 0.5 * np.diff(xn)
-    mid = xn[:-1] + half
-    terms = np.empty((half.size, GL_NODES.size))
-    for j, g in enumerate(GL_NODES):
-        terms[:, j] = F_interp(mid + half * g)
-    np.divide(GL_WEIGHTS, terms, out=terms)
-    cum = np.concatenate([[0.0], np.cumsum(half * terms.sum(axis=1))])
-    omega = TWO_PI / cum[-1]
-    theta_n = omega * cum
+    step = _gauss_legendre_sum(F_interp, xn[:-1] + half, half)
+    step *= half
+    theta_n = np.empty(xn.size)
+    theta_n[0] = 0.0
+    np.cumsum(step, out=theta_n[1:])
+    omega = TWO_PI / theta_n[-1]
+    theta_n *= omega
     theta_n[-1] = TWO_PI
 
     # cubic Hermite maps with the exact node slopes dtheta/dx = omega/F,
@@ -435,10 +461,8 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> Oscil
         theta = phase_interp(x)
         below = x < x_lo
         if below.any():
-            xb = x[below]
-            half = 0.5 * (x_lo - xb)
-            nodes = (x_lo - half)[:, None] + half[:, None] * GL_NODES
-            theta[below] = -omega * half * (GL_WEIGHTS / F_interp(nodes)).sum(axis=1)
+            half = 0.5 * (x_lo - x[below])
+            theta[below] = -omega * half * _gauss_legendre_sum(F_interp, x_lo - half, half)
         return theta
 
     def state_inverse(theta):
@@ -453,6 +477,21 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> Oscil
     return OscillatorModel("tabulated", x_lo, x_hi, omega, F_interp, phase_fn, state_inverse,
                            z_interp, z_interp.derivative(),
                            {"x_lo": x_lo, "x_hi": x_hi, "n_samples": xs.size})
+
+
+def _gauss_legendre_sum(F, mid, half, lo=0, n=GL_NODES.size):
+    """Sum over the Gauss-Legendre nodes lo..lo+n-1 of w_j / F(mid + half*g_j),
+    per element of ``mid`` and ``half``, one node column at a time, so no
+    (pieces, 8) matrix is made.  The columns are added pair by pair,
+    ((t0+t1)+(t2+t3))+((t4+t5)+(t6+t7)): the order in which numpy's pairwise
+    sum adds a row of eight, so the sums are those of ``.sum(axis=1)`` on
+    the matrix."""
+    if n == 1:
+        col = F(mid + half * GL_NODES[lo])
+        return np.divide(GL_WEIGHTS[lo], col, out=col)
+    acc = _gauss_legendre_sum(F, mid, half, lo, n // 2)
+    acc += _gauss_legendre_sum(F, mid, half, lo + n // 2, n // 2)
+    return acc
 
 
 def homoclinic_model(C: float, lambda_u: float, omega: float) -> OscillatorModel:
@@ -484,18 +523,22 @@ def homoclinic_model(C: float, lambda_u: float, omega: float) -> OscillatorModel
 
 
 def load_field_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a CSV of (x, F(x)) pairs with header ``x,F``."""
+    """Read a UTF-8 CSV of (x, F(x)) pairs with header ``x,F``; a leading
+    byte-order mark is skipped, and rows are parsed as they are read."""
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = csv.reader(fh)
+            header = [c.strip() for c in next(rows, [])[:2]]
+            data = (np.fromiter(((float(r[0]), float(r[1])) for r in rows if r),
+                                dtype=(float, 2)) if header == ["x", "F"] else None)
     except OSError as exc:
         raise ModelError(f"{path}: cannot read field table: {exc.strerror or exc}")
-    if not rows or [c.strip() for c in rows[0][:2]] != ["x", "F"]:
-        raise ModelError(f"{path}: expected CSV header 'x,F'")
-    try:
-        data = np.asarray([[float(r[0]), float(r[1])] for r in rows[1:] if r], dtype=float)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ModelError(f"{path}: field table is not UTF-8 CSV text: {exc}")
     except (ValueError, IndexError) as exc:
         raise ModelError(f"{path}: bad sample row: {exc}")
+    if data is None:
+        raise ModelError(f"{path}: expected CSV header 'x,F'")
     if data.shape[0] < 2:
         raise ModelError(f"{path}: need at least two samples")
     return data[:, 0], data[:, 1]

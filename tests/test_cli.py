@@ -449,6 +449,10 @@ def test_bundled_scenario_admissibility(tmp_path, monkeypatch, name, verdict):
     assert summary["snapshot_times_unmet"] == []
     adm = summary["admissibility"]
     assert adm["verdict"] == verdict
+    # rho(0)/rho(0+): the density jump each bundled start carries at theta = 0+
+    jump = {"fig1.cfg": 0.9124, "fig2.cfg": 1.2222, "homoclinic.cfg": 0.9728,
+            "neutral_k0.cfg": 1.0}[name]
+    assert summary["initial"]["boundary_jump"] == pytest.approx(jump, abs=5e-5)
     if name == "homoclinic.cfg":
         assert adm["margin"] == pytest.approx(1.12, abs=0.005)
     if name == "fig2.cfg":
@@ -1150,6 +1154,27 @@ def test_nonfinite_model_input_exits_config(tmp_path, capsys, case):
     assert captured.err.startswith("model error:")
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
+
+
+def test_table_encoding_at_the_command_line(tmp_path, capsys):
+    # a table that is not UTF-8 text is exit 4 with one stderr line and no
+    # traceback; a byte-order mark before the header reads as the plain file
+    plain = tmp_path / "field.csv"
+    plain.write_text("x,F\n" + "".join(f"{x!r},{2.1 - 2.0 * x!r}\n"
+                                       for x in np.linspace(0.0, 1.0, 41).tolist()))
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (tmp_path / "binary.csv").write_bytes(bytes(range(256)) * 4)
+    table = lambda name: ["stationary", "--model", "tabulated", "--K", "-0.1",
+                          "--table", str(tmp_path / f"{name}.csv")]
+    assert main(table("binary")) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("model error:") and "not UTF-8" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    for name in ("field", "bom"):
+        assert main([*table(name), "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "bom" / "stationary.json").read_bytes()
+            == (tmp_path / "field" / "stationary.json").read_bytes())
 
 
 def test_sweep_records_row_exit_codes(tmp_path, capsys):

@@ -81,6 +81,11 @@ def test_from_profile_boundary_relation(lif):
     assert abs(lhs - rhs) < 1e-10
     assert abs(field.J0 - lif.omega * field.rho[0] / (1.0 - (-0.1) * z[0] * field.rho[0])) < 1e-10
     assert abs(field.mass - 1.0) < 1e-12
+    # the jump at theta = 0+: rho(0) over the normalized profile's node 0
+    prof = np.exp(np.cos(th))
+    assert field.boundary_jump == field.rho[0] / (prof[0] / (np.sum(prof[1:]) * (th[1] - th[0])))
+    # a profile that is 0 at node 0 carries no finite ratio
+    assert DensityField.from_profile(lif, -0.1, th.copy()).boundary_jump is None
 
 
 def test_step_uniform_no_coupling_fixed_point(lif):

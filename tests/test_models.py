@@ -230,6 +230,17 @@ def test_field_table_loader(tmp_path):
         load_field_table(bad)
     with pytest.raises(ModelError):
         load_field_table(tmp_path / "missing.csv")
+    # a UTF-8 byte-order mark before the header is read past
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    xb, fb = load_field_table(bom)
+    assert xb.tobytes() == x.tobytes() and fb.tobytes() == f.tobytes()
+    # bytes that are not UTF-8, in the header or in a later row, are a
+    # ModelError, not a UnicodeDecodeError
+    for raw in (bytes(range(128, 256)), b"x,F\n0,1\n1,\xff2\n"):
+        bad.write_bytes(raw)
+        with pytest.raises(ModelError, match="not UTF-8"):
+            load_field_table(bad)
 
 
 def _jittered_knots(n, jitter, seed):
@@ -286,9 +297,62 @@ def test_gauss_legendre_constants_are_leggauss_doubles():
     assert models.GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
+def _matrix_gauss_legendre_sum(F, mid, half):
+    # the (pieces, 8) matrix of w_j / F(node_j), summed by numpy along its rows
+    nodes = mid[:, None] + half[:, None] * models.GL_NODES
+    return (models.GL_WEIGHTS / F(nodes)).sum(axis=1)
+
+
+def test_pairwise_node_sum_is_numpy_row_sum_order():
+    # the column-by-column sum relies on numpy adding a row of eight as
+    # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)); a numpy that changes that order
+    # fails here before any phase table moves
+    rng = np.random.default_rng(35)
+    rows = rng.standard_normal((5000, 8)) * np.exp(rng.uniform(-30.0, 30.0, (5000, 8)))
+    a = rows.T
+    pairwise = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    assert pairwise.tobytes() == rows.sum(axis=1).tobytes()
+    # the same on random nodes of a rough field, and on the 1/F terms of the
+    # benchmark's kind of table (1201 seed-jittered samples of F = 2.1 - 2x)
+    mid, half = rng.uniform(-5.0, 5.0, 3000), rng.uniform(0.0, 1e-2, 3000)
+    rough = lambda v: 1.0 + 1e3 * np.sin(97.0 * v) ** 2
+    xs = _jittered_knots(1201, 0.25, 31)
+    F = pchip(xs, S - GAMMA * xs)
+    hx = 0.5 * np.diff(xs)
+    for f, m, h in ((rough, mid, half), (F, xs[:-1] + hx, hx)):
+        ours = models._gauss_legendre_sum(f, m, h)
+        assert ours.tobytes() == _matrix_gauss_legendre_sum(f, m, h).tobytes()
+
+
+@pytest.mark.parametrize("seed", [31, 7])
+def test_phase_nodes_match_the_matrix_formula(seed):
+    # omega and the phase nodes as the (pieces, 8) matrix formula forms them,
+    # recomputed here from the table nodes, bit for bit
+    xs = _jittered_knots(1201, 0.25, seed)
+    m = tabulated_model(xs, S - GAMMA * xs)
+    dx = np.diff(xs)
+    k = np.ceil(dx * ((models.DENSE_GRID_SIZE - 1) / (xs[-1] - xs[0]))).astype(int)
+    cell = np.repeat(np.arange(dx.size), k)
+    frac = (np.arange(cell.size) - np.repeat(np.cumsum(k) - k, k)) / k[cell]
+    xn = np.append(xs[cell] + frac * dx[cell], xs[-1])
+    half = 0.5 * np.diff(xn)
+    cum = np.concatenate([[0.0], np.cumsum(
+        half * _matrix_gauss_legendre_sum(pchip(xs, S - GAMMA * xs), xn[:-1] + half, half))])
+    omega = TWO_PI / cum[-1]
+    theta = omega * cum
+    theta[-1] = TWO_PI
+    assert m.omega == omega
+    assert m._prc_fn.x.tobytes() == theta.tobytes()
+    # below x_lo the phase takes the same sum over the drift to x_lo
+    xb = np.linspace(-0.5, -1e-9, 257)
+    hb = 0.5 * (xs[0] - xb)
+    ref = -omega * hb * _matrix_gauss_legendre_sum(m.F, xs[0] - hb, hb)
+    assert m._phase_fn(xb).tobytes() == ref.tobytes()
+
+
 # a fresh interpreter builds the benchmark's kind of table (1201 seed-jittered
-# samples of F = 2.1 - 2x) under tracemalloc, then runs a 20-firing finite run
-# on it through the command line
+# samples of F = 2.1 - 2x) under tracemalloc, keeping the model, then runs a
+# 20-firing finite run on it through the command line
 BUILD_PROBE = """
 import json, sys, tracemalloc
 from pathlib import Path
@@ -301,8 +365,8 @@ h = 1.0 / 1200
 xs = np.arange(1201) * h
 xs[1:-1] += rng.uniform(-0.25, 0.25, 1199) * h
 tracemalloc.start()
-tabulated_model(xs, 2.1 - 2.0 * xs)
-peak = tracemalloc.get_traced_memory()[1]
+model = tabulated_model(xs, 2.1 - 2.0 * xs)
+retained, peak = tracemalloc.get_traced_memory()
 tracemalloc.stop()
 (out / "field.csv").write_text("x,F\\n" + "".join(f"{x!r},{2.1 - 2.0 * x!r}\\n"
                                                  for x in xs.tolist()))
@@ -310,7 +374,7 @@ code = main(["finite", "--model", "tabulated", "--table", str(out / "field.csv")
              "--N", "10", "--K", "-0.1", "--seed", "1", "--nfirings", "20",
              "--out", str(out / "fin")])
 (out / "probe.json").write_text(json.dumps(
-    {"code": code, "peak": peak,
+    {"code": code, "peak": peak, "retained": retained,
      "polynomial": sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))}))
 """
 
@@ -325,10 +389,19 @@ def build_probe(tmp_path_factory):
 
 
 def test_tabulated_build_peak_memory(build_probe):
-    # importing numpy.polynomial for leggauss took the build's traced peak
-    # from about 2.5 to 3.2 MB; without it the peak is reached while the
-    # finished tables are classified
-    assert build_probe["peak"] <= 2.6e6
+    # the peak is reached while the finished tables are classified.  It was
+    # 3.2 MB with numpy.polynomial imported for leggauss and 2.5 MB with each
+    # spline's coefficients held twice, a (pieces, 8) Gauss-Legendre matrix
+    # and values that kept their spline's taken rows alive; it is now about
+    # 1.36 MB
+    assert build_probe["peak"] <= 1.45e6
+
+
+def test_tabulated_model_retained_memory(build_probe):
+    # the finished model holds four splines of one (deg + 2, pieces) array
+    # each, the Z' table and the nodes: about 0.86 MB, 1.46 MB when every
+    # spline kept a second copy of its coefficients
+    assert build_probe["retained"] <= 0.9e6
 
 
 def test_tabulated_finite_run_never_imports_numpy_polynomial(build_probe):
@@ -440,6 +513,30 @@ def test_piecewise_cubics_match_scipy_bit_for_bit(table):
     _assert_same_spline(pchip(x, y), PchipInterpolator(x, y), v)
     slopes = _oracle_slopes(table, x, y)
     _assert_same_spline(hermite(x, y, slopes), CubicHermiteSpline(x, y, slopes), v)
+
+
+def test_spline_coefficients_view_the_evaluated_array():
+    # one array per spline: c is a view of the rows a take reads, for every
+    # builder, and c still holds the raw coefficients (signed zeros included)
+    x, y = _oracle_tables()["signed_zero"]
+    built = pchip(x, y)
+    splines = [built, hermite(x, y, _oracle_slopes("signed_zero", x, y)), built.derivative()]
+    for spline in splines:
+        assert np.shares_memory(spline.c, spline._rows)
+        assert spline._rows.shape == (spline.c.shape[0] + 1, x.size - 1)
+    assert np.signbit(splines[1].c[3, 0])
+
+
+def test_quadratic_table_with_a_signed_zero_constant_matches_scipy():
+    # a -0.0 end slope is the derivative table's -0.0 constant; with negative
+    # 3c0 and 2c1 every term at the knot is -0.0, and PPoly's sum gives +0.0
+    x, y = _oracle_tables()["signed_zero"]
+    slopes = np.array([-0.0, -2.5, -2.5, -3.0])
+    ref = CubicHermiteSpline(x, y, slopes)
+    d_ref = ref.derivative()
+    assert np.signbit(d_ref.c[2, 0]) and (d_ref.c[:2, 0] < 0.0).all()
+    assert d_ref(0.0) == 0.0 and not np.signbit(d_ref(0.0))
+    _assert_same_spline(hermite(x, y, slopes), ref, _oracle_probes(x, 5))
 
 
 def test_oracle_tables_reach_signed_zero_and_both_end_slope_cases():
