@@ -13,14 +13,12 @@ from .stationary import (CouplingBounds, ExistenceResult, NoStationaryStateError
                          StationaryState, coupling_bounds, existence_condition,
                          normalization_functional, solve_stationary_flux)
 from .continuum import (AdmissibilityReport, AdmissibilityVerdict, BlowupError,
-                        BlowupEvent, CFLError, CharacteristicTrace, DensityField,
-                        TrajectoryLog, characteristic_trace, check_admissibility,
-                        initial_density, integrate, step)
-from .quantile import (QuantileDegenerateError, QuantileProfile, density_l1,
-                       discrete_lyapunov, lyapunov_tv, quantile_l2,
-                       quantile_transform)
-from .certify import (CertificationReport, DecayFit, NegativeControlReport,
-                      certify_theorem_bounds, fit_decay_rate, negative_controls)
+                        BlowupEvent, CFLError, DensityField, TrajectoryLog,
+                        check_admissibility, initial_density, integrate)
+from .quantile import (QuantileDegenerateError, QuantileProfile, discrete_lyapunov,
+                       lyapunov_tv, quantile_transform)
+from .certify import (CertificationReport, DecayFit, certify_theorem_bounds,
+                      fit_decay_rate)
 from .finite import (AvalancheError, FiniteRun, FiringEvent, simulate,
                      splay_reference)
 

@@ -15,29 +15,24 @@ intervals hold.  It refuses to claim anything when the curvature hypothesis
 fails or the density has dropped below a floor (the transform degenerates
 near synchrony).
 
-Two deliberately rejected alternatives are exercised by
-``negative_controls``: the plain L1 density distance stalls whenever the
-boundary density agrees with the stationary one, and the L2 quantile
-distance can grow transiently even under contracting dynamics.  No command
-runs them: ``negative_controls`` and the ``continuum.step`` it steps with
-are the documented acceptance-only surface, checked by criterion 10 of the
-acceptance suite.  The commands call ``certify_theorem_bounds`` and
-``fit_decay_rate``.
+The commands call ``certify_theorem_bounds`` and ``fit_decay_rate``.  The
+two alternatives to V that the paper rejects (the density L1 distance,
+which stalls, and the quantile L2 distance, which can grow under
+contracting dynamics) are shown to fail by acceptance criterion 10, whose
+negative controls live with the test suite (``tests/oracles.py``), since
+no command runs them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import Curvature, OscillatorModel
-from .continuum import DensityField, TrajectoryLog, first_crossing, step
-from .quantile import quantile_transform, lyapunov_tv, quantile_l2, density_l1
-from .stationary import StationaryState
+from .continuum import TrajectoryLog, first_crossing
 
-TWO_PI = 2.0 * math.pi
 # RK2 sub-steps per logged interval when tracing a log read from CSV
 SUBSTEPS = 4
 # logged rows whose density minimum is below this are not claimed
@@ -50,11 +45,6 @@ TOL_REL = 0.1
 MIN_FRACTION = 0.99
 # V at or below this has reached the numerical floor: the decay fit drops it
 V_FLOOR = 1e-12
-# the negative controls' L2 search: its seed and number of trials, and the
-# dV/dVbis ratio a boundary crossing must reach to count as a stall
-CONTROL_SEED = 0
-L2_TRIALS = 200
-STALL_RATIO = 10.0
 
 
 @dataclass
@@ -247,148 +237,3 @@ def fit_decay_rate(traj: TrajectoryLog, model: OscillatorModel, K: float) -> Dec
     else:
         ok = bracket[0] <= rate <= bracket[1]
     return DecayFit(rate, bracket, bool(ok), window, n_pts, jw)
-
-
-# -- negative controls ----------------------------------------------------------
-
-
-@dataclass
-class NegativeControlReport:
-    """Numerical demonstrations that the two rejected distances fail.
-
-    ``stall``: an interval around a boundary-density crossing where the L1
-    density distance barely moves while V keeps decreasing.  ``l2_hit``: a
-    state (found by seeded random search) whose L2 quantile distance grows
-    one step later despite contracting dynamics; ``inconclusive`` is set
-    when the search finds none.
-    """
-
-    stall_found: bool
-    stall_interval: tuple | None
-    stall_delta_vbis: float | None
-    stall_delta_v: float | None
-    constructed_vbis_rate: float | None
-    constructed_v_rate: float | None
-    l2_hit: dict | None
-    l2_trials: int
-    l2_inconclusive: bool
-    notes: list = dc_field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "stall_found": self.stall_found,
-            "stall_interval": list(self.stall_interval) if self.stall_interval else None,
-            "stall_delta_vbis": self.stall_delta_vbis,
-            "stall_delta_v": self.stall_delta_v,
-            "constructed_vbis_rate": self.constructed_vbis_rate,
-            "constructed_v_rate": self.constructed_v_rate,
-            "l2_hit": self.l2_hit,
-            "l2_trials": self.l2_trials,
-            "l2_inconclusive": self.l2_inconclusive,
-            "notes": self.notes,
-        }
-
-
-def _one_step_rates(model, K, field: DensityField, reference: StationaryState):
-    """(dVbis/dt, dV/dt, dVter/dt, dt) across one upwind step at CFL number
-    0.5 from a field on the reference's grid."""
-    rho_ref, prof_ref = reference.rho_star.rho, reference.profile()
-    theta = field.theta
-    v = model.omega + K * model.prc(theta) * field.J0
-    dt = 0.5 * field.dtheta / float(v.max())
-    after = step(field, model, K, dt)
-    vbis0 = density_l1(theta, field.rho, rho_ref)
-    vbis1 = density_l1(theta, after.rho, rho_ref)
-    v0 = lyapunov_tv(quantile_transform(theta, field.rho), prof_ref)
-    v1 = lyapunov_tv(quantile_transform(theta, after.rho), prof_ref)
-    l20 = quantile_l2(quantile_transform(theta, field.rho), prof_ref)
-    l21 = quantile_l2(quantile_transform(theta, after.rho), prof_ref)
-    return (vbis1 - vbis0) / dt, (v1 - v0) / dt, (l21 - l20) / dt, dt
-
-
-def negative_controls(traj: TrajectoryLog, model: OscillatorModel, K: float,
-                      reference: StationaryState) -> NegativeControlReport:
-    """Run both negative demonstrations on a converging trajectory.
-
-    Needs an integrated run recorded with ``snapshot_stride`` so densities
-    are available between logs.  The stall demo locates a sign change of
-    J0 - J* (equivalently of the boundary density error), where the L1
-    density distance has zero derivative; the search demo perturbs the
-    stationary state with small localized bumps and steps once.  The
-    search draws L2_TRIALS states from seed CONTROL_SEED.
-    """
-    notes = []
-    j_star = reference.J_star
-    theta = traj.initial.theta
-    rho_ref = reference.density_at(theta)
-    # the reference sampled on the run's grid, for the one-step rates
-    on_grid = replace(reference, rho_star=DensityField(theta, rho_ref, j_star, 0.0))
-
-    # --- stall of the density-space L1 distance at a boundary crossing ---
-    stall_found = False
-    stall_interval = stall_dvb = stall_dv = None
-    if traj.snapshots:
-        times = np.asarray([s[0] for s in traj.snapshots])
-        j_at = np.interp(times, traj.dense_t, traj.dense_J0)
-        sign = np.sign(j_at - j_star)
-        flips = np.where(np.diff(sign) != 0)[0]
-        if flips.size:
-            prof_ref = reference.profile()
-            best = None
-            for i in flips:
-                rho_a, rho_b = traj.snapshots[i][1], traj.snapshots[i + 1][1]
-                dvb = abs(density_l1(theta, rho_b, rho_ref)
-                          - density_l1(theta, rho_a, rho_ref))
-                dv = (lyapunov_tv(quantile_transform(theta, rho_a), prof_ref)
-                      - lyapunov_tv(quantile_transform(theta, rho_b), prof_ref))
-                if dv > 0 and (best is None or dvb / dv < best[0]):
-                    best = (dvb / dv, i, dvb, dv)
-            if best is not None and best[0] < 1.0 / STALL_RATIO:
-                stall_found = True
-                _, i, stall_dvb, stall_dv = best
-                stall_interval = (float(times[i]), float(times[i + 1]))
-            elif best is not None:
-                notes.append(f"best crossing interval ratio {best[0]:.3g} "
-                             f"did not reach 1/{STALL_RATIO}")
-        else:
-            notes.append("flux never crossed the stationary value; stall not exhibited")
-    else:
-        notes.append("no snapshots; stall demo skipped")
-
-    # --- constructed state with matching boundary density: dVbis/dt ~ 0 ---
-    taper = np.sin(theta / 2.0) ** 2      # vanishes at both boundaries
-    g = np.sin(theta) * taper
-    h = np.sin(2.0 * theta) * taper
-    wg = float(np.sum((rho_ref * g)[1:]))
-    wh = float(np.sum((rho_ref * h)[1:]))
-    pert = g - (wg / wh) * h if wh != 0.0 else g
-    amp = 0.25 / max(1e-12, float(np.max(np.abs(pert))))
-    field = DensityField(theta, rho_ref * (1.0 + amp * pert), j_star, 0.0)
-    constructed_vbis, constructed_v, _, _ = _one_step_rates(model, K, field, on_grid)
-
-    # --- seeded search for a growing L2 quantile distance ---
-    rng = np.random.default_rng(CONTROL_SEED)
-    l2_hit = None
-    trials_done = 0
-    for trial in range(L2_TRIALS):
-        trials_done += 1
-        kap = rng.uniform(20.0, 80.0)
-        mu = rng.uniform(0.0, TWO_PI)
-        amp = float(rng.choice([-1.0, 1.0])) * rng.uniform(5e-4, 5e-3)
-        prof = rho_ref * (1.0 + amp * np.exp(kap * (np.cos(theta - mu) - 1.0)))
-        try:
-            field = DensityField.from_profile(model, K, prof)
-            _, _, dl2, dt = _one_step_rates(model, K, field, on_grid)
-        except Exception:
-            continue
-        if dl2 > 1e-10:
-            l2_hit = {"trial": trial, "kappa": kap, "mu": mu, "amplitude": amp,
-                      "dl2_dt": dl2}
-            break
-    inconclusive = l2_hit is None
-    if inconclusive:
-        notes.append(f"no L2 increase found in {trials_done} trials (inconclusive)")
-
-    return NegativeControlReport(stall_found, stall_interval, stall_dvb, stall_dv,
-                                 constructed_vbis, constructed_v,
-                                 l2_hit, trials_done, inconclusive, notes)

@@ -19,8 +19,9 @@ Exit codes: 0 success, 2 the blow-up expectation was not met (a blow-up
 the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
 model parameter or field table, a command line argparse rejects, an output
-path that cannot be made, or a finite run whose coupling ignites an
-avalanche: K >= x_hi - x_lo re-fires an oscillator within one event).
+path that cannot be made, a finite run whose coupling ignites an
+avalanche: K >= x_hi - x_lo re-fires an oscillator within one event, or a
+size whose arrays cannot be allocated: ``--ntheta 1000000000000000``).
 A sweep's --param is any config key, as section.key or bare; each --values
 item is read by that key's parser, as a config line is, and each row's
 config is the sweep's with that key set (``ExperimentConfig.from_values``).
@@ -65,6 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig, key_path,
                      parse_value)
 from .continuum import (AdmissibilityVerdict, BlowupError, TrajectoryLog,
@@ -208,6 +210,16 @@ def _timed(timings: dict, phase: str):
         timings[phase] += time.perf_counter() - t0
 
 
+def _versions() -> dict:
+    """summary.json's ``versions``: pulsefield, numpy and Python, and scipy
+    when something already imported it (null otherwise; never imported
+    here, since no command needs it)."""
+    scipy = sys.modules.get("scipy")
+    return {"pulsefield": __version__, "numpy": np.__version__,
+            "python": sys.version.split()[0],
+            "scipy": getattr(scipy, "__version__", None)}
+
+
 def _certify(traj: TrajectoryLog, model, K: float) -> tuple:
     """certification.json's record of a trajectory (the dV/dt bound checks
     and the decay fit), and whether the trajectory passes."""
@@ -247,7 +259,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
     already (a sweep computes them once for all its rows).  summary.json's
     ``timings_s`` holds the seconds spent in each of ``PHASES``: the
     stationary solve, ``integrate`` (V included), certification, the finite
-    run and the artifact writes before summary.json's own.
+    run and the artifact writes before summary.json's own, and ``versions``
+    the package, numpy, Python and scipy versions (``_versions``).
     ``snapshot_times_unmet`` lists the requested snapshot times the run
     never reached (past ``t_max``, or after a blow-up)."""
     out = _make_dir(out_dir if out_dir is not None else cfg["output"]["dir"], "output.dir")
@@ -261,7 +274,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
     snapshot_times = sorted(cfg["output"]["snapshot_times"])
     summary: dict = {"K": K, "omega": model.omega,
                      "monotonicity": model.monotonicity.value,
-                     "curvature": model.curvature.value, "timings_s": timings}
+                     "curvature": model.curvature.value, "timings_s": timings,
+                     "versions": _versions()}
 
     # stationary state (reference for V); absence is recorded, not fatal
     with _timed(timings, "stationary"):
@@ -406,7 +420,8 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
     and written in firing order; otherwise (batches of about
     LOCAL_BATCH_FLOATS phases) in process.  The snapshots take O(N) memory
     however many firings the run takes; the run keeps its events.  A run
-    that raises leaves neither CSV behind.
+    that raises leaves neither CSV behind.  Returns summary.json's record
+    without its ``versions``, which a run's summary.json records once.
     """
     try:
         ref = splay_reference(N, model, K)
@@ -471,7 +486,7 @@ def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
         info["V_N_last"] = vn["last"]
         info["V_N_nonincreasing_fraction"] = (vn["down"] / vn["steps"]
                                               if vn["steps"] else None)
-    _write_json(out / "summary.json", info)
+    _write_json(out / "summary.json", {**info, "versions": _versions()})
     return info
 
 
@@ -517,9 +532,8 @@ def _cmd_finite(args) -> int:
     model = cfg.build_model()
     out = _make_dir(args.out, "--out")
     fin = cfg["finite"]
-    info = _run_finite(model, cfg["coupling"]["K"], fin["N"], fin["seed"], fin["n_firings"],
-                       out)
-    print(_json_text(info), end="")
+    _run_finite(model, cfg["coupling"]["K"], fin["N"], fin["seed"], fin["n_firings"], out)
+    print((out / "summary.json").read_text(), end="")
     return EXIT_OK
 
 
@@ -678,6 +692,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except AvalancheError as exc:
         print(f"avalanche: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

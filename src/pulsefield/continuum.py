@@ -20,8 +20,7 @@ node fluxes F_i = v_i * rho_i, inflow at theta=0 set to the outflow at
 telescopes to machine precision every step.  With K = 0 and the aligned
 step dt = dtheta/omega (Courant number 1) the update is a sample rotation
 to rounding.  The kernel is written out once, inline in ``integrate``'s
-loop on buffers and views made once per run; ``step`` is one pass of that
-loop.  V on each logged row goes through a ``GridReference`` bound to the
+loop on buffers and views made once per run.  V on each logged row goes through a ``GridReference`` bound to the
 run's grid, with the bits of the public quantile functions.  Once a run has
 logged one ring of rows (RING_FLOATS // n_theta) in process, when the time
 left still holds another ring of rows and ``fork_cpus`` allows two or more
@@ -31,15 +30,10 @@ bits, and under ``taskset -c 0`` V stays in process.  The helper calls this
 module's ``quantile_transform`` and ``lyapunov_tv_with_qmin`` names, so
 traced spans of them count only the rows evaluated in process.  After the
 loop, ``first_crossing`` traces the characteristic from theta = 0 over the
-recorded steps: the flux window up to its arrival brackets V's decay rate.
-``characteristic_trace`` takes the same RK2 walk over the same steps from
-any start phase and carries the density along it.  ``check_admissibility``
-judges an initial profile by closed-form rules, or else from its run's own
-blow-up and first crossing, without integrating again.
-
-No command calls ``step`` or ``characteristic_trace``: they are the
-acceptance suite's surface (the negative controls of criterion 10 and the
-characteristic cross-check of criterion 9).
+recorded steps (``_walk``): the flux window up to its arrival brackets V's
+decay rate.  ``check_admissibility`` judges an initial profile by
+closed-form rules, or else from its run's own blow-up and first crossing,
+without integrating again.
 
 Synchronization shows up as a finite-time singularity and is detected by
 fixed thresholds: the boundary relation's denominator falling under
@@ -187,19 +181,6 @@ def _advance_boundary(rho_new, t, omega, kz0, kz_end, cap):
             "flux_critical": omega / abs(kz0) if kz0 < 0 else math.inf}))
     rho_new[0] = J0 / v0
     return J0
-
-
-def step(state: DensityField, model, K: float, dt: float) -> DensityField:
-    """One explicit upwind step of size ``dt``; returns a new field.
-
-    This is one pass of ``integrate``'s loop, which holds the only copy of
-    the kernel: a blow-up raises ``BlowupError`` and a ``dt`` past the CFL
-    limit raises ``CFLError``.
-    """
-    traj = integrate(model, K, state, t_max=math.inf, dt=dt, max_steps=1)
-    if traj.blowup is not None:
-        raise BlowupError(traj.blowup)
-    return traj.final
 
 
 # -- initial conditions --------------------------------------------------------
@@ -523,7 +504,7 @@ def integrate(model, K: float, initial: DensityField, *, t_max: float,
     the step that meets it, the time of its logged row.
 
     The loop holds the one copy of the upwind kernel, written out inline on
-    views made once per run (``step`` is one pass of it).  A fixed ``dt``
+    views made once per run.  A fixed ``dt``
     past the CFL limit raises ``CFLError``, and a ``log_stride`` below 1
     raises ``ValueError``.  The loop records each step; ``first_crossing``
     traces over them afterwards for the first-crossing time and flux window
@@ -740,59 +721,6 @@ def first_crossing(t: np.ndarray, dt: Sequence, J0: Sequence, model, K: float) -
         return None, None
     seen = J0[:int(np.searchsorted(t, t_cross + 1e-15, side="right"))]
     return t_cross, (min(seen), max(seen))
-
-
-@dataclass(frozen=True)
-class CharacteristicTrace:
-    """A characteristic curve and the density transported along it."""
-
-    t: np.ndarray
-    theta: np.ndarray
-    rho: np.ndarray
-    truncated: bool
-
-    @property
-    def crossing_time(self) -> float | None:
-        return None if self.truncated else float(self.t[-1])
-
-    @property
-    def rho_at_crossing(self) -> float | None:
-        return None if self.truncated else float(self.rho[-1])
-
-
-def characteristic_trace(traj: TrajectoryLog, model, K: float,
-                         theta_start: float) -> CharacteristicTrace:
-    """The characteristic launched from ``theta_start`` at the run's start and
-    the density carried along it, until the curve reaches 2*pi or the run's
-    steps end (then ``truncated`` is set).
-
-    The curve is ``_walk`` over the steps the run took, the walk that
-    ``first_crossing`` takes from theta = 0, so a trace from 0 crosses at the
-    run's ``first_crossing_time`` exactly.  The density starts from the run's
-    initial field (linear in theta) and follows d(log rho)/dt =
-    -J0*K*Z'(theta) by the midpoint rule: Z' at the walk's midpoint phases,
-    each step's mean flux.  A log without its initial field and steps (one
-    read from CSV) raises ``ValueError``.
-    """
-    if traj.initial is None or traj.dense_dt is None:
-        raise ValueError("characteristic_trace needs an integrated run; a log read "
-                         "from CSV has no initial density and no steps")
-    starts, mids, t_cross = _walk(traj.dense_t, traj.dense_dt.tolist(),
-                                  traj.dense_J0.tolist(), model, K, float(theta_start))
-    n = len(mids)
-    t = traj.dense_t[:n + 1].copy()
-    h = traj.dense_dt[:n].copy()
-    theta = np.asarray(starts)
-    if t_cross is not None:
-        # the crossing step ends at the crossing
-        t[-1] = t_cross
-        h[-1] = t_cross - t[-2]
-        theta = np.append(theta, TWO_PI)
-    j = traj.dense_J0[:n + 1]
-    rate = -K * (0.5 * (j[:-1] + j[1:])) * model.prc_deriv(np.minimum(mids, TWO_PI))
-    rho_start = float(np.interp(theta_start, traj.initial.theta, traj.initial.rho))
-    rho = rho_start * np.exp(np.concatenate(([0.0], np.cumsum(h * rate))))
-    return CharacteristicTrace(t, theta, rho, t_cross is None)
 
 
 # -- admissibility ----------------------------------------------------------------

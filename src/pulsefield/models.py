@@ -426,7 +426,38 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> Oscil
 
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     F_interp = pchip(xs, Fs)
+    omega, phase_interp, state_interp, z_interp = _phase_tables(xs, F_interp)
 
+    def phase_fn(x):
+        # below x_lo the table's cubic extrapolation errs like (x_lo - x)**3;
+        # there theta is -omega * (drift time to x_lo), by Gauss-Legendre
+        x = np.asarray(x, dtype=float)
+        theta = phase_interp(x)
+        below = x < x_lo
+        if below.any():
+            half = 0.5 * (x_lo - x[below])
+            theta[below] = -omega * half * _gauss_legendre_sum(F_interp, x_lo - half, half)
+        return theta
+
+    def state_inverse(theta):
+        # x(theta) and theta(x) are separate Hermite tables, inverse to each
+        # other only up to the interpolation error; two Newton steps with
+        # dtheta/dx = omega/F make x the root of phase_fn(x) = theta
+        x = state_interp(theta)
+        for _ in range(2):
+            x = x - (phase_fn(x) - theta) * F_interp(x) / omega
+        return x
+
+    return OscillatorModel("tabulated", x_lo, x_hi, omega, F_interp, phase_fn, state_inverse,
+                           z_interp, z_interp.derivative(),
+                           {"x_lo": x_lo, "x_hi": x_hi, "n_samples": xs.size})
+
+
+def _phase_tables(xs, F_interp) -> tuple:
+    """(omega, theta(x), x(theta), Z(theta)) of the field ``F_interp``
+    sampled at ``xs``: the node and quadrature scratch is freed on return,
+    before the model built on the tables is classified."""
+    x_lo, x_hi = float(xs[0]), float(xs[-1])
     # table nodes: every sample interval split evenly into pieces no wider
     # than a DENSE_GRID_SIZE grid's spacing, so each piece lies inside one
     # PCHIP cubic and 1/F on it is the reciprocal of one positive cubic
@@ -453,30 +484,7 @@ def tabulated_model(x_samples, F_samples=None, *, x_lo=None, x_hi=None) -> Oscil
     phase_interp = hermite(xn, theta_n, omega / Fn)
     state_interp = hermite(theta_n, xn, Fn / omega)
     z_interp = hermite(theta_n, omega / Fn, -F_interp.slope(xn) / Fn)
-
-    def phase_fn(x):
-        # below x_lo the table's cubic extrapolation errs like (x_lo - x)**3;
-        # there theta is -omega * (drift time to x_lo), by Gauss-Legendre
-        x = np.asarray(x, dtype=float)
-        theta = phase_interp(x)
-        below = x < x_lo
-        if below.any():
-            half = 0.5 * (x_lo - x[below])
-            theta[below] = -omega * half * _gauss_legendre_sum(F_interp, x_lo - half, half)
-        return theta
-
-    def state_inverse(theta):
-        # x(theta) and theta(x) are separate Hermite tables, inverse to each
-        # other only up to the interpolation error; two Newton steps with
-        # dtheta/dx = omega/F make x the root of phase_fn(x) = theta
-        x = state_interp(theta)
-        for _ in range(2):
-            x = x - (phase_fn(x) - theta) * F_interp(x) / omega
-        return x
-
-    return OscillatorModel("tabulated", x_lo, x_hi, omega, F_interp, phase_fn, state_inverse,
-                           z_interp, z_interp.derivative(),
-                           {"x_lo": x_lo, "x_hi": x_hi, "n_samples": xs.size})
+    return omega, phase_interp, state_interp, z_interp
 
 
 def _gauss_legendre_sum(F, mid, half, lo=0, n=GL_NODES.size):

@@ -226,17 +226,6 @@ def lyapunov_tv_with_qmin(state: QuantileProfile, reference) -> tuple[float, flo
     return float(qa.sum()), min(state.q_min, ref.q_min if grid is None else grid.q_min)
 
 
-def quantile_l2(state: QuantileProfile, reference: QuantileProfile) -> float:
-    """L2 distance between quantile densities (the rejected candidate norm)."""
-    qa, qb, width = _merged_segments(state, reference)
-    return float(np.sqrt(np.sum((qa - qb) ** 2 * width)))
-
-
-def density_l1(theta, rho, rho_ref) -> float:
-    """Plain L1 distance between densities in phase space (control quantity)."""
-    return float(np.trapezoid(np.abs(np.asarray(rho) - np.asarray(rho_ref)), theta))
-
-
 def discrete_lyapunov(phases, phases_ref) -> float:
     """Distance between two sorted firing configurations (last entry 2*pi).
 

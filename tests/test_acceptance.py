@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pulsefield import (certify_theorem_bounds, characteristic_trace,
-                        discrete_lyapunov, existence_condition, fit_decay_rate,
-                        initial_density, integrate, lif_model, negative_controls,
+from pulsefield import (certify_theorem_bounds, discrete_lyapunov, existence_condition,
+                        fit_decay_rate, initial_density, integrate, lif_model,
                         solve_stationary_flux, splay_reference)
+from oracles import characteristic_trace, negative_controls
 
 TWO_PI = 2.0 * math.pi
 S, GAMMA, K_IN, K_EX = 2.1, 2.0, -0.1, 0.1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pulsefield import (certify_theorem_bounds, fit_decay_rate, initial_density,
-                        integrate, negative_controls, tabulated_model)
+                        integrate, tabulated_model)
+from oracles import negative_controls
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,8 +190,34 @@ def test_negative_controls_report(lif, stat_inhib, inhib_traj):
 
 
 def test_negative_controls_trivial_zero(stat_inhib):
-    from pulsefield.quantile import density_l1, quantile_l2, quantile_transform
+    from pulsefield.quantile import quantile_transform
+    from oracles import density_l1, quantile_l2
     ref = stat_inhib.rho_star
     assert density_l1(ref.theta, ref.rho, ref.rho) == 0.0
     p = quantile_transform(ref.theta, ref.rho)
     assert quantile_l2(p, p) == 0.0
+
+
+# the acceptance oracles, which no command runs: they live in tests/oracles.py
+ORACLE_EXPORTS = ("step", "CharacteristicTrace", "characteristic_trace", "quantile_l2",
+                  "density_l1", "NegativeControlReport", "negative_controls")
+ORACLE_PRIVATE = ("_one_step_rates", "CONTROL_SEED", "L2_TRIALS", "STALL_RATIO")
+
+
+def test_acceptance_oracles_live_with_the_tests():
+    import ast
+    import importlib
+    from pathlib import Path
+    import oracles
+    import pulsefield
+    leaked = [n for n in ORACLE_EXPORTS if hasattr(pulsefield, n)]
+    for mod in ("continuum", "quantile", "certify"):
+        m = importlib.import_module(f"pulsefield.{mod}")
+        leaked += [f"{mod}.{n}" for n in ORACLE_EXPORTS + ORACLE_PRIVATE if hasattr(m, n)]
+    assert leaked == []
+    assert all(hasattr(oracles, n) for n in ORACLE_EXPORTS + ORACLE_PRIVATE)
+    # the oracles reach the package only through its installed name
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    sources = {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert sources == {"__future__", "dataclasses", "pulsefield"}

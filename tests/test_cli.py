@@ -415,6 +415,32 @@ def test_summary_records_phase_timings(tmp_path):
         assert "tim" not in f.read_text().splitlines()[0]
 
 
+def test_summaries_record_versions(tmp_path, capsys, monkeypatch):
+    # a run's, a sweep row's and a finite run's summary.json name the
+    # package, numpy and Python; stationary.json, compared byte for byte
+    # with the stationary command's, names none.  scipy is imported first, so
+    # its version is recorded
+    import scipy
+    p = write_cfg(tmp_path, TINY_CFG + "\n[finite]\nenabled = true\nN = 10\n",
+                  out=tmp_path / "out")
+    assert main(["run", str(p)]) == 0
+    assert main(["sweep", "--config", str(p), "--param", "K", "--values=-0.1",
+                 "--out", str(tmp_path / "sw")]) == 0
+    capsys.readouterr()
+    paths = [tmp_path / "out" / "summary.json", tmp_path / "out" / "finite" / "summary.json",
+             *(tmp_path / "sw").rglob("summary.json")]
+    assert len(paths) == 4
+    want = {"pulsefield": pulsefield.__version__, "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3], "scipy": scipy.__version__}
+    for f in paths:
+        assert json.loads(f.read_text())["versions"] == want
+    assert "versions" not in json.loads((tmp_path / "out" / "stationary.json").read_text())
+    # scipy is recorded only when already imported, and never imported for it
+    monkeypatch.delitem(sys.modules, "scipy")
+    assert cli._versions()["scipy"] is None
+    assert "scipy" not in sys.modules
+
+
 def test_blowup_at_start_reports_skipped_finite_run(tmp_path):
     # the continuum profile blows up at t = 0, so run_scenario stops before
     # the finite section and every snapshot time; summary.json says so
@@ -1557,6 +1583,17 @@ def test_avalanche_exits_config_error(tmp_path, capsys, command):
     assert captured.out == ""
     assert sorted(p.name for p in fdir.iterdir()) == []
     assert not (fdir.parent / "summary.json").exists()
+
+
+def test_unallocatable_grid_exits_config_error(capsys):
+    # 10**15 grid nodes are 7.1 PiB of float64, more than any address space:
+    # the first allocation fails at once, and the run says so in one line
+    assert main(["stationary", "--K", "-0.1", "--ntheta", str(10**15)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("out of memory: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 SCIPY_PROBE = r"""

@@ -9,13 +9,13 @@ from hypothesis import event, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pulsefield import (AdmissibilityVerdict, BlowupError, CFLError, DensityField,
-                        StationaryState, characteristic_trace, check_admissibility,
-                        homoclinic_model, initial_density, integrate, lif_model, step,
-                        tabulated_model)
+                        StationaryState, check_admissibility, homoclinic_model,
+                        initial_density, integrate, lif_model, tabulated_model)
 from pulsefield.continuum import (EPS_SING, RING_FLOATS, BlowupEvent, TrajectoryLog,
                                   _advance_boundary, flux_cap)
 from pulsefield import continuum
 from pulsefield.quantile import lyapunov_tv_with_qmin, quantile_transform
+from oracles import characteristic_trace, step
 
 TWO_PI = 2.0 * math.pi
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from pulsefield import (NoStationaryStateError, coupling_bounds, existence_condition,
@@ -273,6 +273,22 @@ def test_homoclinic_stationary_state():
     m = homoclinic_model(1.0, 1.0, TWO_PI)
     stat = solve_stationary_flux(m, 0.05)
     assert abs(W_quad(m, 0.05, stat.J_star) - 1.0) < 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(C=st.floats(0.1, 2.0), lambda_u=st.floats(0.1, 2.0), omega=st.floats(1.0, 4.0 * math.pi),
+       K=st.floats(-1.0, 1.0))
+@example(C=1.0, lambda_u=1.0, omega=6.283185307179586, K=0.05)   # bundled homoclinic.cfg
+def test_stationary_residual_homoclinic(C, lambda_u, omega, K):
+    # W(J*) = 1 by independent quadrature over the homoclinic family; a draw
+    # with no stationary state (strong excitatory coupling) is discarded
+    model = homoclinic_model(C, lambda_u, omega)
+    try:
+        stat = solve_stationary_flux(model, K)
+    except NoStationaryStateError:
+        assume(False)
+    assert abs(W_quad(model, K, stat.J_star) - 1.0) < 1e-8
 
 
 def _wavy_table():
