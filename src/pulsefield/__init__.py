@@ -10,8 +10,9 @@ from .models import (Curvature, ModelError, Monotonicity, OscillatorModel,
                      classify_monotonicity, homoclinic_model, lif_model,
                      tabulated_model)
 from .stationary import (CouplingBounds, ExistenceResult, NoStationaryStateError,
-                         StationaryState, coupling_bounds, existence_condition,
-                         normalization_functional, solve_stationary_flux)
+                         StationaryState, UnresolvedFluxError, coupling_bounds,
+                         existence_condition, normalization_functional,
+                         solve_stationary_flux)
 from .continuum import (AdmissibilityReport, AdmissibilityVerdict, BlowupError,
                         BlowupEvent, CFLError, DensityField, TrajectoryLog,
                         check_admissibility, initial_density, integrate)

@@ -20,8 +20,10 @@ the config did not expect, or an expected one that did not happen),
 3 certification violation, 4 configuration error (a bad config, flag,
 model parameter or field table, a command line argparse rejects, an output
 path that cannot be made, a finite run whose coupling ignites an
-avalanche: K >= x_hi - x_lo re-fires an oscillator within one event, or a
-size whose arrays cannot be allocated: ``--ntheta 1000000000000000``).
+avalanche: K >= x_hi - x_lo re-fires an oscillator within one event, a
+size whose arrays cannot be allocated: ``--ntheta 1000000000000000``, or a
+coupling whose stationary flux double precision cannot resolve to J_TOL,
+``UnresolvedFluxError``).
 A sweep's --param is any config key, as section.key or bare; each --values
 item is read by that key's parser, as a config line is, and each row's
 config is the sweep's with that key set (``ExperimentConfig.from_values``).
@@ -70,14 +72,16 @@ from . import __version__
 from .config import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig, key_path,
                      parse_value)
 from .continuum import (AdmissibilityVerdict, BlowupError, TrajectoryLog,
-                        check_admissibility, fork_cpus, initial_density, integrate)
+                        check_admissibility, fork_cpus, initial_density, integrate,
+                        write_csv)
 from .certify import certify_theorem_bounds, fit_decay_rate
 from .finite import AvalancheError, simulate as finite_simulate, splay_reference
 from .models import ModelError
 # unused here: bench/spans.py times models.build by rebinding them in this module too
 from .models import homoclinic_model, lif_model, tabulated_model  # noqa: F401
 from .quantile import discrete_lyapunov, quantile_transform
-from .stationary import NoStationaryStateError, coupling_bounds, solve_stationary_flux
+from .stationary import (NoStationaryStateError, UnresolvedFluxError, coupling_bounds,
+                         solve_stationary_flux)
 
 EXIT_OK = 0
 EXIT_BLOWUP_EXPECTATION = 2
@@ -104,17 +108,8 @@ def _write_json(path, obj):
     Path(path).write_text(_json_text(obj))
 
 
-def _write_lines(path, header: str, rows: list):
-    """A CSV file of a header and rows already joined by commas.  Floats as
-    ``repr`` writes them and plain names need no quoting, so with \\r\\n
-    line ends these are the bytes csv.writer gives."""
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([header, *rows, ""]))
-
-
 def _density_csv(path, theta, rho, value_name="rho"):
-    _write_lines(path, f"theta,{value_name}",
-                 [f"{t!r},{r!r}" for t, r in zip(theta.tolist(), rho.tolist())])
+    write_csv(path, ("theta", value_name), (theta, rho))
 
 
 def _quantile_csv(path, theta, rho):
@@ -122,9 +117,7 @@ def _quantile_csv(path, theta, rho):
     # last knot repeats the final segment)
     prof = quantile_transform(theta, rho)
     q = np.append(prof.q_seg, prof.q_seg[-1])
-    _write_lines(path, "phi,Q,q",
-                 [f"{p!r},{Q!r},{qq!r}"
-                  for p, Q, qq in zip(prof.phi.tolist(), prof.Q.tolist(), q.tolist())])
+    write_csv(path, ("phi", "Q", "q"), (prof.phi, prof.Q, q))
 
 
 # -- flags: each sets the SCHEMA key of its name ----------------------------------
@@ -695,6 +688,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnresolvedFluxError as exc:
+        print(f"unresolved stationary flux: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -69,6 +69,9 @@ EPS_SING = 1e-8
 # rows in process and only if as many are still to come, so a run of fewer
 # than two rings never forks.
 RING_FLOATS = 2**16
+# CSV files go out ROW_BLOCK rows per write (``write_csv``): one block's floats
+# and text, about 40 kB of trajectory rows, are alive at a time
+ROW_BLOCK = 256
 
 
 class CFLError(RuntimeError):
@@ -373,6 +376,25 @@ class _VHelper:
         os.waitpid(self.pid, 0)
 
 
+# -- CSV artifacts ----------------------------------------------------------------
+
+
+def write_csv(path, header: Sequence, floats: Sequence, names: Sequence | None = None):
+    """A CSV file of the ``header`` names and one row per index of the
+    ``floats`` columns (float64 arrays), with ``names`` (text that needs no
+    quoting) as a last column when given.  Floats as ``repr`` writes them
+    and \\r\\n line ends give the bytes csv.writer gives.  The rows go out
+    ROW_BLOCK per write, each block's columns taken by ``tolist`` on slices,
+    so one block's floats and text are alive at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(floats[0]), ROW_BLOCK):
+            cells = [list(map(repr, c[i:i + ROW_BLOCK].tolist())) for c in floats]
+            if names is not None:
+                cells.append(names[i:i + ROW_BLOCK])
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 # -- trajectory integration ------------------------------------------------------
 
 
@@ -419,19 +441,17 @@ class TrajectoryLog:
     COLUMNS = ("t", "J0", "mass", "rho_min", "rho_max", "V", "q_min", "event")
 
     def to_csv(self, path):
-        # floats as repr writes them and the event names need no quoting:
-        # csv.writer's bytes, joined here
-        cols = [c.tolist() for c in (self.t, self.J0, self.mass, self.rho_min,
-                                     self.rho_max, self.V, self.q_min)]
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join([",".join(self.COLUMNS),
-                                   *[f"{t!r},{j!r},{m!r},{lo!r},{hi!r},{v!r},{q!r},{ev}"
-                                     for t, j, m, lo, hi, v, q, ev in zip(*cols, self.event)],
-                                   ""]))
+        write_csv(path, self.COLUMNS, (self.t, self.J0, self.mass, self.rho_min,
+                                       self.rho_max, self.V, self.q_min), self.event)
 
     @classmethod
     def from_csv(cls, path):
-        rows = []
+        """The log a ``trajectory.csv`` holds: its seven numeric columns,
+        parsed into float64 buffers as the rows are read, and the event
+        names; the last named event is the blow-up."""
+        columns = [array("d") for _ in range(7)]
+        appends = [c.append for c in columns]
+        events: list = []
         with open(path, newline="") as fh:
             r = csv.reader(fh)
             header = next(r, [])
@@ -441,18 +461,18 @@ class TrajectoryLog:
                 if len(row) != len(cls.COLUMNS):
                     raise ValueError(f"{path}: line {r.line_num} has {len(row)} fields, "
                                      f"expected {len(cls.COLUMNS)}")
-                rows.append(row)
-        if not rows:
+                for append, value in zip(appends, row):
+                    append(float(value))
+                events.append(row[7])
+        if not events:
             raise ValueError(f"{path}: no trajectory rows")
-        cols = list(zip(*rows))
-        num = [np.asarray([float(v) for v in c]) for c in cols[:7]]
-        events = list(cols[7])
+        t, J0, mass, rho_min, rho_max, V, q_min = map(np.frombuffer, columns)
         blow = None
         for i, ev in enumerate(events):
             if ev:
-                blow = BlowupEvent(float(num[0][i]), ev.replace("_blowup", ""), {})
-        return cls(num[0], num[1], num[2], num[3], num[4], num[5], num[6], events,
-                   blow, num[0], None, num[1], None, None, None, None)
+                blow = BlowupEvent(t.item(i), ev.replace("_blowup", ""), {})
+        return cls(t, J0, mass, rho_min, rho_max, V, q_min, events,
+                   blow, t, None, J0, None, None, None, None)
 
     def summary(self) -> dict:
         def num(x):

@@ -97,6 +97,12 @@ class NoStationaryStateError(RuntimeError):
         self.result = result
 
 
+class UnresolvedFluxError(RuntimeError):
+    """Double precision cannot resolve the stationary solve: the existence
+    limit's probes cannot move off r, or J* lies so close to the admissible
+    edge omega/r that no double meets |W(J) - 1| < J_TOL."""
+
+
 @dataclass(frozen=True)
 class ExistenceResult:
     exists: bool
@@ -280,6 +286,10 @@ def existence_condition(model: OscillatorModel, K: float) -> ExistenceResult:
     passes the divergence cap, reported as an infinite limit); otherwise the
     final value decides against the same margin (at the coupling edge the
     limit is exactly 1, and quadrature error must not make a state exist).
+    The probes end at the first k where r + 10^-k rounds to r (k = 12 from
+    r = 2^14 on): s = r would put the pole inside the integral.  An r so
+    large (2^50 or more) that not even s_1 moves raises
+    ``UnresolvedFluxError``.
     """
     return _existence(K, *_prepare(model, K))
 
@@ -292,6 +302,8 @@ def _existence(K: float, r: float, prc: _Sampled) -> ExistenceResult:
     limit = None
     for k in LIMIT_KS:
         s = r + 10.0 ** (-k)
+        if s == r:   # 10^-k is under half an ulp of r: the probes stopped moving
+            break
         val = _quad(lambda z: 1.0 / (K * z + s), prc, tol=1e-9)
         ints.append(val)
         if val > DIVERGENCE_CAP:
@@ -301,6 +313,10 @@ def _existence(K: float, r: float, prc: _Sampled) -> ExistenceResult:
         if consecutive >= 3:
             exists = True
             break
+    if not ints:
+        raise UnresolvedFluxError(
+            f"r = {r!r} is too large for the existence limit to be probed in double "
+            "precision: r + 0.1 rounds to r")
     if exists is None:
         exists = ints[-1] > 1.0 + LIMIT_MARGIN
     if limit is None:
@@ -387,12 +403,13 @@ def _golden_min(f, a: float, b: float, *, xatol: float) -> tuple:
 def bisect_root(f, a: float, b: float, *, ftol: float) -> float:
     """Bracketed bisection for a continuous f with f(a), f(b) of opposite sign.
 
-    Stops as soon as |f(mid)| < ``ftol``, or when the bracket is two
-    adjacent doubles (the midpoint rounds onto an end), however many orders
-    of magnitude it spanned.  A positive bracket wider than a factor
-    GEOMETRIC_SPAN is split at its geometric mean, so that many orders of
-    magnitude take a few halvings of their logarithm; narrower brackets are
-    split at the midpoint.  Unconditionally convergent on monotone
+    Stops as soon as |f(mid)| < ``ftol``.  When the bracket is two adjacent
+    doubles (the midpoint rounds onto an end), however many orders of
+    magnitude it spanned, that end is returned if |f| < ``ftol`` there, and
+    otherwise ``UnresolvedFluxError`` is raised.  A positive bracket wider
+    than a factor GEOMETRIC_SPAN is split at its geometric mean, so that
+    many orders of magnitude take a few halvings of their logarithm;
+    narrower brackets are split at the midpoint.  Unconditionally convergent on monotone
     functions, which is why it is preferred over Newton here.
     """
     fa, fb = f(a), f(b)
@@ -408,12 +425,17 @@ def bisect_root(f, a: float, b: float, *, ftol: float) -> float:
         else:
             m = 0.5 * (a + b)
         if m == a or m == b:
-            return m
+            fm = fa if m == a else fb
+            if abs(fm) < ftol:
+                return m
+            raise UnresolvedFluxError(
+                f"the root bracket closed on [{a!r}, {b!r}] with |f| = {abs(fm):.3g} "
+                f"at {m!r}, not below {ftol:.3g}")
         fm = f(m)
         if fm == 0.0 or abs(fm) < ftol:
             return m
         if fa * fm < 0.0:
-            b = m
+            b, fb = m, fm
         else:
             a, fa = m, fm
 
@@ -425,7 +447,10 @@ def solve_stationary_flux(model: OscillatorModel, K: float,
 
     K = 0 is returned in closed form (J* = omega/(2*pi), uniform density).
     For r > 0 the upper bracket is walked in as (1 - 10^-k) * omega/r until
-    W exceeds one, since W may diverge only at the endpoint itself.
+    W exceeds one, since W may diverge only at the endpoint itself.  A J*
+    that double precision cannot resolve to J_TOL (the walk never passes
+    W = 1, or the bisection closes on adjacent doubles short of it) raises
+    ``UnresolvedFluxError``.
     """
     omega = model.omega
     theta = np.linspace(0.0, TWO_PI, n_theta + 1)
@@ -460,7 +485,7 @@ def solve_stationary_flux(model: OscillatorModel, K: float,
                     hi = cand
                     break
             if hi is None:
-                raise RuntimeError(
+                raise UnresolvedFluxError(
                     "stationary flux is closer to the admissible-interval endpoint than "
                     "double precision resolves; coupling too strong to solve numerically")
         else:
@@ -471,7 +496,7 @@ def solve_stationary_flux(model: OscillatorModel, K: float,
                     break
                 cand *= 2.0
             if hi is None:
-                raise RuntimeError("normalization functional never exceeded one")
+                raise UnresolvedFluxError("normalization functional never exceeded one")
 
         j_star = bisect_root(w, lo, hi, ftol=J_TOL)
     rho = j_star / (omega + K * z * j_star)   # J_density on the z above

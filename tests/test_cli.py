@@ -1585,6 +1585,19 @@ def test_avalanche_exits_config_error(tmp_path, capsys, command):
     assert not (fdir.parent / "summary.json").exists()
 
 
+def test_unresolved_stationary_flux_exits_config_error(capsys):
+    # a J* 7.7e-12 (relative) below the edge omega/r, where one ulp of J
+    # moves W by about 5e-7: exit 4 and one stderr line, no traceback
+    assert main(["stationary", "--model", "homoclinic", "--C", "1.0613480047238488",
+                 "--lambda-u", "1.6494697726521217", "--omega", "3.510679464494422",
+                 "--K=-0.8497346102544328"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("unresolved stationary flux: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_unallocatable_grid_exits_config_error(capsys):
     # 10**15 grid nodes are 7.1 PiB of float64, more than any address space:
     # the first allocation fails at once, and the run says so in one line
@@ -1688,19 +1701,22 @@ def _csv_writer_bytes(path, header, rows) -> bytes:
 
 
 def test_float_tables_keep_csv_writer_bytes(tmp_path, monkeypatch):
-    # trajectory.csv, density and quantile files joined by hand have the
-    # bytes csv.writer gives, odd floats and event names included
+    # trajectory.csv, density and quantile files, written ROW_BLOCK rows per
+    # write, have the bytes csv.writer gives across three block ends and a
+    # short last block: odd floats, NaN V and event names included
     from dataclasses import replace
     from types import SimpleNamespace
     from pulsefield import initial_density, integrate
-    a = np.array(ODD_FLOATS)
+    from pulsefield.continuum import ROW_BLOCK
+    n = 3 * ROW_BLOCK + 7
+    a = np.resize(ODD_FLOATS, n) * np.random.default_rng(4).uniform(0.5, 1.0, n)
     b = a[::-1].copy()
-    n = a.size
-    events = ["", "flux_blowup", "density_blowup"] * 3 + [""]
+    events = np.resize(["", "flux_blowup", "density_blowup"], n).tolist()
     model = lif_model(2.1, 2.0)
     traj = integrate(model, -0.1, initial_density("uniform", 16, model, -0.1), t_max=0.01)
     traj = replace(traj, t=a, J0=b, mass=np.roll(a, 1), rho_min=np.roll(a, 2),
                    rho_max=np.roll(b, 3), V=np.roll(a, 4), q_min=np.roll(b, 5), event=events)
+    assert np.isnan(traj.V).sum() >= 3
     traj.to_csv(tmp_path / "trajectory.csv")
     want = _csv_writer_bytes(tmp_path / "want.csv", traj.COLUMNS,
                              zip(traj.t, traj.J0, traj.mass, traj.rho_min, traj.rho_max,
@@ -1717,6 +1733,24 @@ def test_float_tables_keep_csv_writer_bytes(tmp_path, monkeypatch):
     q = np.append(prof.q_seg, prof.q_seg[-1])
     want = _csv_writer_bytes(tmp_path / "want.csv", ["phi", "Q", "q"], zip(a, b, q))
     assert (tmp_path / "quantiles.csv").read_bytes() == want
+
+
+def test_density_csv_memory_is_one_block(tmp_path):
+    # n_theta 2**16: the rows go out ROW_BLOCK at a time, so the writer's
+    # traced peak is one block's floats and text (about 0.1 MB) however many
+    # nodes there are, where one joined string took about 172 bytes a node
+    import tracemalloc
+    rng = np.random.default_rng(6)
+    theta, rho = np.linspace(0.0, 2.0 * math.pi, 2**16 + 1), rng.uniform(0.0, 1.0, 2**16 + 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._density_csv(tmp_path / "density.csv", theta, rho)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18, peak
+    assert (tmp_path / "density.csv").read_bytes().count(b"\r\n") == theta.size + 1
 
 
 def _bench_spans():

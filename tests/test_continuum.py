@@ -920,3 +920,42 @@ def test_trajectory_csv_round_trip(tmp_path, lif, stat_inhib):
     assert np.array_equal(back.J0, traj.J0)
     assert np.array_equal(back.V, traj.V)
     assert back.blowup is None
+
+
+def _random_log(n: int) -> TrajectoryLog:
+    """A log of n rows of random floats, every event empty."""
+    from dataclasses import replace
+    model = lif_model(2.1, 2.0)
+    traj = integrate(model, -0.1, initial_density("uniform", 16, model, -0.1), t_max=0.01)
+    cols = np.random.default_rng(n).uniform(0.0, 2.0, (7, n))
+    return replace(traj, t=np.cumsum(cols[0]), J0=cols[1], mass=cols[2], rho_min=cols[3],
+                   rho_max=cols[4], V=cols[5], q_min=cols[6], event=[""] * n)
+
+
+def _traced_peak(fn, *args):
+    """(fn's result, the traced peak it reached above what was traced before)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_csv_memory(tmp_path):
+    # to_csv writes ROW_BLOCK rows per write: its traced peak is one block's
+    # floats and text at 20 000 rows as at 40 000, where one joined string
+    # took about 550 bytes a row.  from_csv parses rows into float64 buffers
+    # as it reads them: about 68 bytes a row kept, where keeping every row's
+    # strings peaked near 756
+    p = tmp_path / "trajectory.csv"
+    for n in (20_000, 40_000):
+        traj = _random_log(n)
+        _, peak = _traced_peak(traj.to_csv, p)
+        assert peak < 2**19, (n, peak)
+        back, peak = _traced_peak(TrajectoryLog.from_csv, p)
+        assert peak < 80 * n + 2**16, (n, peak)
+        for name in TrajectoryLog.COLUMNS[:7]:
+            assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
+        assert back.event == traj.event and back.blowup is None

@@ -3,7 +3,8 @@ import math
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from pulsefield import (NoStationaryStateError, coupling_bounds, existence_condition,
-                        homoclinic_model, lif_model, normalization_functional,
-                        solve_stationary_flux, tabulated_model)
+from pulsefield import (NoStationaryStateError, UnresolvedFluxError, coupling_bounds,
+                        existence_condition, homoclinic_model, lif_model,
+                        normalization_functional, solve_stationary_flux, tabulated_model)
 from pulsefield import stationary
 from pulsefield.continuum import _advance_boundary
 
@@ -50,6 +51,31 @@ def W_quad(model, K, J):
     om = model.omega
     return quad(lambda th: J / (om + K * model.prc(th) * J), 0.0, TWO_PI,
                 epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+def W_homoclinic(model, K, J) -> Decimal:
+    """A homoclinic model's W(J) in closed form, in 50 digits from the exact
+    doubles: (J/(b*omega))*[ln(omega*e^(2*pi*b) + c) - ln(omega + c)] with
+    b = lambda_u/omega, c = K*Z(0)*J and 2*pi the double the solver takes."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        om, b = Decimal(model.omega), Decimal(model.params["lambda_u"]) / Decimal(model.omega)
+        c = Decimal(K) * Decimal(float(model.prc(0.0))) * Decimal(J)
+        return (Decimal(J) / (b * om)) * ((om * (b * Decimal(TWO_PI)).exp() + c).ln()
+                                          - (om + c).ln())
+
+
+def homoclinic_ulp_step(model, K) -> Decimal:
+    """How far W moves, in closed form, across the two adjacent doubles
+    round J* of an inhibitory homoclinic model, found by bisecting over the
+    doubles below the pole omega/r."""
+    amp = float(model.prc(0.0))
+    lo, hi = 0.0, model.omega / (-K * amp)
+    while Fraction(model.omega) + Fraction(K) * Fraction(amp) * Fraction(hi) <= 0:
+        hi = math.nextafter(hi, 0.0)   # the double edge may round onto or past the pole
+    while (m := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (m, hi) if W_homoclinic(model, K, m) < 1 else (lo, m)
+    return W_homoclinic(model, K, hi) - W_homoclinic(model, K, lo)
 
 
 def test_w_trivial_no_coupling(lif):
@@ -282,13 +308,63 @@ def test_homoclinic_stationary_state():
 @example(C=1.0, lambda_u=1.0, omega=6.283185307179586, K=0.05)   # bundled homoclinic.cfg
 def test_stationary_residual_homoclinic(C, lambda_u, omega, K):
     # W(J*) = 1 by independent quadrature over the homoclinic family; a draw
-    # with no stationary state (strong excitatory coupling) is discarded
+    # with no stationary state (strong excitatory coupling) is discarded.  A
+    # J* the solver refuses as unresolved lies where one ulp of J moves the
+    # closed-form W by more than J_TOL, next to the edge omega/r
     model = homoclinic_model(C, lambda_u, omega)
     try:
         stat = solve_stationary_flux(model, K)
     except NoStationaryStateError:
         assume(False)
+    except UnresolvedFluxError:
+        assert homoclinic_ulp_step(model, K) > stationary.J_TOL
+        return
     assert abs(W_quad(model, K, stat.J_star) - 1.0) < 1e-8
+
+
+# a near-edge draw: J* sits 7.7e-12 (relative) below omega/r, where one ulp
+# of J moves W by about 5e-7, so no double meets J_TOL
+NEAR_EDGE = dict(C=1.0613480047238488, lambda_u=1.6494697726521217,
+                 omega=3.510679464494422, K=-0.8497346102544328)
+# r = 2.09e5: r + 10^-k rounds to r from k = 11 on
+LARGE_R = dict(C=1.9682502112304499, lambda_u=1.9272386964469381,
+               omega=1.0344231023960757, K=-0.8444096904718315)
+
+
+def test_unresolved_flux_near_edge_raises():
+    # the bisection closes on two adjacent doubles with |W - 1| ~ 5e-7, far
+    # above J_TOL: an error, not a J* returned as if resolved
+    model = homoclinic_model(NEAR_EDGE["C"], NEAR_EDGE["lambda_u"], NEAR_EDGE["omega"])
+    with pytest.raises(UnresolvedFluxError, match="bracket closed"):
+        solve_stationary_flux(model, NEAR_EDGE["K"])
+    assert homoclinic_ulp_step(model, NEAR_EDGE["K"]) > 1000 * stationary.J_TOL
+
+
+def test_bisect_root_refuses_a_bracket_short_of_ftol():
+    # a jump at 1.0: the bracket closes on adjacent doubles with |f| = 1
+    step = lambda x: -1.0 if x < 1.0 else 1.0
+    with pytest.raises(UnresolvedFluxError):
+        stationary.bisect_root(step, 0.0, 3.0, ftol=1e-10)
+    # ... while a continuous f has its root returned to ftol
+    assert abs(stationary.bisect_root(lambda x: x - 1.0, 0.0, 3.0, ftol=1e-10) - 1.0) < 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_existence_probes_stop_where_they_stop_moving():
+    # r + 10^-k == r from k = 11: the probes end at k = 10 (s = r would
+    # divide by zero at the singular phase and read an infinite limit)
+    model = homoclinic_model(LARGE_R["C"], LARGE_R["lambda_u"], LARGE_R["omega"])
+    res = existence_condition(model, LARGE_R["K"])
+    assert res.r + 1e-10 != res.r and res.r + 1e-11 == res.r
+    assert len(res.integrals) == 10 and np.isfinite(res.integrals).all()
+    assert res.limit_value == res.integrals[-1]
+
+
+def test_existence_refuses_r_no_probe_moves_off():
+    # Z(0) = 2e27: r + 0.1 rounds to r, so no probe of the limit exists
+    model = homoclinic_model(1.0, 10.0, 1.0)
+    with pytest.raises(UnresolvedFluxError, match="too large"):
+        existence_condition(model, -0.1)
 
 
 def _wavy_table():
