@@ -21,24 +21,25 @@ the config did not expect, or an expected one that did not happen),
 model parameter or field table, a command line argparse rejects, an output
 path that cannot be made, a finite run whose coupling ignites an
 avalanche: K >= x_hi - x_lo re-fires an oscillator within one event, a
-size whose arrays cannot be allocated: ``--ntheta 1000000000000000``, or a
-coupling whose stationary flux double precision cannot resolve to J_TOL,
-``UnresolvedFluxError``).
+size whose arrays cannot be allocated: ``--ntheta 1000000000000000``, a
+coupling whose stationary flux double precision cannot resolve to J_TOL
+(``UnresolvedFluxError``), ``align_dt = true`` with K > 0, whose aligned
+step exceeds the CFL limit, or ``[finite] enabled = true`` for the
+homoclinic model, which has no vector field; these last two exit before
+any directory is made).
 A sweep's --param is any config key, as section.key or bare; each --values
 item is read by that key's parser, as a config line is, and each row's
 config is the sweep's with that key set (``ExperimentConfig.from_values``).
 A sweep whose model (for a swept [model] key, any row's) cannot be built,
-or whose values the config rejects, exits 4 before its first row.  Each row
-of a swept [model] key takes its own coupling window; any other sweep takes
-the one model's once.  The rows run in forked worker
-processes, one per CPU this process may run on (``taskset -c 0 pulsefield
-sweep ...`` runs them one after another, in process); every artifact has
-the same bytes either way, except the wall times in each row's
-summary.json.  The sweep exits 0: sweep.csv records each row's exit code
-(empty for a row that raised, or whose worker process died) and its
-certification violations (empty for a row that ran no certification), and
-each row that did not exit 0 prints one line on stderr, in row order, once
-every earlier row has finished.
+or whose values the config rejects, exits 4 before its first row.  The
+rows run in forked worker processes, one per CPU this process may run on
+(``taskset -c 0 pulsefield sweep ...`` runs them one after another, in
+process); every artifact has the same bytes either way, except the wall
+times in each row's summary.json.  The sweep exits 0: sweep.csv records
+each row's exit code (empty for a row that raised, or whose worker
+process died) and its certification violations (empty for a row that ran
+no certification), and each row that did not exit 0 prints one line on
+stderr, in row order, once every earlier row has finished.
 
 A finite run formats snapshots.csv in batches of firings.  From
 POOL_MIN_FLOATS phases in the whole run (N * n_firings >= 2**18) the
@@ -222,12 +223,11 @@ def _certify(traj: TrajectoryLog, model, K: float) -> tuple:
     return cert, report.verdict()
 
 
-def _stationary(model, K: float, n_theta: int, bounds=None) -> tuple:
+def _stationary(model, K: float, n_theta: int) -> tuple:
     """(the stationary state or None, stationary.json's record of it):
     ``exists`` and ``r``; with a state ``J_star``, ``rho_star_mass`` and
     ``J_interval_hi`` (null when unbounded), without one the existence
-    ``limit_value``; for a model with a field its ``coupling_bounds``
-    (``bounds`` when the caller has them already)."""
+    ``limit_value``; for a model with a field its ``coupling_bounds``."""
     reference = None
     try:
         reference = solve_stationary_flux(model, K, n_theta=n_theta)
@@ -239,18 +239,16 @@ def _stationary(model, K: float, n_theta: int, bounds=None) -> tuple:
         record = {"exists": False, "r": exc.result.r,
                   "limit_value": exc.result.to_json()["limit_value"]}
     if model.F is not None:
-        record["coupling_bounds"] = (bounds or coupling_bounds(model)).to_json()
+        record["coupling_bounds"] = coupling_bounds(model).to_json()
     return reference, record
 
 
-def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
+def run_scenario(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Stationary solve, continuum integration, certification, optional
     finite-N run; writes all artifacts under the output directory and
     returns summary.json's record, its ``exit_code`` included.
 
-    ``bounds`` is the model's ``coupling_bounds`` when the caller has them
-    already (a sweep computes them once for all its rows).  summary.json's
-    ``timings_s`` holds the seconds spent in each of ``PHASES``: the
+    summary.json's ``timings_s`` holds the seconds spent in each of ``PHASES``: the
     stationary solve, ``integrate`` (V included), certification, the finite
     run and the artifact writes before summary.json's own, and ``versions``
     the package, numpy, Python and scipy versions (``_versions``).
@@ -272,7 +270,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, bounds=None) -> dict:
 
     # stationary state (reference for V); absence is recorded, not fatal
     with _timed(timings, "stationary"):
-        reference, stat_info = _stationary(model, K, sol["n_theta"], bounds)
+        reference, stat_info = _stationary(model, K, sol["n_theta"])
     with _timed(timings, "write"):
         if reference is not None and cfg["output"]["dump_stationary_density"]:
             _density_csv(out / "rho_star.csv", reference.rho_star.theta,
@@ -544,11 +542,11 @@ def _blank_row(param, value, status) -> dict:
             "status": status}
 
 
-def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path, bounds) -> dict:
+def _sweep_row(row_cfg: ExperimentConfig, param, value, out_root: Path) -> dict:
     row_dir = out_root / f"{param}={value!r}"
     row = _blank_row(param, value, "ok")
     try:
-        summary = run_scenario(row_cfg, out_dir=row_dir, bounds=bounds)
+        summary = run_scenario(row_cfg, out_dir=row_dir)
     except Exception as exc:   # noqa: BLE001 - row failures are data
         row["status"] = f"failed: {exc}"
         # a row that raised keeps the stationary record it wrote, if any
@@ -573,23 +571,19 @@ def _cmd_sweep(args) -> int:
     values = [parse_value(path, v) for v in args.values.split(",")] if args.values else []
     if len({repr(v) for v in values}) != len(values):
         raise ConfigError("sweep.values", "a repeated value would share a row directory")
-    # every row's config, and for a swept [model] key every row's model, is
-    # checked before the first row runs (a bad model or table exits 4 here)
+    # every row's config, and its model (a key outside [model] leaves every
+    # row the sweep's one model), is checked before the first row runs (a
+    # bad model or table exits 4 here)
     row_cfgs = [ExperimentConfig.from_values({**cfg.given, path: v}, cfg.source)
                 for v in values]
-    if path.startswith("model."):
-        for row_cfg in row_cfgs:
-            row_cfg.build_model()
-        bounds = None   # each row takes its own model's coupling window
-    else:
-        model = cfg.build_model()
-        bounds = coupling_bounds(model) if model.F is not None else None
+    for row_cfg in row_cfgs if path.startswith("model.") else [cfg]:
+        row_cfg.build_model()
     out_root = _make_dir(args.out or Path(cfg["output"]["dir"]) / "sweep",
                          "--out" if args.out else "output.dir")
     rows = []
     pool, _ = _pool(len(values))
     with pool:
-        futures = [pool.submit(_sweep_row, c, args.param, v, out_root, bounds)
+        futures = [pool.submit(_sweep_row, c, args.param, v, out_root)
                    for c, v in zip(row_cfgs, values)]
         for future, v in zip(futures, values):
             try:

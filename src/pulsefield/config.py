@@ -207,6 +207,14 @@ class ExperimentConfig:
             section, key = path.split(".")
             if not math.isfinite(v[section][key]):
                 raise ConfigError(path, f"must be finite, got {v[section][key]!r}")
+        # the aligned step dtheta/omega passes the CFL limit dtheta/max(omega +
+        # K*Z*J0) as soon as K*Z*J0 > 0, and Z > 0 for every model
+        if v["solver"]["align_dt"] and v["coupling"]["K"] > 0.0:
+            raise ConfigError("solver.align_dt", "the aligned step dtheta/omega exceeds "
+                              f"the CFL limit at K > 0, got K = {v['coupling']['K']!r}")
+        if v["finite"]["enabled"] and v["model"]["model"] == "homoclinic":
+            raise ConfigError("finite.enabled", "the homoclinic model has no vector "
+                              "field for a finite run")
         N, n_firings, seed = v["finite"]["N"], v["finite"]["n_firings"], v["finite"]["seed"]
         # a finite run needs two oscillators (V_N compares phase pairs) and
         # one firing (V_N starts from the first snapshot)

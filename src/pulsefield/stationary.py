@@ -18,8 +18,8 @@ supremum of W exceeds one:
 and is then the unique root of W(J) = 1.  For integrate-and-fire dynamics
 the admissible coupling window has the closed-form upper edge
 K < x_hi - x_lo; the lower edge is the limit of integral s/(s - F(x)) dx as
-s approaches min F from below, which diverges to -infinity for smooth
-fields (reported as unbounded).
+s approaches min F from below, which diverges to -infinity for every
+Lipschitz field (reported as unbounded, ``coupling_bounds``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .quantile import QuantileProfile, quantile_transform
 
 TWO_PI = 2.0 * math.pi
 
-# limit sequences s_k = r + 10^-k (and mirrored for the coupling lower bound)
+# the existence limit's sequence s_k = r + 10^-k
 LIMIT_KS = range(1, 13)
 LIMIT_MARGIN = 1e-6
 DIVERGENCE_CAP = 1e6
@@ -325,55 +325,19 @@ def _existence(K: float, r: float, prc: _Sampled) -> ExistenceResult:
 
 
 def coupling_bounds(model: OscillatorModel) -> CouplingBounds:
-    """Admissible coupling window for integrate-and-fire dynamics.
+    """Admissible coupling window for integrate-and-fire dynamics, in closed
+    form.
 
-    Upper edge is exactly the threshold gap x_hi - x_lo.  The lower edge is
-    probed along s_k = F_min*(1 - 10^-k); a sequence that keeps drifting (or
-    passes the divergence cap, or meets the pole s = F(x)) is reported
-    unbounded below.  F_min is the grid minimum, or the minimum refined
-    inside the grid cells beside it when that is smaller: a minimum inside
-    a cell lies below the grid value, and s_k would otherwise cross it.
+    The upper edge is exactly the threshold gap x_hi - x_lo.  The lower edge
+    is lim_{s -> min F-} of integral s/(s - F(x)) dx over [x_lo, x_hi], and
+    it is -infinity for every model with a field: F is Lipschitz (LIF is
+    linear, a table a PCHIP cubic), so with L = max|F'| and x_min the argmin,
+    F(x) - s <= (min F - s) + L*|x - x_min|, and since s > 0 the integral
+    falls at least like -(s/L)*log(1/(min F - s)).
     """
     if model.F is None:
         raise ModelError(f"{model.kind} model has no vector field; coupling bounds undefined")
-    upper = model.x_hi - model.x_lo
-    xs = np.linspace(model.x_lo, model.x_hi, DENSE_GRID_SIZE)
-    fx = np.asarray(model.F(xs), dtype=float)
-    i = int(np.argmin(fx))
-    f_min = float(fx[i])
-    span = model.x_hi - model.x_lo
-    x_min = float(xs[i])
-    cell = (float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)]))
-    x_ref, f_ref = _golden_min(model.F, *cell, xatol=1e-12 * span)
-    if f_ref < f_min:
-        f_min, x_min = f_ref, x_ref
-    x_min = float(np.clip(x_min, model.x_lo + 1e-9 * span, model.x_hi - 1e-9 * span))
-    F = _sample(model.F, model.x_lo, model.x_hi, [x_min])
-    vals = []
-    unbounded = False
-    for k in LIMIT_KS:
-        s = f_min * (1.0 - 10.0 ** (-k))
-
-        def integrand(fx):
-            gap = s - fx
-            if not gap.all():   # s met the field: the integral diverged
-                raise ZeroDivisionError
-            return s / gap
-
-        try:
-            val = _quad(integrand, F, tol=1e-9)
-        except ZeroDivisionError:
-            unbounded = True
-            break
-        vals.append(val)
-        if val < -DIVERGENCE_CAP:
-            unbounded = True
-            break
-    if not unbounded and len(vals) >= 2:
-        # logarithmic divergence never hits the cap; detect by non-convergence
-        unbounded = abs(vals[-1] - vals[-2]) > 1e-6 * max(1.0, abs(vals[-1]))
-    lower = -math.inf if unbounded else vals[-1]
-    return CouplingBounds(lower, upper, unbounded)
+    return CouplingBounds(-math.inf, model.x_hi - model.x_lo, True)
 
 
 def _golden_min(f, a: float, b: float, *, xatol: float) -> tuple:

@@ -869,19 +869,53 @@ def test_sweep_bad_model_exits_config(tmp_path, capsys, case):
     assert not (tmp_path / "sw").exists()
 
 
-def test_sweep_takes_coupling_bounds_once(tmp_path, capsys, monkeypatch):
-    # K, n_theta and epsilon leave the model alone, so its coupling window
-    # is computed once per sweep and recorded in every row
-    import pulsefield.cli as cli
-    real = cli.coupling_bounds
-    calls = []
-    monkeypatch.setattr(cli, "coupling_bounds", lambda m: calls.append(m) or real(m))
+@pytest.mark.parametrize("command", ["simulate", "run", "sweep"])
+def test_aligned_step_with_excitatory_coupling_is_config_error(tmp_path, capsys, command):
+    # the aligned step dtheta/omega exceeds the CFL limit once K*Z*J0 > 0,
+    # which ended the run in a CFLError traceback after its stationary
+    # record: exit 4 with one line, before any directory is made (a K sweep
+    # before its first row)
+    out = tmp_path / "out"
+    aligned = TINY_CFG.replace("t_max = 0.1", "t_max = 0.1\nalign_dt = true")
+    argv = {"simulate": ["simulate", "--K", "0.1", "--ntheta", "64", "--tmax", "0.5",
+                         "--align-dt", "--out", str(out)],
+            "run": ["run", str(write_cfg(tmp_path, aligned.replace("K = -0.1", "K = 0.1"),
+                                         out=out))],
+            "sweep": ["sweep", "--config", str(write_cfg(tmp_path, aligned, "sweep.cfg",
+                                                           out=tmp_path / "b")),
+                      "--param", "K", "--values=-0.1,0.1", "--out", str(out)]}[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error: solver.align_dt" in err
+    assert not out.exists() and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_homoclinic_finite_run_is_config_error(tmp_path, capsys, command):
+    # the homoclinic model has no vector field for a finite run, which the
+    # run found only after writing the whole continuum: exit 4 with one
+    # line, before any artifact (a sweep before its first row)
+    out = tmp_path / "out"
+    text = TINY_CFG.replace("model = lif\nS = 2.1\ngamma = 2.0", "model = homoclinic") \
+        + "\n[finite]\nenabled = true\n"
+    argv = {"run": ["run", str(write_cfg(tmp_path, text, out=out))],
+            "sweep": ["sweep", "--config", str(write_cfg(tmp_path, text, "sweep.cfg",
+                                                           out=tmp_path / "b")),
+                      "--param", "K", "--values=-0.1,-0.2", "--out", str(out)]}[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error: finite.enabled" in err
+    assert not out.exists() and not (tmp_path / "b").exists()
+
+
+def test_sweep_rows_record_coupling_bounds(tmp_path, capsys):
+    # K leaves the model alone, so every row records the model's one
+    # coupling window
     p = write_cfg(tmp_path, TINY_CFG, out=tmp_path / "base")
     assert main(["sweep", "--config", str(p), "--param", "K",
                  "--values=-0.05,-0.1,-0.2", "--out", str(tmp_path / "sw")]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
-    want = real(lif_model(2.1, 2.0)).to_json()
+    want = cli.coupling_bounds(lif_model(2.1, 2.0)).to_json()
     rows = sorted((tmp_path / "sw").glob("K=*/stationary.json"))
     assert len(rows) == 3
     for r in rows:
@@ -1314,11 +1348,11 @@ def test_sweep_row_raising_in_worker_is_recorded(tmp_path, capsys, monkeypatch):
 _SWEEP_ROW = cli._sweep_row
 
 
-def _row_or_die(row_cfg, param, value, out_root, bounds):
+def _row_or_die(row_cfg, param, value, out_root):
     # a worker process killed mid-row, as by the OOM killer
     if value == -0.2:
         os._exit(1)
-    return _SWEEP_ROW(row_cfg, param, value, out_root, bounds)
+    return _SWEEP_ROW(row_cfg, param, value, out_root)
 
 
 def test_sweep_dead_worker_fails_unfinished_rows(tmp_path, capsys, monkeypatch):

@@ -200,6 +200,43 @@ def test_coupling_bounds_lif_unbounded_consistent(lif):
     assert existence_condition(lif, -1.0).exists
 
 
+def _steep_table():
+    # L = max|F'| = 1e4 against min F = 1e-3: the coupling bound's integral
+    # drops by only (s/L)*ln 10 = 2.3e-7 per decade of min F - s
+    xs = np.linspace(0.0, 1.0, 41)
+    return tabulated_model(xs, 1e-3 + 1e4 * xs)
+
+
+def test_coupling_bounds_steep_table_unbounded():
+    # a limit probe read this slow divergence as converged, to -4.37e-6
+    b = coupling_bounds(_steep_table())
+    assert b.lower == -math.inf and b.lower_unbounded and b.upper == 1.0
+    assert b.to_json() == {"K_lower": None, "K_upper": 1.0, "lower_unbounded": True}
+
+
+@pytest.mark.parametrize("model", ["lif", "steep"])
+def test_coupling_bound_integral_diverges_logarithmically(model):
+    # the closed form's premise: for a Lipschitz F the integral of
+    # s/(s - F) falls by (s/L)*ln 10 per decade of min F - s, L = max|F'|
+    m = lif_model(S, GAMMA) if model == "lif" else _steep_table()
+    xs = np.linspace(m.x_lo, m.x_hi, 2 ** 16 + 1)
+    L = float(np.max(np.abs(np.diff(m.F(xs)) / np.diff(xs))))
+    s_vals, F, _ = _bound_sequence(m)
+    vals = [stationary._quad(lambda fx: s / (s - fx), F, tol=1e-9) for s in s_vals]
+    for k in range(len(vals) - 3, len(vals)):
+        drop = (vals[k - 1] - vals[k]) / (s_vals[k] / L * math.log(10.0))
+        assert drop == pytest.approx(1.0, rel=0.1), (k, drop)
+
+
+@pytest.mark.parametrize("model", ["lif", "steep"])
+def test_coupling_bounds_evaluates_no_field(model, monkeypatch):
+    m = lif_model(S, GAMMA) if model == "lif" else _steep_table()
+    F, calls = m.F, []
+    monkeypatch.setattr(m, "F", lambda x: calls.append(x) or F(x))
+    assert coupling_bounds(m).lower_unbounded
+    assert calls == []
+
+
 def test_coupling_bounds_needs_field():
     m = homoclinic_model(1.0, 1.0, TWO_PI)
     with pytest.raises(Exception):
@@ -519,7 +556,8 @@ def test_quad_matches_oracles_on_wavy_table(K):
 
 
 def _bound_sequence(m):
-    """(s_k, sampled F, breakpoint) of coupling_bounds' limit sequence."""
+    """(s_k, sampled F, breakpoint) of the coupling window's limit sequence
+    s_k = min F*(1 - 10^-k), with min F refined inside its grid cells."""
     F, span = m.F, m.x_hi - m.x_lo
     xs = np.linspace(m.x_lo, m.x_hi, 4097)
     fx = F(xs)
@@ -562,24 +600,27 @@ def test_quad_matches_scipy_on_wavy_coupling_bound_integrand():
         _assert_close(stationary._quad(lambda fx: s / (s - fx), F, tol=1e-9), ref, 1e-9, floor)
 
 
-def test_coupling_bounds_returns_where_golden_section_stalls(monkeypatch):
+def test_coupling_bounds_returns_where_golden_section_stalls():
     # on [8192, 8193] the float spacing (1.8e-12) exceeds xatol = 1e-12*span:
-    # the bracket round the refined minimum cannot narrow to xatol, and the
-    # search must stop all the same (F's float calls are counted, so a search
-    # that does not stop fails here instead of hanging)
+    # the bracket round the minimum of F in its first grid cell cannot narrow
+    # to xatol, and the search must stop all the same (F's calls are
+    # counted, so a search that does not stop fails here instead of
+    # hanging); only the step cap stops it
     xs = np.linspace(8192.0, 8193.0, 20)
     m = tabulated_model(xs, 1.0 + (xs - 8192.0))
-    F, calls = m.F, []
+    calls = []
 
     def counted(x):
-        if type(x) is float:
-            calls.append(x)
-            assert len(calls) < 1000, "golden section does not stop"
-        return F(x)
+        calls.append(x)
+        assert len(calls) < 1000, "golden section does not stop"
+        return m.F(x)
 
-    monkeypatch.setattr(m, "F", counted)
+    cell = np.linspace(m.x_lo, m.x_hi, 4097)[:2].tolist()
+    x, fx = stationary._golden_min(counted, *cell, xatol=1e-12 * (m.x_hi - m.x_lo))
+    assert len(calls) == stationary.GOLDEN_MAX_STEPS + 2
+    assert cell[0] <= x <= cell[1] and fx == m.F(x)
     b = coupling_bounds(m)
-    assert b.upper == 1.0 and b.lower_unbounded and calls
+    assert b.upper == 1.0 and b.lower_unbounded
 
 
 @pytest.mark.parametrize("K", ORACLE_KS)
