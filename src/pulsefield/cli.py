@@ -23,7 +23,8 @@ path that cannot be made, a finite run whose coupling ignites an
 avalanche: K >= x_hi - x_lo re-fires an oscillator within one event, a
 size whose arrays cannot be allocated: ``--ntheta 1000000000000000``, a
 coupling whose stationary flux double precision cannot resolve to J_TOL
-(``UnresolvedFluxError``), ``align_dt = true`` with K > 0, whose aligned
+(``UnresolvedFluxError``; ``finite`` needs no J* and records its splay
+reference as unavailable), ``align_dt = true`` with K > 0, whose aligned
 step exceeds the CFL limit, or ``[finite] enabled = true`` for the
 homoclinic model, which has no vector field; these last two exit before
 any directory is made).
@@ -41,11 +42,14 @@ process died) and its certification violations (empty for a row that ran
 no certification), and each row that did not exit 0 prints one line on
 stderr, in row order, once every earlier row has finished.
 
-A finite run formats snapshots.csv in batches of firings.  From
-POOL_MIN_FLOATS phases in the whole run (N * n_firings >= 2**18) the
-batches are formatted in forked worker processes, one per CPU, and written
-in firing order; below that, on one CPU (``taskset -c 0``) and inside a
-sweep worker, in process.  The bytes are the same either way.
+A finite run formats snapshots.csv, and takes V_N, in batches of about
+``finite.BATCH_FLOATS`` phases.  A run of two batches or more hands them
+to forked sink processes (``finite.BatchSinks``), one per
+``finite.SINK_FLOATS`` phases in the whole run (N * n_firings) and at most
+one per CPU, and writes their text and folds their V_N in firing order
+while its event loop goes on; on one CPU (``taskset -c 0``) and inside a
+sweep worker the same batch function runs in process.  The bytes are the
+same either way.
 
 A run's V on logged rows, past the first ring of them, is evaluated in
 one forked helper process (``continuum.integrate``) under the same rule
@@ -63,7 +67,6 @@ import json
 import math
 import sys
 import time
-from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -76,7 +79,8 @@ from .continuum import (AdmissibilityVerdict, BlowupError, TrajectoryLog,
                         check_admissibility, fork_cpus, initial_density, integrate,
                         write_csv)
 from .certify import certify_theorem_bounds, fit_decay_rate
-from .finite import AvalancheError, simulate as finite_simulate, splay_reference
+from .finite import (AvalancheError, BatchSinks, simulate as finite_simulate,
+                     splay_reference)
 from .models import ModelError
 # unused here: bench/spans.py times models.build by rebinding them in this module too
 from .models import homoclinic_model, lif_model, tabulated_model  # noqa: F401
@@ -88,17 +92,6 @@ EXIT_OK = 0
 EXIT_BLOWUP_EXPECTATION = 2
 EXIT_CERTIFICATION = 3
 EXIT_CONFIG = 4
-
-# A finite run of at least POOL_MIN_FLOATS phases (N * n_firings, about 0.1 s
-# of float repr, enough to pay for the forks) formats snapshots.csv in forked
-# workers, in batches of about SNAPSHOT_BATCH_FLOATS phases (64 KiB of data):
-# half that size cost 21 % more time per run.  In process a batch only
-# coalesces writes, and one of LOCAL_BATCH_FLOATS phases keeps its text (about
-# 75 kB) from raising the peak RSS, as 2**13 did by 0.8 MB at N = 100.
-POOL_MIN_FLOATS = 2**18
-SNAPSHOT_BATCH_FLOATS = 2**13
-LOCAL_BATCH_FLOATS = 2**12
-
 
 def _json_text(obj) -> str:
     """The one JSON text of every record: written, and printed."""
@@ -352,7 +345,7 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None) -> dict:
     return summary
 
 
-# -- worker pool ----------------------------------------------------------------
+# -- worker pool (the sweep) ------------------------------------------------------
 
 class _Done:
     """The result of a task that ran when it was submitted."""
@@ -378,10 +371,10 @@ class _InProcess:
 
 
 def _pool(n_tasks: int) -> tuple:
-    """Executor for ``n_tasks`` independent tasks, and the number of worker
+    """Executor for a sweep's ``n_tasks`` rows, and the number of worker
     processes it forks: one per CPU ``fork_cpus`` allows, at most one per
-    task.  With one worker, in a worker process (a pool is never nested),
-    or where processes cannot be forked, it forks none: each task runs in
+    row.  With one worker, in a worker process (a pool is never nested),
+    or where processes cannot be forked, it forks none: each row runs in
     process when submitted, and concurrent.futures is not imported."""
     workers = min(n_tasks, len(fork_cpus()))
     if workers > 1:
@@ -392,6 +385,8 @@ def _pool(n_tasks: int) -> tuple:
     return _InProcess(), 0
 
 
+# -- finite runs -------------------------------------------------------------------
+
 def _snapshot_text(times, snaps) -> bytes:
     """snapshots.csv lines of a batch of firings: each firing's time, then
     its phases, every value as ``repr`` writes it (the bytes csv.writer
@@ -400,78 +395,79 @@ def _snapshot_text(times, snaps) -> bytes:
                     for t, row in zip(times, snaps)]).encode()
 
 
+def _batch_text(block, ref) -> bytes:
+    """snapshots.csv text of a batch of ``finite.BatchSinks`` ring rows
+    (time, N phases, result), each row's V_N against the splay reference
+    ``ref``, when there is one, written into its result first."""
+    snaps = block[:, 1:-1]
+    if ref is not None:
+        block[:, -1] = [discrete_lyapunov(snap, ref) for snap in snaps]
+    return _snapshot_text(block[:, 0].tolist(), snaps)
+
+
 def _run_finite(model, K, N, seed, n_firings, out: Path) -> dict:
     """Finite-N run streamed to firings.csv, snapshots.csv and a V_N fold.
 
-    Each firing's rows are written, and its V_N against the splay reference
-    folded in, as it happens; its snapshot joins a batch, which
-    ``_snapshot_text`` formats.  From POOL_MIN_FLOATS phases in the whole
-    run the batches (of about SNAPSHOT_BATCH_FLOATS phases) are formatted
-    in forked worker processes (``_pool``), at most one pending per worker,
-    and written in firing order; otherwise (batches of about
-    LOCAL_BATCH_FLOATS phases) in process.  The snapshots take O(N) memory
-    however many firings the run takes; the run keeps its events.  A run
-    that raises leaves neither CSV behind.  Returns summary.json's record
-    without its ``versions``, which a run's summary.json records once.
+    Each firing's rows are written to firings.csv as it happens, and its
+    snapshot goes to a batch of ``finite.BatchSinks``, which runs
+    ``_batch_text`` on it (its V_N against the splay reference, and its
+    snapshots.csv lines): in forked sinks, made before the CSV files are
+    opened, or in process.  The batches' text is written, and their V_N
+    folded, in firing order, so the bytes are the same either way.  The
+    snapshots take O(N) memory however many firings the run takes; the run
+    keeps its events.  A run that raises leaves neither CSV behind, and
+    every sink is reaped.  A run with no splay reference (no
+    stationary state, or a J* double precision cannot resolve) records why
+    in ``splay_reference``.  Returns summary.json's record without its
+    ``versions``, which a run's summary.json records once.
     """
+    unavailable = None
     try:
         ref = splay_reference(N, model, K)
     except NoStationaryStateError:
-        ref = None
+        ref, unavailable = None, "unavailable (no stationary state)"
+    except UnresolvedFluxError:
+        # the simulation needs no J*: only V_N goes without its reference
+        ref, unavailable = None, "unavailable (unresolved stationary flux)"
     # V_N's first and last value, and how many steps v - v_prev were <= 1e-12
     vn = {"first": None, "last": None, "steps": 0, "down": 0}
-    rows = max(1, SNAPSHOT_BATCH_FLOATS // N)
-    pool, workers = _pool(-(-n_firings // rows) if N * n_firings >= POOL_MIN_FLOATS else 1)
-    if not workers:
-        rows = max(1, LOCAL_BATCH_FLOATS // N)
     paths = (out / "firings.csv", out / "snapshots.csv")
+    sinks = BatchSinks(N, n_firings, lambda block: _batch_text(block, ref))
     try:
-        with pool, open(paths[0], "w", newline="") as ff, open(paths[1], "wb") as fs:
+        with open(paths[0], "w", newline="") as ff, open(paths[1], "wb") as fs:
             ff.write("t,id,absorbed\r\n")
-            pending = deque()
-            times, snaps = [], np.empty((rows, N))
 
-            def submit():
-                nonlocal times, snaps
-                pending.append(pool.submit(_snapshot_text, times, snaps[:len(times)]))
-                # a fresh batch: a forked pool pickles the arguments after
-                # submit returns
-                times, snaps = [], np.empty((rows, N))
-                while len(pending) > workers:
-                    fs.write(pending.popleft().result())
+            def write(batches):
+                for text, values in batches:
+                    fs.write(text)
+                    for v in values if ref is not None else ():
+                        if vn["last"] is None:
+                            vn["first"] = v
+                        else:
+                            vn["steps"] += 1
+                            vn["down"] += v - vn["last"] <= 1e-12
+                        vn["last"] = v
 
             def on_firing(t, snap, ev):
-                ts = repr(float(t))
+                t = float(t)
+                ts = repr(t)
                 ff.write("".join(f"{ts},{i},{ev.absorbed}\r\n" for i in ev.fired))
-                snaps[len(times)] = snap
-                times.append(float(t))
-                if len(times) == rows:
-                    submit()
-                if ref is None:
-                    return
-                v = discrete_lyapunov(snap, ref)
-                if vn["last"] is None:
-                    vn["first"] = v
-                else:
-                    vn["steps"] += 1
-                    vn["down"] += v - vn["last"] <= 1e-12
-                vn["last"] = v
+                write(sinks.add(t, snap))
 
             run = finite_simulate(model, K, N, n_firings=n_firings, seed=seed,
                                   on_firing=on_firing)
-            if times:
-                submit()
-            while pending:
-                fs.write(pending.popleft().result())
+            write(sinks.drain())
     except BaseException:
         for path in paths:
             path.unlink(missing_ok=True)
         raise
+    finally:
+        sinks.close()
     info: dict = {"N": N, "seed": seed, "n_events": run.n_events,
                   "full_sync_event": run.full_sync_event(),
                   "mean_firing_rate": run.mean_firing_rate() if run.n_events > 4 else None}
     if ref is None:
-        info["splay_reference"] = "unavailable (no stationary state)"
+        info["splay_reference"] = unavailable
     else:
         info["V_N_first"] = vn["first"]
         info["V_N_last"] = vn["last"]

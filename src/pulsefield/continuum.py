@@ -247,6 +247,37 @@ def _running_cpu() -> int | None:
         return None
 
 
+def _fork_server(serve, close=()) -> tuple:
+    """Fork one process that runs ``serve(ready, done)`` on the read end of
+    a ``ready`` pipe and the write end of a ``done`` pipe, and return (its
+    pid, the parent's ``ready`` write end, the parent's ``done`` read end).
+    The child closes the parent's two ends and the descriptors in ``close``
+    (those of earlier servers, which would keep their pipes open), and ends
+    with ``os._exit``: the code ``serve`` returns, or 1 when it raises, so
+    it never flushes the parent's buffers or prints a traceback."""
+    fds: list = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    ready_r, ready_w, done_r, done_w = fds
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (ready_w, done_r, *close):
+                os.close(fd)
+            code = serve(ready_r, done_w)
+        finally:
+            os._exit(code)
+    os.close(ready_r)
+    os.close(done_w)
+    return pid, ready_w, done_r
+
+
 def _v_row(grid: GridReference, rho) -> tuple:
     """(V, q_min, failed) of one logged density; only an undefined V (a
     ValueError) fails, and then both values are NaN."""
@@ -258,7 +289,8 @@ def _v_row(grid: GridReference, rho) -> tuple:
 
 
 class _VHelper:
-    """One forked process that evaluates ``_v_row`` on a run's logged rows.
+    """One forked process (``_fork_server``) that evaluates ``_v_row`` on a
+    run's logged rows.
 
     The parent copies a row's density into the next slot of a shared
     anonymous mmap ring and writes one byte to the ``ready`` pipe; the
@@ -283,31 +315,16 @@ class _VHelper:
         ring = mmap.mmap(-1, 8 * slots * (n_nodes + 3))
         view = np.frombuffer(ring, float).reshape(slots, n_nodes + 3)
         self.rho, self.out = view[:, :n_nodes], view[:, n_nodes:]
-        fds: list = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            self.pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        ready_r, self._ready, self._done, done_w = fds
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self._ready)
-                os.close(self._done)
-                if cpu is not None:
-                    try:
-                        os.sched_setaffinity(0, cpus - {cpu})
-                    except (OSError, ValueError):
-                        pass
-                code = self._serve(ready_r, done_w)
-            finally:
-                os._exit(code)
-        os.close(ready_r)
-        os.close(done_w)
+
+        def serve(ready, done):
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, cpus - {cpu})
+                except (OSError, ValueError):
+                    pass
+            return self._serve(ready, done)
+
+        self.pid, self._ready, self._done = _fork_server(serve)
         os.set_blocking(self._done, False)
 
     def _serve(self, ready: int, done: int) -> int:

@@ -16,6 +16,7 @@ import pytest
 
 import pulsefield
 import pulsefield.cli as cli
+import pulsefield.finite as finite
 from pulsefield import lif_model
 from pulsefield.cli import main
 from pulsefield.config import ConfigError, ExperimentConfig
@@ -1374,43 +1375,47 @@ def test_sweep_dead_worker_fails_unfinished_rows(tmp_path, capsys, monkeypatch):
         for r in rows if r["exit_code"] != "0"]
 
 
-# from cli.POOL_MIN_FLOATS phases (N * n_firings) a finite run formats
-# snapshots.csv in forked worker processes, one per usable CPU; below it, on
-# one CPU and inside a sweep worker, in process
+# a finite run of two batches or more formats snapshots.csv, and takes V_N,
+# in forked sinks, one per finite.SINK_FLOATS phases (N * n_firings) and at
+# most one per usable CPU; on one CPU and inside a sweep worker, in process
 FINITE_POOL_ARGV = ["finite", "--model", "lif", "--N", "1000", "--K", "-0.1",
                     "--seed", "5", "--nfirings", "300"]
 _TEST_PID = os.getpid()
 _SNAPSHOT_TEXT = cli._snapshot_text
-_POOL = cli._pool
+_FORK_SERVER = finite._fork_server
 
 
-def _finite_run(tmp_path, monkeypatch, cpus, name):
-    """The pooled finite run on ``cpus`` CPUs: how many worker processes
-    each pool it made forks, and the run's three files."""
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _finite_run(tmp_path, monkeypatch, cpus, name, argv=FINITE_POOL_ARGV):
+    """The finite run ``argv`` on ``cpus`` CPUs: how many sinks it forks,
+    and the run's three files."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    workers = []
+    forks = []
 
-    def pool(n_tasks):
-        executor, n = _POOL(n_tasks)
-        workers.append(n)
-        return executor, n
+    def fork_server(*args):
+        forks.append(args)
+        return _FORK_SERVER(*args)
 
-    monkeypatch.setattr(cli, "_pool", pool)
+    monkeypatch.setattr(finite, "_fork_server", fork_server)
     out = tmp_path / name
-    assert main([*FINITE_POOL_ARGV, "--out", str(out)]) == 0
-    assert multiprocessing.active_children() == []
-    return workers, {f: (out / f).read_bytes()
-                     for f in ("firings.csv", "snapshots.csv", "summary.json")}
+    assert main([*argv, "--out", str(out)]) == 0
+    _no_child_left()
+    return len(forks), {f: (out / f).read_bytes()
+                        for f in ("firings.csv", "snapshots.csv", "summary.json")}
 
 
 def test_finite_pool_matches_one_cpu_byte_for_byte(tmp_path, capsys, monkeypatch,
                                                    simulate_kept):
-    assert 1000 * 300 >= cli.POOL_MIN_FLOATS
-    serial_workers, serial = _finite_run(tmp_path, monkeypatch, 1, "serial")
+    assert 1000 * 300 > finite.SINK_FLOATS
+    serial_sinks, serial = _finite_run(tmp_path, monkeypatch, 1, "serial")
     serial_out = capsys.readouterr().out
-    pooled_workers, pooled = _finite_run(tmp_path, monkeypatch, 2, "pooled")
+    pooled_sinks, pooled = _finite_run(tmp_path, monkeypatch, 2, "pooled")
     assert capsys.readouterr().out == serial_out
-    assert (serial_workers, pooled_workers) == ([0], [2])
+    assert (serial_sinks, pooled_sinks) == (0, 2)
     assert pooled == serial
     run, times, snaps = simulate_kept(lif_model(2.1, 2.0), -0.1, 1000, n_firings=300,
                                       seed=5)
@@ -1418,30 +1423,112 @@ def test_finite_pool_matches_one_cpu_byte_for_byte(tmp_path, capsys, monkeypatch
     assert {f: pooled[f] for f in want} == want
 
 
+def test_finite_tabulated_sink_matches_one_cpu(tmp_path, capsys, monkeypatch,
+                                                simulate_kept):
+    # the generic-field event path through one sink (2 * 10**4 phases)
+    xs = np.linspace(0.0, 1.0, 41)
+    table = tmp_path / "field41.csv"
+    table.write_text("x,F\n" + "".join(f"{x!r},{2.1 - 2.0 * x!r}\n" for x in xs.tolist()))
+    argv = ["finite", "--model", "tabulated", "--table", str(table), "--N", "100",
+            "--K", "-0.1", "--nfirings", "200"]
+    serial_sinks, serial = _finite_run(tmp_path, monkeypatch, 1, "serial", argv)
+    forked_sinks, forked = _finite_run(tmp_path, monkeypatch, 2, "forked", argv)
+    capsys.readouterr()
+    assert (serial_sinks, forked_sinks) == (0, 1)
+    assert forked == serial
+    model = ExperimentConfig.from_values({"model.model": "tabulated", "model.table": str(table),
+                                          "coupling.K": -0.1}).build_model()
+    run, times, snaps = simulate_kept(model, -0.1, 100, n_firings=200, seed=0)
+    want = _expected_csv_artifacts(run, times, snaps)
+    assert {f: forked[f] for f in want} == want
+
+
+def _sinks_forked(N, n_firings) -> int:
+    sinks = finite.BatchSinks(N, n_firings, None)
+    sinks.close()
+    return len(sinks.sinks)
+
+
+def test_finite_sink_count(monkeypatch):
+    # none for a run of one batch, one for 2 * 10**4 phases, and for 10**6
+    # phases one per SINK_FLOATS of them, at most one per usable CPU; none
+    # in a sweep's worker process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert 100 * 20 <= finite.BATCH_FLOATS
+    assert [_sinks_forked(*run) for run in ((100, 20), (100, 200), (1000, 1000))] == [0, 1, 2]
+    pool, workers = cli._pool(2)
+    with pool:
+        in_worker = pool.submit(_sinks_forked, 1000, 1000).result()
+    assert (workers, in_worker) == (2, 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert _sinks_forked(1000, 1000) == -(-10**6 // finite.SINK_FLOATS) == 4
+    _no_child_left()
+
+
+def test_finite_sinks_leave_no_resource_warning(tmp_path):
+    # two sinks forked, fed and reaped under -X dev with ResourceWarning as
+    # an error: nothing on stderr
+    code = ("import contextlib, io, os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from pulsefield.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({[*FINITE_POOL_ARGV, '--out', str(tmp_path / 'fin')]!r})\n"
+            "print(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(pulsefield.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+# the batches a sink formats (each sink counts in its own copy) and those
+# the parent formats itself
+_SINK_BATCHES: list = []
+_PARENT_BATCHES: list = []
+
+
 def _text_or_die(times, snaps):
-    # a formatting worker killed mid-batch, as by the OOM killer
-    if multiprocessing.parent_process() is not None:
-        os._exit(1)
+    # a sink killed in its third batch, as by the OOM killer
+    if os.getpid() == _TEST_PID:
+        _PARENT_BATCHES.append(len(times))
+    else:
+        _SINK_BATCHES.append(len(times))
+        if len(_SINK_BATCHES) == 3:
+            os._exit(1)
     return _SNAPSHOT_TEXT(times, snaps)
 
 
-def test_finite_dead_worker_fails_the_run(tmp_path, capsys, monkeypatch):
-    from concurrent.futures.process import BrokenProcessPool
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_finite_dead_sink_keeps_the_run_whole(tmp_path, capsys, monkeypatch):
+    # the parent formats every batch its dead sinks did not finish, from
+    # their ring rows: the run exits 0 with the one-CPU bytes
+    _, serial = _finite_run(tmp_path, monkeypatch, 1, "serial")
     monkeypatch.setattr(cli, "_snapshot_text", _text_or_die)
+    _PARENT_BATCHES.clear()
+    sinks, killed = _finite_run(tmp_path, monkeypatch, 2, "killed")
+    capsys.readouterr()
+    assert (sinks, killed) == (2, serial)
+    # each sink sent its first two batches (of two firings) before it died
+    assert _PARENT_BATCHES == [2] * (150 - 2 * 2)
+
+
+def _lyapunov_bug(phases, phases_ref):
+    raise ValueError("a bug in V_N")
+
+
+def test_finite_sink_bug_raises_in_parent(tmp_path, capsys, monkeypatch):
+    # a sink that raises stops; the parent redoes its batch and raises
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "discrete_lyapunov", _lyapunov_bug)
     out = tmp_path / "fin"
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(ValueError, match="a bug in V_N"):
         main([*FINITE_POOL_ARGV, "--out", str(out)])
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     assert sorted(p.name for p in out.iterdir()) == []
     assert capsys.readouterr().out == ""
 
 
 def test_small_finite_run_imports_no_pool(tmp_path):
-    # below POOL_MIN_FLOATS nothing forks, and the modules a pool needs
-    # (about 1 MB) are not imported
-    assert 100 * 200 < cli.POOL_MIN_FLOATS
+    # the modules a pool needs (about 1 MB) are not imported
     code = ("import contextlib, io, sys\n"
             "from pulsefield.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1630,6 +1717,43 @@ def test_unresolved_stationary_flux_exits_config_error(capsys):
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("K,reason", [(-1.4, "unavailable (unresolved stationary flux)"),
+                                      (-5.0, "unavailable (no stationary state)")],
+                         ids=["unresolved", "no-stationary-state"])
+def test_finite_runs_without_splay_reference(tmp_path, capsys, K, reason):
+    # the simulation needs no J*: a finite run whose splay reference cannot
+    # be solved for runs, exits 0 and records why it has no V_N
+    out = tmp_path / "fin"
+    assert main(["finite", "--N", "10", f"--K={K}", "--nfirings", "50",
+                 "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["splay_reference"], summary["n_events"]) == (reason, 50)
+    assert "V_N_first" not in summary
+    assert sorted(p.name for p in out.iterdir()) == [
+        "firings.csv", "snapshots.csv", "summary.json"]
+
+
+def test_run_with_finite_and_unresolved_flux_exits_config_error(tmp_path, capsys):
+    # a run's own stationary solve still needs J*: exit 4 before the finite run
+    cfg = TINY_CFG.replace("K = -0.1", "K = -1.4") + (
+        "\n[finite]\nenabled = true\nN = 10\nn_firings = 50\n")
+    assert main(["run", str(write_cfg(tmp_path, cfg, out=tmp_path / "out"))]) == 4
+    assert capsys.readouterr().err.startswith("unresolved stationary flux: ")
+    assert not (tmp_path / "out" / "finite").exists()
+
+
+def test_unallocatable_finite_ring_exits_config_error(tmp_path, capsys):
+    # no splay reference at K = -5, so the snapshot ring of 10**12 phases (7.3
+    # TiB) is the run's first allocation: one line, and neither CSV
+    out = tmp_path / "fin"
+    assert main(["finite", "--N", str(10**12), "--K", "-5", "--nfirings", "2",
+                 "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("out of memory: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert sorted(p.name for p in out.iterdir()) == []
 
 
 def test_unallocatable_grid_exits_config_error(capsys):

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import tracemalloc
 from dataclasses import dataclass
@@ -10,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from pulsefield import (AvalancheError, discrete_lyapunov, simulate, splay_reference,
                         tabulated_model)
-from pulsefield.cli import POOL_MIN_FLOATS, SNAPSHOT_BATCH_FLOATS, _run_finite
-from pulsefield.finite import TIE_TOL, _drift, _fire, _firing_phase
+from pulsefield.cli import _run_finite
+from pulsefield.finite import (BATCH_FLOATS, SINK_FLOATS, TIE_TOL, _drift, _fire,
+                              _firing_phase)
 from pulsefield.stationary import NoStationaryStateError
 
 TWO_PI = 2.0 * math.pi
@@ -400,15 +400,16 @@ def test_streamed_run_memory_is_order_n(lif, tmp_path):
 
 
 def test_pooled_run_memory_is_bounded_by_batches(lif, tmp_path, monkeypatch):
-    # from POOL_MIN_FLOATS phases snapshots.csv is formatted in forked
-    # workers, and the parent holds at most one pending batch per worker:
-    # its peak is a fixed multiple of the batch budget.  Only the run's
-    # events (about 200 bytes per firing, against N * 8 = 8 kB of snapshot)
-    # grow with the run: far less than a tenth of the extra snapshots
+    # past SINK_FLOATS phases snapshots.csv is formatted in two forked
+    # sinks, and the parent holds the text of at most one batch at a time:
+    # its peak is a fixed multiple of the batch budget (1.5 MiB).  Only the
+    # run's events (about 200 bytes per firing, against N * 8 = 8 kB of
+    # snapshot) grow with the run: far less than a tenth of the extra
+    # snapshots
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    N, budget = 1000, SNAPSHOT_BATCH_FLOATS * 8
-    assert N * 300 >= POOL_MIN_FLOATS
-    # a first call imports multiprocessing and concurrent.futures
+    N, budget = 1000, BATCH_FLOATS * 8
+    assert N * 300 > SINK_FLOATS
+    # a first call loads what a run imports lazily (numpy.random's seeding)
     _run_finite(lif, -0.1, N, 3, 300, tmp_path)
     peaks = {}
     for n_firings in (300, 1200):
@@ -418,6 +419,7 @@ def test_pooled_run_memory_is_bounded_by_batches(lif, tmp_path, monkeypatch):
             peaks[n_firings] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert multiprocessing.active_children() == []
-    assert max(peaks.values()) < 24 * budget
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert max(peaks.values()) < 96 * budget
     assert peaks[1200] - peaks[300] < 900 * N * 8 / 10
